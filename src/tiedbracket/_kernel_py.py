@@ -6,11 +6,13 @@ leaf order and the seeded random choices.  The engine picks one at import
 time; see `_backend`.
 
 Diagrams arrive pre-encoded: `slots` is a flat list of 4*n arc ids (dense,
-0-based, fewer than 64 arcs), `colors` maps arc id -> 0-based color
-(< 64), `loops` lists free-loop colors.  A random strategy is requested by
-a non-negative `seed`; `seed = -1` scans crossings in stored order and
-smooths the first mixed-color illegal crossing, else the first same-color
-one (the default resolution order).
+0-based, at most MAX_ARCS arcs), `colors` maps arc id -> 0-based color
+(< MAX_COLORS), `loops` lists free-loop colors.  Arcs plus free loops
+number at most MAX_CIRCLES, which bounds the circle count k of every
+leaf; the engine rejects larger inputs before they get here.  A random
+strategy is requested by a non-negative `seed`; `seed = -1` scans
+crossings in stored order and smooths the first mixed-color illegal
+crossing, else the first same-color one (the default resolution order).
 
 Leaf weights are products of the branch labels A, 1/A, -1 and
 delta = A + 1/A, so they compress to a triple (sign, apow, dpow).  The
@@ -22,6 +24,8 @@ with the leaf's sign folded into the count.
 """
 
 MAX_ARCS = 64
+MAX_COLORS = 64  # colors index the bits of a 64-bit loop mask
+MAX_CIRCLES = 255  # k has 8 bits in the packed key
 
 _MASK64 = (1 << 64) - 1
 

@@ -23,21 +23,13 @@ import os
 import sys
 
 from .catalog import fixture, parse_diagram
-from .diagram import (
-    BAR0,
-    BAR1,
-    ONE as KIND_ONE,
-    TWO as KIND_TWO,
-    ZERO as KIND_ZERO,
-    CrossingClass,
-    DiagramError,
-    TiedDiagram,
-)
+from .diagram import DiagramError, TiedDiagram
 from .engine import (
     OrderedStrategy,
     RandomStrategy,
     double_bracket,
     kauffman_bracket,
+    resolution_tree,
     resolve,
     state_value,
     tied_jones,
@@ -157,81 +149,31 @@ def cmd_states(args) -> int:
     return 0
 
 
-def _tree_lines(d: TiedDiagram, max_nodes: int):
-    """Expand the resolution tree; yields (node_id, parent_id, edge label, diagram)."""
-    nodes = [(0, None, "", d)]
-    out = []
-    next_id = 1
-    i = 0
-    truncated = False
-    while i < len(nodes):
-        nid, parent, label, cur = nodes[i]
-        i += 1
-        out.append((nid, parent, label, cur))
-        if len(out) + 3 > max_nodes:
-            truncated = True
-            break
-        pick = None
-        for x in range(len(cur.crossings)):
-            cls = cur.classify(x)
-            if cls is CrossingClass.ILLEGAL_TYPE2:
-                pick = (x, cls)
-                break
-            if cls is CrossingClass.ILLEGAL_TYPE1 and pick is None:
-                pick = (x, cls)
-        if pick is None:
-            continue
-        x, cls = pick
-        if cls is CrossingClass.ILLEGAL_TYPE2:
-            children = [
-                (cur.smooth_type2(x, KIND_TWO), "-1"),
-                (cur.smooth_type2(x, KIND_ZERO), "δ"),
-                (cur.smooth_type2(x, KIND_ONE), "δ"),
-            ]
-        else:
-            children = [
-                (cur.smooth_type1(x, BAR0), "A"),
-                (cur.smooth_type1(x, BAR1), "A⁻¹"),
-            ]
-        for child, lab in children:
-            nodes.append((next_id, nid, lab, child))
-            next_id += 1
-    return out, truncated
-
-
 def cmd_tree(args) -> int:
     d = _load_diagram(args)
-    out, truncated = _tree_lines(d, args.max_nodes)
-
-    def label(nid, cur):
+    lines: list[str] = []
+    depth: list[int] = []
+    truncated = False
+    for nid, parent, lab, cur, _, _ in resolution_tree(d):
+        if nid >= args.max_nodes:
+            truncated = True
+            break
         c = cur.complexity()
-        return f"({c.total},{c.illegal})"
-
-    if args.dot:
-        print("digraph resolution {")
-        print('  node [shape=box, fontname="monospace"];')
-        for nid, parent, lab, cur in out:
-            print(f'  n{nid} [label="{label(nid, cur)}"];')
+        label = f"({c.total},{c.illegal})"
+        if args.dot:
+            lines.append(f'  n{nid} [label="{label}"];')
             if parent is not None:
-                print(f'  n{parent} -> n{nid} [label="{lab}"];')
+                lines.append(f'  n{parent} -> n{nid} [label="{lab}"];')
+        else:
+            depth.append(0 if parent is None else depth[parent] + 1)
+            lines.append("  " * depth[nid] + (f"--{lab}--> " if lab else "") + label)
+    if args.dot:
         if truncated:
-            print('  trunc [label="... truncated ...", shape=plaintext];')
-        print("}")
-    else:
-        by_parent: dict[int | None, list] = {}
-        for nid, parent, lab, cur in out:
-            by_parent.setdefault(parent, []).append((nid, lab, cur))
-
-        def walk(nid, lab, cur, depth):
-            arrow = f"--{lab}--> " if lab else ""
-            print("  " * depth + arrow + label(nid, cur))
-            for child in by_parent.get(nid, []):
-                walk(child[0], child[1], child[2], depth + 1)
-
-        root = by_parent[None][0]
-        walk(root[0], root[1], root[2], 0)
-        if truncated:
-            print(f"... truncated at {args.max_nodes} nodes ...")
+            lines.append('  trunc [label="... truncated ...", shape=plaintext];')
+        lines = ["digraph resolution {", '  node [shape=box, fontname="monospace"];', *lines, "}"]
+    elif truncated:
+        lines.append(f"... truncated at {args.max_nodes} nodes ...")
+    print("\n".join(lines))
     return 0
 
 
@@ -310,7 +252,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tree", help="print the resolution tree")
     add_input(p)
     p.add_argument("--dot", action="store_true", help="emit DOT graph format")
-    p.add_argument("--max-nodes", type=int, default=5000, help="truncate beyond this many nodes")
+    p.add_argument("--max-nodes", type=int, default=5000,
+                   help="how many nodes to show, in depth-first preorder")
     p.set_defaults(fn=cmd_tree)
 
     p = sub.add_parser("distinguish", help="compare the double brackets of two diagrams")

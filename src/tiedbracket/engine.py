@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from . import _backend
+from ._kernel_py import MAX_ARCS, MAX_CIRCLES, MAX_COLORS, _mix
 from .laurent import A, A_INV, C, DELTA, LOOP, BivariateLaurent
 from .diagram import (
     BAR0,
@@ -53,9 +54,6 @@ __all__ = [
     "tied_jones",
     "independence_check",
 ]
-
-KERNEL_LIMIT_ARCS = 64
-
 
 class MultiColorInputError(DiagramError):
     """The classical Kauffman bracket is only defined for one-color diagrams."""
@@ -159,24 +157,37 @@ Strategy = OrderedStrategy | RandomStrategy
 _DEFAULT = OrderedStrategy()
 
 
-def _prepare(d: TiedDiagram, strategy: Strategy):
-    """Validate and encode a diagram for the kernels."""
+def _ordered(d: TiedDiagram, strategy: Strategy) -> TiedDiagram:
+    """Validate ``d``, reject the empty diagram and apply the strategy's permutation."""
     d.validate()
     if not d.crossings and not d.free_loops:
         raise EmptyDiagramError("cannot resolve the empty diagram")
-    crossings = d.crossings
     perm = getattr(strategy, "permutation", None)
-    if perm is not None:
-        if sorted(perm) != list(range(len(crossings))):
-            raise ValueError(f"permutation {perm} does not match {len(crossings)} crossings")
-        crossings = tuple(crossings[i] for i in perm)
-    arc_ids = sorted({s for rec in crossings for s in rec.slots})
-    if len(arc_ids) > KERNEL_LIMIT_ARCS:
-        raise DiagramError(f"kernel supports at most {KERNEL_LIMIT_ARCS // 2} crossings")
-    dense = {a: i for i, a in enumerate(arc_ids)}
-    slots = [dense[s] for rec in crossings for s in rec.slots]
+    if perm is None:
+        return d
+    if sorted(perm) != list(range(len(d.crossings))):
+        raise ValueError(f"permutation {perm} does not match {len(d.crossings)} crossings")
+    return TiedDiagram(tuple(d.crossings[i] for i in perm), d.arc_color, d.free_loops)
+
+
+def _prepare(d: TiedDiagram, strategy: Strategy):
+    """Validate and encode a diagram for the kernels.
+
+    Inputs past the kernels' limits are rejected here: their packed leaf
+    keys would otherwise overflow into wrong values.
+    """
+    d = _ordered(d, strategy).normalized_colors()
+    arc_ids = sorted(d.used_arcs())
     colors = [d.arc_color[a] - 1 for a in arc_ids]
     loops = [c - 1 for c in d.free_loops]
+    if len(arc_ids) > MAX_ARCS:
+        raise DiagramError(f"kernel supports at most {MAX_ARCS // 2} crossings")
+    if len(arc_ids) + len(loops) > MAX_CIRCLES:
+        raise DiagramError(f"kernel supports at most {MAX_CIRCLES} arcs and free loops in all")
+    if max(colors + loops) >= MAX_COLORS:
+        raise DiagramError(f"kernel supports at most {MAX_COLORS} colors")
+    dense = {a: i for i, a in enumerate(arc_ids)}
+    slots = [dense[s] for rec in d.crossings for s in rec.slots]
     seed = strategy.seed if isinstance(strategy, RandomStrategy) else -1
     return slots, colors, loops, seed
 
@@ -243,7 +254,18 @@ def resolve(
     ``group=True`` entries for identical states are merged.
     """
     if codes:
-        sum_ = _resolve_with_codes(d, strategy)
+        sum_ = StateSum(
+            [
+                (
+                    AJStateSummary(
+                        cur.component_count(), cur.n_colors, len(cur.crossings), cur.canonical_code()
+                    ),
+                    _branch_weight(*weight),
+                )
+                for _, _, _, cur, weight, leaf in resolution_tree(d, strategy)
+                if leaf
+            ]
+        )
     else:
         slots, colors, loops, seed = _prepare(d, strategy)
         leaves = _backend.kernel.resolve_leaves(slots, colors, loops, seed)
@@ -256,36 +278,25 @@ def resolve(
     return sum_.grouped() if group else sum_
 
 
-def _scan_illegal(d: TiedDiagram) -> tuple[int, CrossingClass] | None:
-    first1 = None
-    for x in range(len(d.crossings)):
-        cls = d.classify(x)
-        if cls is CrossingClass.ILLEGAL_TYPE2:
-            return x, cls
-        if cls is CrossingClass.ILLEGAL_TYPE1 and first1 is None:
-            first1 = x
-    if first1 is None:
-        return None
-    return first1, CrossingClass.ILLEGAL_TYPE1
+def resolution_tree(d: TiedDiagram, strategy: Strategy = _DEFAULT):
+    """Expand the resolution tree of ``d`` at the diagram level, depth-first.
 
-
-def _resolve_with_codes(d: TiedDiagram, strategy: Strategy) -> StateSum:
-    from ._kernel_py import _mix
-
-    d.validate()
-    if not d.crossings and not d.free_loops:
-        raise EmptyDiagramError("cannot resolve the empty diagram")
-    perm = getattr(strategy, "permutation", None)
-    if perm is not None:
-        if sorted(perm) != list(range(len(d.crossings))):
-            raise ValueError(f"permutation {perm} does not match diagram")
-        d = TiedDiagram(tuple(d.crossings[i] for i in perm), d.arc_color, d.free_loops)
+    Yields every node in preorder as ``(node, parent, label, diagram,
+    (sign, apow, dpow), is_leaf)``.  Nodes are numbered in yield order,
+    ``parent`` is None at the root, ``label`` names the branch from the
+    parent, and the triple is the branch weight sign * A^apow * delta^dpow.
+    Picks and child order (two, zero, one; bar0, bar1) are the kernels',
+    so leaves arrive in the kernels' leaf order.  Children are smoothed
+    only when the generator resumes after their parent.
+    """
     rng = strategy.seed if isinstance(strategy, RandomStrategy) else -1
-
-    entries: list[tuple[AJStateSummary, BivariateLaurent]] = []
-    stack: list[tuple[TiedDiagram, int, int, int]] = [(d, 1, 0, 0)]
+    stack = [(None, "", _ordered(d, strategy), 1, 0, 0)]
+    node = 0
     while stack:
-        cur, sign, apow, dpow = stack.pop()
+        parent, label, cur, sign, apow, dpow = stack.pop()
+        pick = None
+        # A seeded draw needs every illegal crossing; the default order
+        # stops at the first type-2 one.
         if rng >= 0:
             illegal = [
                 (x, cls)
@@ -295,29 +306,26 @@ def _resolve_with_codes(d: TiedDiagram, strategy: Strategy) -> StateSum:
             if illegal:
                 rng, z = _mix(rng)
                 pick = illegal[z % len(illegal)]
+        else:
+            for x in range(len(cur.crossings)):
+                cls = cur.classify(x)
+                if cls is CrossingClass.ILLEGAL_TYPE2:
+                    pick = (x, cls)
+                    break
+                if cls is CrossingClass.ILLEGAL_TYPE1 and pick is None:
+                    pick = (x, cls)
+        yield node, parent, label, cur, (sign, apow, dpow), pick is None
+        if pick is not None:
+            x, cls = pick
+            # Pushed in reverse so that children pop in the kernels' order.
+            if cls is CrossingClass.ILLEGAL_TYPE2:
+                stack.append((node, "δ", cur.smooth_type2(x, KIND_ONE), sign, apow, dpow + 1))
+                stack.append((node, "δ", cur.smooth_type2(x, KIND_ZERO), sign, apow, dpow + 1))
+                stack.append((node, "-1", cur.smooth_type2(x, KIND_TWO), -sign, apow, dpow))
             else:
-                pick = None
-        else:
-            pick = _scan_illegal(cur)
-        if pick is None:
-            k = cur.component_count()
-            gamma = cur.n_colors
-            entries.append(
-                (
-                    AJStateSummary(k, gamma, len(cur.crossings), cur.canonical_code()),
-                    _branch_weight(sign, apow, dpow),
-                )
-            )
-            continue
-        x, cls = pick
-        if cls is CrossingClass.ILLEGAL_TYPE2:
-            stack.append((cur.smooth_type2(x, KIND_ONE), sign, apow, dpow + 1))
-            stack.append((cur.smooth_type2(x, KIND_ZERO), sign, apow, dpow + 1))
-            stack.append((cur.smooth_type2(x, KIND_TWO), -sign, apow, dpow))
-        else:
-            stack.append((cur.smooth_type1(x, BAR1), sign, apow - 1, dpow))
-            stack.append((cur.smooth_type1(x, BAR0), sign, apow + 1, dpow))
-    return StateSum(entries)
+                stack.append((node, "A⁻¹", cur.smooth_type1(x, BAR1), sign, apow - 1, dpow))
+                stack.append((node, "A", cur.smooth_type1(x, BAR0), sign, apow + 1, dpow))
+        node += 1
 
 
 def kauffman_bracket(d: TiedDiagram) -> BivariateLaurent:
@@ -468,8 +476,6 @@ def independence_check(d: TiedDiagram, trials: int = 100, seed: int = 0) -> bool
     Returns True iff every value is exactly the default strategy's value.
     Any False is an implementation bug, not a property of the diagram.
     """
-    from ._kernel_py import _mix
-
     reference = double_bracket(d)
     state = seed
     for _ in range(trials):

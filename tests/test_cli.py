@@ -96,16 +96,33 @@ def test_tree_dot_node_counts(capsys):
     code, out, _ = run(capsys, "tree", "--dot", TIED_HOPF)
     assert out.count('[label="(') == 8  # root + 3 children + 4 grandchildren
 
+    code, out, err = run(capsys, "tree", "--dot", "pd:")
+    assert code == 1 and out == "" and "empty diagram" in err
+
 
 def test_tree_truncation(capsys):
     code, out, _ = run(capsys, "tree", "--dot", "--max-nodes", "4", "--fixture", "trefoil")
     assert code == 0 and "truncated" in out
+    assert out.count('[label="(') == 4
 
 
 def test_tree_text_mode(capsys):
     code, out, _ = run(capsys, "tree", "pd: X[1,1,2,2]")
     assert code == 0
     assert "(1,1)" in out and "--A-->" in out
+
+    code, out, _ = run(capsys, "tree", "--fixture", "tiedHopf12")
+    assert code == 0
+    assert out.splitlines() == [
+        "(2,1)",
+        "  ---1--> (2,0)",
+        "  --δ--> (1,1)",
+        "    --A--> (0,0)",
+        "    --A⁻¹--> (0,0)",
+        "  --δ--> (1,1)",
+        "    --A--> (0,0)",
+        "    --A⁻¹--> (0,0)",
+    ]
 
 
 def test_distinguish_same_diagram(capsys):

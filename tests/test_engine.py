@@ -1,6 +1,6 @@
 import pytest
 
-from tiedbracket.diagram import TiedDiagram, random_diagram, unknot
+from tiedbracket.diagram import DiagramError, TiedDiagram, random_diagram, unknot
 from tiedbracket.engine import (
     AJStateSummary,
     EmptyDiagramError,
@@ -61,15 +61,23 @@ def test_resolve_tied_hopf_leaves():
 
 
 def test_resolve_with_codes_matches_kernel():
+    # the diagram-level walk picks the kernel's crossings, seeded draws included
+    strategies = [
+        OrderedStrategy(),
+        OrderedStrategy((4, 2, 0, 3, 1)),
+        RandomStrategy(0),
+        RandomStrategy(5),
+    ]
     for seed in range(8):
         d = random_diagram(seed, 5, seed % 3 + 1)
-        plain = resolve(d)
-        coded = resolve(d, codes=True)
-        assert [(s.k, s.gamma, s.crossings_left) for s, _ in plain.entries] == [
-            (s.k, s.gamma, s.crossings_left) for s, _ in coded.entries
-        ]
-        assert [w for _, w in plain.entries] == [w for _, w in coded.entries]
-        assert all(s.code is not None for s, _ in coded.entries)
+        for strategy in strategies:
+            plain = resolve(d, strategy)
+            coded = resolve(d, strategy, codes=True)
+            assert [(s.k, s.gamma, s.crossings_left) for s, _ in plain.entries] == [
+                (s.k, s.gamma, s.crossings_left) for s, _ in coded.entries
+            ]
+            assert [w for _, w in plain.entries] == [w for _, w in coded.entries]
+            assert all(s.code is not None for s, _ in coded.entries)
 
 
 def test_resolve_grouping_preserves_total():
@@ -96,6 +104,7 @@ def test_mixed_and_classical_states_structure():
 def test_double_bracket_examples():
     assert double_bracket(unknot()) == ONE
     assert double_bracket(TiedDiagram((), {}, (1, 2))) == C
+    assert double_bracket(TiedDiagram((), {}, (1, 100))) == C
     assert double_bracket(tied_hopf()) == TIED_HOPF_VALUE
 
 
@@ -108,6 +117,27 @@ def test_double_bracket_strategies_agree():
         double_bracket(d, OrderedStrategy((0, 0)))
     with pytest.raises(ValueError):
         RandomStrategy(-1)
+
+
+@pytest.mark.parametrize(
+    "pd, colors, loops, expected",
+    [
+        ([], None, [1] * 255, LOOP**254),
+        ([], None, [1] * 256, None),
+        ([], None, [1] * 300, None),
+        (HOPF, [1, 2], [1] * 260, None),
+        ([], None, range(1, 66), None),
+        ([], None, range(1, 131), None),
+    ],
+)
+def test_kernel_limits(pd, colors, loops, expected):
+    # past the packed key's limits the kernels would return wrong values
+    d = TiedDiagram.from_pd(pd, colors, loops)
+    if expected is None:
+        with pytest.raises(DiagramError):
+            double_bracket(d)
+    else:
+        assert double_bracket(d) == expected
 
 
 def test_empty_diagram_rejected():
