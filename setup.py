@@ -1,7 +1,7 @@
 """Build hooks for the optional compiled kernel.
 
 The package is fully functional without the extension (a pure-Python twin
-is selected at import time), so a failing C toolchain only costs speed.
+is selected at import time), so a missing C compiler only costs speed.
 """
 
 import warnings
@@ -14,7 +14,7 @@ class OptionalBuildExt(build_ext):
     def run(self):
         try:
             super().run()
-        except Exception as exc:  # no compiler, no Cython, ...
+        except Exception as exc:  # no compiler, no Python headers, ...
             warnings.warn(f"skipping compiled kernel ({exc}); using the pure-Python one")
 
     def build_extension(self, ext):
@@ -24,22 +24,7 @@ class OptionalBuildExt(build_ext):
             warnings.warn(f"skipping {ext.name} ({exc}); using the pure-Python kernel")
 
 
-def extensions():
-    try:
-        from Cython.Build import cythonize
-    except ImportError:
-        warnings.warn("Cython unavailable; building without the compiled kernel")
-        return []
-    return cythonize(
-        [
-            Extension(
-                "tiedbracket._kernel_cy",
-                ["src/tiedbracket/_kernel_cy.pyx"],
-                extra_compile_args=["-O3"],
-            )
-        ],
-        compiler_directives={"language_level": "3"},
-    )
-
-
-setup(ext_modules=extensions(), cmdclass={"build_ext": OptionalBuildExt})
+setup(
+    ext_modules=[Extension("tiedbracket._kernel_c", ["src/tiedbracket/_kernel_c.c"])],
+    cmdclass={"build_ext": OptionalBuildExt},
+)

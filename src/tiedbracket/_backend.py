@@ -1,29 +1,26 @@
 """Kernel backend selection.
 
-The resolution walk has a compiled implementation (`_kernel_cy`, built from
-Cython) and a pure-Python twin (`_kernel_py`).  The compiled one is used
-when importable; set TIEDBRACKET_BACKEND=python or =cython to force a
-choice (forcing cython raises if the extension is missing).
+The resolution walk has a compiled implementation (`_kernel_c`, plain C
+against the CPython API) and a pure-Python twin (`_kernel_py`).  The
+compiled one is used when it was built; TIEDBRACKET_BACKEND=python or
+=compiled forces a choice.
 """
 
 import os
 
-_choice = os.environ.get("TIEDBRACKET_BACKEND", "auto").lower()
+from . import _kernel_py as kernel
 
-if _choice in ("auto", "", "cython", "compiled"):
+BACKEND_NAME = "python"
+_choice = os.environ.get("TIEDBRACKET_BACKEND", "")
+
+if _choice not in ("", "python", "compiled"):
+    raise RuntimeError(f"unknown TIEDBRACKET_BACKEND={_choice!r}; use python or compiled")
+if _choice != "python":
     try:
-        from . import _kernel_cy as kernel
+        from . import _kernel_c as kernel
 
-        BACKEND_NAME = "cython"
-    except ImportError:
-        if _choice in ("cython", "compiled"):
-            raise
-        from . import _kernel_py as kernel
-
-        BACKEND_NAME = "python"
-elif _choice in ("python", "pure"):
-    from . import _kernel_py as kernel
-
-    BACKEND_NAME = "python"
-else:
-    raise RuntimeError(f"unknown TIEDBRACKET_BACKEND={_choice!r}")
+        BACKEND_NAME = "compiled"
+    except ImportError as exc:
+        if _choice == "compiled":
+            msg = "_kernel_c is not built; run python3 setup.py build_ext --inplace"
+            raise ImportError(msg) from exc

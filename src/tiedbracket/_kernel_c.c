@@ -1,0 +1,289 @@
+/* Compiled resolution kernel, written against the CPython C API.
+
+   Exact twin of `_kernel_py`: same entry points, same leaf order, same
+   seeded random choices, identical results.  The walk recurses over an
+   arena of per-depth scratch rows, so Python objects are touched only at
+   the leaves.  Arguments the 64-bit masks cannot hold raise ValueError. */
+#define PY_SSIZE_T_CLEAN
+#include <Python.h>
+#include <stdint.h>
+#include <string.h>
+
+typedef uint64_t u64;
+
+#define MAX_ARCS 64
+#define MAX_COLORS 64 /* colors index the bits of a 64-bit mask */
+#define MAX_CROSSINGS 32
+#define BIT(i) ((u64)1 << (i))
+
+typedef struct {
+    int n, n_arcs, max_depth, random_pick;
+    int *slots, *colors; /* arenas: row d holds a depth-d node's slots and colors */
+    u64 rng;
+    PyObject *leaves;    /* resolve_leaves: the leaf list */
+    PyObject *sums;      /* resolve_sum: {(apow, dpow, k, gamma): signed count} */
+} Walk;
+
+static int find(const int *parent, int a)
+{
+    while (parent[a] != a)
+        a = parent[a];
+    return a;
+}
+
+static int leaf(Walk *w, int n, const int *slots, const int *colors,
+                int loop_count, u64 loop_mask, int sign, int apow, int dpow)
+{
+    int parent[MAX_ARCS], k = loop_count, gamma = 0;
+    u64 seen = 0, color_mask = loop_mask;
+    for (int i = 0; i < w->n_arcs; i++)
+        parent[i] = i;
+    for (int i = 0; i < 4 * n; i += 4) { /* join the two ends of the under, then the over strand */
+        for (int e = 0; e < 2; e++) {
+            int a = find(parent, slots[i + e]), b = find(parent, slots[i + e + 2]);
+            if (a != b)
+                parent[b] = a;
+        }
+    }
+    for (int i = 0; i < 4 * n; i++) {
+        int root = find(parent, slots[i]);
+        if (!(seen & BIT(root))) {
+            seen |= BIT(root);
+            k++;
+            color_mask |= BIT(colors[root]);
+        }
+    }
+    for (; color_mask; color_mask &= color_mask - 1)
+        gamma++;
+
+    if (w->leaves) {
+        PyObject *item = Py_BuildValue("(iiiiii)", k, gamma, n, sign, apow, dpow);
+        int rc = item ? PyList_Append(w->leaves, item) : -1;
+        Py_XDECREF(item);
+        return rc;
+    }
+    PyObject *key = Py_BuildValue("(iiii)", apow, dpow, k, gamma), *count = NULL;
+    if (key) {
+        PyObject *old = PyDict_GetItemWithError(w->sums, key); /* borrowed */
+        if (old || !PyErr_Occurred())
+            count = PyLong_FromLongLong((old ? PyLong_AsLongLong(old) : 0) + sign);
+    }
+    int rc = count ? PyDict_SetItem(w->sums, key, count) : -1;
+    Py_XDECREF(key);
+    Py_XDECREF(count);
+    return rc;
+}
+
+/* Write slots minus crossing x, with the gluing applied, into out_slots, and
+   colors, repainted j -> i_col when j >= 0, into out_colors; count the
+   circles the gluing closes into *loops and *mask.
+   a_pairing glues {s0-s1, s2-s3} (the A-smoothing), else {s0-s3, s1-s2}. */
+static void glue(const Walk *w, int n, const int *slots, const int *colors, int x,
+                 int a_pairing, int j, int i_col, int *loops, u64 *mask,
+                 int *out_slots, int *out_colors)
+{
+    const int *s = slots + 4 * x;
+    int p = s[0], q = a_pairing ? s[1] : s[3];
+    int r = a_pairing ? s[2] : s[1], t = a_pairing ? s[3] : s[2];
+    int m = 4 * (n - 1), circles[2], n_circles = 0;
+
+    memcpy(out_slots, slots, 4 * x * sizeof(int));
+    memcpy(out_slots + 4 * x, s + 4, (m - 4 * x) * sizeof(int));
+    if (p == q) {
+        circles[n_circles++] = colors[p];
+    } else {
+        for (int i = 0; i < m; i++)
+            out_slots[i] = out_slots[i] == q ? p : out_slots[i];
+        r = r == q ? p : r;
+        t = t == q ? p : t;
+    }
+    if (r == t)
+        circles[n_circles++] = colors[r];
+    else
+        for (int i = 0; i < m; i++)
+            out_slots[i] = out_slots[i] == t ? r : out_slots[i];
+
+    for (int a = 0; a < w->n_arcs; a++)
+        out_colors[a] = colors[a] == j ? i_col : colors[a];
+    if (j >= 0 && (*mask & BIT(j)))
+        *mask = (*mask & ~BIT(j)) | BIT(i_col);
+    for (int c = 0; c < n_circles; c++) {
+        ++*loops;
+        *mask |= BIT(circles[c] == j ? i_col : circles[c]);
+    }
+}
+
+static int expand(Walk *w, int depth, int n, const int *slots, const int *colors,
+                  int loop_count, u64 loop_mask, int sign, int apow, int dpow)
+{
+    int x = -1, first1 = -1, n_illegal = 0, cand[MAX_CROSSINGS];
+
+    for (int i = 0; i < n; i++) {
+        int cu = colors[slots[4 * i]], co = colors[slots[4 * i + 1]];
+        if (w->random_pick) {
+            if (co <= cu)
+                cand[n_illegal++] = i;
+        } else if (co == cu && first1 < 0) {
+            first1 = i;
+        } else if (co < cu) {
+            x = i;
+            break;
+        }
+    }
+    if (n_illegal) {
+        w->rng += 0x9E3779B97F4A7C15ULL; /* one splitmix64 step */
+        u64 z = w->rng;
+        z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
+        z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
+        x = cand[(z ^ (z >> 31)) % (u64)n_illegal];
+    } else if (x < 0) {
+        x = first1;
+    }
+    if (x < 0)
+        return leaf(w, n, slots, colors, loop_count, loop_mask, sign, apow, dpow);
+
+    /* The bound holds while the two ends of each strand share a color, as
+       in every diagram; other slot structures may run past it. */
+    if (depth >= w->max_depth) {
+        PyErr_SetString(PyExc_ValueError, "resolution deeper than the kernel's bound");
+        return -1;
+    }
+    int *c_slots = w->slots + (depth + 1) * 4 * w->n;
+    int *c_colors = w->colors + (depth + 1) * w->n_arcs;
+    const int *s = slots + 4 * x;
+    int x_type2 = colors[s[1]] < colors[s[0]];
+    int j = x_type2 ? colors[s[0]] : -1, i_col = x_type2 ? colors[s[1]] : -1;
+    if (x_type2) { /* children: two (the flipped crossing), zero, one */
+        memcpy(c_slots, slots, 4 * n * sizeof(int));
+        for (int a = 0; a < 4; a++)
+            c_slots[4 * x + a] = s[(a + 1) % 4];
+        memcpy(c_colors, colors, w->n_arcs * sizeof(int));
+        if (expand(w, depth + 1, n, c_slots, c_colors, loop_count, loop_mask,
+                   -sign, apow, dpow) < 0)
+            return -1;
+    }
+    for (int a_pairing = 1; a_pairing >= 0; a_pairing--) {
+        int c_loops = loop_count;
+        u64 c_mask = loop_mask;
+        glue(w, n, slots, colors, x, a_pairing, j, i_col, &c_loops, &c_mask, c_slots, c_colors);
+        int c_apow = x_type2 ? apow : a_pairing ? apow + 1 : apow - 1;
+        if (expand(w, depth + 1, n - 1, c_slots, c_colors, c_loops, c_mask,
+                   sign, c_apow, dpow + x_type2) < 0)
+            return -1;
+    }
+    return 0;
+}
+
+/* Copy the ints of a sequence, each in [0, bound), to out or as bits into mask. */
+static int read_ints(PyObject *seq, int bound, const char *what, int *out, u64 *mask)
+{
+    for (Py_ssize_t i = 0; i < PySequence_Fast_GET_SIZE(seq); i++) {
+        long v = PyLong_AsLong(PySequence_Fast_GET_ITEM(seq, i));
+        if (v == -1 && PyErr_Occurred())
+            return -1;
+        if (v < 0 || v >= bound) {
+            PyErr_Format(PyExc_ValueError, "%s %ld out of range [0, %d)", what, v, bound);
+            return -1;
+        }
+        if (out)
+            out[i] = (int)v;
+        else
+            *mask |= BIT(v);
+    }
+    return 0;
+}
+
+static PyObject *run(PyObject *args, PyObject *kwargs, int summing)
+{
+    static char *kwlist[] = {"slots", "colors", "loops", "seed", NULL};
+    PyObject *seq[3], *seed = NULL, *slots = NULL, *colors = NULL, *loops = NULL, *result = NULL;
+    Walk w = {0};
+    u64 loop_mask = 0;
+
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "OOO|O!", kwlist, &seq[0], &seq[1],
+                                     &seq[2], &PyLong_Type, &seed))
+        return NULL;
+    /* any non-negative seed, taken mod 2**64 as in _kernel_py */
+    int overflow = 0;
+    long long s = seed ? PyLong_AsLongLongAndOverflow(seed, &overflow) : -1;
+    if (s == -1 && PyErr_Occurred())
+        return NULL;
+    w.random_pick = overflow > 0 || (overflow == 0 && s >= 0);
+    w.rng = seed ? PyLong_AsUnsignedLongLongMask(seed) : 0;
+    if (!(slots = PySequence_Fast(seq[0], "slots must be a sequence")) ||
+        !(colors = PySequence_Fast(seq[1], "colors must be a sequence")) ||
+        !(loops = PySequence_Fast(seq[2], "loops must be a sequence")))
+        goto done;
+    Py_ssize_t n_slots = PySequence_Fast_GET_SIZE(slots), n_arcs = PySequence_Fast_GET_SIZE(colors);
+    Py_ssize_t loop_count = PySequence_Fast_GET_SIZE(loops);
+    if (n_slots % 4 || n_slots > 4 * MAX_CROSSINGS || n_arcs > MAX_ARCS || loop_count > INT_MAX / 2) {
+        PyErr_Format(PyExc_ValueError, "kernel takes 4 slots per crossing, at most %d "
+                     "crossings, %d arcs and %d loops", MAX_CROSSINGS, MAX_ARCS, INT_MAX / 2);
+        goto done;
+    }
+    w.n = (int)(n_slots / 4);
+    w.n_arcs = (int)n_arcs;
+    /* Longest smoothing chain: complexity decreases strictly in
+       lexicographic order, so a path visits each (total, illegal) pair at
+       most once with illegal <= total <= n. */
+    w.max_depth = (w.n + 1) * (w.n + 2) / 2 + 2;
+    if (!(w.slots = PyMem_Malloc((w.max_depth + 1) * (4 * w.n + w.n_arcs) * sizeof(int)))) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    w.colors = w.slots + (w.max_depth + 1) * 4 * w.n;
+    if (read_ints(slots, w.n_arcs, "slot", w.slots, NULL) < 0 ||
+        read_ints(colors, MAX_COLORS, "color", w.colors, NULL) < 0 ||
+        read_ints(loops, MAX_COLORS, "loop color", NULL, &loop_mask) < 0 ||
+        !(summing ? (w.sums = PyDict_New()) : (w.leaves = PyList_New(0))) ||
+        expand(&w, 0, w.n, w.slots, w.colors, (int)loop_count, loop_mask, 1, 0, 0) < 0)
+        goto done;
+    if (!summing) {
+        result = w.leaves;
+        w.leaves = NULL;
+        goto done;
+    }
+    PyObject *key, *count;
+    Py_ssize_t pos = 0;
+    result = PyDict_New(); /* the sums without their zeros */
+    while (result && PyDict_Next(w.sums, &pos, &key, &count))
+        if (PyLong_AsLongLong(count) && PyDict_SetItem(result, key, count) < 0)
+            Py_CLEAR(result);
+done:
+    Py_XDECREF(slots);
+    Py_XDECREF(colors);
+    Py_XDECREF(loops);
+    Py_XDECREF(w.leaves);
+    Py_XDECREF(w.sums);
+    PyMem_Free(w.slots);
+    return result;
+}
+
+static PyObject *resolve_sum(PyObject *self, PyObject *args, PyObject *kwargs)
+{
+    return run(args, kwargs, 1);
+}
+
+static PyObject *resolve_leaves(PyObject *self, PyObject *args, PyObject *kwargs)
+{
+    return run(args, kwargs, 0);
+}
+
+static PyMethodDef methods[] = {
+    {"resolve_sum", (PyCFunction)(void (*)(void))resolve_sum, METH_VARARGS | METH_KEYWORDS,
+     "resolve_sum(slots, colors, loops, seed=-1)\n--\n\nResolve completely; return "
+     "{(apow, dpow, k, gamma): signed leaf count}."},
+    {"resolve_leaves", (PyCFunction)(void (*)(void))resolve_leaves, METH_VARARGS | METH_KEYWORDS,
+     "resolve_leaves(slots, colors, loops, seed=-1)\n--\n\nResolve completely; return "
+     "[(k, gamma, crossings_left, sign, apow, dpow)] in depth-first leaf order."},
+    {NULL, NULL, 0, NULL},
+};
+
+static struct PyModuleDef module = {
+    PyModuleDef_HEAD_INIT, "_kernel_c", "Compiled twin of tiedbracket._kernel_py.", -1, methods,
+};
+
+PyMODINIT_FUNC PyInit__kernel_c(void)
+{
+    return PyModule_Create(&module);
+}

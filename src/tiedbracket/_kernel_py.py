@@ -1,31 +1,25 @@
 """Pure-Python resolution kernel.
 
-Hot path shared with the compiled kernel (`_kernel_cy`): both expose the
-same three functions and must produce bit-identical results, including the
+Hot path shared with the compiled kernel (`_kernel_c`): both expose the
+same two functions and must produce identical results, including the
 leaf order and the seeded random choices.  The engine picks one at import
 time; see `_backend`.
 
 Diagrams arrive pre-encoded: `slots` is a flat list of 4*n arc ids (dense,
 0-based, at most MAX_ARCS arcs), `colors` maps arc id -> 0-based color
-(< MAX_COLORS), `loops` lists free-loop colors.  Arcs plus free loops
-number at most MAX_CIRCLES, which bounds the circle count k of every
-leaf; the engine rejects larger inputs before they get here.  A random
-strategy is requested by a non-negative `seed`; `seed = -1` scans
-crossings in stored order and smooths the first mixed-color illegal
-crossing, else the first same-color one (the default resolution order).
+(< MAX_COLORS), `loops` lists free-loop colors; the engine rejects larger
+inputs before they get here.  A random strategy is requested by a
+non-negative `seed`; `seed = -1` scans crossings in stored order and
+smooths the first mixed-color illegal crossing, else the first same-color
+one (the default resolution order).
 
 Leaf weights are products of the branch labels A, 1/A, -1 and
 delta = A + 1/A, so they compress to a triple (sign, apow, dpow).  The
-aggregated form packs (apow, dpow, k, gamma) into one integer key:
-
-    key = (apow + 2048) << 25 | dpow << 15 | k << 7 | gamma
-
-with the leaf's sign folded into the count.
+aggregated form sums the leaves' signs per (apow, dpow, k, gamma).
 """
 
 MAX_ARCS = 64
-MAX_COLORS = 64  # colors index the bits of a 64-bit loop mask
-MAX_CIRCLES = 255  # k has 8 bits in the packed key
+MAX_COLORS = 64  # colors index the bits of the compiled kernel's 64-bit masks
 
 _MASK64 = (1 << 64) - 1
 
@@ -41,12 +35,12 @@ def _mix(state):
 
 
 def resolve_sum(slots, colors, loops, seed=-1):
-    """Resolve completely; return {packed key: signed leaf count}."""
+    """Resolve completely; return {(apow, dpow, k, gamma): signed leaf count}."""
     out = {}
-    for k, gamma, left, sign, apow, dpow in _walk(slots, colors, loops, seed):
-        key = ((apow + 2048) << 25) | (dpow << 15) | (k << 7) | gamma
+    for k, gamma, _, sign, apow, dpow in _walk(slots, colors, loops, seed):
+        key = (apow, dpow, k, gamma)
         out[key] = out.get(key, 0) + sign
-    return {k: v for k, v in out.items() if v}
+    return {key: v for key, v in out.items() if v}
 
 
 def resolve_leaves(slots, colors, loops, seed=-1):

@@ -36,7 +36,6 @@ from .engine import (
     writhe,
 )
 from .laurent import MalformedPolynomialError, render_poly
-from . import selftest as _selftest
 
 
 class InputError(Exception):
@@ -215,7 +214,9 @@ def cmd_distinguish(args) -> int:
 
 
 def cmd_selftest(args) -> int:
-    ok = _selftest.run_all(pattern=args.filter, trials=args.trials, seed=args.seed)
+    from . import selftest
+
+    ok = selftest.run_all(pattern=args.filter, trials=args.trials, seed=args.seed)
     return 0 if ok else 2
 
 

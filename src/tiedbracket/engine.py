@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from . import _backend
-from ._kernel_py import MAX_ARCS, MAX_CIRCLES, MAX_COLORS, _mix
+from ._kernel_py import MAX_ARCS, MAX_COLORS, _mix
 from .laurent import A, A_INV, C, DELTA, LOOP, BivariateLaurent
 from .diagram import (
     BAR0,
@@ -173,8 +173,8 @@ def _ordered(d: TiedDiagram, strategy: Strategy) -> TiedDiagram:
 def _prepare(d: TiedDiagram, strategy: Strategy):
     """Validate and encode a diagram for the kernels.
 
-    Inputs past the kernels' limits are rejected here: their packed leaf
-    keys would otherwise overflow into wrong values.
+    Inputs past the compiled kernel's 64-bit masks are rejected here, so
+    both kernels accept the same diagrams.
     """
     d = _ordered(d, strategy).normalized_colors()
     arc_ids = sorted(d.used_arcs())
@@ -182,8 +182,6 @@ def _prepare(d: TiedDiagram, strategy: Strategy):
     loops = [c - 1 for c in d.free_loops]
     if len(arc_ids) > MAX_ARCS:
         raise DiagramError(f"kernel supports at most {MAX_ARCS // 2} crossings")
-    if len(arc_ids) + len(loops) > MAX_CIRCLES:
-        raise DiagramError(f"kernel supports at most {MAX_CIRCLES} arcs and free loops in all")
     if max(colors + loops) >= MAX_COLORS:
         raise DiagramError(f"kernel supports at most {MAX_COLORS} colors")
     dense = {a: i for i, a in enumerate(arc_ids)}
@@ -225,11 +223,7 @@ def double_bracket(d: TiedDiagram, strategy: Strategy = _DEFAULT) -> BivariateLa
     slots, colors, loops, seed = _prepare(d, strategy)
     groups = _backend.kernel.resolve_sum(slots, colors, loops, seed)
     acc: dict[tuple[int, int], int] = {}
-    for key, count in groups.items():
-        apow = (key >> 25) - 2048
-        dpow = (key >> 15) & 1023
-        k = (key >> 7) & 255
-        gamma = key & 127
+    for (apow, dpow, k, gamma), count in groups.items():
         base = _group_value(dpow, k, gamma)
         for (a, c), coeff in base.terms().items():
             kk = (a + apow, c + gamma - 1)

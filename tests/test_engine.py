@@ -1,5 +1,6 @@
 import pytest
 
+from tiedbracket import _backend, _kernel_py
 from tiedbracket.diagram import DiagramError, TiedDiagram, random_diagram, unknot
 from tiedbracket.engine import (
     AJStateSummary,
@@ -123,21 +124,25 @@ def test_double_bracket_strategies_agree():
     "pd, colors, loops, expected",
     [
         ([], None, [1] * 255, LOOP**254),
-        ([], None, [1] * 256, None),
-        ([], None, [1] * 300, None),
-        (HOPF, [1, 2], [1] * 260, None),
+        ([], None, [1] * 256, LOOP**255),
+        ([], None, [1] * 300, LOOP**299),
+        (HOPF, [1, 2], [1] * 260, TIED_HOPF_VALUE * LOOP**260),
         ([], None, range(1, 66), None),
         ([], None, range(1, 131), None),
     ],
 )
-def test_kernel_limits(pd, colors, loops, expected):
-    # past the packed key's limits the kernels would return wrong values
+def test_kernel_limits(request, pd, colors, loops, expected):
+    # many loops get exact values; colors past the compiled kernel's 64-bit
+    # masks are rejected before either kernel runs
     d = TiedDiagram.from_pd(pd, colors, loops)
-    if expected is None:
-        with pytest.raises(DiagramError):
-            double_bracket(d)
-    else:
-        assert double_bracket(d) == expected
+    for kernel in (_kernel_py, request.getfixturevalue("compiled_kernel")):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_backend, "kernel", kernel)
+            if expected is None:
+                with pytest.raises(DiagramError):
+                    double_bracket(d)
+            else:
+                assert double_bracket(d) == expected
 
 
 def test_empty_diagram_rejected():
