@@ -1,9 +1,12 @@
 /* Compiled resolution kernel, written against the CPython C API.
 
-   Exact twin of `_kernel_py`: same entry points, same leaf order, same
-   seeded random choices, identical results.  The walk recurses over an
-   arena of per-depth scratch rows, so Python objects are touched only at
-   the leaves.  Arguments the 64-bit masks cannot hold raise ValueError. */
+   Twin of `_kernel_py`: same entry points, same leaf order, same seeded
+   random choices, identical results.  It walks every node of the tree,
+   where `_kernel_py.resolve_sum` memoizes the ordered walk.  The walk
+   recurses over an arena of per-depth scratch rows.  resolve_leaves builds
+   one tuple per leaf; resolve_sum sums the leaves into a C table of groups
+   and builds Python objects only for the result.  Arguments the 64-bit
+   masks cannot hold raise ValueError. */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 #include <stdint.h>
@@ -17,11 +20,20 @@ typedef uint64_t u64;
 #define BIT(i) ((u64)1 << (i))
 
 typedef struct {
+    int apow, dpow, k, gamma;
+    long long count;
+} Group;
+
+typedef struct {
     int n, n_arcs, max_depth, random_pick;
     int *slots, *colors; /* arenas: row d holds a depth-d node's slots and colors */
     u64 rng;
     PyObject *leaves;    /* resolve_leaves: the leaf list */
-    PyObject *sums;      /* resolve_sum: {(apow, dpow, k, gamma): signed count} */
+    /* resolve_sum: the groups in first-leaf order, found through an
+       open-addressing table of their indices (-1 = empty slot) whose size,
+       a power of two, stays at least twice the group count */
+    Group *groups;
+    int n_groups, table_size, *table;
 } Walk;
 
 static int find(const int *parent, int a)
@@ -29,6 +41,52 @@ static int find(const int *parent, int a)
     while (parent[a] != a)
         a = parent[a];
     return a;
+}
+
+static unsigned slot_of(const Walk *w, int apow, int dpow, int k, int gamma)
+{
+    u64 h = (u64)(unsigned)apow * 0x9E3779B97F4A7C15ULL ^ (u64)(unsigned)dpow * 0xC2B2AE3D27D4EB4FULL ^
+            (u64)(unsigned)k * 0x165667B19E3779F9ULL ^ (u64)(unsigned)gamma;
+    return (unsigned)((h ^ h >> 32) & (u64)(w->table_size - 1));
+}
+
+/* Add sign to the count of group (apow, dpow, k, gamma). */
+static int add_group(Walk *w, int apow, int dpow, int k, int gamma, int sign)
+{
+    if (2 * (w->n_groups + 1) > w->table_size) { /* double the table, then re-index */
+        int size = w->table_size ? 2 * w->table_size : 64;
+        int *table = PyMem_Realloc(w->table, size * sizeof(int));
+        if (table)
+            w->table = table;
+        Group *groups = table ? PyMem_Realloc(w->groups, size / 2 * sizeof(Group)) : NULL;
+        if (!groups) {
+            PyErr_NoMemory();
+            return -1;
+        }
+        w->groups = groups;
+        w->table_size = size;
+        memset(w->table, 0xff, size * sizeof(int));
+        for (int g = 0; g < w->n_groups; g++) {
+            const Group *e = &w->groups[g];
+            unsigned i = slot_of(w, e->apow, e->dpow, e->k, e->gamma);
+            while (w->table[i] >= 0)
+                i = (i + 1) & (w->table_size - 1);
+            w->table[i] = g;
+        }
+    }
+    for (unsigned i = slot_of(w, apow, dpow, k, gamma);; i = (i + 1) & (w->table_size - 1)) {
+        int g = w->table[i];
+        if (g < 0) {
+            w->groups[w->n_groups] = (Group){apow, dpow, k, gamma, sign};
+            w->table[i] = w->n_groups++;
+            return 0;
+        }
+        Group *e = &w->groups[g];
+        if (e->apow == apow && e->dpow == dpow && e->k == k && e->gamma == gamma) {
+            e->count += sign;
+            return 0;
+        }
+    }
 }
 
 static int leaf(Walk *w, int n, const int *slots, const int *colors,
@@ -62,16 +120,7 @@ static int leaf(Walk *w, int n, const int *slots, const int *colors,
         Py_XDECREF(item);
         return rc;
     }
-    PyObject *key = Py_BuildValue("(iiii)", apow, dpow, k, gamma), *count = NULL;
-    if (key) {
-        PyObject *old = PyDict_GetItemWithError(w->sums, key); /* borrowed */
-        if (old || !PyErr_Occurred())
-            count = PyLong_FromLongLong((old ? PyLong_AsLongLong(old) : 0) + sign);
-    }
-    int rc = count ? PyDict_SetItem(w->sums, key, count) : -1;
-    Py_XDECREF(key);
-    Py_XDECREF(count);
-    return rc;
+    return add_group(w, apow, dpow, k, gamma, sign);
 }
 
 /* Write slots minus crossing x, with the gluing applied, into out_slots, and
@@ -235,7 +284,7 @@ static PyObject *run(PyObject *args, PyObject *kwargs, int summing)
     if (read_ints(slots, w.n_arcs, "slot", w.slots, NULL) < 0 ||
         read_ints(colors, MAX_COLORS, "color", w.colors, NULL) < 0 ||
         read_ints(loops, MAX_COLORS, "loop color", NULL, &loop_mask) < 0 ||
-        !(summing ? (w.sums = PyDict_New()) : (w.leaves = PyList_New(0))) ||
+        !(summing || (w.leaves = PyList_New(0))) ||
         expand(&w, 0, w.n, w.slots, w.colors, (int)loop_count, loop_mask, 1, 0, 0) < 0)
         goto done;
     if (!summing) {
@@ -243,19 +292,26 @@ static PyObject *run(PyObject *args, PyObject *kwargs, int summing)
         w.leaves = NULL;
         goto done;
     }
-    PyObject *key, *count;
-    Py_ssize_t pos = 0;
     result = PyDict_New(); /* the sums without their zeros */
-    while (result && PyDict_Next(w.sums, &pos, &key, &count))
-        if (PyLong_AsLongLong(count) && PyDict_SetItem(result, key, count) < 0)
+    for (int g = 0; result && g < w.n_groups; g++) {
+        const Group *e = &w.groups[g];
+        if (!e->count)
+            continue;
+        PyObject *key = Py_BuildValue("(iiii)", e->apow, e->dpow, e->k, e->gamma);
+        PyObject *count = key ? PyLong_FromLongLong(e->count) : NULL;
+        if (!count || PyDict_SetItem(result, key, count) < 0)
             Py_CLEAR(result);
+        Py_XDECREF(key);
+        Py_XDECREF(count);
+    }
 done:
     Py_XDECREF(slots);
     Py_XDECREF(colors);
     Py_XDECREF(loops);
     Py_XDECREF(w.leaves);
-    Py_XDECREF(w.sums);
     PyMem_Free(w.slots);
+    PyMem_Free(w.groups);
+    PyMem_Free(w.table);
     return result;
 }
 

@@ -33,6 +33,11 @@ class MalformedPolynomialError(ValueError):
     """Raised when polynomial text does not follow the term grammar."""
 
 
+# One shared tuple per exponent pair: a caller that keeps many values, such
+# as a batch of brackets, stores each pair once instead of once per value.
+_EXPONENTS: dict[tuple[int, int], tuple[int, int]] = {}
+
+
 class BivariateLaurent:
     """A sparse Laurent polynomial in A and ordinary polynomial in c.
 
@@ -50,7 +55,8 @@ class BivariateLaurent:
                 if c < 0:
                     raise ValueError(f"negative c exponent: c^{c}")
                 if coeff:
-                    clean[(int(a), int(c))] = int(coeff)
+                    key = (int(a), int(c))
+                    clean[_EXPONENTS.setdefault(key, key)] = int(coeff)
         self._terms = clean
         self._hash: int | None = None
 

@@ -1,0 +1,85 @@
+"""The memoized ordered walk of `_kernel_py.resolve_sum` against the tree
+walk it replaces, and a closure whose tree only the memo can afford."""
+
+import signal
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from tiedbracket import _backend, _kernel_py
+from tiedbracket.catalog import load_catalog
+from tiedbracket.diagram import TiedDiagram, random_diagram
+from tiedbracket.engine import OrderedStrategy, _prepare, double_bracket, kauffman_bracket
+from tiedbracket.laurent import LOOP, BivariateLaurent
+
+
+def tree_sum(slots, colors, loops):
+    """The ordered tree walk's leaves, summed per (apow, dpow, k, gamma)."""
+    out = {}
+    for k, gamma, _, sign, apow, dpow in _kernel_py.resolve_leaves(slots, colors, loops, -1):
+        key = (apow, dpow, k, gamma)
+        out[key] = out.get(key, 0) + sign
+    return {key: v for key, v in out.items() if v}
+
+
+def assert_memo_matches_tree(d, strategy=OrderedStrategy()):
+    slots, colors, loops, seed = _prepare(d, strategy)
+    assert seed == -1
+    assert _kernel_py.resolve_sum(slots, colors, loops, -1) == tree_sum(slots, colors, loops)
+
+
+@given(st.data(), st.integers(0, 10_000), st.integers(1, 7), st.integers(1, 4), st.integers(0, 3))
+@settings(max_examples=80, deadline=None)
+def test_memo_matches_tree_walk(data, seed, n, n_colors, n_loops):
+    d = random_diagram(seed, n, n_colors, n_loops)
+    assert_memo_matches_tree(d)
+    perm = tuple(data.draw(st.permutations(range(n))))
+    assert_memo_matches_tree(d, OrderedStrategy(perm))
+
+
+@pytest.mark.parametrize("entry", load_catalog(), ids=lambda e: e.name)
+def test_memo_matches_tree_walk_on_catalog(entry):
+    assert_memo_matches_tree(entry.diagram())
+
+
+def torus_2(n):
+    """The closure of the 2-strand braid sigma_1^n, all components colored 1."""
+    left, right = 1, 2
+    quads = []
+    for c in range(n):
+        nw, ne = 3 + 2 * c, 4 + 2 * c
+        quads.append((left, right, ne, nw))  # under-strand from bottom left to top right
+        left, right = nw, ne
+    close = {left: 1, right: 2}
+    return TiedDiagram.from_pd([tuple(close.get(a, a) for a in q) for q in quads])
+
+
+def torus_2_closed_form(n, eps):
+    """LOOP * <T(2, n)> = A^(eps n) LOOP^2 + (-A^(-3 eps))^n - A^(eps n)."""
+    a_n = BivariateLaurent.monomial(eps * n)
+    return a_n * LOOP * LOOP + BivariateLaurent.monomial(-3 * eps * n, 0, (-1) ** n) - a_n
+
+
+def test_memo_resolves_a_long_torus_closure(monkeypatch):
+    # The sign convention of the crossings, fixed against the state sum.
+    eps = [
+        e for e in (1, -1)
+        if all(LOOP * kauffman_bracket(torus_2(n)) == torus_2_closed_form(n, e) for n in range(1, 9))
+    ]
+    assert eps == [-1]
+    trefoil = next(e for e in load_catalog() if e.name == "trefoil").diagram()
+    assert LOOP * double_bracket(trefoil) == torus_2_closed_form(3, -1)
+
+    def give_up(signum, frame):
+        raise TimeoutError("the ordered walk fell back to the 2^30-leaf tree")
+
+    monkeypatch.setattr(_backend, "kernel", _kernel_py)
+    previous = signal.signal(signal.SIGALRM, give_up)
+    signal.setitimer(signal.ITIMER_REAL, 5.0)
+    try:
+        value = double_bracket(torus_2(30))
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert LOOP * value == torus_2_closed_form(30, -1)
