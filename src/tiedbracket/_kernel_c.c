@@ -5,8 +5,14 @@
    where `_kernel_py.resolve_sum` memoizes the ordered walk.  The walk
    recurses over an arena of per-depth scratch rows.  resolve_leaves builds
    one tuple per leaf; resolve_sum sums the leaves into a C table of groups
-   and builds Python objects only for the result.  Arguments the 64-bit
-   masks cannot hold raise ValueError. */
+   and builds Python objects only for the result.  Arguments the fixed-size
+   buffers cannot hold raise ValueError.
+
+   Neither kernel tracks the colors of closed circles: a leaf's color count
+   is m - dpow for a diagram of m colors.  Components carry one color each
+   and a type-1 smoothing keeps every color, while each of the two delta
+   branches of a type-2 crossing repaints one color in use as another, so
+   removes exactly one.  The engine applies it; see `_kernel_py`. */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 #include <stdint.h>
@@ -15,12 +21,11 @@
 typedef uint64_t u64;
 
 #define MAX_ARCS 64
-#define MAX_COLORS 64 /* colors index the bits of a 64-bit mask */
 #define MAX_CROSSINGS 32
 #define BIT(i) ((u64)1 << (i))
 
 typedef struct {
-    int apow, dpow, k, gamma;
+    int apow, dpow, k;
     long long count;
 } Group;
 
@@ -43,15 +48,15 @@ static int find(const int *parent, int a)
     return a;
 }
 
-static unsigned slot_of(const Walk *w, int apow, int dpow, int k, int gamma)
+static unsigned slot_of(const Walk *w, int apow, int dpow, int k)
 {
     u64 h = (u64)(unsigned)apow * 0x9E3779B97F4A7C15ULL ^ (u64)(unsigned)dpow * 0xC2B2AE3D27D4EB4FULL ^
-            (u64)(unsigned)k * 0x165667B19E3779F9ULL ^ (u64)(unsigned)gamma;
+            (u64)(unsigned)k * 0x165667B19E3779F9ULL;
     return (unsigned)((h ^ h >> 32) & (u64)(w->table_size - 1));
 }
 
-/* Add sign to the count of group (apow, dpow, k, gamma). */
-static int add_group(Walk *w, int apow, int dpow, int k, int gamma, int sign)
+/* Add sign to the count of group (apow, dpow, k). */
+static int add_group(Walk *w, int apow, int dpow, int k, int sign)
 {
     if (2 * (w->n_groups + 1) > w->table_size) { /* double the table, then re-index */
         int size = w->table_size ? 2 * w->table_size : 64;
@@ -68,32 +73,31 @@ static int add_group(Walk *w, int apow, int dpow, int k, int gamma, int sign)
         memset(w->table, 0xff, size * sizeof(int));
         for (int g = 0; g < w->n_groups; g++) {
             const Group *e = &w->groups[g];
-            unsigned i = slot_of(w, e->apow, e->dpow, e->k, e->gamma);
+            unsigned i = slot_of(w, e->apow, e->dpow, e->k);
             while (w->table[i] >= 0)
                 i = (i + 1) & (w->table_size - 1);
             w->table[i] = g;
         }
     }
-    for (unsigned i = slot_of(w, apow, dpow, k, gamma);; i = (i + 1) & (w->table_size - 1)) {
+    for (unsigned i = slot_of(w, apow, dpow, k);; i = (i + 1) & (w->table_size - 1)) {
         int g = w->table[i];
         if (g < 0) {
-            w->groups[w->n_groups] = (Group){apow, dpow, k, gamma, sign};
+            w->groups[w->n_groups] = (Group){apow, dpow, k, sign};
             w->table[i] = w->n_groups++;
             return 0;
         }
         Group *e = &w->groups[g];
-        if (e->apow == apow && e->dpow == dpow && e->k == k && e->gamma == gamma) {
+        if (e->apow == apow && e->dpow == dpow && e->k == k) {
             e->count += sign;
             return 0;
         }
     }
 }
 
-static int leaf(Walk *w, int n, const int *slots, const int *colors,
-                int loop_count, u64 loop_mask, int sign, int apow, int dpow)
+static int leaf(Walk *w, int n, const int *slots, int loop_count, int sign, int apow, int dpow)
 {
-    int parent[MAX_ARCS], k = loop_count, gamma = 0;
-    u64 seen = 0, color_mask = loop_mask;
+    int parent[MAX_ARCS], k = loop_count;
+    u64 seen = 0; /* the component roots counted so far */
     for (int i = 0; i < w->n_arcs; i++)
         parent[i] = i;
     for (int i = 0; i < 4 * n; i += 4) { /* join the two ends of the under, then the over strand */
@@ -108,38 +112,34 @@ static int leaf(Walk *w, int n, const int *slots, const int *colors,
         if (!(seen & BIT(root))) {
             seen |= BIT(root);
             k++;
-            color_mask |= BIT(colors[root]);
         }
     }
-    for (; color_mask; color_mask &= color_mask - 1)
-        gamma++;
 
     if (w->leaves) {
-        PyObject *item = Py_BuildValue("(iiiiii)", k, gamma, n, sign, apow, dpow);
+        PyObject *item = Py_BuildValue("(iiiii)", k, n, sign, apow, dpow);
         int rc = item ? PyList_Append(w->leaves, item) : -1;
         Py_XDECREF(item);
         return rc;
     }
-    return add_group(w, apow, dpow, k, gamma, sign);
+    return add_group(w, apow, dpow, k, sign);
 }
 
 /* Write slots minus crossing x, with the gluing applied, into out_slots, and
-   colors, repainted j -> i_col when j >= 0, into out_colors; count the
-   circles the gluing closes into *loops and *mask.
+   colors, repainted j -> i_col when j >= 0, into out_colors; return the
+   number of circles the gluing closes.
    a_pairing glues {s0-s1, s2-s3} (the A-smoothing), else {s0-s3, s1-s2}. */
-static void glue(const Walk *w, int n, const int *slots, const int *colors, int x,
-                 int a_pairing, int j, int i_col, int *loops, u64 *mask,
-                 int *out_slots, int *out_colors)
+static int glue(const Walk *w, int n, const int *slots, const int *colors, int x,
+                int a_pairing, int j, int i_col, int *out_slots, int *out_colors)
 {
     const int *s = slots + 4 * x;
     int p = s[0], q = a_pairing ? s[1] : s[3];
     int r = a_pairing ? s[2] : s[1], t = a_pairing ? s[3] : s[2];
-    int m = 4 * (n - 1), circles[2], n_circles = 0;
+    int m = 4 * (n - 1), closed = 0;
 
     memcpy(out_slots, slots, 4 * x * sizeof(int));
     memcpy(out_slots + 4 * x, s + 4, (m - 4 * x) * sizeof(int));
     if (p == q) {
-        circles[n_circles++] = colors[p];
+        closed++;
     } else {
         for (int i = 0; i < m; i++)
             out_slots[i] = out_slots[i] == q ? p : out_slots[i];
@@ -147,23 +147,18 @@ static void glue(const Walk *w, int n, const int *slots, const int *colors, int 
         t = t == q ? p : t;
     }
     if (r == t)
-        circles[n_circles++] = colors[r];
+        closed++;
     else
         for (int i = 0; i < m; i++)
             out_slots[i] = out_slots[i] == t ? r : out_slots[i];
 
     for (int a = 0; a < w->n_arcs; a++)
         out_colors[a] = colors[a] == j ? i_col : colors[a];
-    if (j >= 0 && (*mask & BIT(j)))
-        *mask = (*mask & ~BIT(j)) | BIT(i_col);
-    for (int c = 0; c < n_circles; c++) {
-        ++*loops;
-        *mask |= BIT(circles[c] == j ? i_col : circles[c]);
-    }
+    return closed;
 }
 
 static int expand(Walk *w, int depth, int n, const int *slots, const int *colors,
-                  int loop_count, u64 loop_mask, int sign, int apow, int dpow)
+                  int loop_count, int sign, int apow, int dpow)
 {
     int x = -1, first1 = -1, n_illegal = 0, cand[MAX_CROSSINGS];
 
@@ -189,7 +184,7 @@ static int expand(Walk *w, int depth, int n, const int *slots, const int *colors
         x = first1;
     }
     if (x < 0)
-        return leaf(w, n, slots, colors, loop_count, loop_mask, sign, apow, dpow);
+        return leaf(w, n, slots, loop_count, sign, apow, dpow);
 
     /* The bound holds while the two ends of each strand share a color, as
        in every diagram; other slot structures may run past it. */
@@ -207,24 +202,20 @@ static int expand(Walk *w, int depth, int n, const int *slots, const int *colors
         for (int a = 0; a < 4; a++)
             c_slots[4 * x + a] = s[(a + 1) % 4];
         memcpy(c_colors, colors, w->n_arcs * sizeof(int));
-        if (expand(w, depth + 1, n, c_slots, c_colors, loop_count, loop_mask,
-                   -sign, apow, dpow) < 0)
+        if (expand(w, depth + 1, n, c_slots, c_colors, loop_count, -sign, apow, dpow) < 0)
             return -1;
     }
     for (int a_pairing = 1; a_pairing >= 0; a_pairing--) {
-        int c_loops = loop_count;
-        u64 c_mask = loop_mask;
-        glue(w, n, slots, colors, x, a_pairing, j, i_col, &c_loops, &c_mask, c_slots, c_colors);
+        int c_loops = loop_count + glue(w, n, slots, colors, x, a_pairing, j, i_col, c_slots, c_colors);
         int c_apow = x_type2 ? apow : a_pairing ? apow + 1 : apow - 1;
-        if (expand(w, depth + 1, n - 1, c_slots, c_colors, c_loops, c_mask,
-                   sign, c_apow, dpow + x_type2) < 0)
+        if (expand(w, depth + 1, n - 1, c_slots, c_colors, c_loops, sign, c_apow, dpow + x_type2) < 0)
             return -1;
     }
     return 0;
 }
 
-/* Copy the ints of a sequence, each in [0, bound), to out or as bits into mask. */
-static int read_ints(PyObject *seq, int bound, const char *what, int *out, u64 *mask)
+/* Copy the ints of a sequence, each in [0, bound), to out. */
+static int read_ints(PyObject *seq, int bound, const char *what, int *out)
 {
     for (Py_ssize_t i = 0; i < PySequence_Fast_GET_SIZE(seq); i++) {
         long v = PyLong_AsLong(PySequence_Fast_GET_ITEM(seq, i));
@@ -234,10 +225,7 @@ static int read_ints(PyObject *seq, int bound, const char *what, int *out, u64 *
             PyErr_Format(PyExc_ValueError, "%s %ld out of range [0, %d)", what, v, bound);
             return -1;
         }
-        if (out)
-            out[i] = (int)v;
-        else
-            *mask |= BIT(v);
+        out[i] = (int)v;
     }
     return 0;
 }
@@ -245,9 +233,8 @@ static int read_ints(PyObject *seq, int bound, const char *what, int *out, u64 *
 static PyObject *run(PyObject *args, PyObject *kwargs, int summing)
 {
     static char *kwlist[] = {"slots", "colors", "loops", "seed", NULL};
-    PyObject *seq[3], *seed = NULL, *slots = NULL, *colors = NULL, *loops = NULL, *result = NULL;
+    PyObject *seq[3], *seed = NULL, *slots = NULL, *colors = NULL, *result = NULL;
     Walk w = {0};
-    u64 loop_mask = 0;
 
     if (!PyArg_ParseTupleAndKeywords(args, kwargs, "OOO|O!", kwlist, &seq[0], &seq[1],
                                      &seq[2], &PyLong_Type, &seed))
@@ -260,11 +247,12 @@ static PyObject *run(PyObject *args, PyObject *kwargs, int summing)
     w.random_pick = overflow > 0 || (overflow == 0 && s >= 0);
     w.rng = seed ? PyLong_AsUnsignedLongLongMask(seed) : 0;
     if (!(slots = PySequence_Fast(seq[0], "slots must be a sequence")) ||
-        !(colors = PySequence_Fast(seq[1], "colors must be a sequence")) ||
-        !(loops = PySequence_Fast(seq[2], "loops must be a sequence")))
+        !(colors = PySequence_Fast(seq[1], "colors must be a sequence")))
         goto done;
     Py_ssize_t n_slots = PySequence_Fast_GET_SIZE(slots), n_arcs = PySequence_Fast_GET_SIZE(colors);
-    Py_ssize_t loop_count = PySequence_Fast_GET_SIZE(loops);
+    Py_ssize_t loop_count = PySequence_Size(seq[2]); /* loops only count */
+    if (loop_count < 0)
+        goto done;
     if (n_slots % 4 || n_slots > 4 * MAX_CROSSINGS || n_arcs > MAX_ARCS || loop_count > INT_MAX / 2) {
         PyErr_Format(PyExc_ValueError, "kernel takes 4 slots per crossing, at most %d "
                      "crossings, %d arcs and %d loops", MAX_CROSSINGS, MAX_ARCS, INT_MAX / 2);
@@ -281,11 +269,10 @@ static PyObject *run(PyObject *args, PyObject *kwargs, int summing)
         goto done;
     }
     w.colors = w.slots + (w.max_depth + 1) * 4 * w.n;
-    if (read_ints(slots, w.n_arcs, "slot", w.slots, NULL) < 0 ||
-        read_ints(colors, MAX_COLORS, "color", w.colors, NULL) < 0 ||
-        read_ints(loops, MAX_COLORS, "loop color", NULL, &loop_mask) < 0 ||
+    if (read_ints(slots, w.n_arcs, "slot", w.slots) < 0 ||
+        read_ints(colors, INT_MAX, "color", w.colors) < 0 ||
         !(summing || (w.leaves = PyList_New(0))) ||
-        expand(&w, 0, w.n, w.slots, w.colors, (int)loop_count, loop_mask, 1, 0, 0) < 0)
+        expand(&w, 0, w.n, w.slots, w.colors, (int)loop_count, 1, 0, 0) < 0)
         goto done;
     if (!summing) {
         result = w.leaves;
@@ -297,7 +284,7 @@ static PyObject *run(PyObject *args, PyObject *kwargs, int summing)
         const Group *e = &w.groups[g];
         if (!e->count)
             continue;
-        PyObject *key = Py_BuildValue("(iiii)", e->apow, e->dpow, e->k, e->gamma);
+        PyObject *key = Py_BuildValue("(iii)", e->apow, e->dpow, e->k);
         PyObject *count = key ? PyLong_FromLongLong(e->count) : NULL;
         if (!count || PyDict_SetItem(result, key, count) < 0)
             Py_CLEAR(result);
@@ -307,7 +294,6 @@ static PyObject *run(PyObject *args, PyObject *kwargs, int summing)
 done:
     Py_XDECREF(slots);
     Py_XDECREF(colors);
-    Py_XDECREF(loops);
     Py_XDECREF(w.leaves);
     PyMem_Free(w.slots);
     PyMem_Free(w.groups);
@@ -328,10 +314,10 @@ static PyObject *resolve_leaves(PyObject *self, PyObject *args, PyObject *kwargs
 static PyMethodDef methods[] = {
     {"resolve_sum", (PyCFunction)(void (*)(void))resolve_sum, METH_VARARGS | METH_KEYWORDS,
      "resolve_sum(slots, colors, loops, seed=-1)\n--\n\nResolve completely; return "
-     "{(apow, dpow, k, gamma): signed leaf count}."},
+     "{(apow, dpow, k): signed leaf count}."},
     {"resolve_leaves", (PyCFunction)(void (*)(void))resolve_leaves, METH_VARARGS | METH_KEYWORDS,
      "resolve_leaves(slots, colors, loops, seed=-1)\n--\n\nResolve completely; return "
-     "[(k, gamma, crossings_left, sign, apow, dpow)] in depth-first leaf order."},
+     "[(k, crossings_left, sign, apow, dpow)] in depth-first leaf order."},
     {NULL, NULL, 0, NULL},
 };
 

@@ -42,9 +42,8 @@ class InputError(Exception):
     pass
 
 
-def _load_diagram(args, attr_input="input", attr_fixture="fixture") -> TiedDiagram:
-    name = getattr(args, attr_fixture, None)
-    text = getattr(args, attr_input, None)
+def _load_diagram(text: str | None, name: str | None) -> TiedDiagram:
+    """The diagram given as input text or a path (``text``) or as a fixture ``name``."""
     if (name is None) == (text is None):
         raise InputError("give exactly one diagram: an input argument or --fixture NAME")
     if name is not None:
@@ -84,19 +83,19 @@ def _parse_orientation(text: str | None, n_components: int):
 
 
 def cmd_bracket(args) -> int:
-    d = _load_diagram(args)
+    d = _load_diagram(args.input, args.fixture)
     _emit_poly(double_bracket(d), args.json)
     return 0
 
 
 def cmd_kauffman(args) -> int:
-    d = _load_diagram(args)
+    d = _load_diagram(args.input, args.fixture)
     _emit_poly(kauffman_bracket(d), args.json)
     return 0
 
 
 def cmd_jones(args) -> int:
-    d = _load_diagram(args)
+    d = _load_diagram(args.input, args.fixture)
     orientation = _parse_orientation(args.orientation, len(d.components()))
     value = tied_jones(d, orientation)
     if args.json:
@@ -108,7 +107,7 @@ def cmd_jones(args) -> int:
 
 
 def cmd_states(args) -> int:
-    d = _load_diagram(args)
+    d = _load_diagram(args.input, args.fixture)
     strategy = RandomStrategy(args.seed) if args.seed is not None else OrderedStrategy()
     sum_ = resolve(d, strategy, codes=True, group=True)
     rows = []
@@ -149,7 +148,7 @@ def cmd_states(args) -> int:
 
 
 def cmd_tree(args) -> int:
-    d = _load_diagram(args)
+    d = _load_diagram(args.input, args.fixture)
     lines: list[str] = []
     depth: list[int] = []
     truncated = False
@@ -177,14 +176,8 @@ def cmd_tree(args) -> int:
 
 
 def cmd_distinguish(args) -> int:
-    class _Shim:
-        pass
-
-    shim_a, shim_b = _Shim(), _Shim()
-    shim_a.input, shim_a.fixture = args.input_a, args.fixture_a
-    shim_b.input, shim_b.fixture = args.input_b, args.fixture_b
-    da = _load_diagram(shim_a)
-    db = _load_diagram(shim_b)
+    da = _load_diagram(args.input_a, args.fixture_a)
+    db = _load_diagram(args.input_b, args.fixture_b)
     pa, pb = double_bracket(da), double_bracket(db)
     diff = pa - pb
     distinguished = not diff.is_zero()

@@ -108,40 +108,6 @@ class CrossingRecord:
 
     slots: tuple[int, int, int, int]
 
-    @property
-    def under(self) -> tuple[int, int]:
-        return (self.slots[0], self.slots[2])
-
-    @property
-    def over(self) -> tuple[int, int]:
-        return (self.slots[1], self.slots[3])
-
-
-class _UnionFind:
-    __slots__ = ("parent",)
-
-    def __init__(self):
-        self.parent: dict[int, int] = {}
-
-    def find(self, x: int) -> int:
-        parent = self.parent
-        if x not in parent:
-            parent[x] = x
-            return x
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            if rb < ra:
-                ra, rb = rb, ra
-            self.parent[rb] = ra
-
 
 @dataclass(frozen=True)
 class TiedDiagram:
@@ -266,12 +232,6 @@ class TiedDiagram:
 
     def component_count(self) -> int:
         return len(self.components()) + len(self.free_loops)
-
-    def component_colors(self) -> list[int]:
-        """Colors of all components: traced components first, then free loops."""
-        out = [self.arc_color[min(comp)] for comp in self.components()]
-        out.extend(self.free_loops)
-        return out
 
     def classify(self, x: int) -> CrossingClass:
         """Classify crossing ``x`` from the colors of its strands."""
@@ -412,15 +372,25 @@ class TiedDiagram:
 
 
 def _trace_components(crossings: Sequence[CrossingRecord]) -> list[frozenset[int]]:
-    uf = _UnionFind()
+    """The arcs of each component, joined through the strands of every
+    crossing by a union-find, sorted by smallest arc id."""
+    parent: dict[int, int] = {}
+
+    def find(a: int) -> int:
+        while parent.setdefault(a, a) != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
     for rec in crossings:
         s0, s1, s2, s3 = rec.slots
-        uf.find(s0), uf.find(s1), uf.find(s2), uf.find(s3)
-        uf.union(s0, s2)
-        uf.union(s1, s3)
+        for a, b in ((s0, s2), (s1, s3)):
+            ra, rb = find(a), find(b)
+            if ra != rb:
+                parent[rb] = ra
     groups: dict[int, set[int]] = {}
-    for arc in uf.parent:
-        groups.setdefault(uf.find(arc), set()).add(arc)
+    for arc in parent:
+        groups.setdefault(find(arc), set()).add(arc)
     return sorted((frozenset(g) for g in groups.values()), key=min)
 
 

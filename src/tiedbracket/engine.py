@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from . import _backend
-from ._kernel_py import MAX_ARCS, MAX_COLORS, _mix
+from ._kernel_py import MAX_ARCS, _mix
 from .laurent import A, A_INV, C, DELTA, LOOP, BivariateLaurent
 from .diagram import (
     BAR0,
@@ -173,17 +173,21 @@ def _ordered(d: TiedDiagram, strategy: Strategy) -> TiedDiagram:
 def _prepare(d: TiedDiagram, strategy: Strategy):
     """Validate and encode a diagram for the kernels.
 
-    Inputs past the compiled kernel's 64-bit masks are rejected here, so
-    both kernels accept the same diagrams.
+    Diagrams past the compiled kernel's arc buffers are rejected here, so
+    both kernels accept the same diagrams.  Colors are numbered from 0,
+    arc colors first and in order, then the colors only loops carry: the
+    kernels compare arc colors only, and these stay below MAX_ARCS, as the
+    pure-Python memo key needs, however many colors the loops bring.
     """
-    d = _ordered(d, strategy).normalized_colors()
+    d = _ordered(d, strategy)
     arc_ids = sorted(d.used_arcs())
-    colors = [d.arc_color[a] - 1 for a in arc_ids]
-    loops = [c - 1 for c in d.free_loops]
     if len(arc_ids) > MAX_ARCS:
         raise DiagramError(f"kernel supports at most {MAX_ARCS // 2} crossings")
-    if max(colors + loops) >= MAX_COLORS:
-        raise DiagramError(f"kernel supports at most {MAX_COLORS} colors")
+    arc_colors = sorted({d.arc_color[a] for a in arc_ids})
+    loop_only = sorted(set(d.free_loops).difference(arc_colors))
+    number = {c: i for i, c in enumerate(arc_colors + loop_only)}
+    colors = [number[d.arc_color[a]] for a in arc_ids]
+    loops = [number[c] for c in d.free_loops]
     dense = {a: i for i, a in enumerate(arc_ids)}
     slots = [dense[s] for rec in d.crossings for s in rec.slots]
     seed = strategy.seed if isinstance(strategy, RandomStrategy) else -1
@@ -200,6 +204,18 @@ def _branch_weight(sign: int, apow: int, dpow: int) -> BivariateLaurent:
         cached = BivariateLaurent.monomial(apow, 0, sign) * DELTA ** dpow
         _weight_cache[key] = cached
     return cached
+
+
+def _kernel_walk(walk, d: TiedDiagram, strategy: Strategy):
+    """Run the kernel function ``walk`` on ``d``; return (result, m).
+
+    The kernels leave the color count gamma of a leaf to this layer: a
+    leaf reached through dpow delta branches has gamma = m - dpow, where
+    m counts the colors of ``d`` (see `_kernel_py`).
+    """
+    slots, colors, loops, seed = _prepare(d, strategy)
+    m = len(set(colors).union(loops))
+    return walk(slots, colors, loops, seed), m
 
 
 _value_cache: dict[tuple[int, int], BivariateLaurent] = {}
@@ -220,10 +236,10 @@ def double_bracket(d: TiedDiagram, strategy: Strategy = _DEFAULT) -> BivariateLa
     Strategy choice only affects the resolution tree walked, never the
     value.  Runs on the active kernel backend.
     """
-    slots, colors, loops, seed = _prepare(d, strategy)
-    groups = _backend.kernel.resolve_sum(slots, colors, loops, seed)
+    groups, m = _kernel_walk(_backend.kernel.resolve_sum, d, strategy)
     acc: dict[tuple[int, int], int] = {}
-    for (apow, dpow, k, gamma), count in groups.items():
+    for (apow, dpow, k), count in groups.items():
+        gamma = m - dpow
         base = _group_value(dpow, k, gamma)
         for (a, c), coeff in base.terms().items():
             kk = (a + apow, c + gamma - 1)
@@ -261,12 +277,11 @@ def resolve(
             ]
         )
     else:
-        slots, colors, loops, seed = _prepare(d, strategy)
-        leaves = _backend.kernel.resolve_leaves(slots, colors, loops, seed)
+        leaves, m = _kernel_walk(_backend.kernel.resolve_leaves, d, strategy)
         sum_ = StateSum(
             [
-                (AJStateSummary(k, gamma, left), _branch_weight(sign, apow, dpow))
-                for k, gamma, left, sign, apow, dpow in leaves
+                (AJStateSummary(k, m - dpow, left), _branch_weight(sign, apow, dpow))
+                for k, left, sign, apow, dpow in leaves
             ]
         )
     return sum_.grouped() if group else sum_

@@ -71,10 +71,6 @@ class BivariateLaurent:
         return cls({(0, 0): 1})
 
     @classmethod
-    def constant(cls, n: int) -> "BivariateLaurent":
-        return cls({(0, 0): n})
-
-    @classmethod
     def monomial(cls, a_exp: int, c_exp: int = 0, coeff: int = 1) -> "BivariateLaurent":
         return cls({(a_exp, c_exp): coeff})
 
@@ -201,10 +197,6 @@ class BivariateLaurent:
             a, c, coeff = (int(x) for x in triple)
             acc[(a, c)] = acc.get((a, c), 0) + coeff
         return cls(acc)
-
-    @classmethod
-    def parse(cls, text: str) -> "BivariateLaurent":
-        return parse_poly(text)
 
     def __str__(self) -> str:
         return render_poly(self)

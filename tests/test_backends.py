@@ -48,8 +48,6 @@ def test_parity_catalog_fixtures(compiled_kernel):
 @pytest.mark.parametrize(
     "slots, colors, loops",
     [
-        ([0, 0, 0, 0], [64], []),  # color past the 64-bit masks
-        ([0, 0, 0, 0], [0], [64]),  # loop color past the masks
         ([0, 0, 0, 0], [-1], []),
         ([0, 1, 0, 2], [0, 0], []),  # slot >= len(colors)
         ([0, 1, 0], [0, 0], []),  # slot count not divisible by 4

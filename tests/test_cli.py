@@ -146,6 +146,14 @@ def test_distinguish_table_pair(capsys):
     assert out.splitlines()[0].startswith("difference: A^17 + A^15 + A^15*c")
 
 
+def test_distinguish_needs_exactly_one_diagram_each(capsys):
+    code, out, err = run(
+        capsys, "distinguish", TIED_HOPF, "--fixture-a", "hopf", "--fixture-b", "hopf"
+    )
+    assert code == 1 and out == ""
+    assert "give exactly one diagram" in err
+
+
 def test_distinguish_oriented_writhes(capsys):
     code, out, _ = run(
         capsys, "distinguish", "--oriented", "3", "3",

@@ -1,7 +1,7 @@
 import pytest
 
 from tiedbracket import _backend, _kernel_py
-from tiedbracket.diagram import DiagramError, TiedDiagram, random_diagram, unknot
+from tiedbracket.diagram import TiedDiagram, random_diagram, unknot
 from tiedbracket.engine import (
     AJStateSummary,
     EmptyDiagramError,
@@ -62,15 +62,17 @@ def test_resolve_tied_hopf_leaves():
 
 
 def test_resolve_with_codes_matches_kernel():
-    # the diagram-level walk picks the kernel's crossings, seeded draws included
+    # the diagram-level walk picks the kernel's crossings, seeded draws
+    # included, and counts each leaf's colors, where the kernel path takes
+    # gamma = m - dpow
     strategies = [
         OrderedStrategy(),
         OrderedStrategy((4, 2, 0, 3, 1)),
         RandomStrategy(0),
         RandomStrategy(5),
     ]
-    for seed in range(8):
-        d = random_diagram(seed, 5, seed % 3 + 1)
+    for seed in range(20):
+        d = random_diagram(seed, 5, seed % 5 + 1, seed % 4)
         for strategy in strategies:
             plain = resolve(d, strategy)
             coded = resolve(d, strategy, codes=True)
@@ -127,22 +129,20 @@ def test_double_bracket_strategies_agree():
         ([], None, [1] * 256, LOOP**255),
         ([], None, [1] * 300, LOOP**299),
         (HOPF, [1, 2], [1] * 260, TIED_HOPF_VALUE * LOOP**260),
-        ([], None, range(1, 66), None),
-        ([], None, range(1, 131), None),
+        ([], None, range(1, 66), C**64),
+        ([], None, range(1, 131), C**129),
+        (HOPF, [1, 2], range(3, 103), TIED_HOPF_VALUE * C**100),
+        # arc colors above every loop color: numbered first, they stay small
+        (HOPF, [301, 302], range(1, 301), TIED_HOPF_VALUE * C**300),
     ],
 )
 def test_kernel_limits(request, pd, colors, loops, expected):
-    # many loops get exact values; colors past the compiled kernel's 64-bit
-    # masks are rejected before either kernel runs
+    # many loops and many colors get exact values on both kernels
     d = TiedDiagram.from_pd(pd, colors, loops)
     for kernel in (_kernel_py, request.getfixturevalue("compiled_kernel")):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(_backend, "kernel", kernel)
-            if expected is None:
-                with pytest.raises(DiagramError):
-                    double_bracket(d)
-            else:
-                assert double_bracket(d) == expected
+            assert double_bracket(d) == expected
 
 
 def test_empty_diagram_rejected():

@@ -15,10 +15,10 @@ from tiedbracket.laurent import LOOP, BivariateLaurent
 
 
 def tree_sum(slots, colors, loops):
-    """The ordered tree walk's leaves, summed per (apow, dpow, k, gamma)."""
+    """The ordered tree walk's leaves, summed per (apow, dpow, k)."""
     out = {}
-    for k, gamma, _, sign, apow, dpow in _kernel_py.resolve_leaves(slots, colors, loops, -1):
-        key = (apow, dpow, k, gamma)
+    for k, _, sign, apow, dpow in _kernel_py.resolve_leaves(slots, colors, loops, -1):
+        key = (apow, dpow, k)
         out[key] = out.get(key, 0) + sign
     return {key: v for key, v in out.items() if v}
 
