@@ -1,8 +1,9 @@
 /* Compiled resolution kernel, written against the CPython C API.
 
    Twin of `_kernel_py`: same entry points, same leaf order, same seeded
-   random choices, identical results.  It walks every node of the tree,
-   where `_kernel_py.resolve_sum` memoizes the ordered walk.  The walk
+   picks, identical results.  A seeded pick is a function of the seed and
+   the state alone (`draw`, as `_kernel_py._draw`).  This kernel walks every
+   node of the tree, where `_kernel_py.resolve_sum` memoizes the walk.  It
    recurses over an arena of per-depth scratch rows.  resolve_leaves builds
    one tuple per leaf; resolve_sum sums the leaves into a C table of groups
    and builds Python objects only for the result.  Arguments the fixed-size
@@ -23,6 +24,7 @@ typedef uint64_t u64;
 #define MAX_ARCS 64
 #define MAX_CROSSINGS 32
 #define BIT(i) ((u64)1 << (i))
+#define DRAW_MOD (((u64)1 << 56) - 5)
 
 typedef struct {
     int apow, dpow, k;
@@ -32,7 +34,7 @@ typedef struct {
 typedef struct {
     int n, n_arcs, max_depth, random_pick;
     int *slots, *colors; /* arenas: row d holds a depth-d node's slots and colors */
-    u64 rng;
+    u64 seed;            /* mod 2**64, read when random_pick */
     PyObject *leaves;    /* resolve_leaves: the leaf list */
     /* resolve_sum: the groups in first-leaf order, found through an
        open-addressing table of their indices (-1 = empty slot) whose size,
@@ -157,6 +159,25 @@ static int glue(const Walk *w, int n, const int *slots, const int *colors, int x
     return closed;
 }
 
+/* The seeded draw of a state: its slots relabelled by first appearance, read
+   as a big-endian integer mod DRAW_MOD and XORed into the seed, then one
+   splitmix64 step; as `_kernel_py._draw`. */
+static u64 draw(const Walk *w, int n, const int *slots)
+{
+    int label[MAX_ARCS], next = 0;
+    u64 h = 0;
+    memset(label, 0xff, sizeof label);
+    for (int i = 0; i < 4 * n; i++) {
+        if (label[slots[i]] < 0)
+            label[slots[i]] = next++;
+        h = (h << 8 | (u64)label[slots[i]]) % DRAW_MOD;
+    }
+    u64 z = (w->seed ^ h) + 0x9E3779B97F4A7C15ULL;
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
+    return z ^ (z >> 31);
+}
+
 static int expand(Walk *w, int depth, int n, const int *slots, const int *colors,
                   int loop_count, int sign, int apow, int dpow)
 {
@@ -174,15 +195,10 @@ static int expand(Walk *w, int depth, int n, const int *slots, const int *colors
             break;
         }
     }
-    if (n_illegal) {
-        w->rng += 0x9E3779B97F4A7C15ULL; /* one splitmix64 step */
-        u64 z = w->rng;
-        z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-        z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
-        x = cand[(z ^ (z >> 31)) % (u64)n_illegal];
-    } else if (x < 0) {
+    if (n_illegal)
+        x = cand[draw(w, n, slots) % (u64)n_illegal];
+    else if (x < 0)
         x = first1;
-    }
     if (x < 0)
         return leaf(w, n, slots, loop_count, sign, apow, dpow);
 
@@ -245,7 +261,7 @@ static PyObject *run(PyObject *args, PyObject *kwargs, int summing)
     if (s == -1 && PyErr_Occurred())
         return NULL;
     w.random_pick = overflow > 0 || (overflow == 0 && s >= 0);
-    w.rng = seed ? PyLong_AsUnsignedLongLongMask(seed) : 0;
+    w.seed = seed ? PyLong_AsUnsignedLongLongMask(seed) : 0;
     if (!(slots = PySequence_Fast(seq[0], "slots must be a sequence")) ||
         !(colors = PySequence_Fast(seq[1], "colors must be a sequence")))
         goto done;

@@ -2,17 +2,15 @@
 
 Hot path shared with the compiled kernel (`_kernel_c`): both expose the
 same two functions and must produce identical results, including the
-leaf order and the seeded random choices.  The engine picks one at import
-time; see `_backend`.
+leaf order and the seeded picks.  The engine picks one at import time;
+see `_backend`.
 
 Diagrams arrive pre-encoded: `slots` is a flat list of 4*n arc ids (dense,
 0-based, at most MAX_ARCS arcs), `colors` maps arc id -> non-negative
-color (below 256 for the memo key; the engine numbers arc colors first,
-so they stay below MAX_ARCS), and only the length of `loops`, the free
-loops, matters.  A random strategy is requested by a non-negative `seed`;
-`seed = -1` scans crossings in stored order and smooths the first
-mixed-color illegal crossing, else the first same-color one (the default
-resolution order).
+color (below 256 for the memo key; the engine numbers arc colors in
+order, so they stay below MAX_ARCS), and only the length of `loops`, the
+free loops, matters.  A non-negative `seed` requests a seeded order, and
+`seed = -1` the default one.
 
 Leaf weights are products of the branch labels A, 1/A, -1 and
 delta = A + 1/A, so they compress to a triple (sign, apow, dpow).  The
@@ -28,23 +26,30 @@ each removes exactly one.  A leaf reached through dpow delta branches of
 a diagram with m colors thus has gamma = m - dpow, which the engine
 applies.
 
-`resolve_sum` in the default order walks the tree as a DAG.  There a
-node's pick, and so its whole subtree, depends only on its state: the
-live slots and their colors.  Arc ids do not matter, so `_memo_sum` keys
-each state by its slots relabelled by first appearance and the colors of
-those arcs, and computes each key's histogram of (apow, dpow, k) once,
-relative to the state: k leaves out the loops counted above it.  Parents
-shift a child's histogram by the branch weight and by the circles the
-smoothing closed.  The memo lives for one call.  Two walks stay tree
-walks: `resolve_leaves`, which promises every leaf in depth-first order,
-and seeded walks, whose picks come from one sequential splitmix stream,
-so that a subtree depends on the draws made before it and not only on
-its state.
+A node's pick depends only on its state: the live slots and their colors.
+The default order (`seed = -1`) takes the first mixed-color illegal
+crossing in stored order, else the first same-color one.  A seed takes
+the illegal crossing, in stored order, at `_draw(seed, rel)` modulo their
+number, where rel is the slots relabelled by first appearance.  Colors
+stay out of the draw, so the engine's diagram walker, which renumbers
+colors after each merge, draws the same values.  Every resolution tree
+gives the same value, so a seeded tree need only be some valid tree, not
+one drawn from a sequential random stream.
+
+`resolve_sum` therefore walks the tree as a DAG under every seed: it keys
+each state by rel and the colors of its arcs, and computes each key's
+histogram of (apow, dpow, k) once, relative to the state: k leaves out
+the loops counted above it.  Parents shift a child's
+histogram by the branch weight and by the circles the smoothing closed.
+The memo lives for one call.  `resolve_leaves`, which promises every leaf
+in depth-first order, stays a tree walk.
 """
 
 MAX_ARCS = 64
 
 _MASK64 = (1 << 64) - 1
+# Below 2^56, so that a C twin can read rel byte by byte in a u64.
+_DRAW_MOD = (1 << 56) - 5
 
 
 def _mix(state):
@@ -55,17 +60,6 @@ def _mix(state):
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     z = z ^ (z >> 31)
     return state, z
-
-
-def resolve_sum(slots, colors, loops, seed=-1):
-    """Resolve completely; return {(apow, dpow, k): signed leaf count}."""
-    if seed < 0:
-        return _memo_sum(slots, colors, len(loops))
-    out = {}
-    for k, _, sign, apow, dpow in _walk(slots, colors, len(loops), seed):
-        key = (apow, dpow, k)
-        out[key] = out.get(key, 0) + sign
-    return {key: v for key, v in out.items() if v}
 
 
 def resolve_leaves(slots, colors, loops, seed=-1):
@@ -87,6 +81,33 @@ def _pick_ordered(slots, colors, n):
         elif co < cu:
             return i, True
     return first1, False
+
+
+def _draw(seed, rel):
+    """The seeded draw of a state: rel, its slots relabelled by first
+    appearance, read as a big-endian integer mod _DRAW_MOD and XORed into
+    the seed, then one splitmix64 step (which takes the seed mod 2^64)."""
+    return _mix(seed ^ int.from_bytes(bytes(rel), "big") % _DRAW_MOD)[1]
+
+
+def _pick(slots, colors, n, seed):
+    """The pick of a state; returns (x, is_type2), x = -1 for a leaf.
+
+    seed < 0 is the default order.  Otherwise ``slots`` must be relabelled
+    by first appearance, and the pick is the illegal crossing, in stored
+    order, at the state's draw modulo their number.
+    """
+    if seed < 0:
+        return _pick_ordered(slots, colors, n)
+    illegal = []
+    for i in range(n):
+        cu = colors[slots[4 * i]]
+        co = colors[slots[4 * i + 1]]
+        if co <= cu:
+            illegal.append((i, co < cu))
+    if not illegal:
+        return -1, False
+    return illegal[_draw(seed, slots) % len(illegal)]
 
 
 def _children(slots, colors, loop_count, x, x_type2, sign, apow, dpow):
@@ -128,14 +149,15 @@ def _canonical(slots, colors):
     return out, live_colors, bytes(out) + bytes(live_colors)
 
 
-def _memo_sum(slots, colors, n_loops):
-    """`resolve_sum` in the default order, walked as a DAG.
+def resolve_sum(slots, colors, loops, seed=-1):
+    """Resolve completely; return {(apow, dpow, k): signed leaf count}.
 
-    Each canonical state's histogram is a flat list [apow, dpow, k, count,
-    ...] without zero counts, relative to the state: weight 1 and no loops
-    counted yet.  Lists, not tuples: CPython keeps up to 2000 freed tuples
-    of each length below 20 for reuse, so freeing a memo of short tuples
-    would keep their memory for the rest of the process.
+    The tree is walked as a DAG.  Each canonical state's histogram is a
+    flat list [apow, dpow, k, count, ...] without zero counts, relative to
+    the state: weight 1 and no loops counted yet.  Lists, not tuples:
+    CPython keeps up to 2000 freed tuples of each length below 20 for
+    reuse, so freeing a memo of short tuples would keep their memory for
+    the rest of the process.
     """
     memo = {}
     slots, colors, root = _canonical(slots, colors)
@@ -161,7 +183,7 @@ def _memo_sum(slots, colors, n_loops):
         if key in memo:
             continue
         n = len(slots) >> 2
-        x, x_type2 = _pick_ordered(slots, colors, n)
+        x, x_type2 = _pick(slots, colors, n, seed)
         if x < 0:
             memo[key] = [0, 0, _leaf(slots, colors, 0, n, 1, 0, 0)[0], 1]
             continue
@@ -179,33 +201,18 @@ def _memo_sum(slots, colors, n_loops):
         stack.append((key, None, None, kids))
         stack.extend(pending)
     it = iter(memo[root])
-    return {(apow, dpow, k + n_loops): count for apow, dpow, k, count in zip(it, it, it, it)}
+    return {(apow, dpow, k + len(loops)): count for apow, dpow, k, count in zip(it, it, it, it)}
 
 
 def _walk(slots, colors, n_loops, seed):
-    rng = seed
-    random_pick = seed >= 0
-
     # Stack entries: (slots, colors, loop_count, sign, apow, dpow).
     stack = [(list(slots), list(colors), n_loops, 1, 0, 0)]
     while stack:
         slots, colors, loop_count, sign, apow, dpow = stack.pop()
         n = len(slots) >> 2
-
-        if random_pick:
-            illegal = []
-            for i in range(n):
-                cu = colors[slots[4 * i]]
-                co = colors[slots[4 * i + 1]]
-                if co <= cu:
-                    illegal.append((i, co < cu))
-            x = -1
-            if illegal:
-                rng, z = _mix(rng)
-                x, x_type2 = illegal[z % len(illegal)]
-        else:
-            x, x_type2 = _pick_ordered(slots, colors, n)
-
+        if seed >= 0:
+            slots, colors, _ = _canonical(slots, colors)
+        x, x_type2 = _pick(slots, colors, n, seed)
         if x < 0:
             yield _leaf(slots, colors, loop_count, n, sign, apow, dpow)
             continue

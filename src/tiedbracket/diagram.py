@@ -198,11 +198,11 @@ class TiedDiagram:
     def validate(self) -> None:
         """Check the structural invariants; raise a DiagramError otherwise.
 
-        Every arc id must occur exactly twice among the slots, every used
-        arc must be colored, and all arcs of one component must share a
-        color.
+        Every colored arc and every arc id among the slots must occur
+        exactly twice there, every used arc must be colored, and all arcs
+        of one component must share a color.
         """
-        counts: dict[int, int] = {}
+        counts = dict.fromkeys(self.arc_color, 0)
         for rec in self.crossings:
             for s in rec.slots:
                 counts[s] = counts.get(s, 0) + 1

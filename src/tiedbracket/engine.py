@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from . import _backend
-from ._kernel_py import MAX_ARCS, _mix
+from ._kernel_py import MAX_ARCS, _mix, _pick, _pick_ordered
 from .laurent import A, A_INV, C, DELTA, LOOP, BivariateLaurent
 from .diagram import (
     BAR0,
@@ -143,8 +143,9 @@ class OrderedStrategy:
 
 @dataclass(frozen=True)
 class RandomStrategy:
-    """Pick uniformly among all illegal crossings, driven by a seeded
-    deterministic generator (identical across kernel backends)."""
+    """Pick among the illegal crossings by a draw from the seed and the
+    state alone, so identical states pick identically, on every kernel
+    backend and in `resolution_tree` (see `_kernel_py`)."""
 
     seed: int
 
@@ -174,24 +175,20 @@ def _prepare(d: TiedDiagram, strategy: Strategy):
     """Validate and encode a diagram for the kernels.
 
     Diagrams past the compiled kernel's arc buffers are rejected here, so
-    both kernels accept the same diagrams.  Colors are numbered from 0,
-    arc colors first and in order, then the colors only loops carry: the
-    kernels compare arc colors only, and these stay below MAX_ARCS, as the
-    pure-Python memo key needs, however many colors the loops bring.
+    both kernels accept the same diagrams.  Arc colors are numbered from
+    0 in order, so they stay below MAX_ARCS, as the pure-Python memo key
+    needs; the kernels read only the number of loops.
     """
     d = _ordered(d, strategy)
     arc_ids = sorted(d.used_arcs())
     if len(arc_ids) > MAX_ARCS:
         raise DiagramError(f"kernel supports at most {MAX_ARCS // 2} crossings")
-    arc_colors = sorted({d.arc_color[a] for a in arc_ids})
-    loop_only = sorted(set(d.free_loops).difference(arc_colors))
-    number = {c: i for i, c in enumerate(arc_colors + loop_only)}
+    number = {c: i for i, c in enumerate(sorted({d.arc_color[a] for a in arc_ids}))}
     colors = [number[d.arc_color[a]] for a in arc_ids]
-    loops = [number[c] for c in d.free_loops]
     dense = {a: i for i, a in enumerate(arc_ids)}
     slots = [dense[s] for rec in d.crossings for s in rec.slots]
     seed = strategy.seed if isinstance(strategy, RandomStrategy) else -1
-    return slots, colors, loops, seed
+    return slots, colors, d.free_loops, seed
 
 
 _weight_cache: dict[tuple[int, int, int], BivariateLaurent] = {}
@@ -213,9 +210,7 @@ def _kernel_walk(walk, d: TiedDiagram, strategy: Strategy):
     leaf reached through dpow delta branches has gamma = m - dpow, where
     m counts the colors of ``d`` (see `_kernel_py`).
     """
-    slots, colors, loops, seed = _prepare(d, strategy)
-    m = len(set(colors).union(loops))
-    return walk(slots, colors, loops, seed), m
+    return walk(*_prepare(d, strategy)), d.n_colors
 
 
 _value_cache: dict[tuple[int, int], BivariateLaurent] = {}
@@ -294,46 +289,33 @@ def resolution_tree(d: TiedDiagram, strategy: Strategy = _DEFAULT):
     (sign, apow, dpow), is_leaf)``.  Nodes are numbered in yield order,
     ``parent`` is None at the root, ``label`` names the branch from the
     parent, and the triple is the branch weight sign * A^apow * delta^dpow.
-    Picks and child order (two, zero, one; bar0, bar1) are the kernels',
-    so leaves arrive in the kernels' leaf order.  Children are smoothed
-    only when the generator resumes after their parent.
+    Picks follow the kernels' rule (`_kernel_py._pick`) and child order
+    (two, zero, one; bar0, bar1), so leaves arrive in the kernels' leaf
+    order.  Children are smoothed only when the generator resumes after
+    their parent.
     """
-    rng = strategy.seed if isinstance(strategy, RandomStrategy) else -1
+    seed = strategy.seed if isinstance(strategy, RandomStrategy) else -1
     stack = [(None, "", _ordered(d, strategy), 1, 0, 0)]
     node = 0
     while stack:
         parent, label, cur, sign, apow, dpow = stack.pop()
-        pick = None
-        # A seeded draw needs every illegal crossing; the default order
-        # stops at the first type-2 one.
-        if rng >= 0:
-            illegal = [
-                (x, cls)
-                for x in range(len(cur.crossings))
-                if (cls := cur.classify(x)) is not CrossingClass.LEGAL
-            ]
-            if illegal:
-                rng, z = _mix(rng)
-                pick = illegal[z % len(illegal)]
-        else:
-            for x in range(len(cur.crossings)):
-                cls = cur.classify(x)
-                if cls is CrossingClass.ILLEGAL_TYPE2:
-                    pick = (x, cls)
-                    break
-                if cls is CrossingClass.ILLEGAL_TYPE1 and pick is None:
-                    pick = (x, cls)
-        yield node, parent, label, cur, (sign, apow, dpow), pick is None
-        if pick is not None:
-            x, cls = pick
-            # Pushed in reverse so that children pop in the kernels' order.
-            if cls is CrossingClass.ILLEGAL_TYPE2:
-                stack.append((node, "δ", cur.smooth_type2(x, KIND_ONE), sign, apow, dpow + 1))
-                stack.append((node, "δ", cur.smooth_type2(x, KIND_ZERO), sign, apow, dpow + 1))
-                stack.append((node, "-1", cur.smooth_type2(x, KIND_TWO), -sign, apow, dpow))
-            else:
-                stack.append((node, "A⁻¹", cur.smooth_type1(x, BAR1), sign, apow - 1, dpow))
-                stack.append((node, "A", cur.smooth_type1(x, BAR0), sign, apow + 1, dpow))
+        slots = [s for rec in cur.crossings for s in rec.slots]
+        n = len(cur.crossings)
+        if seed < 0:
+            x, x_type2 = _pick_ordered(slots, cur.arc_color, n)
+        else:  # the seeded draw reads the slots relabelled by first appearance
+            names: dict[int, int] = {}
+            rel = [names.setdefault(a, len(names)) for a in slots]
+            x, x_type2 = _pick(rel, [cur.arc_color[a] for a in names], n, seed)
+        yield node, parent, label, cur, (sign, apow, dpow), x < 0
+        # Pushed in reverse so that children pop in the kernels' order.
+        if x_type2:
+            stack.append((node, "δ", cur.smooth_type2(x, KIND_ONE), sign, apow, dpow + 1))
+            stack.append((node, "δ", cur.smooth_type2(x, KIND_ZERO), sign, apow, dpow + 1))
+            stack.append((node, "-1", cur.smooth_type2(x, KIND_TWO), -sign, apow, dpow))
+        elif x >= 0:
+            stack.append((node, "A⁻¹", cur.smooth_type1(x, BAR1), sign, apow - 1, dpow))
+            stack.append((node, "A", cur.smooth_type1(x, BAR0), sign, apow + 1, dpow))
         node += 1
 
 

@@ -25,7 +25,7 @@ def _args(d):
 def test_parity_random_diagrams(seed, compiled_kernel):
     d = random_diagram(seed, seed % 8 + 1, seed % 3 + 1, seed % 3)
     slots, colors, loops = _args(d)
-    for s in (-1, seed, seed * 977 + 13):
+    for s in (-1, seed, seed * 977 + 13, 2**64 + seed):
         assert _kernel_py.resolve_sum(slots, colors, loops, s) == compiled_kernel.resolve_sum(
             slots, colors, loops, s
         )

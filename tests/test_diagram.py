@@ -35,6 +35,9 @@ def test_validate_ok():
 def test_validate_dangling():
     with pytest.raises(DanglingArcError):
         TiedDiagram((CrossingRecord((1, 2, 3, 4)),), {1: 1, 2: 1, 3: 1, 4: 1}).validate()
+    # a colored arc that no crossing uses
+    with pytest.raises(DanglingArcError, match="arc 7 occurs 0 times"):
+        TiedDiagram((), {7: 2}, (1,)).validate()
 
 
 def test_validate_missing_color():

@@ -1,6 +1,8 @@
-"""The memoized ordered walk of `_kernel_py.resolve_sum` against the tree
-walk it replaces, and a closure whose tree only the memo can afford."""
+"""The memoized walk of `_kernel_py.resolve_sum` against the tree walk, in
+the default order and under seeds; the seeded pick rule; and a closure
+whose tree only the memo can afford."""
 
+import random
 import signal
 
 import pytest
@@ -10,23 +12,33 @@ from hypothesis import strategies as st
 from tiedbracket import _backend, _kernel_py
 from tiedbracket.catalog import load_catalog
 from tiedbracket.diagram import TiedDiagram, random_diagram
-from tiedbracket.engine import OrderedStrategy, _prepare, double_bracket, kauffman_bracket
+from tiedbracket.engine import (
+    OrderedStrategy,
+    RandomStrategy,
+    _prepare,
+    double_bracket,
+    kauffman_bracket,
+)
 from tiedbracket.laurent import LOOP, BivariateLaurent
 
 
-def tree_sum(slots, colors, loops):
-    """The ordered tree walk's leaves, summed per (apow, dpow, k)."""
+# Two seeds, one past 2^64, which the draw takes mod 2^64.
+SEEDED = (RandomStrategy(3), RandomStrategy(2**64 + 11))
+CATALOG = load_catalog()
+
+
+def tree_sum(slots, colors, loops, seed):
+    """The tree walk's leaves, summed per (apow, dpow, k)."""
     out = {}
-    for k, _, sign, apow, dpow in _kernel_py.resolve_leaves(slots, colors, loops, -1):
+    for k, _, sign, apow, dpow in _kernel_py.resolve_leaves(slots, colors, loops, seed):
         key = (apow, dpow, k)
         out[key] = out.get(key, 0) + sign
     return {key: v for key, v in out.items() if v}
 
 
 def assert_memo_matches_tree(d, strategy=OrderedStrategy()):
-    slots, colors, loops, seed = _prepare(d, strategy)
-    assert seed == -1
-    assert _kernel_py.resolve_sum(slots, colors, loops, -1) == tree_sum(slots, colors, loops)
+    args = _prepare(d, strategy)
+    assert _kernel_py.resolve_sum(*args) == tree_sum(*args)
 
 
 @given(st.data(), st.integers(0, 10_000), st.integers(1, 7), st.integers(1, 4), st.integers(0, 3))
@@ -36,11 +48,48 @@ def test_memo_matches_tree_walk(data, seed, n, n_colors, n_loops):
     assert_memo_matches_tree(d)
     perm = tuple(data.draw(st.permutations(range(n))))
     assert_memo_matches_tree(d, OrderedStrategy(perm))
+    for strategy in SEEDED:
+        assert_memo_matches_tree(d, strategy)
 
 
-@pytest.mark.parametrize("entry", load_catalog(), ids=lambda e: e.name)
+@pytest.mark.parametrize("entry", CATALOG, ids=lambda e: e.name)
 def test_memo_matches_tree_walk_on_catalog(entry):
-    assert_memo_matches_tree(entry.diagram())
+    for strategy in (OrderedStrategy(),) + SEEDED:
+        assert_memo_matches_tree(entry.diagram(), strategy)
+
+
+def test_seeded_leaves_ignore_arc_names():
+    # The memo shares one subtree among states that differ only in arc
+    # names, so a seeded tree must not depend on them.
+    for seed in range(30):
+        d = random_diagram(seed, seed % 7 + 2, seed % 3 + 1, seed % 3)
+        arcs = sorted(d.used_arcs())
+        names = random.Random(seed).sample(range(100, 200), len(arcs))
+        renamed = d.relabel_arcs(dict(zip(arcs, names)))
+        strategy = RandomStrategy(seed)
+        assert _kernel_py.resolve_leaves(*_prepare(renamed, strategy)) == _kernel_py.resolve_leaves(
+            *_prepare(d, strategy)
+        )
+
+
+@pytest.mark.parametrize(
+    "entry", [e for e in CATALOG if e.name.startswith(("L10", "L11"))], ids=lambda e: e.name
+)
+def test_seeds_pick_differently_at_the_root(entry):
+    slots, colors, _, _ = _prepare(entry.diagram(), OrderedStrategy())
+    slots, colors, _ = _kernel_py._canonical(slots, colors)
+    picks = {_kernel_py._pick(slots, colors, len(slots) // 4, seed) for seed in range(10)}
+    assert len(picks) >= 2
+
+
+def test_seeds_draw_distinct_trees():
+    # the seeds `independence_check` draws from its own seed 0
+    d = next(e for e in CATALOG if e.name == "L10n95").diagram()
+    state, trees = 0, set()
+    for _ in range(30):
+        state, z = _kernel_py._mix(state)
+        trees.add(tuple(_kernel_py.resolve_leaves(*_prepare(d, RandomStrategy(z >> 1)))))
+    assert len(trees) == 30
 
 
 def torus_2(n):
@@ -68,7 +117,7 @@ def test_memo_resolves_a_long_torus_closure(monkeypatch):
         if all(LOOP * kauffman_bracket(torus_2(n)) == torus_2_closed_form(n, e) for n in range(1, 9))
     ]
     assert eps == [-1]
-    trefoil = next(e for e in load_catalog() if e.name == "trefoil").diagram()
+    trefoil = next(e for e in CATALOG if e.name == "trefoil").diagram()
     assert LOOP * double_bracket(trefoil) == torus_2_closed_form(3, -1)
 
     def give_up(signum, frame):
