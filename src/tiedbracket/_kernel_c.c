@@ -317,12 +317,12 @@ done:
     return result;
 }
 
-static PyObject *resolve_sum(PyObject *self, PyObject *args, PyObject *kwargs)
+static PyObject *resolve_sum(PyObject *Py_UNUSED(self), PyObject *args, PyObject *kwargs)
 {
     return run(args, kwargs, 1);
 }
 
-static PyObject *resolve_leaves(PyObject *self, PyObject *args, PyObject *kwargs)
+static PyObject *resolve_leaves(PyObject *Py_UNUSED(self), PyObject *args, PyObject *kwargs)
 {
     return run(args, kwargs, 0);
 }
@@ -339,6 +339,7 @@ static PyMethodDef methods[] = {
 
 static struct PyModuleDef module = {
     PyModuleDef_HEAD_INIT, "_kernel_c", "Compiled twin of tiedbracket._kernel_py.", -1, methods,
+    NULL, NULL, NULL, NULL,
 };
 
 PyMODINIT_FUNC PyInit__kernel_c(void)

@@ -505,17 +505,28 @@ def _canonical_code(d: TiedDiagram) -> str:
         return tail
 
     def trace(start: tuple[int, int], names: dict[int, tuple[int, int]],
-              colors: dict[int, int], visited: set[tuple[int, int]]):
-        """Walk one component; returns its tokens or None if start is stale."""
+              colors: dict[int, int], visited: set[tuple[int, int]],
+              low: list[tuple[int, ...]] | None):
+        """Walk one component; returns its tokens, or None as soon as they
+        exceed ``low``, the least tokens of another start so far."""
         tokens: list[tuple[int, ...]] = []
+        tie = low is not None
         ci, si = start
         start_arc = crossings[ci].slots[si]
         col = d.arc_color[start_arc]
         if col not in colors:
             colors[col] = len(colors) + 1
-        tokens.append((-1, colors[col], 0))
+        tok = (-1, colors[col], 0)
         cur = start
         while True:
+            if tie:
+                i = len(tokens)
+                if i == len(low) or tok > low[i]:
+                    return None
+                tie = tok == low[i]
+            tokens.append(tok)
+            if cur is None:
+                return tokens
             ci, si = cur
             visited.add((ci, si & 1))
             if ci in names:
@@ -523,14 +534,12 @@ def _canonical_code(d: TiedDiagram) -> str:
             else:
                 name, frame = len(names) + 1, si
                 names[ci] = (name, frame)
-            tokens.append((name, (si - frame) % 4, si & 1))
+            tok = (name, (si - frame) % 4, si & 1)
             exit_slot = (si + 2) % 4
             arc = crossings[ci].slots[exit_slot]
             occ = occurrences[arc]
             nxt = occ[1] if occ[0] == (ci, exit_slot) else occ[0]
-            if nxt == start:
-                return tokens
-            cur = nxt
+            cur = None if nxt == start else nxt
 
     def search(prefix: list[tuple[int, ...]], names, colors, visited):
         nonlocal best
@@ -539,18 +548,28 @@ def _canonical_code(d: TiedDiagram) -> str:
             if best is None or cand < best:
                 best = cand
             return
-        starts = [
-            (ci, si)
-            for ci in range(n)
-            for si in range(4)
-            if (ci, si & 1) not in visited
-        ]
-        for start in starts:
-            nm, cl, vs = dict(names), dict(colors), set(visited)
-            tokens = trace(start, nm, cl, vs)
-            cand_prefix = prefix + tokens
-            if best is not None and cand_prefix > best[: len(cand_prefix)]:
-                continue
+        # Only the least token lists can lead to the minimum: what follows a
+        # component's tokens is a (-1, ...) or (-2, ...) token, below every
+        # crossing token, so a list that is a proper prefix of another is
+        # the lesser one whatever follows.  Where the prefix is the best
+        # code's, tokens above the rest of the best code cannot win either.
+        low, options = None, []
+        if best is not None and prefix == best[: len(prefix)]:
+            low = best[len(prefix) :]
+        for ci in range(n):
+            for si in range(4):
+                if (ci, si & 1) not in visited:
+                    nm, cl, vs = dict(names), dict(colors), set(visited)
+                    tokens = trace((ci, si), nm, cl, vs, low)
+                    if tokens is None:
+                        continue
+                    if tokens != low:
+                        low, options = tokens, []
+                    options.append((nm, cl, vs))
+        cand_prefix = prefix + low
+        if best is not None and cand_prefix > best[: len(cand_prefix)]:
+            return
+        for nm, cl, vs in options:
             search(cand_prefix, nm, cl, vs)
 
     if n == 0:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from . import _backend
-from ._kernel_py import MAX_ARCS, _mix, _pick, _pick_ordered
+from ._kernel_py import MAX_ARCS, _mix, _pick
 from .laurent import A, A_INV, C, DELTA, LOOP, BivariateLaurent
 from .diagram import (
     BAR0,
@@ -254,19 +254,19 @@ def resolve(
 ) -> StateSum:
     """Expand the resolution tree of ``d`` and collect its leaves.
 
-    With ``codes=True`` each leaf diagram is canonically encoded (slower;
-    walks the tree at the diagram level instead of the kernel).  With
-    ``group=True`` entries for identical states are merged.
+    With ``codes=True`` each leaf diagram is canonically encoded, at the
+    diagram level instead of the kernel.  ``codes=True, group=True`` is
+    the AJ-state table: it smooths each distinct state once and encodes
+    each distinct leaf once (`_state_table`).  ``codes=True`` alone walks
+    every node of the tree (`resolution_tree`) and encodes every leaf.
+    With ``group=True`` entries for identical states are merged.
     """
+    if codes and group:
+        return _state_table(d, strategy)
     if codes:
         sum_ = StateSum(
             [
-                (
-                    AJStateSummary(
-                        cur.component_count(), cur.n_colors, len(cur.crossings), cur.canonical_code()
-                    ),
-                    _branch_weight(*weight),
-                )
+                (_summary(cur), _branch_weight(*weight))
                 for _, _, _, cur, weight, leaf in resolution_tree(d, strategy)
                 if leaf
             ]
@@ -282,6 +282,107 @@ def resolve(
     return sum_.grouped() if group else sum_
 
 
+def _summary(leaf: TiedDiagram) -> AJStateSummary:
+    """The summary of an AJ-state, with its canonical code."""
+    return AJStateSummary(
+        leaf.component_count(), leaf.n_colors, len(leaf.crossings), leaf.canonical_code()
+    )
+
+
+def _relabel(cur: TiedDiagram) -> tuple[list[int], list[int]]:
+    """The slots of ``cur`` relabelled by first appearance, and the colors
+    of those arcs in that order: what the kernels' picks (`_kernel_py._pick`)
+    read of a state."""
+    names: dict[int, int] = {}
+    rel = [names.setdefault(a, len(names)) for rec in cur.crossings for a in rec.slots]
+    return rel, [cur.arc_color[a] for a in names]
+
+
+def _smoothings(cur: TiedDiagram, x: int, x_type2: bool):
+    """The children of smoothing crossing ``x`` of ``cur``, in the kernels'
+    order (two, zero, one; or A, A⁻¹), as ``(label, diagram, sign, apow,
+    dpow)`` with the branch weight sign * A^apow * delta^dpow."""
+    if x_type2:
+        return (
+            ("-1", cur.smooth_type2(x, KIND_TWO), -1, 0, 0),
+            ("δ", cur.smooth_type2(x, KIND_ZERO), 1, 0, 1),
+            ("δ", cur.smooth_type2(x, KIND_ONE), 1, 0, 1),
+        )
+    return (
+        ("A", cur.smooth_type1(x, BAR0), 1, 1, 0),
+        ("A⁻¹", cur.smooth_type1(x, BAR1), 1, -1, 0),
+    )
+
+
+def _state_table(d: TiedDiagram, strategy: Strategy) -> StateSum:
+    """The grouped AJ-state table of ``d``, smoothing each distinct state once.
+
+    A state is keyed by its relabelled slots and their colors (`_relabel`),
+    and its sorted loop colors, as two strings of code points; the first
+    is 6 characters per crossing.  States with one key have isomorphic
+    subtrees: the picks read only the relabelled slots and their colors,
+    and a leaf's code, k and gamma read its loop colors only as a
+    multiset.  Each key's histogram of (leaf, apow, dpow) is computed once,
+    relative to the state, and a parent shifts a child's by the branch
+    weight, as `_kernel_py.resolve_sum` does with kernel states; histograms
+    are flat lists [leaf, apow, dpow, count, ...] for the same reason as
+    there.  Each distinct leaf is encoded once.  The memo lives for one
+    call.
+    """
+    seed = strategy.seed if isinstance(strategy, RandomStrategy) else -1
+
+    def state(cur):
+        """The stack entry that expands ``cur``."""
+        rel, colors = _relabel(cur)
+        key = ("".join(map(chr, rel + colors)), "".join(map(chr, sorted(cur.free_loops))))
+        return key, cur, rel, colors, None
+
+    memo: dict[tuple[str, str], list[int]] = {}
+    leaves: list[TiedDiagram] = []
+    root = state(_ordered(d, strategy))
+    # Stack entries: (key, diagram, rel, colors, None) expands a state;
+    # (key, None, None, None, kids) sums its children, which are done by then.
+    stack = [root]
+    while stack:
+        key, cur, rel, colors, kids = stack.pop()
+        if kids is not None:
+            acc: dict[tuple[int, int, int], int] = {}
+            for c_key, sign, apow, dpow in kids:
+                it = iter(memo[c_key])
+                for leaf, a, dd, count in zip(it, it, it, it):
+                    group = (leaf, a + apow, dd + dpow)
+                    acc[group] = acc.get(group, 0) + sign * count
+            flat = []
+            for group, count in acc.items():
+                if count:
+                    flat += group
+                    flat.append(count)
+            memo[key] = flat
+            continue
+        if key in memo:
+            continue
+        x, x_type2 = _pick(rel, colors, len(cur.crossings), seed)
+        if x < 0:
+            memo[key] = [len(leaves), 0, 0, 1]
+            leaves.append(cur)
+            continue
+        kids = []
+        pending = []
+        for _, child, sign, apow, dpow in _smoothings(cur, x, x_type2):
+            child_state = state(child)
+            kids.append((child_state[0], sign, apow, dpow))
+            if child_state[0] not in memo:
+                pending.append(child_state)
+        stack.append((key, None, None, None, kids))
+        stack.extend(pending)
+    weights: dict[int, BivariateLaurent] = {}
+    it = iter(memo[root[0]])
+    for leaf, apow, dpow, count in zip(it, it, it, it):
+        w = _branch_weight(1, apow, dpow) * count
+        weights[leaf] = weights[leaf] + w if leaf in weights else w
+    return StateSum([(_summary(leaves[leaf]), w) for leaf, w in weights.items()]).grouped()
+
+
 def resolution_tree(d: TiedDiagram, strategy: Strategy = _DEFAULT):
     """Expand the resolution tree of ``d`` at the diagram level, depth-first.
 
@@ -290,32 +391,21 @@ def resolution_tree(d: TiedDiagram, strategy: Strategy = _DEFAULT):
     ``parent`` is None at the root, ``label`` names the branch from the
     parent, and the triple is the branch weight sign * A^apow * delta^dpow.
     Picks follow the kernels' rule (`_kernel_py._pick`) and child order
-    (two, zero, one; bar0, bar1), so leaves arrive in the kernels' leaf
-    order.  Children are smoothed only when the generator resumes after
-    their parent.
+    (`_smoothings`), so leaves arrive in the kernels' leaf order.
+    Children are smoothed only when the generator resumes after their
+    parent.
     """
     seed = strategy.seed if isinstance(strategy, RandomStrategy) else -1
     stack = [(None, "", _ordered(d, strategy), 1, 0, 0)]
     node = 0
     while stack:
         parent, label, cur, sign, apow, dpow = stack.pop()
-        slots = [s for rec in cur.crossings for s in rec.slots]
-        n = len(cur.crossings)
-        if seed < 0:
-            x, x_type2 = _pick_ordered(slots, cur.arc_color, n)
-        else:  # the seeded draw reads the slots relabelled by first appearance
-            names: dict[int, int] = {}
-            rel = [names.setdefault(a, len(names)) for a in slots]
-            x, x_type2 = _pick(rel, [cur.arc_color[a] for a in names], n, seed)
+        x, x_type2 = _pick(*_relabel(cur), len(cur.crossings), seed)
         yield node, parent, label, cur, (sign, apow, dpow), x < 0
-        # Pushed in reverse so that children pop in the kernels' order.
-        if x_type2:
-            stack.append((node, "δ", cur.smooth_type2(x, KIND_ONE), sign, apow, dpow + 1))
-            stack.append((node, "δ", cur.smooth_type2(x, KIND_ZERO), sign, apow, dpow + 1))
-            stack.append((node, "-1", cur.smooth_type2(x, KIND_TWO), -sign, apow, dpow))
-        elif x >= 0:
-            stack.append((node, "A⁻¹", cur.smooth_type1(x, BAR1), sign, apow - 1, dpow))
-            stack.append((node, "A", cur.smooth_type1(x, BAR0), sign, apow + 1, dpow))
+        if x >= 0:
+            # Pushed in reverse so that children pop in the kernels' order.
+            for c_label, child, c_sign, c_apow, c_dpow in reversed(_smoothings(cur, x, x_type2)):
+                stack.append((node, c_label, child, sign * c_sign, apow + c_apow, dpow + c_dpow))
         node += 1
 
 

@@ -1,10 +1,15 @@
 """The compiled kernel and the pure-Python kernel must agree exactly:
 same aggregated sums, same leaves in the same order, same seeded choices.
 Both must match the naive expander, and the compiled one must reject
-arguments its fixed-size buffers cannot hold."""
+arguments its fixed-size buffers cannot hold and compile without warnings."""
 
 import importlib
+import shlex
+import shutil
+import subprocess
 import sys
+import sysconfig
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -103,3 +108,14 @@ def test_backend_env_selection(monkeypatch, compiled_kernel):
     monkeypatch.setenv("TIEDBRACKET_BACKEND", "compiled")
     with pytest.raises(ImportError, match="not built"):
         importlib.reload(backend)
+
+
+def test_compiled_kernel_has_no_warnings():
+    source = Path(_kernel_py.__file__).with_name("_kernel_c.c")
+    cc = shlex.split(sysconfig.get_config_var("CC") or "cc")
+    if shutil.which(cc[0]) is None:
+        pytest.skip(f"no C compiler {cc[0]!r}")
+    include = sysconfig.get_paths()["include"]
+    flags = ["-fsyntax-only", "-Wall", "-Wextra", "-Werror", f"-I{include}"]
+    proc = subprocess.run([*cc, *flags, str(source)], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

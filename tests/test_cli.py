@@ -184,3 +184,16 @@ def test_selftest_failure_exits_2(capsys, monkeypatch):
     monkeypatch.setattr(selftest, "CRITERIA", [("hand-derived-hopf", broken)])
     code, out, _ = run(capsys, "selftest")
     assert code == 2 and out.startswith("FAIL")
+
+
+def test_states_seeded_table_matches_bracket(capsys):
+    _, out, _ = run(capsys, "bracket", "--fixture", "L10n95", "--json")
+    bracket = json.loads(out)
+    tables = []
+    for seed in ((), ("--seed", "7")):
+        code, out, _ = run(capsys, "states", "--fixture", "L10n95", *seed, "--json")
+        assert code == 0
+        tables.append(json.loads(out))
+    assert tables[1]["total"] == bracket
+    codes = [sorted(row["code"] for row in table["states"]) for table in tables]
+    assert codes[1] == codes[0]

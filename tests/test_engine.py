@@ -1,6 +1,7 @@
 import pytest
 
 from tiedbracket import _backend, _kernel_py
+from tiedbracket.catalog import load_catalog
 from tiedbracket.diagram import TiedDiagram, random_diagram, unknot
 from tiedbracket.engine import (
     AJStateSummary,
@@ -192,19 +193,30 @@ def test_independence_check():
     assert independence_check(tied_hopf(), trials=100)
 
 
+def grouped_map(d, strat):
+    ss = resolve(d, strat, codes=True, group=True)
+    return {s.code: (s.k, s.gamma, s.crossings_left, w) for s, w in ss.entries}
+
+
 def test_formal_sum_strategy_independence():
     # not just the polynomial: the grouped state sum itself (states
     # identified by canonical code) is independent of the resolution order
-    def grouped_map(d, strat):
-        ss = resolve(d, strat, codes=True, group=True)
-        return {s.code: (s.k, s.gamma, s.crossings_left, w) for s, w in ss.entries}
-
     diagrams = [tied_hopf(), TiedDiagram.from_pd([(1, 4, 2, 5), (3, 6, 4, 1), (5, 2, 6, 3)])]
     diagrams += [random_diagram(seed, 5, seed % 3 + 1) for seed in range(6)]
     for d in diagrams:
         base = grouped_map(d, OrderedStrategy())
         for seed in (1, 2):
             assert grouped_map(d, RandomStrategy(seed)) == base
+
+
+@pytest.mark.parametrize("entry", load_catalog(), ids=lambda e: e.name)
+def test_state_table_strategy_independence_on_catalog(entry):
+    # the paper's per-state theorem: each AJ-state's weight, not only the
+    # total, is the same for every resolution tree
+    d = entry.diagram()
+    base = grouped_map(d, OrderedStrategy())
+    for strategy in (RandomStrategy(1), RandomStrategy(2**64 + 5)):
+        assert grouped_map(d, strategy) == base
 
 
 def test_statesum_grouped_merges_by_summary():

@@ -1,6 +1,7 @@
 """The memoized walk of `_kernel_py.resolve_sum` against the tree walk, in
-the default order and under seeds; the seeded pick rule; and a closure
-whose tree only the memo can afford."""
+the default order and under seeds; the memoized AJ-state table against the
+diagram-level tree walk; the seeded pick rule; and a closure whose tree
+only the memo can afford."""
 
 import random
 import signal
@@ -18,6 +19,7 @@ from tiedbracket.engine import (
     _prepare,
     double_bracket,
     kauffman_bracket,
+    resolve,
 )
 from tiedbracket.laurent import LOOP, BivariateLaurent
 
@@ -56,6 +58,40 @@ def test_memo_matches_tree_walk(data, seed, n, n_colors, n_loops):
 def test_memo_matches_tree_walk_on_catalog(entry):
     for strategy in (OrderedStrategy(),) + SEEDED:
         assert_memo_matches_tree(entry.diagram(), strategy)
+
+
+def assert_state_table_matches_tree(d, strategy=OrderedStrategy()):
+    memo = resolve(d, strategy, codes=True, group=True)
+    assert memo.entries == resolve(d, strategy, codes=True).grouped().entries
+
+
+@given(st.integers(0, 10_000), st.integers(1, 7), st.integers(1, 5), st.integers(0, 3))
+@settings(max_examples=60, deadline=None)
+def test_state_table_matches_tree_walk(seed, n, n_colors, n_loops):
+    d = random_diagram(seed, n, n_colors, n_loops)
+    reversed_order = OrderedStrategy(tuple(reversed(range(len(d.crossings)))))
+    for strategy in (OrderedStrategy(), reversed_order) + SEEDED:
+        assert_state_table_matches_tree(d, strategy)
+
+
+@pytest.mark.parametrize("entry", CATALOG, ids=lambda e: e.name)
+def test_state_table_matches_tree_walk_on_catalog(entry):
+    assert_state_table_matches_tree(entry.diagram())
+
+
+def test_state_table_encodes_each_distinct_leaf_once(monkeypatch):
+    # the tree walk encodes all 16,522 leaves of L11n418
+    calls = []
+    code = TiedDiagram.canonical_code
+
+    def counted(self):
+        calls.append(1)
+        return code(self)
+
+    monkeypatch.setattr(TiedDiagram, "canonical_code", counted)
+    d = next(e for e in CATALOG if e.name == "L11n418").diagram()
+    assert len(resolve(d, codes=True, group=True).entries) == 32
+    assert len(calls) < 100
 
 
 def test_seeded_leaves_ignore_arc_names():
