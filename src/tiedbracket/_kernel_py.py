@@ -38,11 +38,17 @@ one drawn from a sequential random stream.
 
 `resolve_sum` therefore walks the tree as a DAG under every seed: it keys
 each state by rel and the colors of its arcs, and computes each key's
-histogram of (apow, dpow, k) once, relative to the state: k leaves out
+histogram of (k, apow, dpow) once, relative to the state: k leaves out
 the loops counted above it.  Parents shift a child's
 histogram by the branch weight and by the circles the smoothing closed.
-The memo lives for one call.  `resolve_leaves`, which promises every leaf
-in depth-first order, stays a tree walk.
+The memo loop is `_memo_walk`, which the engine's AJ-state table
+(`engine._state_table`) shares with tags of distinct leaves in place of
+k.  The memo lives for one call.
+
+`resolve_leaves`, which promises every leaf in depth-first order, stays a
+tree walk (`_walk`).  The engine does not call it: it is the spec of the
+compiled kernel's leaf walk for the parity tests, and the benchmark
+replays it to count leaves, until a counter of `resolve_sum` does that.
 """
 
 MAX_ARCS = 64
@@ -149,29 +155,32 @@ def _canonical(slots, colors):
     return out, live_colors, bytes(out) + bytes(live_colors)
 
 
-def resolve_sum(slots, colors, loops, seed=-1):
-    """Resolve completely; return {(apow, dpow, k): signed leaf count}.
+def _memo_walk(root, state, expand):
+    """Walk a resolution tree as a DAG; return the root's flat histogram.
 
-    The tree is walked as a DAG.  Each canonical state's histogram is a
-    flat list [apow, dpow, k, count, ...] without zero counts, relative to
-    the state: weight 1 and no loops counted yet.  Lists, not tuples:
+    ``root`` keys ``state``, and equal keys must stand for isomorphic
+    subtrees.  ``expand(state)`` returns a leaf's tag, an int, or the
+    state's children as ``(key, state, sign, apow, dpow, dtag)``: the
+    branch weight sign * A^apow * delta^dpow and a shift of the tags below.
+    Each key's histogram is computed once, relative to its state, as a
+    flat list [tag, apow, dpow, count, ...] without zero counts; a parent
+    shifts a child's by the branch weight and dtag.  Lists, not tuples:
     CPython keeps up to 2000 freed tuples of each length below 20 for
     reuse, so freeing a memo of short tuples would keep their memory for
-    the rest of the process.
+    the rest of the process.  The memo lives for one call.
     """
     memo = {}
-    slots, colors, root = _canonical(slots, colors)
-    # Stack entries: (key, slots, colors, None) expands a state;
-    # (key, None, None, kids) sums its children, which are done by then.
-    stack = [(root, slots, colors, None)]
+    # Stack entries: (key, state, None) expands a state;
+    # (key, None, kids) sums its children, which are done by then.
+    stack = [(root, state, None)]
     while stack:
-        key, slots, colors, kids = stack.pop()
+        key, state, kids = stack.pop()
         if kids is not None:
             acc = {}
-            for c_key, sign, apow, dpow, closed in kids:
+            for c_key, _, sign, apow, dpow, dtag in kids:
                 it = iter(memo[c_key])
-                for a, d, k, count in zip(it, it, it, it):
-                    group = (a + apow, d + dpow, k + closed)
+                for t, a, d, count in zip(it, it, it, it):
+                    group = (t + dtag, a + apow, d + dpow)
                     acc[group] = acc.get(group, 0) + sign * count
             flat = []
             for group, count in acc.items():
@@ -182,26 +191,42 @@ def resolve_sum(slots, colors, loops, seed=-1):
             continue
         if key in memo:
             continue
+        kids = expand(state)
+        if type(kids) is int:
+            memo[key] = [kids, 0, 0, 1]
+            continue
+        stack.append((key, None, kids))
+        for c in kids:
+            if c[0] not in memo:
+                stack.append((c[0], c[1], None))
+    return memo[root]
+
+
+def resolve_sum(slots, colors, loops, seed=-1):
+    """Resolve completely; return {(apow, dpow, k): signed leaf count}.
+
+    `_memo_walk` over canonical states, tagging histograms with the
+    circles closed below the state.
+    """
+
+    def expand(state):
+        slots, colors, _ = state
         n = len(slots) >> 2
         x, x_type2 = _pick(slots, colors, n, seed)
         if x < 0:
-            memo[key] = [0, 0, _leaf(slots, colors, 0, n, 1, 0, 0)[0], 1]
-            continue
-        # Children come back with the branch weight and the circles their
-        # smoothing closed, relative to this state.
-        kids = []
-        pending = []
+            return _leaf(slots, colors, 0, n, 1, 0, 0)[0]
+        children = []
         for c_slots, c_colors, closed, sign, apow, dpow in _children(
             slots, colors, 0, x, x_type2, 1, 0, 0
         ):
-            c_slots, c_colors, c_key = _canonical(c_slots, c_colors)
-            kids.append((c_key, sign, apow, dpow, closed))
-            if c_key not in memo:
-                pending.append((c_key, c_slots, c_colors, None))
-        stack.append((key, None, None, kids))
-        stack.extend(pending)
-    it = iter(memo[root])
-    return {(apow, dpow, k + len(loops)): count for apow, dpow, k, count in zip(it, it, it, it)}
+            child = _canonical(c_slots, c_colors)
+            children.append((child[2], child, sign, apow, dpow, closed))
+        return children
+
+    # A state is what `_canonical` returns: (slots, colors, key).
+    root = _canonical(slots, colors)
+    it = iter(_memo_walk(root[2], root, expand))
+    return {(apow, dpow, k + len(loops)): count for k, apow, dpow, count in zip(it, it, it, it)}
 
 
 def _walk(slots, colors, n_loops, seed):

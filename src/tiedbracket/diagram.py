@@ -484,8 +484,6 @@ def _canonical_code(d: TiedDiagram) -> str:
         for si, arc in enumerate(rec.slots):
             occurrences.setdefault(arc, []).append((ci, si))
 
-    best: list[tuple[int, ...]] | None = None
-
     def loops_tail(color_names: dict[int, int]) -> list[tuple[int, ...]]:
         groups: dict[int, int] = {}
         for c in d.free_loops:
@@ -541,13 +539,18 @@ def _canonical_code(d: TiedDiagram) -> str:
             nxt = occ[1] if occ[0] == (ci, exit_slot) else occ[0]
             cur = None if nxt == start else nxt
 
-    def search(prefix: list[tuple[int, ...]], names, colors, visited):
-        nonlocal best
+    # A depth-first search over the starts of the components, on a stack:
+    # a nested function that recursed would refer to itself through its
+    # closure, and so leave each call's state to the cyclic collector.
+    best: list[tuple[int, ...]] | None = None
+    stack = [([], {}, {}, set())]
+    while stack:
+        prefix, names, colors, visited = stack.pop()
         if len(visited) == 2 * n:
             cand = prefix + loops_tail(colors)
             if best is None or cand < best:
                 best = cand
-            return
+            continue
         # Only the least token lists can lead to the minimum: what follows a
         # component's tokens is a (-1, ...) or (-2, ...) token, below every
         # crossing token, so a list that is a proper prefix of another is
@@ -568,13 +571,9 @@ def _canonical_code(d: TiedDiagram) -> str:
                     options.append((nm, cl, vs))
         cand_prefix = prefix + low
         if best is not None and cand_prefix > best[: len(cand_prefix)]:
-            return
-        for nm, cl, vs in options:
-            search(cand_prefix, nm, cl, vs)
-
-    if n == 0:
-        best = loops_tail({})
-    else:
-        search([], {}, {}, set())
+            continue
+        # Pushed in reverse so that the options are searched in order.
+        for nm, cl, vs in reversed(options):
+            stack.append((cand_prefix, nm, cl, vs))
     assert best is not None
     return ";".join(",".join(str(x) for x in tok) for tok in best)

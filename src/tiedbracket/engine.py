@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from . import _backend
-from ._kernel_py import MAX_ARCS, _mix, _pick
+from ._kernel_py import MAX_ARCS, _memo_walk, _mix, _pick
 from .laurent import A, A_INV, C, DELTA, LOOP, BivariateLaurent
 from .diagram import (
     BAR0,
@@ -203,16 +203,6 @@ def _branch_weight(sign: int, apow: int, dpow: int) -> BivariateLaurent:
     return cached
 
 
-def _kernel_walk(walk, d: TiedDiagram, strategy: Strategy):
-    """Run the kernel function ``walk`` on ``d``; return (result, m).
-
-    The kernels leave the color count gamma of a leaf to this layer: a
-    leaf reached through dpow delta branches has gamma = m - dpow, where
-    m counts the colors of ``d`` (see `_kernel_py`).
-    """
-    return walk(*_prepare(d, strategy)), d.n_colors
-
-
 _value_cache: dict[tuple[int, int], BivariateLaurent] = {}
 
 
@@ -231,7 +221,11 @@ def double_bracket(d: TiedDiagram, strategy: Strategy = _DEFAULT) -> BivariateLa
     Strategy choice only affects the resolution tree walked, never the
     value.  Runs on the active kernel backend.
     """
-    groups, m = _kernel_walk(_backend.kernel.resolve_sum, d, strategy)
+    groups = _backend.kernel.resolve_sum(*_prepare(d, strategy))
+    # The kernels leave the color count gamma of a leaf to this layer: a
+    # leaf reached through dpow delta branches has gamma = m - dpow, where
+    # m counts the colors of d (see `_kernel_py`).
+    m = d.n_colors
     acc: dict[tuple[int, int], int] = {}
     for (apow, dpow, k), count in groups.items():
         gamma = m - dpow
@@ -252,40 +246,35 @@ def resolve(
     codes: bool = False,
     group: bool = False,
 ) -> StateSum:
-    """Expand the resolution tree of ``d`` and collect its leaves.
+    """Collect the AJ-states of the resolution tree of ``d`` with their weights.
 
-    With ``codes=True`` each leaf diagram is canonically encoded, at the
-    diagram level instead of the kernel.  ``codes=True, group=True`` is
-    the AJ-state table: it smooths each distinct state once and encodes
-    each distinct leaf once (`_state_table`).  ``codes=True`` alone walks
-    every node of the tree (`resolution_tree`) and encodes every leaf.
-    With ``group=True`` entries for identical states are merged.
+    ``group=True`` is the AJ-state table (`_state_table`, behind
+    ``tiedbracket states``): it smooths each distinct state once,
+    summarizes each distinct leaf once and merges the entries of
+    identical states.  ``group=False`` walks every node of the tree
+    (`resolution_tree`) and returns every leaf, depth-first in the
+    kernels' leaf order.  With ``codes=True`` each leaf diagram also gets
+    its canonical code, and grouping merges by code instead of by the
+    (k, gamma, crossings_left) summary.
     """
-    if codes and group:
-        return _state_table(d, strategy)
-    if codes:
-        sum_ = StateSum(
-            [
-                (_summary(cur), _branch_weight(*weight))
-                for _, _, _, cur, weight, leaf in resolution_tree(d, strategy)
-                if leaf
-            ]
-        )
-    else:
-        leaves, m = _kernel_walk(_backend.kernel.resolve_leaves, d, strategy)
-        sum_ = StateSum(
-            [
-                (AJStateSummary(k, m - dpow, left), _branch_weight(sign, apow, dpow))
-                for k, left, sign, apow, dpow in leaves
-            ]
-        )
-    return sum_.grouped() if group else sum_
+    if group:
+        return _state_table(d, strategy, codes)
+    return StateSum(
+        [
+            (_summary(cur, codes), _branch_weight(*weight))
+            for _, _, _, cur, weight, leaf in resolution_tree(d, strategy)
+            if leaf
+        ]
+    )
 
 
-def _summary(leaf: TiedDiagram) -> AJStateSummary:
-    """The summary of an AJ-state, with its canonical code."""
+def _summary(leaf: TiedDiagram, codes: bool) -> AJStateSummary:
+    """The summary of an AJ-state, with its canonical code if ``codes``."""
     return AJStateSummary(
-        leaf.component_count(), leaf.n_colors, len(leaf.crossings), leaf.canonical_code()
+        leaf.component_count(),
+        leaf.n_colors,
+        len(leaf.crossings),
+        leaf.canonical_code() if codes else None,
     )
 
 
@@ -314,73 +303,46 @@ def _smoothings(cur: TiedDiagram, x: int, x_type2: bool):
     )
 
 
-def _state_table(d: TiedDiagram, strategy: Strategy) -> StateSum:
+def _state_table(d: TiedDiagram, strategy: Strategy, codes: bool) -> StateSum:
     """The grouped AJ-state table of ``d``, smoothing each distinct state once.
 
     A state is keyed by its relabelled slots and their colors (`_relabel`),
     and its sorted loop colors, as two strings of code points; the first
-    is 6 characters per crossing.  States with one key have isomorphic
+    is 6 characters per crossing.  The root's colors are renamed to 1..m
+    first, so that they are code points; the renaming is monotone, so
+    picks and codes do not change.  States with one key have isomorphic
     subtrees: the picks read only the relabelled slots and their colors,
     and a leaf's code, k and gamma read its loop colors only as a
-    multiset.  Each key's histogram of (leaf, apow, dpow) is computed once,
-    relative to the state, and a parent shifts a child's by the branch
-    weight, as `_kernel_py.resolve_sum` does with kernel states; histograms
-    are flat lists [leaf, apow, dpow, count, ...] for the same reason as
-    there.  Each distinct leaf is encoded once.  The memo lives for one
-    call.
+    multiset.  `_kernel_py._memo_walk` computes each key's histogram of
+    (leaf, apow, dpow) once, where leaf indexes the distinct leaves, and
+    each distinct leaf is summarized once.
     """
     seed = strategy.seed if isinstance(strategy, RandomStrategy) else -1
+    leaves: list[TiedDiagram] = []
 
     def state(cur):
-        """The stack entry that expands ``cur``."""
+        """The memo key of ``cur`` and the state `expand` takes."""
         rel, colors = _relabel(cur)
         key = ("".join(map(chr, rel + colors)), "".join(map(chr, sorted(cur.free_loops))))
-        return key, cur, rel, colors, None
+        return key, (cur, rel, colors)
 
-    memo: dict[tuple[str, str], list[int]] = {}
-    leaves: list[TiedDiagram] = []
-    root = state(_ordered(d, strategy))
-    # Stack entries: (key, diagram, rel, colors, None) expands a state;
-    # (key, None, None, None, kids) sums its children, which are done by then.
-    stack = [root]
-    while stack:
-        key, cur, rel, colors, kids = stack.pop()
-        if kids is not None:
-            acc: dict[tuple[int, int, int], int] = {}
-            for c_key, sign, apow, dpow in kids:
-                it = iter(memo[c_key])
-                for leaf, a, dd, count in zip(it, it, it, it):
-                    group = (leaf, a + apow, dd + dpow)
-                    acc[group] = acc.get(group, 0) + sign * count
-            flat = []
-            for group, count in acc.items():
-                if count:
-                    flat += group
-                    flat.append(count)
-            memo[key] = flat
-            continue
-        if key in memo:
-            continue
+    def expand(node):
+        cur, rel, colors = node
         x, x_type2 = _pick(rel, colors, len(cur.crossings), seed)
         if x < 0:
-            memo[key] = [len(leaves), 0, 0, 1]
             leaves.append(cur)
-            continue
-        kids = []
-        pending = []
-        for _, child, sign, apow, dpow in _smoothings(cur, x, x_type2):
-            child_state = state(child)
-            kids.append((child_state[0], sign, apow, dpow))
-            if child_state[0] not in memo:
-                pending.append(child_state)
-        stack.append((key, None, None, None, kids))
-        stack.extend(pending)
+            return len(leaves) - 1
+        return [
+            (*state(child), sign, apow, dpow, 0)
+            for _, child, sign, apow, dpow in _smoothings(cur, x, x_type2)
+        ]
+
     weights: dict[int, BivariateLaurent] = {}
-    it = iter(memo[root[0]])
+    it = iter(_memo_walk(*state(_ordered(d, strategy).normalized_colors()), expand))
     for leaf, apow, dpow, count in zip(it, it, it, it):
         w = _branch_weight(1, apow, dpow) * count
         weights[leaf] = weights[leaf] + w if leaf in weights else w
-    return StateSum([(_summary(leaves[leaf]), w) for leaf, w in weights.items()]).grouped()
+    return StateSum([(_summary(leaves[leaf], codes), w) for leaf, w in weights.items()]).grouped()
 
 
 def resolution_tree(d: TiedDiagram, strategy: Strategy = _DEFAULT):

@@ -10,6 +10,7 @@ from tiedbracket.engine import (
     OrderedStrategy,
     RandomStrategy,
     StateSum,
+    _prepare,
     double_bracket,
     independence_check,
     kauffman_bracket,
@@ -18,7 +19,7 @@ from tiedbracket.engine import (
     tied_jones,
     writhe,
 )
-from tiedbracket.laurent import C, LOOP, ONE, parse_poly
+from tiedbracket.laurent import C, DELTA, LOOP, ONE, BivariateLaurent, parse_poly
 
 HOPF = [(1, 3, 2, 4), (3, 1, 4, 2)]
 TIED_HOPF_VALUE = parse_poly("-A^4 - A^2 - c - A^-2 - A^-4")
@@ -64,8 +65,8 @@ def test_resolve_tied_hopf_leaves():
 
 def test_resolve_with_codes_matches_kernel():
     # the diagram-level walk picks the kernel's crossings, seeded draws
-    # included, and counts each leaf's colors, where the kernel path takes
-    # gamma = m - dpow
+    # included, and counts each leaf's colors, where the kernel's leaf walk
+    # leaves gamma = m - dpow to the engine
     strategies = [
         OrderedStrategy(),
         OrderedStrategy((4, 2, 0, 3, 1)),
@@ -74,13 +75,17 @@ def test_resolve_with_codes_matches_kernel():
     ]
     for seed in range(20):
         d = random_diagram(seed, 5, seed % 5 + 1, seed % 4)
+        m = d.n_colors
         for strategy in strategies:
-            plain = resolve(d, strategy)
+            leaves = _backend.kernel.resolve_leaves(*_prepare(d, strategy))
             coded = resolve(d, strategy, codes=True)
-            assert [(s.k, s.gamma, s.crossings_left) for s, _ in plain.entries] == [
-                (s.k, s.gamma, s.crossings_left) for s, _ in coded.entries
+            assert [(s.k, s.gamma, s.crossings_left) for s, _ in coded.entries] == [
+                (k, m - dpow, left) for k, left, _, _, dpow in leaves
             ]
-            assert [w for _, w in plain.entries] == [w for _, w in coded.entries]
+            assert [w for _, w in coded.entries] == [
+                BivariateLaurent.monomial(apow, 0, sign) * DELTA**dpow
+                for _, _, sign, apow, dpow in leaves
+            ]
             assert all(s.code is not None for s, _ in coded.entries)
 
 

@@ -1,8 +1,10 @@
 """The memoized walk of `_kernel_py.resolve_sum` against the tree walk, in
 the default order and under seeds; the memoized AJ-state table against the
-diagram-level tree walk; the seeded pick rule; and a closure whose tree
-only the memo can afford."""
+diagram-level tree walk; the seeded pick rule; a closure whose tree only
+the memo can afford; and that the memo and the code search leave no
+reference cycles."""
 
+import gc
 import random
 import signal
 
@@ -61,8 +63,9 @@ def test_memo_matches_tree_walk_on_catalog(entry):
 
 
 def assert_state_table_matches_tree(d, strategy=OrderedStrategy()):
-    memo = resolve(d, strategy, codes=True, group=True)
-    assert memo.entries == resolve(d, strategy, codes=True).grouped().entries
+    for codes in (True, False):
+        memo = resolve(d, strategy, codes=codes, group=True)
+        assert memo.entries == resolve(d, strategy, codes=codes).grouped().entries
 
 
 @given(st.integers(0, 10_000), st.integers(1, 7), st.integers(1, 5), st.integers(0, 3))
@@ -77,6 +80,29 @@ def test_state_table_matches_tree_walk(seed, n, n_colors, n_loops):
 @pytest.mark.parametrize("entry", CATALOG, ids=lambda e: e.name)
 def test_state_table_matches_tree_walk_on_catalog(entry):
     assert_state_table_matches_tree(entry.diagram())
+
+
+def test_state_table_takes_colors_past_the_code_points():
+    # the memo key spells colors as code points, which end at 0x10FFFF
+    tied_hopf = TiedDiagram.from_pd([(1, 3, 2, 4), (3, 1, 4, 2)], [5, 2_000_000])
+    loop = TiedDiagram((), {}, (3_000_000,))
+    for d in (tied_hopf, loop):
+        assert_state_table_matches_tree(d)
+
+
+def test_code_and_state_table_leave_no_garbage_cycles():
+    # Each call's memo, closures and search state must be freed by
+    # reference counting alone, not left to the cyclic collector.
+    d = next(e for e in CATALOG if e.name == "L11n418").diagram()
+    gc.collect()
+    gc.disable()
+    try:
+        d.canonical_code()
+        assert gc.collect() == 0
+        resolve(d, codes=True, group=True)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_state_table_encodes_each_distinct_leaf_once(monkeypatch):
