@@ -25,7 +25,6 @@ from .diagram import (
     ZERO,
     Complexity,
     CrossingClass,
-    CrossingRecord,
     ColorMapError,
     ColorMismatchError,
     DanglingArcError,
@@ -57,7 +56,6 @@ from .catalog import (
     ingest_linkinfo_pd,
     load_catalog,
     parse_diagram,
-    render_diagram,
 )
 
 __version__ = "1.0.0"
@@ -75,7 +73,6 @@ __all__ = [
     "TWO",
     "Complexity",
     "CrossingClass",
-    "CrossingRecord",
     "ColorMapError",
     "ColorMismatchError",
     "DanglingArcError",
@@ -103,5 +100,4 @@ __all__ = [
     "ingest_linkinfo_pd",
     "load_catalog",
     "parse_diagram",
-    "render_diagram",
 ]

@@ -28,7 +28,6 @@ __all__ = [
     "DiagramSyntaxError",
     "FixtureEntry",
     "parse_diagram",
-    "render_diagram",
     "ingest_linkinfo_pd",
     "load_catalog",
     "fixture",
@@ -98,11 +97,6 @@ def parse_diagram(text: str) -> TiedDiagram:
     if quads is None and not loops:
         raise DiagramSyntaxError("diagram text declares no crossings and no loops")
     return TiedDiagram.from_pd(quads or [], colors, loops)
-
-
-def render_diagram(d: TiedDiagram) -> str:
-    """Diagram text for ``d``; parse_diagram recovers it up to arc relabeling."""
-    return str(d)
 
 
 def ingest_linkinfo_pd(text: str) -> str:

@@ -108,7 +108,10 @@ def cmd_jones(args) -> int:
 
 def cmd_states(args) -> int:
     d = _load_diagram(args.input, args.fixture)
-    strategy = RandomStrategy(args.seed) if args.seed is not None else OrderedStrategy()
+    try:
+        strategy = RandomStrategy(args.seed) if args.seed is not None else OrderedStrategy()
+    except ValueError as exc:
+        raise InputError(f"--seed: {exc}") from None
     sum_ = resolve(d, strategy, codes=True, group=True)
     rows = []
     for summary, weight in sum_.entries:
@@ -148,6 +151,8 @@ def cmd_states(args) -> int:
 
 
 def cmd_tree(args) -> int:
+    if args.max_nodes < 1:
+        raise InputError(f"--max-nodes must be at least 1, got {args.max_nodes}")
     d = _load_diagram(args.input, args.fixture)
     lines: list[str] = []
     depth: list[int] = []
@@ -209,6 +214,8 @@ def cmd_distinguish(args) -> int:
 def cmd_selftest(args) -> int:
     from . import selftest
 
+    if args.trials < 1:
+        raise InputError(f"--trials must be at least 1, got {args.trials}")
     ok = selftest.run_all(pattern=args.filter, trials=args.trials, seed=args.seed)
     return 0 if ok else 2
 

@@ -27,7 +27,6 @@ __all__ = [
     "ColorMapError",
     "CrossingClass",
     "Complexity",
-    "CrossingRecord",
     "TiedDiagram",
     "BAR0",
     "BAR1",
@@ -103,18 +102,13 @@ class Complexity:
 
 
 @dataclass(frozen=True)
-class CrossingRecord:
-    """Four arc ends in counterclockwise order; slots 0 and 2 are the under-strand."""
-
-    slots: tuple[int, int, int, int]
-
-
-@dataclass(frozen=True)
 class TiedDiagram:
     """An immutable tied link diagram.
 
     Fields:
-        crossings: the crossing records, in a stable stored order.
+        crossings: one 4-tuple of arc ids per crossing, in a stable stored
+            order: the arc ends counterclockwise, the under-strand in
+            slots 0 and 2.
         arc_color: mapping from arc id to color index (1-based).
         free_loops: colors of the crossingless circles, one entry per circle.
 
@@ -122,7 +116,7 @@ class TiedDiagram:
     across workers freely.
     """
 
-    crossings: tuple[CrossingRecord, ...]
+    crossings: tuple[tuple[int, int, int, int], ...]
     arc_color: Mapping[int, int] = field(default_factory=dict)
     free_loops: tuple[int, ...] = ()
 
@@ -142,10 +136,10 @@ class TiedDiagram:
         every component is colored 1, which encodes a classical link.
         ``loops`` gives the colors of crossingless circles.
         """
-        crossings = tuple(CrossingRecord(tuple(int(s) for s in t)) for t in slot_tuples)
+        crossings = tuple(tuple(int(s) for s in t) for t in slot_tuples)
         for rec in crossings:
-            if len(rec.slots) != 4:
-                raise DiagramError(f"crossing needs exactly 4 slots, got {rec.slots}")
+            if len(rec) != 4:
+                raise DiagramError(f"crossing needs exactly 4 slots, got {rec}")
         comps = _trace_components(crossings)
         if component_colors is None:
             component_colors = [1] * len(comps)
@@ -181,7 +175,7 @@ class TiedDiagram:
         if len(set(mapping.values())) != len(mapping):
             raise DiagramError("arc relabeling is not injective")
         return TiedDiagram(
-            tuple(CrossingRecord(tuple(mapping[s] for s in r.slots)) for r in self.crossings),
+            tuple(tuple(mapping[s] for s in rec) for rec in self.crossings),
             {mapping[a]: c for a, c in self.arc_color.items()},
             self.free_loops,
         )
@@ -189,7 +183,7 @@ class TiedDiagram:
     # -- basic queries ----------------------------------------------------
 
     def used_arcs(self) -> set[int]:
-        return {s for rec in self.crossings for s in rec.slots}
+        return {s for rec in self.crossings for s in rec}
 
     @property
     def n_colors(self) -> int:
@@ -198,13 +192,20 @@ class TiedDiagram:
     def validate(self) -> None:
         """Check the structural invariants; raise a DiagramError otherwise.
 
-        Every colored arc and every arc id among the slots must occur
-        exactly twice there, every used arc must be colored, and all arcs
-        of one component must share a color.
+        The crossings must be a tuple of 4-tuples of int arc ids, every
+        colored arc and every arc id among the slots must occur exactly
+        twice there, every used arc must be colored, and all arcs of one
+        component must share a color.
         """
+        if not isinstance(self.crossings, tuple):
+            raise DiagramError(f"crossings must be a tuple, got {type(self.crossings).__name__}")
         counts = dict.fromkeys(self.arc_color, 0)
         for rec in self.crossings:
-            for s in rec.slots:
+            if not isinstance(rec, tuple) or len(rec) != 4:
+                raise DiagramError(f"crossing needs exactly 4 slots, got {rec!r}")
+            for s in rec:
+                if not isinstance(s, int):
+                    raise DiagramError(f"arc ids must be integers, got {s!r}")
                 counts[s] = counts.get(s, 0) + 1
         for arc, n in counts.items():
             if n != 2:
@@ -236,8 +237,8 @@ class TiedDiagram:
     def classify(self, x: int) -> CrossingClass:
         """Classify crossing ``x`` from the colors of its strands."""
         rec = self.crossings[x]
-        under = self.arc_color[rec.slots[0]]
-        over = self.arc_color[rec.slots[1]]
+        under = self.arc_color[rec[0]]
+        over = self.arc_color[rec[1]]
         if over == under:
             return CrossingClass.ILLEGAL_TYPE1
         if over < under:
@@ -284,12 +285,11 @@ class TiedDiagram:
         """
         if self.classify(x) is not CrossingClass.ILLEGAL_TYPE2:
             raise WrongClassError(f"crossing {x} is {self.classify(x).value}, expected type 2")
-        rec = self.crossings[x]
-        i = self.arc_color[rec.slots[1]]  # over, lower index
-        j = self.arc_color[rec.slots[0]]  # under, higher index
+        s0, s1, s2, s3 = self.crossings[x]
+        i = self.arc_color[s1]  # over, lower index
+        j = self.arc_color[s0]  # under, higher index
         if kind == TWO:
-            s0, s1, s2, s3 = rec.slots
-            flipped = self.crossings[:x] + (CrossingRecord((s1, s2, s3, s0)),) + self.crossings[x + 1 :]
+            flipped = self.crossings[:x] + ((s1, s2, s3, s0),) + self.crossings[x + 1 :]
             return TiedDiagram(flipped, self.arc_color, self.free_loops)
         if kind == ZERO:
             return self._reconnect(x, a_pairing=True, recolor=(j, i))
@@ -306,9 +306,9 @@ class TiedDiagram:
         into a free loop.  ``recolor=(j, i)`` afterwards repaints color j
         as color i everywhere, including loops.
         """
-        s0, s1, s2, s3 = self.crossings[x].slots
+        s0, s1, s2, s3 = self.crossings[x]
         pairs = ((s0, s1), (s2, s3)) if a_pairing else ((s0, s3), (s1, s2))
-        remaining = [list(r.slots) for k, r in enumerate(self.crossings) if k != x]
+        remaining = self.crossings[:x] + self.crossings[x + 1 :]
 
         circles: list[int] = []
         substitution: dict[int, int] = {}
@@ -326,11 +326,9 @@ class TiedDiagram:
                 substitution[b] = a
 
         if substitution:
-            for slots in remaining:
-                for idx, arc in enumerate(slots):
-                    slots[idx] = resolve(arc)
+            remaining = tuple(tuple([resolve(a) for a in rec]) for rec in remaining)
 
-        used = {s for slots in remaining for s in slots}
+        used = {s for rec in remaining for s in rec}
         color = {arc: self.arc_color[arc] for arc in self.arc_color if arc in used}
         # A merged arc keeps the color of its surviving label; under a block
         # merge both candidates collapse to the same color anyway.
@@ -339,12 +337,7 @@ class TiedDiagram:
             j, i = recolor
             color = {arc: (i if c == j else c) for arc, c in color.items()}
             loops = [i if c == j else c for c in loops]
-        out = TiedDiagram(
-            tuple(CrossingRecord(tuple(slots)) for slots in remaining),
-            color,
-            tuple(loops),
-        )
-        return out.normalized_colors()
+        return TiedDiagram(remaining, color, tuple(loops)).normalized_colors()
 
     # -- canonical form ---------------------------------------------------
 
@@ -361,7 +354,9 @@ class TiedDiagram:
         return _canonical_code(self)
 
     def __str__(self) -> str:
-        xs = " ".join("X[%d,%d,%d,%d]" % r.slots for r in self.crossings)
+        """Diagram text for the diagram (see `catalog`); `catalog.parse_diagram`
+        recovers it up to arc relabeling."""
+        xs = " ".join("X[%d,%d,%d,%d]" % rec for rec in self.crossings)
         parts = [f"pd: {xs}" if xs else "pd:"]
         if self.crossings:
             parts.append("colors: " + " ".join(str(c) for c in
@@ -371,7 +366,7 @@ class TiedDiagram:
         return "\n".join(parts)
 
 
-def _trace_components(crossings: Sequence[CrossingRecord]) -> list[frozenset[int]]:
+def _trace_components(crossings: Sequence[tuple[int, int, int, int]]) -> list[frozenset[int]]:
     """The arcs of each component, joined through the strands of every
     crossing by a union-find, sorted by smallest arc id."""
     parent: dict[int, int] = {}
@@ -382,8 +377,7 @@ def _trace_components(crossings: Sequence[CrossingRecord]) -> list[frozenset[int
             a = parent[a]
         return a
 
-    for rec in crossings:
-        s0, s1, s2, s3 = rec.slots
+    for s0, s1, s2, s3 in crossings:
         for a, b in ((s0, s2), (s1, s3)):
             ra, rb = find(a), find(b)
             if ra != rb:
@@ -417,8 +411,7 @@ def random_diagram(
     rng = _random.Random(seed)
     ends = [a for a in range(2 * n_crossings) for _ in range(2)]
     rng.shuffle(ends)
-    quads = [tuple(ends[4 * i : 4 * i + 4]) for i in range(n_crossings)]
-    crossings = tuple(CrossingRecord(q) for q in quads)
+    crossings = tuple(tuple(ends[4 * i : 4 * i + 4]) for i in range(n_crossings))
     comps = _trace_components(crossings)
     arc_color = {}
     for comp in comps:
@@ -481,7 +474,7 @@ def _canonical_code(d: TiedDiagram) -> str:
     n = len(crossings)
     occurrences: dict[int, list[tuple[int, int]]] = {}
     for ci, rec in enumerate(crossings):
-        for si, arc in enumerate(rec.slots):
+        for si, arc in enumerate(rec):
             occurrences.setdefault(arc, []).append((ci, si))
 
     def loops_tail(color_names: dict[int, int]) -> list[tuple[int, ...]]:
@@ -510,7 +503,7 @@ def _canonical_code(d: TiedDiagram) -> str:
         tokens: list[tuple[int, ...]] = []
         tie = low is not None
         ci, si = start
-        start_arc = crossings[ci].slots[si]
+        start_arc = crossings[ci][si]
         col = d.arc_color[start_arc]
         if col not in colors:
             colors[col] = len(colors) + 1
@@ -534,7 +527,7 @@ def _canonical_code(d: TiedDiagram) -> str:
                 names[ci] = (name, frame)
             tok = (name, (si - frame) % 4, si & 1)
             exit_slot = (si + 2) % 4
-            arc = crossings[ci].slots[exit_slot]
+            arc = crossings[ci][exit_slot]
             occ = occurrences[arc]
             nxt = occ[1] if occ[0] == (ci, exit_slot) else occ[0]
             cur = None if nxt == start else nxt

@@ -150,8 +150,8 @@ class RandomStrategy:
     seed: int
 
     def __post_init__(self):
-        if self.seed < 0:
-            raise ValueError("seed must be non-negative")
+        if not isinstance(self.seed, int) or self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
 
 
 Strategy = OrderedStrategy | RandomStrategy
@@ -186,7 +186,7 @@ def _prepare(d: TiedDiagram, strategy: Strategy):
     number = {c: i for i, c in enumerate(sorted({d.arc_color[a] for a in arc_ids}))}
     colors = [number[d.arc_color[a]] for a in arc_ids]
     dense = {a: i for i, a in enumerate(arc_ids)}
-    slots = [dense[s] for rec in d.crossings for s in rec.slots]
+    slots = [dense[s] for rec in d.crossings for s in rec]
     seed = strategy.seed if isinstance(strategy, RandomStrategy) else -1
     return slots, colors, d.free_loops, seed
 
@@ -283,7 +283,7 @@ def _relabel(cur: TiedDiagram) -> tuple[list[int], list[int]]:
     of those arcs in that order: what the kernels' picks (`_kernel_py._pick`)
     read of a state."""
     names: dict[int, int] = {}
-    rel = [names.setdefault(a, len(names)) for rec in cur.crossings for a in rec.slots]
+    rel = [names.setdefault(a, len(names)) for rec in cur.crossings for a in rec]
     return rel, [cur.arc_color[a] for a in names]
 
 
@@ -390,7 +390,7 @@ def kauffman_bracket(d: TiedDiagram) -> BivariateLaurent:
 
     arcs = sorted(d.used_arcs())
     index = {a: i for i, a in enumerate(arcs)}
-    quads = [tuple(index[s] for s in rec.slots) for rec in d.crossings]
+    quads = [tuple(index[s] for s in rec) for rec in d.crossings]
     n_arcs = len(arcs)
 
     counts: dict[tuple[int, int], int] = {}
@@ -471,7 +471,7 @@ def writhe(d: TiedDiagram, orientation: Sequence[int] | None = None) -> int:
 
     occurrences: dict[int, list[tuple[int, int]]] = {}
     for ci, rec in enumerate(d.crossings):
-        for si, arc in enumerate(rec.slots):
+        for si, arc in enumerate(rec):
             occurrences.setdefault(arc, []).append((ci, si))
     for occ in occurrences.values():
         occ.sort()
@@ -485,7 +485,7 @@ def writhe(d: TiedDiagram, orientation: Sequence[int] | None = None) -> int:
             ci, si = cur
             exit_slot = (si + 2) % 4
             exit_slots[(ci, si & 1)] = exit_slot
-            arc = d.crossings[ci].slots[exit_slot]
+            arc = d.crossings[ci][exit_slot]
             occ = occurrences[arc]
             nxt = occ[1] if occ[0] == (ci, exit_slot) else occ[0]
             if nxt == start:
@@ -518,7 +518,10 @@ def independence_check(d: TiedDiagram, trials: int = 100, seed: int = 0) -> bool
 
     Returns True iff every value is exactly the default strategy's value.
     Any False is an implementation bug, not a property of the diagram.
+    ``trials`` must be at least 1: with none, nothing would be checked.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     reference = double_bracket(d)
     state = seed
     for _ in range(trials):

@@ -6,7 +6,6 @@ from tiedbracket.catalog import (
     ingest_linkinfo_pd,
     load_catalog,
     parse_diagram,
-    render_diagram,
 )
 from tiedbracket.diagram import random_diagram
 from tiedbracket.engine import double_bracket
@@ -58,7 +57,7 @@ def test_ingest_linkinfo():
 def test_render_round_trip():
     for seed in range(15):
         d = random_diagram(seed, seed % 5 + 1, seed % 3 + 1, seed % 2)
-        again = parse_diagram(render_diagram(d))
+        again = parse_diagram(str(d))
         assert again.canonical_code() == d.canonical_code()
 
 

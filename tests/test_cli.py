@@ -106,6 +106,12 @@ def test_tree_truncation(capsys):
     assert out.count('[label="(') == 4
 
 
+def test_tree_max_nodes_below_one(capsys):
+    for n in ("0", "-3"):
+        code, out, err = run(capsys, "tree", "--max-nodes", n, "--fixture", "trefoil")
+        assert code == 1 and out == "" and err.startswith("error:") and "--max-nodes" in err
+
+
 def test_tree_text_mode(capsys):
     code, out, _ = run(capsys, "tree", "pd: X[1,1,2,2]")
     assert code == 0
@@ -175,6 +181,12 @@ def test_selftest_fast_subset(capsys):
     assert code == 0 and "jones-calibration" in out
 
 
+def test_selftest_trials_below_one(capsys):
+    for n in ("0", "-1"):
+        code, out, err = run(capsys, "selftest", "--filter", "tree", "--trials", n)
+        assert code == 1 and out == "" and err.startswith("error:") and "--trials" in err
+
+
 def test_selftest_failure_exits_2(capsys, monkeypatch):
     from tiedbracket import selftest
 
@@ -197,3 +209,8 @@ def test_states_seeded_table_matches_bracket(capsys):
     assert tables[1]["total"] == bracket
     codes = [sorted(row["code"] for row in table["states"]) for table in tables]
     assert codes[1] == codes[0]
+
+
+def test_states_negative_seed(capsys):
+    code, out, err = run(capsys, "states", "--fixture", "trefoil", "--seed", "-1")
+    assert code == 1 and out == "" and err.startswith("error:") and "--seed" in err

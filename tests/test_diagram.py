@@ -9,8 +9,8 @@ from tiedbracket.diagram import (
     ColorMismatchError,
     Complexity,
     CrossingClass,
-    CrossingRecord,
     DanglingArcError,
+    DiagramError,
     MissingColorError,
     TiedDiagram,
     WrongClassError,
@@ -34,14 +34,14 @@ def test_validate_ok():
 
 def test_validate_dangling():
     with pytest.raises(DanglingArcError):
-        TiedDiagram((CrossingRecord((1, 2, 3, 4)),), {1: 1, 2: 1, 3: 1, 4: 1}).validate()
+        TiedDiagram(((1, 2, 3, 4),), {1: 1, 2: 1, 3: 1, 4: 1}).validate()
     # a colored arc that no crossing uses
     with pytest.raises(DanglingArcError, match="arc 7 occurs 0 times"):
         TiedDiagram((), {7: 2}, (1,)).validate()
 
 
 def test_validate_missing_color():
-    crossings = tuple(CrossingRecord(t) for t in TREFOIL)
+    crossings = tuple(TREFOIL)
     colors = {a: 1 for a in range(1, 7)}
     del colors[4]
     with pytest.raises(MissingColorError):
@@ -49,7 +49,7 @@ def test_validate_missing_color():
 
 
 def test_validate_color_mismatch():
-    crossings = tuple(CrossingRecord(t) for t in TREFOIL)
+    crossings = tuple(TREFOIL)
     colors = {a: 1 for a in range(1, 7)}
     colors[2] = 2
     with pytest.raises(ColorMismatchError):
@@ -188,7 +188,7 @@ def test_canonical_code_color_swap():
     # mirror image differs
     d = TiedDiagram.from_pd(TREFOIL)
     mirrored = TiedDiagram(
-        tuple(CrossingRecord((r.slots[1], r.slots[2], r.slots[3], r.slots[0])) for r in d.crossings),
+        tuple((s1, s2, s3, s0) for s0, s1, s2, s3 in d.crossings),
         dict(d.arc_color),
         (),
     )
@@ -201,12 +201,24 @@ def test_normalized_colors():
 
 
 def test_from_pd_errors():
-    with pytest.raises(Exception):
+    with pytest.raises(DiagramError, match="exactly 4 slots"):
         TiedDiagram.from_pd([(1, 2, 3)])
-    with pytest.raises(Exception):
+    with pytest.raises(DiagramError, match="exactly 4 slots"):
+        TiedDiagram.from_pd([(1, 2, 3, 4, 5), (1, 2, 3, 4, 5)])
+    with pytest.raises(DiagramError):
         TiedDiagram.from_pd(HOPF, [1])  # wrong number of colors
-    with pytest.raises(Exception):
+    with pytest.raises(DiagramError):
         TiedDiagram.from_pd(HOPF, [1, 0])  # non-positive color
+    # Raw diagrams whose arcs each occur twice but whose crossings are not
+    # 4-tuples of ints.
+    for crossings in (((1, 2, 3), (1, 2, 3)), ((1, 2, 3, 4, 5), (1, 2, 3, 4, 5))):
+        d = TiedDiagram(crossings, dict.fromkeys(crossings[0], 1))
+        with pytest.raises(DiagramError, match="exactly 4 slots"):
+            d.validate()
+    with pytest.raises(DiagramError, match="must be a tuple"):
+        TiedDiagram([(1, 3, 2, 4), (3, 1, 4, 2)], {1: 1, 2: 1, 3: 2, 4: 2}).validate()
+    with pytest.raises(DiagramError, match="integers"):
+        TiedDiagram(((1, 2, 1, "x"), (2, "x", 3, 3)), {1: 1, 2: 1, 3: 1, "x": 1}).validate()
 
 
 def test_random_diagram_valid():

@@ -126,6 +126,8 @@ def test_double_bracket_strategies_agree():
         double_bracket(d, OrderedStrategy((0, 0)))
     with pytest.raises(ValueError):
         RandomStrategy(-1)
+    with pytest.raises(ValueError, match="integer"):
+        RandomStrategy(1.5)
 
 
 @pytest.mark.parametrize(
@@ -196,6 +198,9 @@ def test_tied_jones():
 def test_independence_check():
     assert independence_check(TiedDiagram((), {}, (1, 1)), trials=3)
     assert independence_check(tied_hopf(), trials=100)
+    for trials in (0, -4):
+        with pytest.raises(ValueError, match="at least 1"):
+            independence_check(tied_hopf(), trials=trials)
 
 
 def grouped_map(d, strat):

@@ -63,13 +63,8 @@ def _renamings(d):
 
 
 def _mirror(d):
-    from tiedbracket.diagram import CrossingRecord
-
     return TiedDiagram(
-        tuple(
-            CrossingRecord((r.slots[1], r.slots[2], r.slots[3], r.slots[0]))
-            for r in d.crossings
-        ),
+        tuple((s1, s2, s3, s0) for s0, s1, s2, s3 in d.crossings),
         dict(d.arc_color),
         d.free_loops,
     )
