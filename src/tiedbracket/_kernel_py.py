@@ -7,10 +7,19 @@ see `_backend`.
 
 Diagrams arrive pre-encoded: `slots` is a flat list of 4*n arc ids (dense,
 0-based, at most MAX_ARCS arcs), `colors` maps arc id -> non-negative
-color (below 256 for the memo key; the engine numbers arc colors in
-order, so they stay below MAX_ARCS), and only the length of `loops`, the
-free loops, matters.  A non-negative `seed` requests a seeded order, and
-`seed = -1` the default one.
+color (below 256; the engine numbers arc colors in order, so they stay
+below MAX_ARCS), and only the length of `loops`, the free loops, matters.
+A non-negative `seed` requests a seeded order, and `seed = -1` the
+default one.
+
+Inside, a state is two `bytes`: its slots and the colors of its arcs,
+indexed by arc label.  The helpers below act on that encoding and serve
+`resolve_sum`, the tree walk `_walk` and the engine's AJ-state table
+(`engine._state_table`) alike: `_pick` chooses the crossing to smooth,
+`_children` smooths it (through `_glue`, which also reports the colors
+of the circles it closes) and `_canonical` relabels a state's arcs by
+first appearance.  Byte labels bound the walks that relabel: fewer than
+256 arcs (MAX_KEY_ARCS).
 
 Leaf weights are products of the branch labels A, 1/A, -1 and
 delta = A + 1/A, so they compress to a triple (sign, apow, dpow).  The
@@ -37,13 +46,12 @@ gives the same value, so a seeded tree need only be some valid tree, not
 one drawn from a sequential random stream.
 
 `resolve_sum` therefore walks the tree as a DAG under every seed: it keys
-each state by rel and the colors of its arcs, and computes each key's
+each state by its canonical slots and colors, and computes each key's
 histogram of (k, apow, dpow) once, relative to the state: k leaves out
 the loops counted above it.  Parents shift a child's
 histogram by the branch weight and by the circles the smoothing closed.
-The memo loop is `_memo_walk`, which the engine's AJ-state table
-(`engine._state_table`) shares with tags of distinct leaves in place of
-k.  The memo lives for one call.
+The memo loop is `_memo_walk`, which the AJ-state table shares with tags
+of distinct leaves in place of k.  The memo lives for one call.
 
 `resolve_leaves`, which promises every leaf in depth-first order, stays a
 tree walk (`_walk`).  The engine does not call it: it is the spec of the
@@ -52,10 +60,14 @@ replays it to count leaves, until a counter of `resolve_sum` does that.
 """
 
 MAX_ARCS = 64
+# Arc labels are bytes in the relabelled states and in the seeded draw.
+MAX_KEY_ARCS = 255
 
 _MASK64 = (1 << 64) - 1
 # Below 2^56, so that a C twin can read rel byte by byte in a u64.
 _DRAW_MOD = (1 << 56) - 5
+_RANGE = bytes(range(256))
+_BYTE = [_RANGE[b : b + 1] for b in range(256)]
 
 
 def _mix(state):
@@ -71,7 +83,7 @@ def _mix(state):
 def resolve_leaves(slots, colors, loops, seed=-1):
     """Resolve completely; return [(k, crossings_left, sign, apow, dpow)]
     in depth-first leaf order."""
-    return list(_walk(slots, colors, len(loops), seed))
+    return list(_walk(bytes(slots), bytes(colors), len(loops), seed))
 
 
 def _pick_ordered(slots, colors, n):
@@ -93,7 +105,7 @@ def _draw(seed, rel):
     """The seeded draw of a state: rel, its slots relabelled by first
     appearance, read as a big-endian integer mod _DRAW_MOD and XORed into
     the seed, then one splitmix64 step (which takes the seed mod 2^64)."""
-    return _mix(seed ^ int.from_bytes(bytes(rel), "big") % _DRAW_MOD)[1]
+    return _mix(seed ^ int.from_bytes(rel, "big") % _DRAW_MOD)[1]
 
 
 def _pick(slots, colors, n, seed):
@@ -116,43 +128,83 @@ def _pick(slots, colors, n, seed):
     return illegal[_draw(seed, slots) % len(illegal)]
 
 
-def _children(slots, colors, loop_count, x, x_type2, sign, apow, dpow):
-    """The children of smoothing crossing x, in the kernels' order:
-    two (the flipped crossing), zero, one; or A, 1/A."""
+def _repaint(slots, colors, x):
+    """The recoloring of the delta branches of type-2 crossing x, as the
+    arguments of `bytes.replace`: the under strand's color j becomes the
+    over strand's i."""
+    return _BYTE[colors[slots[4 * x]]], _BYTE[colors[slots[4 * x + 1]]]
+
+
+def _children(slots, colors, x, x_type2):
+    """The children of smoothing crossing x, in the kernels' order: two
+    (the flipped crossing), zero, one; or A, 1/A.
+
+    Each child is (slots, colors, closed, sign, apow, dpow): ``closed``
+    holds the colors of the circles the smoothing closed, and the branch
+    weight is sign * A^apow * delta^dpow.
+    """
     if x_type2:
-        i = colors[slots[4 * x + 1]]
-        j = colors[slots[4 * x]]
-        flipped = list(slots)
-        s0, s1, s2, s3 = slots[4 * x : 4 * x + 4]
-        flipped[4 * x : 4 * x + 4] = (s1, s2, s3, s0)
+        repaint = _repaint(slots, colors, x)
+        s = 4 * x
+        flipped = slots[:s] + slots[s + 1 : s + 4] + slots[s : s + 1] + slots[s + 4 :]
         return (
-            (flipped, colors, loop_count, -sign, apow, dpow),
-            _glue(slots, colors, loop_count, x, True, j, i, sign, apow, dpow + 1),
-            _glue(slots, colors, loop_count, x, False, j, i, sign, apow, dpow + 1),
+            (flipped, colors, b"", -1, 0, 0),
+            (*_glue(slots, colors, x, True, repaint), 1, 0, 1),
+            (*_glue(slots, colors, x, False, repaint), 1, 0, 1),
         )
     return (
-        _glue(slots, colors, loop_count, x, True, -1, -1, sign, apow + 1, dpow),
-        _glue(slots, colors, loop_count, x, False, -1, -1, sign, apow - 1, dpow),
+        (*_glue(slots, colors, x, True, None), 1, 1, 0),
+        (*_glue(slots, colors, x, False, None), 1, -1, 0),
     )
 
 
-def _canonical(slots, colors):
-    """Relabel live arcs by first appearance; return (slots, colors, key).
+def _glue(slots, colors, x, a_pairing, repaint):
+    """Remove crossing x, reconnect its ends, optionally repaint a color.
 
-    The key is the relabelled slots followed by the colors of the live
-    arcs.  Every live arc occurs twice among the slots, so the slots take
-    two thirds of the key and no two states share one.
+    a_pairing=True glues {s0-s1, s2-s3} (the A-smoothing), else {s0-s3, s1-s2}.
+    Gluing two ends of distinct arcs renames one arc as the other; gluing
+    the two ends of one arc closes a circle.  ``repaint`` is None or the
+    pair of `_repaint`.  Returns (slots, colors, closed): the colors, after
+    the repaint, of the circles closed.
     """
-    label = [-1] * len(colors)
-    out = []
-    live_colors = []
-    for arc in slots:
-        r = label[arc]
-        if r < 0:
-            r = label[arc] = len(live_colors)
-            live_colors.append(colors[arc])
-        out.append(r)
-    return out, live_colors, bytes(out) + bytes(live_colors)
+    s = 4 * x
+    s0, s1, s2, s3 = slots[s : s + 4]
+    new_slots = slots[:s] + slots[s + 4 :]
+    if a_pairing:
+        p, q, r, t = s0, s1, s2, s3
+    else:
+        p, q, r, t = s0, s3, s1, s2
+    if repaint is not None:
+        colors = colors.replace(*repaint)
+
+    closed = b""
+    if p == q:
+        closed = colors[p : p + 1]
+    else:
+        new_slots = new_slots.replace(_BYTE[q], _BYTE[p])
+        if r == q:
+            r = p
+        if t == q:
+            t = p
+    if r == t:
+        closed += colors[r : r + 1]
+    else:
+        new_slots = new_slots.replace(_BYTE[t], _BYTE[r])
+    return new_slots, colors, closed
+
+
+def _canonical(slots, colors):
+    """Relabel live arcs by first appearance; return (slots, colors), the
+    colors those of the live arcs in their new order.
+
+    Every live arc occurs twice among the slots, so the slots take two
+    thirds of ``slots + colors`` and no two states share that key.
+    """
+    order = bytes(dict.fromkeys(slots))
+    return (
+        slots.translate(bytes.maketrans(order, _RANGE[: len(order)])),
+        order.translate(colors.ljust(256, b"\0")),
+    )
 
 
 def _memo_walk(root, state, expand):
@@ -205,78 +257,46 @@ def _memo_walk(root, state, expand):
 def resolve_sum(slots, colors, loops, seed=-1):
     """Resolve completely; return {(apow, dpow, k): signed leaf count}.
 
-    `_memo_walk` over canonical states, tagging histograms with the
-    circles closed below the state.
+    `_memo_walk` over canonical states (`_canonical`), tagging histograms
+    with the circles closed below the state.
     """
 
     def expand(state):
-        slots, colors, _ = state
+        slots, colors = state
         n = len(slots) >> 2
         x, x_type2 = _pick(slots, colors, n, seed)
         if x < 0:
             return _leaf(slots, colors, 0, n, 1, 0, 0)[0]
         children = []
-        for c_slots, c_colors, closed, sign, apow, dpow in _children(
-            slots, colors, 0, x, x_type2, 1, 0, 0
-        ):
+        for c_slots, c_colors, closed, sign, apow, dpow in _children(slots, colors, x, x_type2):
             child = _canonical(c_slots, c_colors)
-            children.append((child[2], child, sign, apow, dpow, closed))
+            children.append((child[0] + child[1], child, sign, apow, dpow, len(closed)))
         return children
 
-    # A state is what `_canonical` returns: (slots, colors, key).
-    root = _canonical(slots, colors)
-    it = iter(_memo_walk(root[2], root, expand))
+    root = _canonical(bytes(slots), bytes(colors))
+    it = iter(_memo_walk(root[0] + root[1], root, expand))
     return {(apow, dpow, k + len(loops)): count for k, apow, dpow, count in zip(it, it, it, it)}
 
 
-def _walk(slots, colors, n_loops, seed):
+def _walk(slots, colors, loop_count, seed):
     # Stack entries: (slots, colors, loop_count, sign, apow, dpow).
-    stack = [(list(slots), list(colors), n_loops, 1, 0, 0)]
+    stack = [(slots, colors, loop_count, 1, 0, 0)]
     while stack:
         slots, colors, loop_count, sign, apow, dpow = stack.pop()
         n = len(slots) >> 2
         if seed >= 0:
-            slots, colors, _ = _canonical(slots, colors)
+            slots, colors = _canonical(slots, colors)
         x, x_type2 = _pick(slots, colors, n, seed)
         if x < 0:
             yield _leaf(slots, colors, loop_count, n, sign, apow, dpow)
             continue
         # Pushed in reverse so that children pop in the kernels' order.
-        stack.extend(reversed(_children(slots, colors, loop_count, x, x_type2, sign, apow, dpow)))
-
-
-def _glue(slots, colors, loop_count, x, a_pairing, j, i, sign, apow, dpow):
-    """Remove crossing x, reconnect its ends, optionally repaint color j as i.
-
-    a_pairing=True glues {s0-s1, s2-s3} (the A-smoothing), else {s0-s3, s1-s2}.
-    """
-    s0, s1, s2, s3 = slots[4 * x : 4 * x + 4]
-    new_slots = slots[: 4 * x] + slots[4 * x + 4 :]
-    if a_pairing:
-        p, q, r, t = s0, s1, s2, s3
-    else:
-        p, q, r, t = s0, s3, s1, s2
-
-    if p == q:
-        loop_count += 1
-    else:
-        for idx, arc in enumerate(new_slots):
-            if arc == q:
-                new_slots[idx] = p
-        if r == q:
-            r = p
-        if t == q:
-            t = p
-    if r == t:
-        loop_count += 1
-    else:
-        for idx, arc in enumerate(new_slots):
-            if arc == t:
-                new_slots[idx] = r
-
-    if j >= 0:
-        colors = [i if c == j else c for c in colors]
-    return (new_slots, colors, loop_count, sign, apow, dpow)
+        for c_slots, c_colors, closed, c_sign, c_apow, c_dpow in reversed(
+            _children(slots, colors, x, x_type2)
+        ):
+            stack.append(
+                (c_slots, c_colors, loop_count + len(closed), sign * c_sign, apow + c_apow, dpow + c_dpow)
+            )
 
 
 def _leaf(slots, colors, loop_count, n, sign, apow, dpow):

@@ -192,13 +192,15 @@ class TiedDiagram:
     def validate(self) -> None:
         """Check the structural invariants; raise a DiagramError otherwise.
 
-        The crossings must be a tuple of 4-tuples of int arc ids, every
-        colored arc and every arc id among the slots must occur exactly
-        twice there, every used arc must be colored, and all arcs of one
-        component must share a color.
+        The crossings must be a tuple of 4-tuples of int arc ids and the
+        free loops a tuple of colors, every colored arc and every arc id
+        among the slots must occur exactly twice there, every used arc
+        must be colored, and all arcs of one component must share a color.
         """
-        if not isinstance(self.crossings, tuple):
-            raise DiagramError(f"crossings must be a tuple, got {type(self.crossings).__name__}")
+        for name in ("crossings", "free_loops"):
+            value = getattr(self, name)
+            if not isinstance(value, tuple):
+                raise DiagramError(f"{name} must be a tuple, got {type(value).__name__}")
         counts = dict.fromkeys(self.arc_color, 0)
         for rec in self.crossings:
             if not isinstance(rec, tuple) or len(rec) != 4:

@@ -25,7 +25,16 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from . import _backend
-from ._kernel_py import MAX_ARCS, _memo_walk, _mix, _pick
+from ._kernel_py import (
+    MAX_ARCS,
+    MAX_KEY_ARCS,
+    _canonical,
+    _children,
+    _memo_walk,
+    _mix,
+    _pick,
+    _repaint,
+)
 from .laurent import A, A_INV, C, DELTA, LOOP, BivariateLaurent
 from .diagram import (
     BAR0,
@@ -171,24 +180,43 @@ def _ordered(d: TiedDiagram, strategy: Strategy) -> TiedDiagram:
     return TiedDiagram(tuple(d.crossings[i] for i in perm), d.arc_color, d.free_loops)
 
 
-def _prepare(d: TiedDiagram, strategy: Strategy):
-    """Validate and encode a diagram for the kernels.
+def _seed(strategy: Strategy) -> int:
+    """The kernels' seed argument: the strategy's seed, or -1 for an order."""
+    return strategy.seed if isinstance(strategy, RandomStrategy) else -1
 
-    Diagrams past the compiled kernel's arc buffers are rejected here, so
-    both kernels accept the same diagrams.  Arc colors are numbered from
-    0 in order, so they stay below MAX_ARCS, as the pure-Python memo key
-    needs; the kernels read only the number of loops.
-    """
-    d = _ordered(d, strategy)
+
+def _arc_ids(d: TiedDiagram, limit: int, walk: str) -> list[int]:
+    """The arcs of ``d`` in order; a DiagramError past ``limit`` arcs."""
     arc_ids = sorted(d.used_arcs())
-    if len(arc_ids) > MAX_ARCS:
-        raise DiagramError(f"kernel supports at most {MAX_ARCS // 2} crossings")
+    if len(arc_ids) > limit:
+        raise DiagramError(f"{walk} supports at most {limit // 2} crossings")
+    return arc_ids
+
+
+def _encode(d: TiedDiagram, limit: int, walk: str):
+    """Encode a diagram for `_kernel_py`'s helpers: ``(slots, colors,
+    number)``, with the arcs numbered densely in order and the arc colors
+    numbered from 0 in order, as the dict ``number`` lists them.  The
+    numbering is monotone, so picks do not change.
+    """
+    arc_ids = _arc_ids(d, limit, walk)
     number = {c: i for i, c in enumerate(sorted({d.arc_color[a] for a in arc_ids}))}
     colors = [number[d.arc_color[a]] for a in arc_ids]
     dense = {a: i for i, a in enumerate(arc_ids)}
     slots = [dense[s] for rec in d.crossings for s in rec]
-    seed = strategy.seed if isinstance(strategy, RandomStrategy) else -1
-    return slots, colors, d.free_loops, seed
+    return slots, colors, number
+
+
+def _prepare(d: TiedDiagram, strategy: Strategy):
+    """Validate and encode a diagram for the kernels (`_encode`).
+
+    Diagrams past the compiled kernel's arc buffers (MAX_ARCS) are
+    rejected here, so both kernels accept the same diagrams.  Arc colors
+    stay below MAX_ARCS; the kernels read only the number of loops.
+    """
+    d = _ordered(d, strategy)
+    slots, colors, _ = _encode(d, MAX_ARCS, "kernel")
+    return slots, colors, d.free_loops, _seed(strategy)
 
 
 _weight_cache: dict[tuple[int, int, int], BivariateLaurent] = {}
@@ -249,7 +277,7 @@ def resolve(
     """Collect the AJ-states of the resolution tree of ``d`` with their weights.
 
     ``group=True`` is the AJ-state table (`_state_table`, behind
-    ``tiedbracket states``): it smooths each distinct state once,
+    ``tiedbracket states``): it expands each distinct state once,
     summarizes each distinct leaf once and merges the entries of
     identical states.  ``group=False`` walks every node of the tree
     (`resolution_tree`) and returns every leaf, depth-first in the
@@ -304,45 +332,65 @@ def _smoothings(cur: TiedDiagram, x: int, x_type2: bool):
 
 
 def _state_table(d: TiedDiagram, strategy: Strategy, codes: bool) -> StateSum:
-    """The grouped AJ-state table of ``d``, smoothing each distinct state once.
+    """The grouped AJ-state table of ``d``, expanding each distinct state once.
 
-    A state is keyed by its relabelled slots and their colors (`_relabel`),
-    and its sorted loop colors, as two strings of code points; the first
-    is 6 characters per crossing.  The root's colors are renamed to 1..m
-    first, so that they are code points; the renaming is monotone, so
-    picks and codes do not change.  States with one key have isomorphic
-    subtrees: the picks read only the relabelled slots and their colors,
-    and a leaf's code, k and gamma read its loop colors only as a
-    multiset.  `_kernel_py._memo_walk` computes each key's histogram of
-    (leaf, apow, dpow) once, where leaf indexes the distinct leaves, and
-    each distinct leaf is summarized once.
+    The walk is `_kernel_py`'s: `_memo_walk` over the byte-encoded states
+    of `resolve_sum`, smoothed by `_kernel_py._children` and keyed through
+    `_kernel_py._canonical`, here with the sorted colors of the state's
+    loops added to the key.  ``d`` is encoded once (`_encode`), so it may
+    have fewer than 256 arcs (MAX_KEY_ARCS).  A loop of a color that no
+    arc carries stays out of the states and is added back to every leaf:
+    a repaint merges the colors of two arcs, so it never reaches that loop.
+
+    States with one key have isomorphic subtrees: the picks read only the
+    relabelled slots and their colors, and a leaf's code, k and gamma read
+    its loop colors only as a multiset.  Each key's histogram of (leaf,
+    apow, dpow) is computed once, where leaf indexes the distinct leaves;
+    each distinct leaf is rebuilt as one diagram and summarized once.
     """
-    seed = strategy.seed if isinstance(strategy, RandomStrategy) else -1
-    leaves: list[TiedDiagram] = []
+    d = _ordered(d, strategy)
+    slots, colors, number = _encode(d, MAX_KEY_ARCS, "the AJ-state table")
+    palette = list(number)
+    loops = bytes(sorted(number[c] for c in d.free_loops if c in number))
+    inert = tuple(c for c in d.free_loops if c not in number)
+    seed = _seed(strategy)
+    leaves: list[tuple[bytes, bytes, bytes]] = []
 
-    def state(cur):
-        """The memo key of ``cur`` and the state `expand` takes."""
-        rel, colors = _relabel(cur)
-        key = ("".join(map(chr, rel + colors)), "".join(map(chr, sorted(cur.free_loops))))
-        return key, (cur, rel, colors)
-
-    def expand(node):
-        cur, rel, colors = node
-        x, x_type2 = _pick(rel, colors, len(cur.crossings), seed)
+    def expand(state):
+        rel, colors, loops = state
+        x, x_type2 = _pick(rel, colors, len(rel) >> 2, seed)
         if x < 0:
-            leaves.append(cur)
+            leaves.append(state)
             return len(leaves) - 1
-        return [
-            (*state(child), sign, apow, dpow, 0)
-            for _, child, sign, apow, dpow in _smoothings(cur, x, x_type2)
-        ]
+        children = []
+        for c_slots, c_colors, closed, sign, apow, dpow in _children(rel, colors, x, x_type2):
+            c_loops = loops
+            if dpow:
+                c_loops = c_loops.replace(*_repaint(rel, colors, x))
+            if dpow or closed:
+                c_loops = bytes(sorted(c_loops + closed))
+            c_rel, c_colors = _canonical(c_slots, c_colors)
+            child = (c_rel, c_colors, c_loops)
+            children.append(((c_rel + c_colors, c_loops), child, sign, apow, dpow, 0))
+        return children
 
+    def diagram(rel, colors, loops):
+        it = iter(rel)
+        return TiedDiagram(
+            tuple(zip(it, it, it, it)),
+            {a: palette[c] for a, c in enumerate(colors)},
+            tuple(palette[c] for c in loops) + inert,
+        )
+
+    root = (*_canonical(bytes(slots), bytes(colors)), loops)
     weights: dict[int, BivariateLaurent] = {}
-    it = iter(_memo_walk(*state(_ordered(d, strategy).normalized_colors()), expand))
+    it = iter(_memo_walk((root[0] + root[1], loops), root, expand))
     for leaf, apow, dpow, count in zip(it, it, it, it):
         w = _branch_weight(1, apow, dpow) * count
         weights[leaf] = weights[leaf] + w if leaf in weights else w
-    return StateSum([(_summary(leaves[leaf], codes), w) for leaf, w in weights.items()]).grouped()
+    return StateSum(
+        [(_summary(diagram(*leaves[leaf]), codes), w) for leaf, w in weights.items()]
+    ).grouped()
 
 
 def resolution_tree(d: TiedDiagram, strategy: Strategy = _DEFAULT):
@@ -355,10 +403,14 @@ def resolution_tree(d: TiedDiagram, strategy: Strategy = _DEFAULT):
     Picks follow the kernels' rule (`_kernel_py._pick`) and child order
     (`_smoothings`), so leaves arrive in the kernels' leaf order.
     Children are smoothed only when the generator resumes after their
-    parent.
+    parent.  A seeded walk draws from relabelled slots as bytes
+    (`_kernel_py._draw`), so it takes fewer than 256 arcs (MAX_KEY_ARCS).
     """
-    seed = strategy.seed if isinstance(strategy, RandomStrategy) else -1
-    stack = [(None, "", _ordered(d, strategy), 1, 0, 0)]
+    d = _ordered(d, strategy)
+    seed = _seed(strategy)
+    if seed >= 0:
+        _arc_ids(d, MAX_KEY_ARCS, "a seeded walk")
+    stack = [(None, "", d, 1, 0, 0)]
     node = 0
     while stack:
         parent, label, cur, sign, apow, dpow = stack.pop()

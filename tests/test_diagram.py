@@ -219,6 +219,9 @@ def test_from_pd_errors():
         TiedDiagram([(1, 3, 2, 4), (3, 1, 4, 2)], {1: 1, 2: 1, 3: 2, 4: 2}).validate()
     with pytest.raises(DiagramError, match="integers"):
         TiedDiagram(((1, 2, 1, "x"), (2, "x", 3, 3)), {1: 1, 2: 1, 3: 1, "x": 1}).validate()
+    # list loops used to pass validate() and then fail in disjoint_union
+    with pytest.raises(DiagramError, match="free_loops must be a tuple"):
+        TiedDiagram((), {}, [1, 1]).validate()
 
 
 def test_random_diagram_valid():

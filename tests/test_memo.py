@@ -1,8 +1,9 @@
 """The memoized walk of `_kernel_py.resolve_sum` against the tree walk, in
 the default order and under seeds; the memoized AJ-state table against the
-diagram-level tree walk; the seeded pick rule; a closure whose tree only
-the memo can afford; and that the memo and the code search leave no
-reference cycles."""
+diagram-level tree walk, also on many loops and colors; how many states
+each memo expands; the seeded pick rule; closures whose tree only the memo
+can afford, up to the byte labels' bound; and that the memo and the code
+search leave no reference cycles."""
 
 import gc
 import random
@@ -12,9 +13,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tiedbracket import _backend, _kernel_py
+from tiedbracket import _backend, _kernel_py, engine
 from tiedbracket.catalog import load_catalog
-from tiedbracket.diagram import TiedDiagram, random_diagram
+from tiedbracket.cli import main
+from tiedbracket.diagram import DiagramError, TiedDiagram, random_diagram
 from tiedbracket.engine import (
     OrderedStrategy,
     RandomStrategy,
@@ -26,6 +28,7 @@ from tiedbracket.engine import (
 from tiedbracket.laurent import LOOP, BivariateLaurent
 
 
+HOPF = [(1, 3, 2, 4), (3, 1, 4, 2)]
 # Two seeds, one past 2^64, which the draw takes mod 2^64.
 SEEDED = (RandomStrategy(3), RandomStrategy(2**64 + 11))
 CATALOG = load_catalog()
@@ -90,6 +93,54 @@ def test_state_table_takes_colors_past_the_code_points():
         assert_state_table_matches_tree(d)
 
 
+@pytest.mark.parametrize(
+    "pd, colors, loops",
+    [
+        ([], None, [1] * 300),
+        ([], None, range(1, 131)),
+        # 260 loops of an arc color: a key longer than 255 bytes
+        (HOPF, [1, 2], [1] * 260),
+        # loops of colors no arc carries stay out of the states
+        (HOPF, [301, 302], range(1, 301)),
+        # the delta branches repaint the loops of color 2 as 1
+        (HOPF, [1, 2], [1, 2, 2]),
+    ],
+)
+def test_state_table_takes_many_loops_and_colors(pd, colors, loops):
+    d = TiedDiagram.from_pd(pd, colors, loops)
+    for strategy in (OrderedStrategy(),) + SEEDED:
+        assert_state_table_matches_tree(d, strategy)
+    assert resolve(d, group=True).total() == double_bracket(d)
+
+
+def count_expanded(monkeypatch, module, run):
+    """The states `_memo_walk`, as ``module`` calls it, expands during ``run()``."""
+    walk, calls = module._memo_walk, []
+
+    def counted(root, state, expand):
+        def counted_expand(s):
+            calls.append(s)
+            return expand(s)
+
+        return walk(root, state, counted_expand)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(module, "_memo_walk", counted)
+        run()
+    return len(calls)
+
+
+def test_memo_keys_merge_the_same_states(monkeypatch):
+    # A key that splits states expands more of them; one that merges
+    # states with different subtrees gives a wrong table.
+    d = next(e for e in CATALOG if e.name == "L11n418").diagram()
+    table = count_expanded(monkeypatch, engine, lambda: resolve(d, codes=True, group=True))
+    walk = count_expanded(
+        monkeypatch, _kernel_py, lambda: _kernel_py.resolve_sum(*_prepare(d, OrderedStrategy()))
+    )
+    assert (table, walk) == (1266, 923)
+
+
 def test_code_and_state_table_leave_no_garbage_cycles():
     # Each call's memo, closures and search state must be freed by
     # reference counting alone, not left to the cyclic collector.
@@ -139,7 +190,7 @@ def test_seeded_leaves_ignore_arc_names():
 )
 def test_seeds_pick_differently_at_the_root(entry):
     slots, colors, _, _ = _prepare(entry.diagram(), OrderedStrategy())
-    slots, colors, _ = _kernel_py._canonical(slots, colors)
+    slots, colors = _kernel_py._canonical(bytes(slots), bytes(colors))
     picks = {_kernel_py._pick(slots, colors, len(slots) // 4, seed) for seed in range(10)}
     assert len(picks) >= 2
 
@@ -194,3 +245,26 @@ def test_memo_resolves_a_long_torus_closure(monkeypatch):
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
     assert LOOP * value == torus_2_closed_form(30, -1)
+
+
+def test_state_table_takes_a_closure_past_the_kernel_bound():
+    # 80 arcs, past the kernels' 64
+    d = torus_2(40)
+    with pytest.raises(DiagramError):
+        double_bracket(d)
+    assert LOOP * resolve(d, group=True).total() == torus_2_closed_form(40, -1)
+    # 254 arcs, the most the byte labels take
+    assert LOOP * resolve(torus_2(127), group=True).total() == torus_2_closed_form(127, -1)
+
+
+def test_byte_walks_refuse_256_arcs(capsys):
+    d = torus_2(128)
+    for strategy in (OrderedStrategy(), RandomStrategy(1)):
+        with pytest.raises(DiagramError, match="at most 127 crossings"):
+            resolve(d, strategy, codes=True, group=True)
+    # the seeded diagram walk draws from byte labels too
+    with pytest.raises(DiagramError, match="at most 127 crossings"):
+        resolve(d, RandomStrategy(1), codes=True)
+    assert main(["states", "--seed", "1", str(torus_2(130))]) == 1
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith("error:") and "127 crossings" in out.err
