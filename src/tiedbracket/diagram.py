@@ -15,6 +15,7 @@ Planarity of the input is trusted, never verified.
 from __future__ import annotations
 
 import enum
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -346,12 +347,15 @@ class TiedDiagram:
     def canonical_code(self) -> str:
         """A string identifying the diagram up to arc relabeling and crossing reordering.
 
-        The code is the lexicographic minimum, over all traversal starting
-        points and directions, of the visit sequence: crossings are named in
-        visit order, each passage records (crossing name, entry slot relative
-        to the first visit, under/over), components record their color with
-        colors renamed by first appearance, and free loops are appended by
-        normalized color with multiplicities.
+        A start dart forces a walk through its piece, the crossings joined
+        through arcs: crossings are named in visit order, each passage
+        records (crossing name, entry slot relative to the first visit,
+        under/over), and each component opens with its color, renamed by
+        first appearance.  A closed component is followed by one entering
+        the lowest-named crossing with a strand left, at that strand's
+        lower relative slot.  The code is the least run of such walks over
+        the orders of the pieces and their start darts, followed by the
+        free loops by color with multiplicities.
         """
         return _canonical_code(self)
 
@@ -472,103 +476,99 @@ def disjoint_union(
 
 
 def _canonical_code(d: TiedDiagram) -> str:
-    crossings = d.crossings
-    n = len(crossings)
-    occurrences: dict[int, list[tuple[int, int]]] = {}
-    for ci, rec in enumerate(crossings):
-        for si, arc in enumerate(rec):
-            occurrences.setdefault(arc, []).append((ci, si))
+    crossings, arc_color = d.crossings, d.arc_color
+    # Dart 4 * ci + si enters crossing ci at slot si and leaves it at slot
+    # si ^ 2; succ[dart] is the dart the strand enters next.
+    ends: dict[int, list[int]] = {}
+    for dart, arc in enumerate(a for rec in crossings for a in rec):
+        ends.setdefault(arc, []).append(dart)
+    succ = [0] * (4 * len(crossings))
+    for a, b in ends.values():
+        succ[a ^ 2], succ[b ^ 2] = b, a
+    pieces: list[list[int]] = []  # the crossings joined through arcs
+    placed: set[int] = set()
+    for first in (ci for ci in range(len(crossings)) if ci not in placed):
+        piece = [first]
+        placed.add(first)
+        for ci in piece:
+            fresh = {dart >> 2 for dart in succ[4 * ci : 4 * ci + 4]} - placed
+            placed |= fresh
+            piece += fresh
+        pieces.append(piece)
+    piece_colors = [{arc_color[a] for ci in piece for a in crossings[ci]} for piece in pieces]
+    loop_counts = Counter(d.free_loops)
 
-    def loops_tail(color_names: dict[int, int]) -> list[tuple[int, ...]]:
-        groups: dict[int, int] = {}
-        for c in d.free_loops:
-            groups[c] = groups.get(c, 0) + 1
-        named = sorted(
-            ((color_names[c], cnt) for c, cnt in groups.items() if c in color_names)
-        )
-        unnamed = sorted(
-            (cnt for c, cnt in groups.items() if c not in color_names), reverse=True
-        )
-        next_name = len(color_names) + 1
-        tail = [(-2, name, cnt) for name, cnt in named]
-        for cnt in unnamed:
-            tail.append((-2, next_name, cnt))
-            next_name += 1
-        tail.sort()
-        return tail
+    def loops_tail(names: dict[int, int]) -> list[tuple[int, ...]]:
+        unnamed = sorted((n for c, n in loop_counts.items() if c not in names), reverse=True)
+        tail = sorted((-2, names[c], n) for c, n in loop_counts.items() if c in names)
+        return tail + [(-2, name, n) for name, n in enumerate(unnamed, len(names) + 1)]
 
-    def trace(start: tuple[int, int], names: dict[int, tuple[int, int]],
-              colors: dict[int, int], visited: set[tuple[int, int]],
-              low: list[tuple[int, ...]] | None):
-        """Walk one component; returns its tokens, or None as soon as they
-        exceed ``low``, the least tokens of another start so far."""
-        tokens: list[tuple[int, ...]] = []
-        tie = low is not None
-        ci, si = start
-        start_arc = crossings[ci][si]
-        col = d.arc_color[start_arc]
-        if col not in colors:
-            colors[col] = len(colors) + 1
-        tok = (-1, colors[col], 0)
-        cur = start
+    def walk(dart: int, base: int, colors: dict[int, int]):
+        """The tokens of the piece that ``dart`` enters, its crossings named
+        from ``base + 1`` on, and its new colors named in ``colors``."""
+        names: dict[int, tuple[int, int]] = {}  # crossing -> (name, frame)
+        strands: set[int] = set()  # 2 * ci + parity of each strand passed
         while True:
-            if tie:
-                i = len(tokens)
-                if i == len(low) or tok > low[i]:
-                    return None
-                tie = tok == low[i]
-            tokens.append(tok)
-            if cur is None:
-                return tokens
-            ci, si = cur
-            visited.add((ci, si & 1))
-            if ci in names:
-                name, frame = names[ci]
+            yield (-1, colors.setdefault(arc_color[crossings[dart >> 2][dart & 3]], len(colors) + 1), 0)
+            first = dart
+            while True:
+                ci, si = dart >> 2, dart & 3
+                strands.add(2 * ci + (si & 1))
+                name, frame = names.setdefault(ci, (base + len(names) + 1, si))
+                yield (name, (si - frame) & 3, si & 1)
+                dart = succ[dart]
+                if dart == first:
+                    break
+            # The next component enters the lowest named crossing with a
+            # strand not passed yet, at slot 1 of that crossing's frame (the
+            # strand's slots are 1 and 3).  None left: the piece is done.
+            for ci, (_, frame) in names.items():
+                if 2 * ci + (frame & 1 ^ 1) not in strands:
+                    dart = 4 * ci + (frame + 1 & 3)
+                    break
             else:
-                name, frame = len(names) + 1, si
-                names[ci] = (name, frame)
-            tok = (name, (si - frame) % 4, si & 1)
-            exit_slot = (si + 2) % 4
-            arc = crossings[ci][exit_slot]
-            occ = occurrences[arc]
-            nxt = occ[1] if occ[0] == (ci, exit_slot) else occ[0]
-            cur = None if nxt == start else nxt
+                return
 
-    # A depth-first search over the starts of the components, on a stack:
-    # a nested function that recursed would refer to itself through its
-    # closure, and so leave each call's state to the cyclic collector.
+    # A depth-first search over the order of the pieces and their start
+    # darts, on a stack, as a nested function that recursed would leave each
+    # call's state to the cyclic collector.  Only a piece's least tokens can
+    # lead to the minimum: tokens that are a proper prefix of others go on
+    # with a (-1, ...) or (-2, ...) token, the longer ones with a passage,
+    # as every crossing named so far has both strands passed.  Where the
+    # prefix is the best code's, tokens above its rest lose too.
     best: list[tuple[int, ...]] | None = None
-    stack = [([], {}, {}, set())]
+    stack = [([], tuple(range(len(pieces))), {}, 0)]
     while stack:
-        prefix, names, colors, visited = stack.pop()
-        if len(visited) == 2 * n:
-            cand = prefix + loops_tail(colors)
-            if best is None or cand < best:
-                best = cand
+        prefix, left, colors, base = stack.pop()
+        if best is not None and prefix > best[: len(prefix)]:
             continue
-        # Only the least token lists can lead to the minimum: what follows a
-        # component's tokens is a (-1, ...) or (-2, ...) token, below every
-        # crossing token, so a list that is a proper prefix of another is
-        # the lesser one whatever follows.  Where the prefix is the best
-        # code's, tokens above the rest of the best code cannot win either.
+        if not left:
+            cand = prefix + loops_tail(colors)
+            best = cand if best is None else min(best, cand)
+            continue
         low, options = None, []
         if best is not None and prefix == best[: len(prefix)]:
             low = best[len(prefix) :]
-        for ci in range(n):
-            for si in range(4):
-                if (ci, si & 1) not in visited:
-                    nm, cl, vs = dict(names), dict(colors), set(visited)
-                    tokens = trace((ci, si), nm, cl, vs, low)
-                    if tokens is None:
-                        continue
+        for p in left:
+            # Walks with equal tokens that name alike the colors met outside
+            # their own pieces leave searches alike, so one of them will do.
+            own = piece_colors[p].difference(loop_counts, *(piece_colors[q] for q in left if q != p))
+            for dart in (4 * ci + si for ci in pieces[p] for si in range(4)):
+                cl, tokens, tie = dict(colors), [], low is not None
+                for tok in walk(dart, base, cl):
+                    if tie:
+                        i = len(tokens)
+                        if i == len(low) or tok > low[i]:
+                            break
+                        tie = tok == low[i]
+                    tokens.append(tok)
+                else:
                     if tokens != low:
                         low, options = tokens, []
-                    options.append((nm, cl, vs))
-        cand_prefix = prefix + low
-        if best is not None and cand_prefix > best[: len(cand_prefix)]:
-            continue
+                    shared = {c: name for c, name in cl.items() if c not in own}
+                    if all(shared != s for _, _, s in options):
+                        options.append((p, cl, shared))
         # Pushed in reverse so that the options are searched in order.
-        for nm, cl, vs in reversed(options):
-            stack.append((cand_prefix, nm, cl, vs))
-    assert best is not None
+        for p, cl, _ in reversed(options):
+            stack.append((prefix + low, tuple(q for q in left if q != p), cl, base + len(pieces[p])))
     return ";".join(",".join(str(x) for x in tok) for tok in best)

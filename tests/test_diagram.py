@@ -1,5 +1,9 @@
+import itertools
+import random
+
 import pytest
 
+from tiedbracket.catalog import fixture
 from tiedbracket.diagram import (
     BAR0,
     BAR1,
@@ -21,6 +25,8 @@ from tiedbracket.diagram import (
 
 TREFOIL = [(1, 4, 2, 5), (3, 6, 4, 1), (5, 2, 6, 3)]
 HOPF = [(1, 3, 2, 4), (3, 1, 4, 2)]
+# The closure of the braid s1 s1 s2^-1 s2^-1: a chain of three components.
+CHAIN = [(1, 2, 5, 4), (4, 5, 6, 1), (3, 8, 7, 6), (8, 3, 2, 7)]
 
 
 def tied_hopf(c1=1, c2=2):
@@ -193,6 +199,78 @@ def test_canonical_code_color_swap():
         (),
     )
     assert d.canonical_code() != mirrored.canonical_code()
+
+
+def test_canonical_code_strings():
+    # The codes that `states` and `states --json` print.
+    codes = {
+        name: fixture(name).diagram().canonical_code()
+        for name in ("hopf", "tiedHopf12", "trefoil", "figure8")
+    }
+    assert codes == {
+        "hopf": "-1,1,0;1,0,0;2,0,1;-1,1,0;1,1,1;2,3,0",
+        "tiedHopf12": "-1,1,0;1,0,0;2,0,1;-1,2,0;1,1,1;2,3,0",
+        "trefoil": "-1,1,0;1,0,0;2,0,1;3,0,0;1,1,1;2,3,0;3,1,1",
+        "figure8": "-1,1,0;1,0,0;2,0,1;3,0,0;1,1,1;4,0,0;3,3,1;2,1,0;4,1,1",
+    }
+    # Once the first component closes, the walk enters crossing 1 on its
+    # other strand; once that one closes, crossing 3.
+    chain = TiedDiagram.from_pd(CHAIN, [1, 2, 1])
+    assert chain.canonical_code() == (
+        "-1,1,0;1,0,0;2,0,1;-1,2,0;1,1,1;2,3,0;3,0,1;4,0,0;-1,1,0;3,1,0;4,3,1"
+    )
+    looped = TiedDiagram(chain.crossings, dict(chain.arc_color), (3, 1, 3))
+    assert looped.canonical_code() == chain.canonical_code() + ";-2,1,1;-2,3,2"
+
+
+def scrambled(d, seed):
+    """``d`` with its arcs relabelled and its crossings reordered."""
+    rng = random.Random(seed)
+    arcs = sorted(d.used_arcs())
+    d = d.relabel_arcs(dict(zip(arcs, rng.sample(range(100, 300), len(arcs)))))
+    crossings = tuple(rng.sample(d.crossings, len(d.crossings)))
+    return TiedDiagram(crossings, dict(d.arc_color), d.free_loops)
+
+
+def mirror(d):
+    crossings = tuple(rec[1:] + rec[:1] for rec in d.crossings)
+    return TiedDiagram(crossings, dict(d.arc_color), d.free_loops)
+
+
+def shared(a, b):
+    """The disjoint union with color 1 of ``a`` and of ``b`` identified."""
+    color_map = {c: 1 if c == 1 else a.n_colors + c - 1 for c in range(1, b.n_colors + 1)}
+    return disjoint_union(a, b, share_colors=True, color_map=color_map)
+
+
+def test_canonical_code_ignores_the_order_of_pieces():
+    trefoil = TiedDiagram.from_pd(TREFOIL)
+    pieces = [
+        tied_hopf(),
+        trefoil,
+        mirror(trefoil),
+        TiedDiagram.from_pd(CHAIN, [1, 2, 1]),
+        TiedDiagram(trefoil.crossings, dict(trefoil.arc_color), (1, 1)),
+    ]
+    for seed, (a, b) in enumerate(itertools.product(pieces, repeat=2)):
+        for union in (disjoint_union, shared):
+            ab = disjoint_union(union(a, b), unknot())
+            ba = disjoint_union(unknot(), union(b, a))
+            assert ab.canonical_code() == scrambled(ba, seed).canonical_code()
+
+
+def test_mirroring_one_piece_changes_the_code():
+    trefoil = TiedDiagram.from_pd(TREFOIL)
+    for other in (trefoil, tied_hopf(), TiedDiagram.from_pd(CHAIN, [1, 2, 1])):
+        for union in (disjoint_union, shared):
+            assert (
+                union(trefoil, other).canonical_code()
+                != union(mirror(trefoil), other).canonical_code()
+            )
+            assert (
+                union(other, trefoil).canonical_code()
+                != union(other, mirror(trefoil)).canonical_code()
+            )
 
 
 def test_normalized_colors():

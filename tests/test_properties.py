@@ -1,7 +1,9 @@
 """Property-based tests: ring axioms, text round-trips, and the structural
 invariants of smoothing."""
 
+import itertools
 import random
+from collections import Counter
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -115,3 +117,76 @@ def test_crossing_reordering_preserves_code(seed, n, colors):
         tuple(d.crossings[i] for i in order), dict(d.arc_color), d.free_loops
     )
     assert reordered.canonical_code() == d.canonical_code()
+
+
+def _arc_bijections(x1, x2):
+    """Every arc bijection that sends the crossings ``x1`` onto ``x2`` in
+    some order, each tuple rotated by 0 or 2 slots."""
+    if len(x1) != len(x2):
+        return
+    for perm in itertools.permutations(x2):
+        for rots in itertools.product((0, 2), repeat=len(x1)):
+            arcs, back = {}, {}
+            if all(
+                arcs.setdefault(a, b) == b and back.setdefault(b, a) == a
+                for rec, target, r in zip(x1, perm, rots)
+                for a, b in zip(rec, target[r:] + target[:r])
+            ):
+                yield arcs
+
+
+def _isomorphic(d1, d2):
+    """Brute force: an arc bijection that induces a color bijection, which
+    carries the loop multiset of ``d1`` onto that of ``d2``."""
+    loops1, loops2 = Counter(d1.free_loops), Counter(d2.free_loops)
+    for arcs in _arc_bijections(d1.crossings, d2.crossings):
+        colors = {}
+        if not all(
+            colors.setdefault(d1.arc_color[a], d2.arc_color[b]) == d2.arc_color[b]
+            for a, b in arcs.items()
+        ) or len(set(colors.values())) != len(colors):
+            continue
+        if all(loops1[c] == loops2[c2] for c, c2 in colors.items()) and sorted(
+            n for c, n in loops1.items() if c not in colors
+        ) == sorted(n for c, n in loops2.items() if c not in colors.values()):
+            return True
+    return False
+
+
+def _shuffled_copy(d, rng):
+    """``d`` with its crossings reordered, each rotated by 0 or 2 slots, its
+    arcs relabelled, its colors permuted and its loops reordered."""
+    arcs = sorted(d.used_arcs())
+    arc_map = dict(zip(arcs, rng.sample(range(100, 200), len(arcs))))
+    used = sorted(set(d.arc_color.values()) | set(d.free_loops))
+    color_map = dict(zip(used, rng.sample(used, len(used))))
+    crossings = []
+    for rec in rng.sample(d.crossings, len(d.crossings)):
+        r = rng.choice((0, 2))
+        crossings.append(tuple(arc_map[a] for a in rec[r:] + rec[:r]))
+    loops = [color_map[c] for c in d.free_loops]
+    rng.shuffle(loops)
+    return TiedDiagram(
+        tuple(crossings),
+        {arc_map[a]: color_map[c] for a, c in d.arc_color.items()},
+        tuple(loops),
+    )
+
+
+def test_canonical_code_decides_isomorphism():
+    # Small random diagrams, each with two shuffled copies and a copy with
+    # one crossing mirrored, compared in all pairs against the brute force.
+    rng = random.Random(11)
+    pool = []
+    for seed in range(40):
+        d = random_diagram(seed, seed % 4 + 1, seed // 4 % 2 + 1, seed // 8 % 2)
+        s0, s1, s2, s3 = d.crossings[0]
+        mirrored = TiedDiagram(((s1, s2, s3, s0),) + d.crossings[1:], dict(d.arc_color), d.free_loops)
+        pool += [d, _shuffled_copy(d, rng), _shuffled_copy(d, rng), mirrored]
+    codes = [d.canonical_code() for d in pool]
+    agreed = Counter()
+    for (d1, c1), (d2, c2) in itertools.combinations(zip(pool, codes), 2):
+        iso = _isomorphic(d1, d2)
+        assert (c1 == c2) == iso, (d1, d2)
+        agreed[iso] += 1
+    assert agreed[True] >= 200 and agreed[False] >= 10_000
