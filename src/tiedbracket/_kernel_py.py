@@ -18,30 +18,33 @@ indexed by arc label.  The helpers below act on that encoding and serve
 (`engine._state_table`) alike: `_pick` chooses the crossing to smooth,
 `_children` smooths it (through `_glue`, which also reports the colors
 of the circles it closes) and `_canonical` relabels a state's arcs by
-first appearance.  Byte labels bound the walks that relabel: fewer than
-256 arcs (MAX_KEY_ARCS).
+first appearance.  The tree walk and the table add a third `bytes`, the
+colors of the state's loops, which `_smooth` carries through a
+smoothing.  Byte labels bound the walks that relabel, and those that
+carry loop colors: fewer than 256 arcs (MAX_KEY_ARCS).
 
 Leaf weights are products of the branch labels A, 1/A, -1 and
 delta = A + 1/A, so they compress to a triple (sign, apow, dpow).  The
 aggregated form sums the leaves' signs per (apow, dpow, k).
 
-No kernel tracks the colors of closed circles, because a leaf's color
-count gamma follows from dpow.  The components of a diagram carry one
-color each; a type-1 smoothing glues strands of one color and a circle it
-closes keeps its color, so the set of colors is unchanged.  Only the two
-delta branches of a type-2 crossing change colors: they repaint the under
-strand's color j as the over strand's i, two distinct colors in use, so
-each removes exactly one.  A leaf reached through dpow delta branches of
-a diagram with m colors thus has gamma = m - dpow, which the engine
-applies.
+`resolve_sum` and the compiled kernel do not track the colors of closed
+circles, because a leaf's color count gamma follows from dpow.  The
+components of a diagram carry one color each; a type-1 smoothing glues
+strands of one color and a circle it closes keeps its color, so the set
+of colors is unchanged.  Only the two delta branches of a type-2
+crossing change colors: they repaint the under strand's color j as the
+over strand's i, two distinct colors in use, so each removes exactly
+one.  A leaf reached through dpow delta branches of a diagram with m
+colors thus has gamma = m - dpow, which the engine applies.
 
-A node's pick depends only on its state: the live slots and their colors.
-The default order (`seed = -1`) takes the first mixed-color illegal
-crossing in stored order, else the first same-color one.  A seed takes
-the illegal crossing, in stored order, at `_draw(seed, rel)` modulo their
-number, where rel is the slots relabelled by first appearance.  Colors
-stay out of the draw, so the engine's diagram walker, which renumbers
-colors after each merge, draws the same values.  Every resolution tree
+A node's pick depends only on its state: the live slots and their
+colors.  The default order (`seed = -1`) takes the first mixed-color
+illegal crossing in stored order, else the first same-color one.  A seed
+takes the illegal crossing, in stored order, at `_draw(seed, rel)`
+modulo their number, where rel is the slots relabelled by first
+appearance.  Colors stay out of the draw, so a walker of `TiedDiagram`s,
+which renumbers colors after each merge, draws the same values (the
+tests keep one as the reference of `_walk`).  Every resolution tree
 gives the same value, so a seeded tree need only be some valid tree, not
 one drawn from a sequential random stream.
 
@@ -53,10 +56,13 @@ histogram by the branch weight and by the circles the smoothing closed.
 The memo loop is `_memo_walk`, which the AJ-state table shares with tags
 of distinct leaves in place of k.  The memo lives for one call.
 
-`resolve_leaves`, which promises every leaf in depth-first order, stays a
-tree walk (`_walk`).  The engine does not call it: it is the spec of the
-compiled kernel's leaf walk for the parity tests, and the benchmark
-replays it to count leaves, until a counter of `resolve_sum` does that.
+`_walk` is the one tree walk: it yields every node in preorder with its
+state and pick.  The engine's `resolution_tree` (behind ``tiedbracket
+tree``) and its ungrouped `resolve` read it, and so does `resolve_leaves`,
+which promises every leaf in depth-first order.  The engine does not call
+`resolve_leaves`: it is the spec of the compiled kernel's leaf walk for
+the parity tests, and the benchmark replays it to count leaves, until a
+counter of `resolve_sum` does that.
 """
 
 MAX_ARCS = 64
@@ -82,8 +88,17 @@ def _mix(state):
 
 def resolve_leaves(slots, colors, loops, seed=-1):
     """Resolve completely; return [(k, crossings_left, sign, apow, dpow)]
-    in depth-first leaf order."""
-    return list(_walk(bytes(slots), bytes(colors), len(loops), seed))
+    in depth-first leaf order.
+
+    Only the number of loops counts here, so they enter `_walk` as color 0,
+    which no repaint replaces.
+    """
+    walk = _walk(bytes(slots), bytes(colors), bytes(len(loops)), seed)
+    return [
+        _leaf(slots, colors, len(loops), len(slots) >> 2, *weight)
+        for _, weight, slots, colors, loops, x in walk
+        if x < 0
+    ]
 
 
 def _pick_ordered(slots, colors, n):
@@ -193,6 +208,25 @@ def _glue(slots, colors, x, a_pairing, repaint):
     return new_slots, colors, closed
 
 
+def _smooth(slots, colors, loops, x, x_type2):
+    """`_children` with the colors of each child's loops: a list of
+    ``(slots, colors, loops, sign, apow, dpow)``.
+
+    ``loops`` holds colors sorted, as a multiset.  A delta branch repaints
+    them as it repaints the arcs, and the circles the smoothing closed join
+    them.
+    """
+    out = []
+    for c_slots, c_colors, closed, sign, apow, dpow in _children(slots, colors, x, x_type2):
+        c_loops = loops
+        if dpow:
+            c_loops = c_loops.replace(*_repaint(slots, colors, x))
+        if dpow or closed:
+            c_loops = bytes(sorted(c_loops + closed))
+        out.append((c_slots, c_colors, c_loops, sign, apow, dpow))
+    return out
+
+
 def _canonical(slots, colors):
     """Relabel live arcs by first appearance; return (slots, colors), the
     colors those of the live arcs in their new order.
@@ -278,25 +312,37 @@ def resolve_sum(slots, colors, loops, seed=-1):
     return {(apow, dpow, k + len(loops)): count for k, apow, dpow, count in zip(it, it, it, it)}
 
 
-def _walk(slots, colors, loop_count, seed):
-    # Stack entries: (slots, colors, loop_count, sign, apow, dpow).
-    stack = [(slots, colors, loop_count, 1, 0, 0)]
+def _walk(slots, colors, loops, seed):
+    """Walk the resolution tree of a state depth-first; yield every node in
+    preorder as ``(parent, (sign, apow, dpow), slots, colors, loops, x)``.
+
+    ``parent`` is the index of the parent's yield (None at the root), the
+    triple is the weight sign * A^apow * delta^dpow of the branch from the
+    root, ``loops`` holds the sorted colors of the state's loops (see
+    `_smooth`) and x is the pick, -1 at a leaf.  Under a seed the state
+    is relabelled by first appearance before its pick, as the draw reads
+    it.  Children are smoothed only when the generator resumes after their
+    parent.
+    """
+    # Stack entries: (parent, weight, slots, colors, loops).
+    stack = [(None, (1, 0, 0), slots, colors, loops)]
+    node = 0
     while stack:
-        slots, colors, loop_count, sign, apow, dpow = stack.pop()
-        n = len(slots) >> 2
+        parent, weight, slots, colors, loops = stack.pop()
         if seed >= 0:
             slots, colors = _canonical(slots, colors)
-        x, x_type2 = _pick(slots, colors, n, seed)
-        if x < 0:
-            yield _leaf(slots, colors, loop_count, n, sign, apow, dpow)
-            continue
-        # Pushed in reverse so that children pop in the kernels' order.
-        for c_slots, c_colors, closed, c_sign, c_apow, c_dpow in reversed(
-            _children(slots, colors, x, x_type2)
-        ):
-            stack.append(
-                (c_slots, c_colors, loop_count + len(closed), sign * c_sign, apow + c_apow, dpow + c_dpow)
-            )
+        x, x_type2 = _pick(slots, colors, len(slots) >> 2, seed)
+        yield parent, weight, slots, colors, loops, x
+        if x >= 0:
+            sign, apow, dpow = weight
+            # Pushed in reverse so that children pop in the kernels' order.
+            for c_slots, c_colors, c_loops, c_sign, c_apow, c_dpow in reversed(
+                _smooth(slots, colors, loops, x, x_type2)
+            ):
+                stack.append(
+                    (node, (sign * c_sign, apow + c_apow, dpow + c_dpow), c_slots, c_colors, c_loops)
+                )
+        node += 1
 
 
 def _leaf(slots, colors, loop_count, n, sign, apow, dpow):

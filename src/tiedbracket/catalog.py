@@ -71,11 +71,13 @@ def _parse_ints(body: str, lineno: int, what: str) -> list[int]:
 def parse_diagram(text: str) -> TiedDiagram:
     """Parse diagram text into a validated TiedDiagram.
 
-    Colors default to all 1 when the ``colors`` line is omitted.
+    Colors default to all 1 when the ``colors`` line is omitted.  Each
+    key may occur on one line only.
     """
     quads: list[tuple[int, int, int, int]] | None = None
     colors: list[int] | None = None
     loops: list[int] = []
+    seen: set[str] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -84,9 +86,10 @@ def parse_diagram(text: str) -> TiedDiagram:
         if not sep:
             raise DiagramSyntaxError(f"line {lineno}: expected 'key: value', got {raw!r}")
         key = key.strip().lower()
+        if key in seen:
+            raise DiagramSyntaxError(f"line {lineno}: duplicate {key} line")
+        seen.add(key)
         if key == "pd":
-            if quads is not None:
-                raise DiagramSyntaxError(f"line {lineno}: duplicate pd line")
             quads = _parse_pd_line(body, lineno)
         elif key == "colors":
             colors = _parse_ints(body, lineno, "color")

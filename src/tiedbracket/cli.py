@@ -157,11 +157,10 @@ def cmd_tree(args) -> int:
     lines: list[str] = []
     depth: list[int] = []
     truncated = False
-    for nid, parent, lab, cur, _, _ in resolution_tree(d):
+    for nid, parent, lab, c, _, _ in resolution_tree(d):
         if nid >= args.max_nodes:
             truncated = True
             break
-        c = cur.complexity()
         label = f"({c.total},{c.illegal})"
         if args.dot:
             lines.append(f'  n{nid} [label="{label}"];')

@@ -135,7 +135,8 @@ class TiedDiagram:
         ``component_colors[i]`` colors the i-th component in deterministic
         order (components sorted by their smallest arc id).  When omitted,
         every component is colored 1, which encodes a classical link.
-        ``loops`` gives the colors of crossingless circles.
+        ``loops`` gives the colors of crossingless circles.  Every color
+        must be a positive int; they are renamed to 1..m afterwards.
         """
         crossings = tuple(tuple(int(s) for s in t) for t in slot_tuples)
         for rec in crossings:
@@ -148,13 +149,12 @@ class TiedDiagram:
             raise DiagramError(
                 f"{len(comps)} components but {len(component_colors)} colors given"
             )
-        arc_color: dict[int, int] = {}
-        for comp, col in zip(comps, component_colors):
-            if col <= 0:
-                raise DiagramError(f"colors must be positive, got {col}")
-            for arc in comp:
-                arc_color[arc] = int(col)
-        d = cls(crossings, arc_color, tuple(int(c) for c in loops))
+        loops = tuple(loops)
+        for col in (*component_colors, *loops):
+            if not isinstance(col, int) or col <= 0:
+                raise DiagramError(f"colors must be positive integers, got {col!r}")
+        arc_color = {arc: col for comp, col in zip(comps, component_colors) for arc in comp}
+        d = cls(crossings, arc_color, loops)
         d = d.normalized_colors()
         d.validate()
         return d

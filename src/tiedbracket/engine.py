@@ -29,11 +29,11 @@ from ._kernel_py import (
     MAX_ARCS,
     MAX_KEY_ARCS,
     _canonical,
-    _children,
     _memo_walk,
     _mix,
     _pick,
-    _repaint,
+    _smooth,
+    _walk,
 )
 from .laurent import A, A_INV, C, DELTA, LOOP, BivariateLaurent
 from .diagram import (
@@ -42,6 +42,7 @@ from .diagram import (
     ONE as KIND_ONE,
     TWO as KIND_TWO,
     ZERO as KIND_ZERO,
+    Complexity,
     CrossingClass,
     DiagramError,
     TiedDiagram,
@@ -185,26 +186,48 @@ def _seed(strategy: Strategy) -> int:
     return strategy.seed if isinstance(strategy, RandomStrategy) else -1
 
 
-def _arc_ids(d: TiedDiagram, limit: int, walk: str) -> list[int]:
-    """The arcs of ``d`` in order; a DiagramError past ``limit`` arcs."""
-    arc_ids = sorted(d.used_arcs())
-    if len(arc_ids) > limit:
-        raise DiagramError(f"{walk} supports at most {limit // 2} crossings")
-    return arc_ids
-
-
 def _encode(d: TiedDiagram, limit: int, walk: str):
     """Encode a diagram for `_kernel_py`'s helpers: ``(slots, colors,
     number)``, with the arcs numbered densely in order and the arc colors
     numbered from 0 in order, as the dict ``number`` lists them.  The
-    numbering is monotone, so picks do not change.
+    numbering is monotone, so picks do not change.  A diagram of more than
+    ``limit`` arcs is rejected with a DiagramError that names ``walk``.
     """
-    arc_ids = _arc_ids(d, limit, walk)
+    arc_ids = sorted(d.used_arcs())
+    if len(arc_ids) > limit:
+        raise DiagramError(f"{walk} supports at most {limit // 2} crossings")
     number = {c: i for i, c in enumerate(sorted({d.arc_color[a] for a in arc_ids}))}
     colors = [number[d.arc_color[a]] for a in arc_ids]
     dense = {a: i for i, a in enumerate(arc_ids)}
     slots = [dense[s] for rec in d.crossings for s in rec]
     return slots, colors, number
+
+
+def _byte_state(d: TiedDiagram, strategy: Strategy, walk: str):
+    """Validate, order and encode ``d`` for `_kernel_py`'s byte walks.
+
+    Returns the root state ``(slots, colors, loops)`` and ``diagram``,
+    which decodes a state into a `TiedDiagram`.  ``loops`` holds the
+    sorted colors of the loops whose color an arc carries.  A loop of a
+    color that no arc carries stays out of the states, and ``diagram``
+    adds it back: a repaint merges the colors of two arcs, so it never
+    reaches that loop.  Byte labels take fewer than 256 arcs (MAX_KEY_ARCS).
+    """
+    d = _ordered(d, strategy)
+    slots, colors, number = _encode(d, MAX_KEY_ARCS, walk)
+    palette = list(number)
+    loops = bytes(sorted(number[c] for c in d.free_loops if c in number))
+    inert = tuple(c for c in d.free_loops if c not in number)
+
+    def diagram(slots, colors, loops):
+        it = iter(slots)
+        return TiedDiagram(
+            tuple(zip(it, it, it, it)),
+            {a: palette[colors[a]] for a in slots},
+            tuple(palette[c] for c in loops) + inert,
+        )
+
+    return (bytes(slots), bytes(colors), loops), diagram
 
 
 def _prepare(d: TiedDiagram, strategy: Strategy):
@@ -279,19 +302,21 @@ def resolve(
     ``group=True`` is the AJ-state table (`_state_table`, behind
     ``tiedbracket states``): it expands each distinct state once,
     summarizes each distinct leaf once and merges the entries of
-    identical states.  ``group=False`` walks every node of the tree
-    (`resolution_tree`) and returns every leaf, depth-first in the
-    kernels' leaf order.  With ``codes=True`` each leaf diagram also gets
-    its canonical code, and grouping merges by code instead of by the
-    (k, gamma, crossings_left) summary.
+    identical states.  ``group=False`` walks every node of the tree on
+    byte states (`_kernel_py._walk`, as `resolution_tree` does) and
+    returns every leaf, depth-first in the kernels' leaf order.  With
+    ``codes=True`` each leaf diagram also gets its canonical code, and
+    grouping merges by code instead of by the (k, gamma, crossings_left)
+    summary.
     """
     if group:
         return _state_table(d, strategy, codes)
+    state, diagram = _byte_state(d, strategy, "the resolution tree")
     return StateSum(
         [
-            (_summary(cur, codes), _branch_weight(*weight))
-            for _, _, _, cur, weight, leaf in resolution_tree(d, strategy)
-            if leaf
+            (_summary(diagram(slots, colors, loops), codes), _branch_weight(*weight))
+            for _, weight, slots, colors, loops, x in _walk(*state, _seed(strategy))
+            if x < 0
         ]
     )
 
@@ -306,41 +331,14 @@ def _summary(leaf: TiedDiagram, codes: bool) -> AJStateSummary:
     )
 
 
-def _relabel(cur: TiedDiagram) -> tuple[list[int], list[int]]:
-    """The slots of ``cur`` relabelled by first appearance, and the colors
-    of those arcs in that order: what the kernels' picks (`_kernel_py._pick`)
-    read of a state."""
-    names: dict[int, int] = {}
-    rel = [names.setdefault(a, len(names)) for rec in cur.crossings for a in rec]
-    return rel, [cur.arc_color[a] for a in names]
-
-
-def _smoothings(cur: TiedDiagram, x: int, x_type2: bool):
-    """The children of smoothing crossing ``x`` of ``cur``, in the kernels'
-    order (two, zero, one; or A, A⁻¹), as ``(label, diagram, sign, apow,
-    dpow)`` with the branch weight sign * A^apow * delta^dpow."""
-    if x_type2:
-        return (
-            ("-1", cur.smooth_type2(x, KIND_TWO), -1, 0, 0),
-            ("δ", cur.smooth_type2(x, KIND_ZERO), 1, 0, 1),
-            ("δ", cur.smooth_type2(x, KIND_ONE), 1, 0, 1),
-        )
-    return (
-        ("A", cur.smooth_type1(x, BAR0), 1, 1, 0),
-        ("A⁻¹", cur.smooth_type1(x, BAR1), 1, -1, 0),
-    )
-
-
 def _state_table(d: TiedDiagram, strategy: Strategy, codes: bool) -> StateSum:
     """The grouped AJ-state table of ``d``, expanding each distinct state once.
 
     The walk is `_kernel_py`'s: `_memo_walk` over the byte-encoded states
-    of `resolve_sum`, smoothed by `_kernel_py._children` and keyed through
+    of `resolve_sum`, smoothed by `_kernel_py._smooth` and keyed through
     `_kernel_py._canonical`, here with the sorted colors of the state's
-    loops added to the key.  ``d`` is encoded once (`_encode`), so it may
-    have fewer than 256 arcs (MAX_KEY_ARCS).  A loop of a color that no
-    arc carries stays out of the states and is added back to every leaf:
-    a repaint merges the colors of two arcs, so it never reaches that loop.
+    loops added to the key.  ``d`` is encoded once (`_byte_state`), so it
+    may have fewer than 256 arcs (MAX_KEY_ARCS).
 
     States with one key have isomorphic subtrees: the picks read only the
     relabelled slots and their colors, and a leaf's code, k and gamma read
@@ -348,11 +346,7 @@ def _state_table(d: TiedDiagram, strategy: Strategy, codes: bool) -> StateSum:
     apow, dpow) is computed once, where leaf indexes the distinct leaves;
     each distinct leaf is rebuilt as one diagram and summarized once.
     """
-    d = _ordered(d, strategy)
-    slots, colors, number = _encode(d, MAX_KEY_ARCS, "the AJ-state table")
-    palette = list(number)
-    loops = bytes(sorted(number[c] for c in d.free_loops if c in number))
-    inert = tuple(c for c in d.free_loops if c not in number)
+    (slots, colors, loops), diagram = _byte_state(d, strategy, "the AJ-state table")
     seed = _seed(strategy)
     leaves: list[tuple[bytes, bytes, bytes]] = []
 
@@ -363,26 +357,13 @@ def _state_table(d: TiedDiagram, strategy: Strategy, codes: bool) -> StateSum:
             leaves.append(state)
             return len(leaves) - 1
         children = []
-        for c_slots, c_colors, closed, sign, apow, dpow in _children(rel, colors, x, x_type2):
-            c_loops = loops
-            if dpow:
-                c_loops = c_loops.replace(*_repaint(rel, colors, x))
-            if dpow or closed:
-                c_loops = bytes(sorted(c_loops + closed))
+        for c_slots, c_colors, c_loops, sign, apow, dpow in _smooth(rel, colors, loops, x, x_type2):
             c_rel, c_colors = _canonical(c_slots, c_colors)
             child = (c_rel, c_colors, c_loops)
             children.append(((c_rel + c_colors, c_loops), child, sign, apow, dpow, 0))
         return children
 
-    def diagram(rel, colors, loops):
-        it = iter(rel)
-        return TiedDiagram(
-            tuple(zip(it, it, it, it)),
-            {a: palette[c] for a, c in enumerate(colors)},
-            tuple(palette[c] for c in loops) + inert,
-        )
-
-    root = (*_canonical(bytes(slots), bytes(colors)), loops)
+    root = (*_canonical(slots, colors), loops)
     weights: dict[int, BivariateLaurent] = {}
     it = iter(_memo_walk((root[0] + root[1], loops), root, expand))
     for leaf, apow, dpow, count in zip(it, it, it, it):
@@ -393,34 +374,34 @@ def _state_table(d: TiedDiagram, strategy: Strategy, codes: bool) -> StateSum:
     ).grouped()
 
 
-def resolution_tree(d: TiedDiagram, strategy: Strategy = _DEFAULT):
-    """Expand the resolution tree of ``d`` at the diagram level, depth-first.
+# The label of each branch weight of a smoothing.
+_LABELS = {(1, 1, 0): "A", (1, -1, 0): "A⁻¹", (-1, 0, 0): "-1", (1, 0, 1): "δ"}
 
-    Yields every node in preorder as ``(node, parent, label, diagram,
-    (sign, apow, dpow), is_leaf)``.  Nodes are numbered in yield order,
+
+def resolution_tree(d: TiedDiagram, strategy: Strategy = _DEFAULT):
+    """Expand the resolution tree of ``d`` depth-first (`_kernel_py._walk`).
+
+    Yields every node in preorder as ``(node, parent, label, complexity,
+    (sign, apow, dpow), leaf)``.  Nodes are numbered in yield order,
     ``parent`` is None at the root, ``label`` names the branch from the
-    parent, and the triple is the branch weight sign * A^apow * delta^dpow.
-    Picks follow the kernels' rule (`_kernel_py._pick`) and child order
-    (`_smoothings`), so leaves arrive in the kernels' leaf order.
-    Children are smoothed only when the generator resumes after their
-    parent.  A seeded walk draws from relabelled slots as bytes
-    (`_kernel_py._draw`), so it takes fewer than 256 arcs (MAX_KEY_ARCS).
+    parent (A, A⁻¹, -1 or δ), and the triple is the weight sign * A^apow *
+    delta^dpow of the branch from the root.  ``leaf`` is the diagram of an
+    AJ-state at a leaf and None elsewhere.  Leaves arrive in the kernels'
+    leaf order, and children are smoothed only when the generator resumes
+    after their parent.  The walk is on byte states (`_byte_state`), so it
+    takes fewer than 256 arcs (MAX_KEY_ARCS).
     """
-    d = _ordered(d, strategy)
-    seed = _seed(strategy)
-    if seed >= 0:
-        _arc_ids(d, MAX_KEY_ARCS, "a seeded walk")
-    stack = [(None, "", d, 1, 0, 0)]
-    node = 0
-    while stack:
-        parent, label, cur, sign, apow, dpow = stack.pop()
-        x, x_type2 = _pick(*_relabel(cur), len(cur.crossings), seed)
-        yield node, parent, label, cur, (sign, apow, dpow), x < 0
-        if x >= 0:
-            # Pushed in reverse so that children pop in the kernels' order.
-            for c_label, child, c_sign, c_apow, c_dpow in reversed(_smoothings(cur, x, x_type2)):
-                stack.append((node, c_label, child, sign * c_sign, apow + c_apow, dpow + c_dpow))
-        node += 1
+    state, diagram = _byte_state(d, strategy, "the resolution tree")
+    weights = []
+    for node, (parent, weight, slots, colors, loops, x) in enumerate(_walk(*state, _seed(strategy))):
+        weights.append(weight)
+        label = ""
+        if parent is not None:
+            (p_sign, p_apow, p_dpow), (sign, apow, dpow) = weights[parent], weight
+            label = _LABELS[sign * p_sign, apow - p_apow, dpow - p_dpow]
+        illegal = sum(colors[slots[s + 1]] <= colors[slots[s]] for s in range(0, len(slots), 4))
+        complexity = Complexity(len(slots) >> 2, illegal)
+        yield node, parent, label, complexity, weight, diagram(slots, colors, loops) if x < 0 else None
 
 
 def kauffman_bracket(d: TiedDiagram) -> BivariateLaurent:

@@ -40,6 +40,10 @@ def test_parse_errors():
         parse_diagram("nonsense")
     with pytest.raises(DiagramSyntaxError):
         parse_diagram("pd: X[1,3,2,4]\npd: X[3,1,4,2]")
+    # a repeated line used to replace the earlier one silently
+    for text in ("loops: 1\nloops: 2 2", "pd: X[1,3,2,4] X[3,1,4,2]\ncolors: 1 2\ncolors: 1 1"):
+        with pytest.raises(DiagramSyntaxError, match="duplicate"):
+            parse_diagram(text)
 
 
 def test_ingest_linkinfo():

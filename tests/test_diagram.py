@@ -287,6 +287,22 @@ def test_from_pd_errors():
         TiedDiagram.from_pd(HOPF, [1])  # wrong number of colors
     with pytest.raises(DiagramError):
         TiedDiagram.from_pd(HOPF, [1, 0])  # non-positive color
+    # colors that are not ints used to be truncated or raise a TypeError,
+    # and non-positive loop colors to be renamed
+    for colors, loops in (
+        ([1, 1.5], ()),
+        (["1", "2"], ()),
+        ([1, 2], (2.7,)),
+        ([1, 2], ("1",)),
+        ([1, 2], (-3, 1)),
+        ([1, 2], (0,)),
+        (None, (-1,)),
+    ):
+        with pytest.raises(DiagramError, match="positive integers"):
+            TiedDiagram.from_pd(HOPF, colors, loops)
+    for loops in ((-3, 1), (0,)):
+        with pytest.raises(DiagramError, match="positive integers"):
+            TiedDiagram.from_pd([], None, loops)
     # Raw diagrams whose arcs each occur twice but whose crossings are not
     # 4-tuples of ints.
     for crossings in (((1, 2, 3), (1, 2, 3)), ((1, 2, 3, 4, 5), (1, 2, 3, 4, 5))):

@@ -1,4 +1,7 @@
+from itertools import zip_longest
+
 import pytest
+from tree_reference import reference_sum, reference_tree
 
 from tiedbracket import _backend, _kernel_py
 from tiedbracket.catalog import load_catalog
@@ -14,6 +17,7 @@ from tiedbracket.engine import (
     double_bracket,
     independence_check,
     kauffman_bracket,
+    resolution_tree,
     resolve,
     state_value,
     tied_jones,
@@ -64,9 +68,10 @@ def test_resolve_tied_hopf_leaves():
 
 
 def test_resolve_with_codes_matches_kernel():
-    # the diagram-level walk picks the kernel's crossings, seeded draws
-    # included, and counts each leaf's colors, where the kernel's leaf walk
-    # leaves gamma = m - dpow to the engine
+    # the reference walk on diagrams picks the kernel's crossings, seeded
+    # draws included, and counts each leaf's colors, where the kernel's
+    # leaf walk leaves gamma = m - dpow to the engine; the ungrouped
+    # resolve, on byte states, returns the reference's leaves
     strategies = [
         OrderedStrategy(),
         OrderedStrategy((4, 2, 0, 3, 1)),
@@ -78,7 +83,8 @@ def test_resolve_with_codes_matches_kernel():
         m = d.n_colors
         for strategy in strategies:
             leaves = _backend.kernel.resolve_leaves(*_prepare(d, strategy))
-            coded = resolve(d, strategy, codes=True)
+            coded = reference_sum(d, strategy, codes=True)
+            assert resolve(d, strategy, codes=True).entries == coded.entries
             assert [(s.k, s.gamma, s.crossings_left) for s, _ in coded.entries] == [
                 (k, m - dpow, left) for k, left, _, _, dpow in leaves
             ]
@@ -87,6 +93,38 @@ def test_resolve_with_codes_matches_kernel():
                 for _, _, sign, apow, dpow in leaves
             ]
             assert all(s.code is not None for s, _ in coded.entries)
+
+
+def assert_tree_matches_reference(d, strategy):
+    for mine, ref in zip_longest(resolution_tree(d, strategy), reference_tree(d, strategy)):
+        assert mine is not None and ref is not None, "the trees differ in size"
+        node, parent, label, complexity, weight, leaf = mine
+        r_node, r_parent, r_label, cur, r_weight, r_leaf = ref
+        assert (node, parent, label, weight) == (r_node, r_parent, r_label, r_weight)
+        assert complexity == cur.complexity()
+        assert (leaf is not None) == r_leaf
+        if r_leaf:
+            assert leaf.canonical_code() == cur.canonical_code()
+
+
+def test_resolution_tree_matches_the_diagram_walk():
+    # node by node: the byte walk and the reference walk on diagrams grow
+    # the same tree, under orders and seeds (one past 2^64), with many
+    # loops and colors
+    for seed in range(60):
+        d = random_diagram(seed, seed % 7 + 1, seed % 5 + 1, seed % 4)
+        reversed_order = OrderedStrategy(tuple(reversed(range(len(d.crossings)))))
+        for strategy in (OrderedStrategy(), reversed_order, RandomStrategy(3), RandomStrategy(2**64 + 11)):
+            assert_tree_matches_reference(d, strategy)
+
+
+@pytest.mark.parametrize("entry", load_catalog(), ids=lambda e: e.name)
+def test_resolution_tree_matches_the_diagram_walk_on_catalog(entry):
+    # the default order and the seed past 2^64: a check takes up to 3 s
+    # per catalog tree, so the reversed order and the other seed are left
+    # to the random diagrams above
+    for strategy in (OrderedStrategy(), RandomStrategy(2**64 + 11)):
+        assert_tree_matches_reference(entry.diagram(), strategy)
 
 
 def test_resolve_grouping_preserves_total():

@@ -1,17 +1,19 @@
 """The memoized walk of `_kernel_py.resolve_sum` against the tree walk, in
 the default order and under seeds; the memoized AJ-state table against the
-diagram-level tree walk, also on many loops and colors; how many states
-each memo expands; the seeded pick rule; closures whose tree only the memo
-can afford, up to the byte labels' bound; and that the memo and the code
-search leave no reference cycles."""
+reference tree walk on diagrams (`tree_reference`), also on many loops and
+colors; how many states each memo expands; the seeded pick rule; closures
+whose tree only the memo can afford, up to the byte labels' bound; and that
+the memo and the code search leave no reference cycles."""
 
 import gc
 import random
 import signal
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from tree_reference import reference_sum
 
 from tiedbracket import _backend, _kernel_py, engine
 from tiedbracket.catalog import load_catalog
@@ -20,6 +22,7 @@ from tiedbracket.diagram import DiagramError, TiedDiagram, random_diagram
 from tiedbracket.engine import (
     OrderedStrategy,
     RandomStrategy,
+    StateSum,
     _prepare,
     double_bracket,
     kauffman_bracket,
@@ -66,9 +69,12 @@ def test_memo_matches_tree_walk_on_catalog(entry):
 
 
 def assert_state_table_matches_tree(d, strategy=OrderedStrategy()):
-    for codes in (True, False):
+    # against the reference walk on diagrams, walked once for both tables
+    coded = reference_sum(d, strategy, codes=True)
+    uncoded = StateSum([(replace(s, code=None), w) for s, w in coded.entries])
+    for codes, tree in ((True, coded), (False, uncoded)):
         memo = resolve(d, strategy, codes=codes, group=True)
-        assert memo.entries == resolve(d, strategy, codes=codes).grouped().entries
+        assert memo.entries == tree.grouped().entries
 
 
 @given(st.integers(0, 10_000), st.integers(1, 7), st.integers(1, 5), st.integers(0, 3))
@@ -259,12 +265,12 @@ def test_state_table_takes_a_closure_past_the_kernel_bound():
 
 def test_byte_walks_refuse_256_arcs(capsys):
     d = torus_2(128)
+    # the table and the tree walk spell arc labels as bytes in every order
     for strategy in (OrderedStrategy(), RandomStrategy(1)):
-        with pytest.raises(DiagramError, match="at most 127 crossings"):
-            resolve(d, strategy, codes=True, group=True)
-    # the seeded diagram walk draws from byte labels too
-    with pytest.raises(DiagramError, match="at most 127 crossings"):
-        resolve(d, RandomStrategy(1), codes=True)
-    assert main(["states", "--seed", "1", str(torus_2(130))]) == 1
-    out = capsys.readouterr()
-    assert out.out == "" and out.err.startswith("error:") and "127 crossings" in out.err
+        for group in (True, False):
+            with pytest.raises(DiagramError, match="at most 127 crossings"):
+                resolve(d, strategy, codes=True, group=group)
+    for args in (["states", "--seed", "1"], ["tree", "--max-nodes", "3"]):
+        assert main([*args, str(torus_2(130))]) == 1
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.startswith("error:") and "127 crossings" in out.err
