@@ -49,12 +49,13 @@ gives the same value, so a seeded tree need only be some valid tree, not
 one drawn from a sequential random stream.
 
 `resolve_sum` therefore walks the tree as a DAG under every seed: it keys
-each state by its canonical slots and colors, and computes each key's
-histogram of (k, apow, dpow) once, relative to the state: k leaves out
-the loops counted above it.  Parents shift a child's
-histogram by the branch weight and by the circles the smoothing closed.
-The memo loop is `_memo_walk`, which the AJ-state table shares with tags
-of distinct leaves in place of k.  The memo lives for one call.
+each state by its canonical slots and colors and expands each key once.
+Then, from the root down, each state passes the histogram of its paths
+from the root, (circles closed, apow, dpow) with counts, to its
+children, shifted by the branch weight and by the circles the smoothing
+closed; a leaf adds its own components to give k.  The memo loop is
+`_memo_walk`, which the AJ-state table shares with tags of distinct
+leaves in place of k.  The memo lives for one call.
 
 `_walk` is the one tree walk: it yields every node in preorder with its
 state and pick.  The engine's `resolution_tree` (behind ``tiedbracket
@@ -242,57 +243,85 @@ def _canonical(slots, colors):
 
 
 def _memo_walk(root, state, expand):
-    """Walk a resolution tree as a DAG; return the root's flat histogram.
+    """Walk a resolution tree as a DAG; return the histogram of its leaves
+    as a flat list [tag, apow, dpow, count, ...] without zero counts.
 
     ``root`` keys ``state``, and equal keys must stand for isomorphic
     subtrees.  ``expand(state)`` returns a leaf's tag, an int, or the
     state's children as ``(key, state, sign, apow, dpow, dtag)``: the
     branch weight sign * A^apow * delta^dpow and a shift of the tags below.
-    Each key's histogram is computed once, relative to its state, as a
-    flat list [tag, apow, dpow, count, ...] without zero counts; a parent
-    shifts a child's by the branch weight and dtag.  Lists, not tuples:
-    CPython keeps up to 2000 freed tuples of each length below 20 for
-    reuse, so freeing a memo of short tuples would keep their memory for
-    the rest of the process.  The memo lives for one call.
+    A leaf reached by a path counts once at its tag plus the path's dtags,
+    with the product of the path's weights.
+
+    Two passes.  The first expands each key once, depth-first, numbers the
+    states in post-order and keeps only their edges: ``(child, sign, apow,
+    dpow, dtag)`` tuples, or the leaf's tag.  The second visits the states
+    in reverse post-order, a topological order with the root first.  Each
+    state then holds the histogram ``{(dtags, apow, dpow): count}`` of its
+    paths from the root, complete since its parents came before; it pushes
+    that, shifted by each edge, into its children, or into the output at a
+    leaf, and is freed.  Each histogram is thus merged once per out-edge
+    and lives only from its first parent's visit to its own.  Edges and
+    histogram keys are short tuples; CPython keeps up to 2000 freed tuples
+    of each length below 20 for reuse, so a walk of any size leaves at
+    most a few hundred KB behind.
     """
-    memo = {}
+    index = {}
+    edges = []
     # Stack entries: (key, state, None) expands a state;
-    # (key, None, kids) sums its children, which are done by then.
+    # (key, None, kids) numbers it once its children are numbered.
     stack = [(root, state, None)]
     while stack:
         key, state, kids = stack.pop()
         if kids is not None:
-            acc = {}
-            for c_key, _, sign, apow, dpow, dtag in kids:
-                it = iter(memo[c_key])
-                for t, a, d, count in zip(it, it, it, it):
-                    group = (t + dtag, a + apow, d + dpow)
-                    acc[group] = acc.get(group, 0) + sign * count
-            flat = []
-            for group, count in acc.items():
-                if count:
-                    flat += group
-                    flat.append(count)
-            memo[key] = flat
+            index[key] = len(edges)
+            edges.append([(index[c[0]], *c[2:]) for c in kids])
             continue
-        if key in memo:
+        if key in index:
             continue
         kids = expand(state)
         if type(kids) is int:
-            memo[key] = [kids, 0, 0, 1]
+            index[key] = len(edges)
+            edges.append(kids)
             continue
         stack.append((key, None, kids))
         for c in kids:
-            if c[0] not in memo:
+            if c[0] not in index:
                 stack.append((c[0], c[1], None))
-    return memo[root]
+    del index  # the push reads indices only; free the keys first
+
+    paths = [None] * len(edges)
+    paths[-1] = {(0, 0, 0): 1}
+    out = {}
+    for i in range(len(edges) - 1, -1, -1):
+        hist, paths[i] = paths[i], None
+        kids = edges[i]
+        if type(kids) is int:
+            for (t, a, d), count in hist.items():
+                group = (t + kids, a, d)
+                out[group] = out.get(group, 0) + count
+            continue
+        for child, sign, apow, dpow, dtag in kids:
+            acc = paths[child]
+            if acc is None:
+                acc = paths[child] = {}
+            for (t, a, d), count in hist.items():
+                if count:
+                    group = (t + dtag, a + apow, d + dpow)
+                    acc[group] = acc.get(group, 0) + sign * count
+    flat = []
+    for group, count in out.items():
+        if count:
+            flat += group
+            flat.append(count)
+    return flat
 
 
 def resolve_sum(slots, colors, loops, seed=-1):
     """Resolve completely; return {(apow, dpow, k): signed leaf count}.
 
-    `_memo_walk` over canonical states (`_canonical`), tagging histograms
-    with the circles closed below the state.
+    `_memo_walk` over canonical states (`_canonical`), tagging each path
+    with the circles its smoothings closed; a leaf adds its components.
     """
 
     def expand(state):

@@ -136,12 +136,16 @@ class TiedDiagram:
         order (components sorted by their smallest arc id).  When omitted,
         every component is colored 1, which encodes a classical link.
         ``loops`` gives the colors of crossingless circles.  Every color
-        must be a positive int; they are renamed to 1..m afterwards.
+        must be a positive int; they are renamed to 1..m afterwards.  Arc
+        ids must be ints, as `validate` requires.
         """
-        crossings = tuple(tuple(int(s) for s in t) for t in slot_tuples)
+        crossings = tuple(tuple(t) for t in slot_tuples)
         for rec in crossings:
             if len(rec) != 4:
                 raise DiagramError(f"crossing needs exactly 4 slots, got {rec}")
+            for s in rec:
+                if not isinstance(s, int):
+                    raise DiagramError(f"arc ids must be integers, got {s!r}")
         comps = _trace_components(crossings)
         if component_colors is None:
             component_colors = [1] * len(comps)
@@ -477,6 +481,10 @@ def disjoint_union(
 
 def _canonical_code(d: TiedDiagram) -> str:
     crossings, arc_color = d.crossings, d.arc_color
+    if not crossings:
+        # Only the loops tail, its colors named by falling multiplicity.
+        counts = sorted(Counter(d.free_loops).values(), reverse=True)
+        return ";".join(f"-2,{name},{n}" for name, n in enumerate(counts, 1))
     # Dart 4 * ci + si enters crossing ci at slot si and leaves it at slot
     # si ^ 2; succ[dart] is the dart the strand enters next.
     ends: dict[int, list[int]] = {}

@@ -342,9 +342,11 @@ def _state_table(d: TiedDiagram, strategy: Strategy, codes: bool) -> StateSum:
 
     States with one key have isomorphic subtrees: the picks read only the
     relabelled slots and their colors, and a leaf's code, k and gamma read
-    its loop colors only as a multiset.  Each key's histogram of (leaf,
-    apow, dpow) is computed once, where leaf indexes the distinct leaves;
-    each distinct leaf is rebuilt as one diagram and summarized once.
+    its loop colors only as a multiset.  Each key is expanded once, and
+    the weights of its paths from the root are pushed down to the leaves
+    once, giving the histogram of (leaf, apow, dpow), where leaf indexes
+    the distinct leaves; each distinct leaf is rebuilt as one diagram and
+    summarized once.
     """
     (slots, colors, loops), diagram = _byte_state(d, strategy, "the AJ-state table")
     seed = _seed(strategy)

@@ -223,6 +223,20 @@ def test_canonical_code_strings():
     assert looped.canonical_code() == chain.canonical_code() + ";-2,1,1;-2,3,2"
 
 
+def test_canonical_code_of_loops_alone():
+    # A diagram without crossings codes as its loops tail only: colors
+    # named by falling multiplicity, as the code search named them.
+    for loops, code in (
+        ((), ""),
+        ((5,), "-2,1,1"),
+        ((1, 2), "-2,1,1;-2,2,1"),
+        ((3, 3, 1, 1), "-2,1,2;-2,2,2"),
+        ((1, 1, 2, 3, 3, 3), "-2,1,3;-2,2,2;-2,3,1"),
+        ((2, 1, 2, 7, 7, 7, 7), "-2,1,4;-2,2,2;-2,3,1"),
+    ):
+        assert TiedDiagram((), {}, loops).canonical_code() == code
+
+
 def scrambled(d, seed):
     """``d`` with its arcs relabelled and its crossings reordered."""
     rng = random.Random(seed)
@@ -303,6 +317,14 @@ def test_from_pd_errors():
     for loops in ((-3, 1), (0,)):
         with pytest.raises(DiagramError, match="positive integers"):
             TiedDiagram.from_pd([], None, loops)
+    # arc ids that validate() rejects used to be truncated by int()
+    for pd in (
+        [(1, 3, 2, 4.5), (3, 1, 4, 2)],
+        [("1", 3, 2, 4), (3, "1", 4, 2)],
+        [(1, 3, 2, 4), (3, 1, 4, "2")],
+    ):
+        with pytest.raises(DiagramError, match="arc ids must be integers"):
+            TiedDiagram.from_pd(pd, [1, 2])
     # Raw diagrams whose arcs each occur twice but whose crossings are not
     # 4-tuples of ints.
     for crossings in (((1, 2, 3), (1, 2, 3)), ((1, 2, 3, 4, 5), (1, 2, 3, 4, 5))):

@@ -1,9 +1,10 @@
 """The memoized walk of `_kernel_py.resolve_sum` against the tree walk, in
 the default order and under seeds; the memoized AJ-state table against the
 reference tree walk on diagrams (`tree_reference`), also on many loops and
-colors; how many states each memo expands; the seeded pick rule; closures
-whose tree only the memo can afford, up to the byte labels' bound; and that
-the memo and the code search leave no reference cycles."""
+colors; `_memo_walk` on a hand-made DAG; how many states each memo
+expands; the seeded pick rule; closures whose tree only the memo can
+afford, up to the byte labels' bound; and that the memo, the code search
+and `double_bracket` leave no reference cycles."""
 
 import gc
 import random
@@ -119,6 +120,62 @@ def test_state_table_takes_many_loops_and_colors(pd, colors, loops):
     assert resolve(d, group=True).total() == double_bracket(d)
 
 
+# A hand-made DAG for `_memo_walk`: a state's children as (child, sign,
+# apow, dpow, dtag), or a leaf's tag.  "s" is reached by paths of different
+# weights, one of them twice from "y"; the two paths to "z" cancel, so
+# the leaf "c" below it must not appear, and "w" cancels the path r-x-s-a
+# at the leaf "a"; "y" and its first edge shift tags.
+DAG = {
+    "r": [("x", 1, 1, 0, 0), ("y", 1, -1, 0, 1), ("w", 1, 1, 0, 0)],
+    "x": [("s", 1, 1, 0, 0), ("z", 1, 0, 0, 0)],
+    "y": [("s", -1, 0, 1, 2), ("s", 1, 2, 0, 0)],
+    "w": [("z", -1, 0, 0, 0), ("a", -1, 2, 0, 0)],
+    "s": [("a", 1, 1, 0, 0), ("b", 1, -1, 0, 1)],
+    "z": [("c", 1, 0, 1, 0)],
+    "a": 10,
+    "b": 20,
+    "c": 30,
+}
+
+
+def dag_tree_sum(dag, node, weight=(1, 0, 0, 0), out=None):
+    """The leaves of the tree that ``dag`` unfolds to, expanded path by
+    path, summed per (tag, apow, dpow) without zero counts."""
+    out = {} if out is None else out
+    sign, apow, dpow, tags = weight
+    kids = dag[node]
+    if type(kids) is int:
+        group = (tags + kids, apow, dpow)
+        out[group] = out.get(group, 0) + sign
+    else:
+        for child, s, a, d, t in kids:
+            dag_tree_sum(dag, child, (sign * s, apow + a, dpow + d, tags + t), out)
+    return {group: count for group, count in out.items() if count}
+
+
+@pytest.mark.parametrize("root", ["r", "a"])
+def test_memo_walk_matches_the_unfolded_tree(root):
+    expanded = []
+
+    def expand(node):
+        expanded.append(node)
+        kids = DAG[node]
+        return kids if type(kids) is int else [(c, c, *w) for c, *w in kids]
+
+    flat = _kernel_py._memo_walk(root, root, expand)
+    it = iter(flat)
+    got = {(t, a, d): count for t, a, d, count in zip(it, it, it, it)}
+    assert len(got) * 4 == len(flat) and 0 not in got.values()
+    assert got == dag_tree_sum(DAG, root)
+    if root == "r":
+        # each state expanded once
+        assert sorted(expanded) == sorted(DAG)
+        assert got[(13, 0, 1)] == -1 and got[(24, -2, 1)] == -1
+        assert (10, 3, 0) not in got and all(t != 30 for t, _, _ in got)
+    else:
+        assert expanded == ["a"] and flat == [10, 0, 0, 1]
+
+
 def count_expanded(monkeypatch, module, run):
     """The states `_memo_walk`, as ``module`` calls it, expands during ``run()``."""
     walk, calls = module._memo_walk, []
@@ -157,6 +214,8 @@ def test_code_and_state_table_leave_no_garbage_cycles():
         d.canonical_code()
         assert gc.collect() == 0
         resolve(d, codes=True, group=True)
+        assert gc.collect() == 0
+        double_bracket(d)
         assert gc.collect() == 0
     finally:
         gc.enable()
