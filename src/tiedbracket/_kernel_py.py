@@ -1,16 +1,16 @@
 """Pure-Python resolution kernel.
 
-Hot path shared with the compiled kernel (`_kernel_c`): both expose the
-same two functions and must produce identical results, including the
-leaf order and the seeded picks.  The engine picks one at import time;
-see `_backend`.
+The spec of the compiled kernel (`_kernel_c`): both expose `resolve_sum`,
+run the same memo walk over the same keys and must produce identical
+results, seeded picks included.  The engine picks one at import time; see
+`_backend`.
 
 Diagrams arrive pre-encoded: `slots` is a flat list of 4*n arc ids (dense,
-0-based, at most MAX_ARCS arcs), `colors` maps arc id -> non-negative
+0-based, at most MAX_KEY_ARCS arcs), `colors` maps arc id -> non-negative
 color (below 256; the engine numbers arc colors in order, so they stay
-below MAX_ARCS), and only the length of `loops`, the free loops, matters.
-A non-negative `seed` requests a seeded order, and `seed = -1` the
-default one.
+below the number of arcs), and only the length of `loops`, the free
+loops, matters.  A non-negative `seed` requests a seeded order, and
+`seed = -1` the default one.
 
 Inside, a state is two `bytes`: its slots and the colors of its arcs,
 indexed by arc label.  The helpers below act on that encoding and serve
@@ -20,8 +20,8 @@ indexed by arc label.  The helpers below act on that encoding and serve
 of the circles it closes) and `_canonical` relabels a state's arcs by
 first appearance.  The tree walk and the table add a third `bytes`, the
 colors of the state's loops, which `_smooth` carries through a
-smoothing.  Byte labels bound the walks that relabel, and those that
-carry loop colors: fewer than 256 arcs (MAX_KEY_ARCS).
+smoothing.  Byte labels bound every walk of both kernels: fewer than 256
+arcs (MAX_KEY_ARCS).
 
 Leaf weights are products of the branch labels A, 1/A, -1 and
 delta = A + 1/A, so they compress to a triple (sign, apow, dpow).  The
@@ -60,13 +60,12 @@ leaves in place of k.  The memo lives for one call.
 `_walk` is the one tree walk: it yields every node in preorder with its
 state and pick.  The engine's `resolution_tree` (behind ``tiedbracket
 tree``) and its ungrouped `resolve` read it, and so does `resolve_leaves`,
-which promises every leaf in depth-first order.  The engine does not call
-`resolve_leaves`: it is the spec of the compiled kernel's leaf walk for
-the parity tests, and the benchmark replays it to count leaves, until a
-counter of `resolve_sum` does that.
+which promises every leaf in depth-first order.  Neither the engine nor
+the compiled kernel has a leaf walk: the benchmark replays
+`resolve_leaves` to count leaves, until a counter of `resolve_sum` does
+that.
 """
 
-MAX_ARCS = 64
 # Arc labels are bytes in the relabelled states and in the seeded draw.
 MAX_KEY_ARCS = 255
 

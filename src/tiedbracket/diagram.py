@@ -137,14 +137,14 @@ class TiedDiagram:
         every component is colored 1, which encodes a classical link.
         ``loops`` gives the colors of crossingless circles.  Every color
         must be a positive int; they are renamed to 1..m afterwards.  Arc
-        ids must be ints, as `validate` requires.
+        ids must be ints, as `validate` requires; neither may be a bool.
         """
         crossings = tuple(tuple(t) for t in slot_tuples)
         for rec in crossings:
             if len(rec) != 4:
                 raise DiagramError(f"crossing needs exactly 4 slots, got {rec}")
             for s in rec:
-                if not isinstance(s, int):
+                if type(s) is not int:
                     raise DiagramError(f"arc ids must be integers, got {s!r}")
         comps = _trace_components(crossings)
         if component_colors is None:
@@ -155,7 +155,7 @@ class TiedDiagram:
             )
         loops = tuple(loops)
         for col in (*component_colors, *loops):
-            if not isinstance(col, int) or col <= 0:
+            if type(col) is not int or col <= 0:
                 raise DiagramError(f"colors must be positive integers, got {col!r}")
         arc_color = {arc: col for comp, col in zip(comps, component_colors) for arc in comp}
         d = cls(crossings, arc_color, loops)
@@ -198,7 +198,9 @@ class TiedDiagram:
         """Check the structural invariants; raise a DiagramError otherwise.
 
         The crossings must be a tuple of 4-tuples of int arc ids and the
-        free loops a tuple of colors, every colored arc and every arc id
+        free loops a tuple of colors.  Arc ids and colors are exact ints:
+        ``str`` spells a bool or an int subclass in a way `parse_diagram`
+        does not read back.  Every colored arc and every arc id
         among the slots must occur exactly twice there, every used arc
         must be colored, and all arcs of one component must share a color.
         """
@@ -211,7 +213,7 @@ class TiedDiagram:
             if not isinstance(rec, tuple) or len(rec) != 4:
                 raise DiagramError(f"crossing needs exactly 4 slots, got {rec!r}")
             for s in rec:
-                if not isinstance(s, int):
+                if type(s) is not int:
                     raise DiagramError(f"arc ids must be integers, got {s!r}")
                 counts[s] = counts.get(s, 0) + 1
         for arc, n in counts.items():
@@ -221,7 +223,7 @@ class TiedDiagram:
             if arc not in self.arc_color:
                 raise MissingColorError(f"arc {arc} has no color")
         for col in list(self.arc_color.values()) + list(self.free_loops):
-            if not isinstance(col, int) or col <= 0:
+            if type(col) is not int or col <= 0:
                 raise DiagramError(f"colors must be positive integers, got {col!r}")
         for comp in _trace_components(self.crossings):
             colors = {self.arc_color[a] for a in comp}

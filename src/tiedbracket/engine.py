@@ -26,7 +26,6 @@ from typing import Sequence
 
 from . import _backend
 from ._kernel_py import (
-    MAX_ARCS,
     MAX_KEY_ARCS,
     _canonical,
     _memo_walk,
@@ -176,8 +175,8 @@ def _ordered(d: TiedDiagram, strategy: Strategy) -> TiedDiagram:
     perm = getattr(strategy, "permutation", None)
     if perm is None:
         return d
-    if sorted(perm) != list(range(len(d.crossings))):
-        raise ValueError(f"permutation {perm} does not match {len(d.crossings)} crossings")
+    if any(type(i) is not int for i in perm) or sorted(perm) != list(range(len(d.crossings))):
+        raise ValueError(f"permutation {perm} is not a reordering of range({len(d.crossings)})")
     return TiedDiagram(tuple(d.crossings[i] for i in perm), d.arc_color, d.free_loops)
 
 
@@ -186,16 +185,17 @@ def _seed(strategy: Strategy) -> int:
     return strategy.seed if isinstance(strategy, RandomStrategy) else -1
 
 
-def _encode(d: TiedDiagram, limit: int, walk: str):
-    """Encode a diagram for `_kernel_py`'s helpers: ``(slots, colors,
-    number)``, with the arcs numbered densely in order and the arc colors
-    numbered from 0 in order, as the dict ``number`` lists them.  The
-    numbering is monotone, so picks do not change.  A diagram of more than
-    ``limit`` arcs is rejected with a DiagramError that names ``walk``.
+def _encode(d: TiedDiagram, walk: str):
+    """Encode a diagram for the kernels and `_kernel_py`'s helpers:
+    ``(slots, colors, number)``, with the arcs numbered densely in order and
+    the arc colors numbered from 0 in order, as the dict ``number`` lists
+    them.  The numbering is monotone, so picks do not change.  Every walk
+    spells arc labels as bytes, so a diagram of more than MAX_KEY_ARCS arcs
+    is rejected with a DiagramError that names ``walk``.
     """
     arc_ids = sorted(d.used_arcs())
-    if len(arc_ids) > limit:
-        raise DiagramError(f"{walk} supports at most {limit // 2} crossings")
+    if len(arc_ids) > MAX_KEY_ARCS:
+        raise DiagramError(f"{walk} supports at most {MAX_KEY_ARCS // 2} crossings")
     number = {c: i for i, c in enumerate(sorted({d.arc_color[a] for a in arc_ids}))}
     colors = [number[d.arc_color[a]] for a in arc_ids]
     dense = {a: i for i, a in enumerate(arc_ids)}
@@ -214,7 +214,7 @@ def _byte_state(d: TiedDiagram, strategy: Strategy, walk: str):
     reaches that loop.  Byte labels take fewer than 256 arcs (MAX_KEY_ARCS).
     """
     d = _ordered(d, strategy)
-    slots, colors, number = _encode(d, MAX_KEY_ARCS, walk)
+    slots, colors, number = _encode(d, walk)
     palette = list(number)
     loops = bytes(sorted(number[c] for c in d.free_loops if c in number))
     inert = tuple(c for c in d.free_loops if c not in number)
@@ -233,12 +233,12 @@ def _byte_state(d: TiedDiagram, strategy: Strategy, walk: str):
 def _prepare(d: TiedDiagram, strategy: Strategy):
     """Validate and encode a diagram for the kernels (`_encode`).
 
-    Diagrams past the compiled kernel's arc buffers (MAX_ARCS) are
-    rejected here, so both kernels accept the same diagrams.  Arc colors
-    stay below MAX_ARCS; the kernels read only the number of loops.
+    Diagrams past the byte labels (MAX_KEY_ARCS) are rejected here, so both
+    kernels accept the same diagrams.  Arc colors stay below the number of
+    arcs; the kernels read only the number of loops.
     """
     d = _ordered(d, strategy)
-    slots, colors, _ = _encode(d, MAX_ARCS, "kernel")
+    slots, colors, _ = _encode(d, "kernel")
     return slots, colors, d.free_loops, _seed(strategy)
 
 
@@ -304,8 +304,8 @@ def resolve(
     summarizes each distinct leaf once and merges the entries of
     identical states.  ``group=False`` walks every node of the tree on
     byte states (`_kernel_py._walk`, as `resolution_tree` does) and
-    returns every leaf, depth-first in the kernels' leaf order.  With
-    ``codes=True`` each leaf diagram also gets its canonical code, and
+    returns every leaf, depth-first as `_kernel_py.resolve_leaves` does.
+    With ``codes=True`` each leaf diagram also gets its canonical code, and
     grouping merges by code instead of by the (k, gamma, crossings_left)
     summary.
     """
@@ -388,10 +388,10 @@ def resolution_tree(d: TiedDiagram, strategy: Strategy = _DEFAULT):
     ``parent`` is None at the root, ``label`` names the branch from the
     parent (A, A⁻¹, -1 or δ), and the triple is the weight sign * A^apow *
     delta^dpow of the branch from the root.  ``leaf`` is the diagram of an
-    AJ-state at a leaf and None elsewhere.  Leaves arrive in the kernels'
-    leaf order, and children are smoothed only when the generator resumes
-    after their parent.  The walk is on byte states (`_byte_state`), so it
-    takes fewer than 256 arcs (MAX_KEY_ARCS).
+    AJ-state at a leaf and None elsewhere.  Leaves arrive in the order of
+    `_kernel_py.resolve_leaves`, and children are smoothed only when the
+    generator resumes after their parent.  The walk is on byte states
+    (`_byte_state`), so it takes fewer than 256 arcs (MAX_KEY_ARCS).
     """
     state, diagram = _byte_state(d, strategy, "the resolution tree")
     weights = []

@@ -302,8 +302,10 @@ def test_from_pd_errors():
     with pytest.raises(DiagramError):
         TiedDiagram.from_pd(HOPF, [1, 0])  # non-positive color
     # colors that are not ints used to be truncated or raise a TypeError,
-    # and non-positive loop colors to be renamed
+    # and non-positive loop colors to be renamed; a bool color used to be
+    # accepted and printed as True, which parse_diagram rejects
     for colors, loops in (
+        ([True, 2], ()),
         ([1, 1.5], ()),
         (["1", "2"], ()),
         ([1, 2], (2.7,)),
@@ -319,6 +321,7 @@ def test_from_pd_errors():
             TiedDiagram.from_pd([], None, loops)
     # arc ids that validate() rejects used to be truncated by int()
     for pd in (
+        [(True, 3, 2, 4), (3, True, 4, 2)],
         [(1, 3, 2, 4.5), (3, 1, 4, 2)],
         [("1", 3, 2, 4), (3, "1", 4, 2)],
         [(1, 3, 2, 4), (3, 1, 4, "2")],
@@ -335,6 +338,8 @@ def test_from_pd_errors():
         TiedDiagram([(1, 3, 2, 4), (3, 1, 4, 2)], {1: 1, 2: 1, 3: 2, 4: 2}).validate()
     with pytest.raises(DiagramError, match="integers"):
         TiedDiagram(((1, 2, 1, "x"), (2, "x", 3, 3)), {1: 1, 2: 1, 3: 1, "x": 1}).validate()
+    with pytest.raises(DiagramError, match="positive integers"):
+        TiedDiagram(((1, 3, 2, 4), (3, 1, 4, 2)), {1: True, 2: True, 3: 2, 4: 2}).validate()
     # list loops used to pass validate() and then fail in disjoint_union
     with pytest.raises(DiagramError, match="free_loops must be a tuple"):
         TiedDiagram((), {}, [1, 1]).validate()

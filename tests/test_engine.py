@@ -68,10 +68,10 @@ def test_resolve_tied_hopf_leaves():
 
 
 def test_resolve_with_codes_matches_kernel():
-    # the reference walk on diagrams picks the kernel's crossings, seeded
-    # draws included, and counts each leaf's colors, where the kernel's
-    # leaf walk leaves gamma = m - dpow to the engine; the ungrouped
-    # resolve, on byte states, returns the reference's leaves
+    # the reference walk on diagrams picks the kernels' crossings, seeded
+    # draws included, and counts each leaf's colors, where the pure-Python
+    # kernel's leaf walk leaves gamma = m - dpow to the engine; the
+    # ungrouped resolve, on byte states, returns the reference's leaves
     strategies = [
         OrderedStrategy(),
         OrderedStrategy((4, 2, 0, 3, 1)),
@@ -82,7 +82,7 @@ def test_resolve_with_codes_matches_kernel():
         d = random_diagram(seed, 5, seed % 5 + 1, seed % 4)
         m = d.n_colors
         for strategy in strategies:
-            leaves = _backend.kernel.resolve_leaves(*_prepare(d, strategy))
+            leaves = _kernel_py.resolve_leaves(*_prepare(d, strategy))
             coded = reference_sum(d, strategy, codes=True)
             assert resolve(d, strategy, codes=True).entries == coded.entries
             assert [(s.k, s.gamma, s.crossings_left) for s, _ in coded.entries] == [
@@ -162,6 +162,11 @@ def test_double_bracket_strategies_agree():
     assert double_bracket(d, RandomStrategy(7)) == default
     with pytest.raises(ValueError):
         double_bracket(d, OrderedStrategy((0, 0)))
+    # entries that sort like ints but are not ints used to pass the check
+    # and fail with a TypeError while indexing
+    for perm in ((0.0, 1), (1, 0.0), (True, 0)):
+        with pytest.raises(ValueError, match="reordering"):
+            double_bracket(d, OrderedStrategy(perm))
     with pytest.raises(ValueError):
         RandomStrategy(-1)
     with pytest.raises(ValueError, match="integer"):

@@ -3,8 +3,8 @@ the default order and under seeds; the memoized AJ-state table against the
 reference tree walk on diagrams (`tree_reference`), also on many loops and
 colors; `_memo_walk` on a hand-made DAG; how many states each memo
 expands; the seeded pick rule; closures whose tree only the memo can
-afford, up to the byte labels' bound; and that the memo, the code search
-and `double_bracket` leave no reference cycles."""
+afford, on both kernels, up to the byte labels' bound; and that the memo,
+the code search and `double_bracket` leave no reference cycles."""
 
 import gc
 import random
@@ -14,6 +14,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from torus import torus_2, torus_2_closed_form
 from tree_reference import reference_sum
 
 from tiedbracket import _backend, _kernel_py, engine
@@ -29,7 +30,7 @@ from tiedbracket.engine import (
     kauffman_bracket,
     resolve,
 )
-from tiedbracket.laurent import LOOP, BivariateLaurent
+from tiedbracket.laurent import LOOP
 
 
 HOPF = [(1, 3, 2, 4), (3, 1, 4, 2)]
@@ -270,25 +271,8 @@ def test_seeds_draw_distinct_trees():
     assert len(trees) == 30
 
 
-def torus_2(n):
-    """The closure of the 2-strand braid sigma_1^n, all components colored 1."""
-    left, right = 1, 2
-    quads = []
-    for c in range(n):
-        nw, ne = 3 + 2 * c, 4 + 2 * c
-        quads.append((left, right, ne, nw))  # under-strand from bottom left to top right
-        left, right = nw, ne
-    close = {left: 1, right: 2}
-    return TiedDiagram.from_pd([tuple(close.get(a, a) for a in q) for q in quads])
-
-
-def torus_2_closed_form(n, eps):
-    """LOOP * <T(2, n)> = A^(eps n) LOOP^2 + (-A^(-3 eps))^n - A^(eps n)."""
-    a_n = BivariateLaurent.monomial(eps * n)
-    return a_n * LOOP * LOOP + BivariateLaurent.monomial(-3 * eps * n, 0, (-1) ** n) - a_n
-
-
-def test_memo_resolves_a_long_torus_closure(monkeypatch):
+@pytest.mark.parametrize("name", ["python", "compiled"])
+def test_memo_resolves_a_long_torus_closure(request, monkeypatch, name):
     # The sign convention of the crossings, fixed against the state sum.
     eps = [
         e for e in (1, -1)
@@ -301,7 +285,8 @@ def test_memo_resolves_a_long_torus_closure(monkeypatch):
     def give_up(signum, frame):
         raise TimeoutError("the ordered walk fell back to the 2^30-leaf tree")
 
-    monkeypatch.setattr(_backend, "kernel", _kernel_py)
+    kernel = _kernel_py if name == "python" else request.getfixturevalue("compiled_kernel")
+    monkeypatch.setattr(_backend, "kernel", kernel)
     previous = signal.signal(signal.SIGALRM, give_up)
     signal.setitimer(signal.ITIMER_REAL, 5.0)
     try:
@@ -310,16 +295,19 @@ def test_memo_resolves_a_long_torus_closure(monkeypatch):
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
     assert LOOP * value == torus_2_closed_form(30, -1)
+    # past the 64 arcs the compiled kernel once took, up to the byte labels'
+    # 254 arcs, with counts past 64 bits, and no further
+    for n in (40, 127):
+        assert LOOP * double_bracket(torus_2(n)) == torus_2_closed_form(n, -1)
+    with pytest.raises(DiagramError, match="kernel supports at most 127 crossings"):
+        double_bracket(torus_2(128))
 
 
 def test_state_table_takes_a_closure_past_the_kernel_bound():
-    # 80 arcs, past the kernels' 64
-    d = torus_2(40)
-    with pytest.raises(DiagramError):
-        double_bracket(d)
-    assert LOOP * resolve(d, group=True).total() == torus_2_closed_form(40, -1)
-    # 254 arcs, the most the byte labels take
-    assert LOOP * resolve(torus_2(127), group=True).total() == torus_2_closed_form(127, -1)
+    # 80 arcs, past the 64 the compiled kernel once took, and 254, the most
+    # the byte labels take
+    for n in (40, 127):
+        assert LOOP * resolve(torus_2(n), group=True).total() == torus_2_closed_form(n, -1)
 
 
 def test_byte_walks_refuse_256_arcs(capsys):
@@ -329,7 +317,7 @@ def test_byte_walks_refuse_256_arcs(capsys):
         for group in (True, False):
             with pytest.raises(DiagramError, match="at most 127 crossings"):
                 resolve(d, strategy, codes=True, group=group)
-    for args in (["states", "--seed", "1"], ["tree", "--max-nodes", "3"]):
+    for args in (["bracket"], ["states", "--seed", "1"], ["tree", "--max-nodes", "3"]):
         assert main([*args, str(torus_2(130))]) == 1
         out = capsys.readouterr()
         assert out.out == "" and out.err.startswith("error:") and "127 crossings" in out.err
