@@ -6,7 +6,11 @@
    integers that raise OverflowError rather than wrap.  Byte labels bound
    the arcs (MAX_KEY_ARCS); arguments past them, or not shaped like a
    diagram, raise ValueError.  Leaves carry no colors: the engine counts
-   them as m - dpow for a diagram of m colors; see `_kernel_py`. */
+   them as m - dpow for a diagram of m colors; see `_kernel_py`.
+
+   A state is its key in both kernels.  The twins of the functions below:
+   intern <-> `_kernel_py._canonical`, components <-> `_components`,
+   memo_walk <-> `_memo_walk`. */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 #include <stdint.h>

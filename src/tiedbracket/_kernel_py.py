@@ -12,16 +12,19 @@ below the number of arcs), and only the length of `loops`, the free
 loops, matters.  A non-negative `seed` requests a seeded order, and
 `seed = -1` the default one.
 
-Inside, a state is two `bytes`: its slots and the colors of its arcs,
-indexed by arc label.  The helpers below act on that encoding and serve
-`resolve_sum`, the tree walk `_walk` and the engine's AJ-state table
+Inside, a node's slots and the colors of its arcs, indexed by arc label,
+are two `bytes`.  The helpers below act on them and serve `resolve_sum`,
+the tree walk `_walk` and the engine's AJ-state table
 (`engine._state_table`) alike: `_pick` chooses the crossing to smooth,
 `_children` smooths it (through `_glue`, which also reports the colors
-of the circles it closes) and `_canonical` relabels a state's arcs by
-first appearance.  The tree walk and the table add a third `bytes`, the
-colors of the state's loops, which `_smooth` carries through a
-smoothing.  Byte labels bound every walk of both kernels: fewer than 256
-arcs (MAX_KEY_ARCS).
+of the circles it closes) and `_canonical` gives a state its key, one
+`bytes` of 6 bytes a crossing: the slots with their arcs relabelled by
+first appearance, then the colors of those arcs.  A memo state is its
+key, as in the compiled kernel, and the walks slice the slots and colors
+back out of it.  `_components` counts a leaf's components.  The tree
+walk and the table add a third `bytes`, the colors of the state's
+loops, which `_smooth` carries through a smoothing.  Byte labels bound
+every walk of both kernels: fewer than 256 arcs (MAX_KEY_ARCS).
 
 Leaf weights are products of the branch labels A, 1/A, -1 and
 delta = A + 1/A, so they compress to a triple (sign, apow, dpow).  The
@@ -48,14 +51,15 @@ tests keep one as the reference of `_walk`).  Every resolution tree
 gives the same value, so a seeded tree need only be some valid tree, not
 one drawn from a sequential random stream.
 
-`resolve_sum` therefore walks the tree as a DAG under every seed: it keys
-each state by its canonical slots and colors and expands each key once.
-Then, from the root down, each state passes the histogram of its paths
-from the root, (circles closed, apow, dpow) with counts, to its
-children, shifted by the branch weight and by the circles the smoothing
-closed; a leaf adds its own components to give k.  The memo loop is
-`_memo_walk`, which the AJ-state table shares with tags of distinct
-leaves in place of k.  The memo lives for one call.
+`resolve_sum` therefore walks the tree as a DAG under every seed: it
+expands each key once.  Then, from the root down, each state passes the
+histogram of its paths from the root, (circles closed, apow, dpow) with
+counts, to its children, shifted by the branch weight and by the circles
+the smoothing closed; a leaf adds its own components to give k.  The
+memo loop is `_memo_walk`, which takes keys only and returns the leaves'
+histogram as a dict; the AJ-state table shares it, with the loops' colors
+added to each key and tags of distinct leaves in place of k.  The memo
+lives for one call.
 
 `_walk` is the one tree walk: it yields every node in preorder with its
 state and pick.  The engine's `resolution_tree` (behind ``tiedbracket
@@ -95,7 +99,7 @@ def resolve_leaves(slots, colors, loops, seed=-1):
     """
     walk = _walk(bytes(slots), bytes(colors), bytes(len(loops)), seed)
     return [
-        _leaf(slots, colors, len(loops), len(slots) >> 2, *weight)
+        (len(loops) + _components(slots, len(colors)), len(slots) >> 2, *weight)
         for _, weight, slots, colors, loops, x in walk
         if x < 0
     ]
@@ -228,29 +232,46 @@ def _smooth(slots, colors, loops, x, x_type2):
 
 
 def _canonical(slots, colors):
-    """Relabel live arcs by first appearance; return (slots, colors), the
-    colors those of the live arcs in their new order.
+    """The key of a state: its slots with the live arcs relabelled by first
+    appearance, then the colors of those arcs in their new order, as one
+    `bytes` of 6 bytes a crossing.
 
-    Every live arc occurs twice among the slots, so the slots take two
-    thirds of ``slots + colors`` and no two states share that key.
+    Every live arc occurs twice among the slots, so the slots take the
+    first two thirds of the key and no two states share it.
     """
     order = bytes(dict.fromkeys(slots))
-    return (
-        slots.translate(bytes.maketrans(order, _RANGE[: len(order)])),
-        order.translate(colors.ljust(256, b"\0")),
-    )
+    rel = slots.translate(bytes.maketrans(order, _RANGE[: len(order)]))
+    return rel + order.translate(colors.ljust(256, b"\0"))
 
 
-def _memo_walk(root, state, expand):
-    """Walk a resolution tree as a DAG; return the histogram of its leaves
-    as a flat list [tag, apow, dpow, count, ...] without zero counts.
+def _components(slots, n_arcs):
+    """The components of a leaf whose arcs are labelled below ``n_arcs``:
+    the two ends of each strand join."""
+    parent = list(range(n_arcs))
+    k = len(slots) >> 1
+    for s in range(0, len(slots), 4):
+        for a, b in ((slots[s], slots[s + 2]), (slots[s + 1], slots[s + 3])):
+            while parent[a] != a:
+                a = parent[a]
+            while parent[b] != b:
+                b = parent[b]
+            if a != b:
+                parent[b] = a
+                k -= 1
+    return k
 
-    ``root`` keys ``state``, and equal keys must stand for isomorphic
-    subtrees.  ``expand(state)`` returns a leaf's tag, an int, or the
-    state's children as ``(key, state, sign, apow, dpow, dtag)``: the
-    branch weight sign * A^apow * delta^dpow and a shift of the tags below.
-    A leaf reached by a path counts once at its tag plus the path's dtags,
-    with the product of the path's weights.
+
+def _memo_walk(root, expand):
+    """Walk a resolution tree as a DAG from the key ``root``; return the
+    histogram ``{(tag, apow, dpow): count}`` of its leaves, without zero
+    counts.
+
+    A state is its key, and equal keys must stand for isomorphic subtrees.
+    ``expand(key)`` returns a leaf's tag, an int, or the state's children
+    as ``(key, sign, apow, dpow, dtag)``: the branch weight sign * A^apow *
+    delta^dpow and a shift of the tags below.  A leaf reached by a path
+    counts once at its tag plus the path's dtags, with the product of the
+    path's weights.
 
     Two passes.  The first expands each key once, depth-first, numbers the
     states in post-order and keeps only their edges: ``(child, sign, apow,
@@ -267,26 +288,26 @@ def _memo_walk(root, state, expand):
     """
     index = {}
     edges = []
-    # Stack entries: (key, state, None) expands a state;
-    # (key, None, kids) numbers it once its children are numbered.
-    stack = [(root, state, None)]
+    # Stack entries: (key, None) expands a state;
+    # (key, kids) numbers it once its children are numbered.
+    stack = [(root, None)]
     while stack:
-        key, state, kids = stack.pop()
+        key, kids = stack.pop()
         if kids is not None:
             index[key] = len(edges)
-            edges.append([(index[c[0]], *c[2:]) for c in kids])
+            edges.append([(index[c[0]], *c[1:]) for c in kids])
             continue
         if key in index:
             continue
-        kids = expand(state)
+        kids = expand(key)
         if type(kids) is int:
             index[key] = len(edges)
             edges.append(kids)
             continue
-        stack.append((key, None, kids))
+        stack.append((key, kids))
         for c in kids:
             if c[0] not in index:
-                stack.append((c[0], c[1], None))
+                stack.append((c[0], None))
     del index  # the push reads indices only; free the keys first
 
     paths = [None] * len(edges)
@@ -308,36 +329,29 @@ def _memo_walk(root, state, expand):
                 if count:
                     group = (t + dtag, a + apow, d + dpow)
                     acc[group] = acc.get(group, 0) + sign * count
-    flat = []
-    for group, count in out.items():
-        if count:
-            flat += group
-            flat.append(count)
-    return flat
+    return {group: count for group, count in out.items() if count}
 
 
 def resolve_sum(slots, colors, loops, seed=-1):
     """Resolve completely; return {(apow, dpow, k): signed leaf count}.
 
-    `_memo_walk` over canonical states (`_canonical`), tagging each path
-    with the circles its smoothings closed; a leaf adds its components.
+    `_memo_walk` over the keys of `_canonical`, tagging each path with the
+    circles its smoothings closed; a leaf adds its components.
     """
 
-    def expand(state):
-        slots, colors = state
-        n = len(slots) >> 2
+    def expand(key):
+        n = len(key) // 6
+        slots, colors = key[: 4 * n], key[4 * n :]
         x, x_type2 = _pick(slots, colors, n, seed)
         if x < 0:
-            return _leaf(slots, colors, 0, n, 1, 0, 0)[0]
-        children = []
-        for c_slots, c_colors, closed, sign, apow, dpow in _children(slots, colors, x, x_type2):
-            child = _canonical(c_slots, c_colors)
-            children.append((child[0] + child[1], child, sign, apow, dpow, len(closed)))
-        return children
+            return _components(slots, 2 * n)
+        return [
+            (_canonical(c_slots, c_colors), sign, apow, dpow, len(closed))
+            for c_slots, c_colors, closed, sign, apow, dpow in _children(slots, colors, x, x_type2)
+        ]
 
-    root = _canonical(bytes(slots), bytes(colors))
-    it = iter(_memo_walk(root[0] + root[1], root, expand))
-    return {(apow, dpow, k + len(loops)): count for k, apow, dpow, count in zip(it, it, it, it)}
+    groups = _memo_walk(_canonical(bytes(slots), bytes(colors)), expand)
+    return {(apow, dpow, k + len(loops)): count for (k, apow, dpow), count in groups.items()}
 
 
 def _walk(slots, colors, loops, seed):
@@ -358,7 +372,8 @@ def _walk(slots, colors, loops, seed):
     while stack:
         parent, weight, slots, colors, loops = stack.pop()
         if seed >= 0:
-            slots, colors = _canonical(slots, colors)
+            key = _canonical(slots, colors)
+            slots, colors = key[: len(slots)], key[len(slots) :]
         x, x_type2 = _pick(slots, colors, len(slots) >> 2, seed)
         yield parent, weight, slots, colors, loops, x
         if x >= 0:
@@ -371,24 +386,3 @@ def _walk(slots, colors, loops, seed):
                     (node, (sign * c_sign, apow + c_apow, dpow + c_dpow), c_slots, c_colors, c_loops)
                 )
         node += 1
-
-
-def _leaf(slots, colors, loop_count, n, sign, apow, dpow):
-    parent = list(range(len(colors)))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for x in range(n):
-        ra, rb = find(slots[4 * x]), find(slots[4 * x + 2])
-        if ra != rb:
-            parent[rb] = ra
-        ra, rb = find(slots[4 * x + 1]), find(slots[4 * x + 3])
-        if ra != rb:
-            parent[rb] = ra
-
-    k = loop_count + len({find(arc) for arc in slots})
-    return (k, n, sign, apow, dpow)

@@ -22,6 +22,7 @@ recursive expander used to confirm hand-derived values.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Sequence
 
 from . import _backend
@@ -159,7 +160,7 @@ class RandomStrategy:
     seed: int
 
     def __post_init__(self):
-        if not isinstance(self.seed, int) or self.seed < 0:
+        if type(self.seed) is not int or self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
 
 
@@ -220,9 +221,8 @@ def _byte_state(d: TiedDiagram, strategy: Strategy, walk: str):
     inert = tuple(c for c in d.free_loops if c not in number)
 
     def diagram(slots, colors, loops):
-        it = iter(slots)
         return TiedDiagram(
-            tuple(zip(it, it, it, it)),
+            tuple(zip(*[iter(slots)] * 4)),
             {a: palette[colors[a]] for a in slots},
             tuple(palette[c] for c in loops) + inert,
         )
@@ -242,28 +242,14 @@ def _prepare(d: TiedDiagram, strategy: Strategy):
     return slots, colors, d.free_loops, _seed(strategy)
 
 
-_weight_cache: dict[tuple[int, int, int], BivariateLaurent] = {}
-
-
+@cache
 def _branch_weight(sign: int, apow: int, dpow: int) -> BivariateLaurent:
-    key = (sign, apow, dpow)
-    cached = _weight_cache.get(key)
-    if cached is None:
-        cached = BivariateLaurent.monomial(apow, 0, sign) * DELTA ** dpow
-        _weight_cache[key] = cached
-    return cached
+    return BivariateLaurent.monomial(apow, 0, sign) * DELTA**dpow
 
 
-_value_cache: dict[tuple[int, int], BivariateLaurent] = {}
-
-
-def _group_value(dpow: int, k: int, gamma: int) -> BivariateLaurent:
-    key = (dpow, k - gamma)
-    cached = _value_cache.get(key)
-    if cached is None:
-        cached = DELTA ** dpow * LOOP ** (k - gamma)
-        _value_cache[key] = cached
-    return cached
+@cache
+def _group_value(dpow: int, loops: int) -> BivariateLaurent:
+    return DELTA**dpow * LOOP**loops
 
 
 def double_bracket(d: TiedDiagram, strategy: Strategy = _DEFAULT) -> BivariateLaurent:
@@ -280,7 +266,7 @@ def double_bracket(d: TiedDiagram, strategy: Strategy = _DEFAULT) -> BivariateLa
     acc: dict[tuple[int, int], int] = {}
     for (apow, dpow, k), count in groups.items():
         gamma = m - dpow
-        base = _group_value(dpow, k, gamma)
+        base = _group_value(dpow, k - gamma)
         for (a, c), coeff in base.terms().items():
             kk = (a + apow, c + gamma - 1)
             s = acc.get(kk, 0) + coeff * count
@@ -334,11 +320,11 @@ def _summary(leaf: TiedDiagram, codes: bool) -> AJStateSummary:
 def _state_table(d: TiedDiagram, strategy: Strategy, codes: bool) -> StateSum:
     """The grouped AJ-state table of ``d``, expanding each distinct state once.
 
-    The walk is `_kernel_py`'s: `_memo_walk` over the byte-encoded states
-    of `resolve_sum`, smoothed by `_kernel_py._smooth` and keyed through
-    `_kernel_py._canonical`, here with the sorted colors of the state's
-    loops added to the key.  ``d`` is encoded once (`_byte_state`), so it
-    may have fewer than 256 arcs (MAX_KEY_ARCS).
+    The walk is `_kernel_py`'s: `_memo_walk` over the keys of
+    `resolve_sum` (`_kernel_py._canonical`), smoothed by
+    `_kernel_py._smooth`, here with the sorted colors of the state's loops
+    added: a state is ``(key, loops)``.  ``d`` is encoded once
+    (`_byte_state`), so it may have fewer than 256 arcs (MAX_KEY_ARCS).
 
     States with one key have isomorphic subtrees: the picks read only the
     relabelled slots and their colors, and a leaf's code, k and gamma read
@@ -353,22 +339,20 @@ def _state_table(d: TiedDiagram, strategy: Strategy, codes: bool) -> StateSum:
     leaves: list[tuple[bytes, bytes, bytes]] = []
 
     def expand(state):
-        rel, colors, loops = state
-        x, x_type2 = _pick(rel, colors, len(rel) >> 2, seed)
+        key, loops = state
+        n = len(key) // 6
+        rel, colors = key[: 4 * n], key[4 * n :]
+        x, x_type2 = _pick(rel, colors, n, seed)
         if x < 0:
-            leaves.append(state)
+            leaves.append((rel, colors, loops))
             return len(leaves) - 1
-        children = []
-        for c_slots, c_colors, c_loops, sign, apow, dpow in _smooth(rel, colors, loops, x, x_type2):
-            c_rel, c_colors = _canonical(c_slots, c_colors)
-            child = (c_rel, c_colors, c_loops)
-            children.append(((c_rel + c_colors, c_loops), child, sign, apow, dpow, 0))
-        return children
+        return [
+            ((_canonical(c_slots, c_colors), c_loops), sign, apow, dpow, 0)
+            for c_slots, c_colors, c_loops, sign, apow, dpow in _smooth(rel, colors, loops, x, x_type2)
+        ]
 
-    root = (*_canonical(slots, colors), loops)
     weights: dict[int, BivariateLaurent] = {}
-    it = iter(_memo_walk((root[0] + root[1], loops), root, expand))
-    for leaf, apow, dpow, count in zip(it, it, it, it):
+    for (leaf, apow, dpow), count in _memo_walk((_canonical(slots, colors), loops), expand).items():
         w = _branch_weight(1, apow, dpow) * count
         weights[leaf] = weights[leaf] + w if leaf in weights else w
     return StateSum(
@@ -501,7 +485,7 @@ def writhe(d: TiedDiagram, orientation: Sequence[int] | None = None) -> int:
     comps = d.components()
     if orientation is None:
         orientation = [1] * len(comps)
-    if len(orientation) != len(comps) or any(f not in (1, -1) for f in orientation):
+    if len(orientation) != len(comps) or any(type(f) is not int or f not in (1, -1) for f in orientation):
         raise ValueError(f"orientation needs one ±1 flag per component ({len(comps)})")
 
     occurrences: dict[int, list[tuple[int, int]]] = {}
@@ -555,8 +539,10 @@ def independence_check(d: TiedDiagram, trials: int = 100, seed: int = 0) -> bool
     Any False is an implementation bug, not a property of the diagram.
     ``trials`` must be at least 1: with none, nothing would be checked.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials}")
+    if type(trials) is not int or trials < 1:
+        raise ValueError(f"trials must be an integer of at least 1, got {trials!r}")
+    if type(seed) is not int:
+        raise ValueError(f"seed must be an integer, got {seed!r}")
     reference = double_bracket(d)
     state = seed
     for _ in range(trials):

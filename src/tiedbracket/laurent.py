@@ -52,11 +52,13 @@ class BivariateLaurent:
         clean: dict[tuple[int, int], int] = {}
         if terms:
             for (a, c), coeff in terms.items():
+                if type(a) is not int or type(c) is not int or type(coeff) is not int:
+                    raise ValueError(f"exponents and coefficients must be ints, got {(a, c)!r}: {coeff!r}")
                 if c < 0:
                     raise ValueError(f"negative c exponent: c^{c}")
                 if coeff:
-                    key = (int(a), int(c))
-                    clean[_EXPONENTS.setdefault(key, key)] = int(coeff)
+                    key = (a, c)
+                    clean[_EXPONENTS.setdefault(key, key)] = coeff
         self._terms = clean
         self._hash: int | None = None
 
@@ -192,11 +194,7 @@ class BivariateLaurent:
 
     @classmethod
     def from_json(cls, data: Iterable[Iterable[int]]) -> "BivariateLaurent":
-        acc: dict[tuple[int, int], int] = {}
-        for triple in data:
-            a, c, coeff = (int(x) for x in triple)
-            acc[(a, c)] = acc.get((a, c), 0) + coeff
-        return cls(acc)
+        return sum((cls({(a, c): coeff}) for a, c, coeff in data), cls())
 
     def __str__(self) -> str:
         return render_poly(self)

@@ -169,8 +169,9 @@ def test_double_bracket_strategies_agree():
             double_bracket(d, OrderedStrategy(perm))
     with pytest.raises(ValueError):
         RandomStrategy(-1)
-    with pytest.raises(ValueError, match="integer"):
-        RandomStrategy(1.5)
+    for seed in (1.5, True):
+        with pytest.raises(ValueError, match="integer"):
+            RandomStrategy(seed)
 
 
 @pytest.mark.parametrize(
@@ -224,8 +225,9 @@ def test_writhe():
         d = random_diagram(seed, seed % 5 + 1)
         n = len(d.components())
         assert writhe(d, [1] * n) == writhe(d, [-1] * n)
-    with pytest.raises(ValueError):
-        writhe(hopf, [1])
+    for orientation in ([1], [True, -1], [1.0, -1]):
+        with pytest.raises(ValueError):
+            writhe(hopf, orientation)
 
 
 def test_tied_jones():
@@ -241,9 +243,12 @@ def test_tied_jones():
 def test_independence_check():
     assert independence_check(TiedDiagram((), {}, (1, 1)), trials=3)
     assert independence_check(tied_hopf(), trials=100)
-    for trials in (0, -4):
+    for trials in (0, -4, True, 2.5):
         with pytest.raises(ValueError, match="at least 1"):
             independence_check(tied_hopf(), trials=trials)
+    for seed in (1.5, True):
+        with pytest.raises(ValueError, match="integer"):
+            independence_check(tied_hopf(), seed=seed)
 
 
 def grouped_map(d, strat):

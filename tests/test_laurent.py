@@ -82,3 +82,15 @@ def test_equality_and_hash():
 def test_neg_c_exponent_rejected():
     with pytest.raises(ValueError):
         BivariateLaurent({(0, -1): 1})
+
+
+def test_non_int_terms_rejected():
+    # floats were truncated, and strings and bools passed as ints
+    for bad in (0.5, 1.5, "2", True):
+        for a, c, coeff in ((1, 0, bad), (bad, 0, 1), (0, bad, 1)):
+            with pytest.raises(ValueError, match="ints"):
+                BivariateLaurent.from_json([[a, c, coeff]])
+            with pytest.raises(ValueError, match="ints"):
+                BivariateLaurent({(a, c): coeff})
+            with pytest.raises(ValueError, match="ints"):
+                BivariateLaurent.monomial(a, c, coeff)

@@ -1,10 +1,11 @@
-"""The memoized walk of `_kernel_py.resolve_sum` against the tree walk, in
-the default order and under seeds; the memoized AJ-state table against the
-reference tree walk on diagrams (`tree_reference`), also on many loops and
-colors; `_memo_walk` on a hand-made DAG; how many states each memo
-expands; the seeded pick rule; closures whose tree only the memo can
-afford, on both kernels, up to the byte labels' bound; and that the memo,
-the code search and `double_bracket` leave no reference cycles."""
+"""The memoized walk of `_kernel_py.resolve_sum` against the tree of
+`resolution_tree`, in the default order and under seeds; the memoized
+AJ-state table against the reference tree walk on diagrams
+(`tree_reference`), also on many loops and colors; `_memo_walk` on a
+hand-made DAG; how many states each memo expands; the seeded pick rule;
+closures whose tree only the memo can afford, on both kernels, up to the
+byte labels' bound; and that the memo, the code search and
+`double_bracket` leave no reference cycles."""
 
 import gc
 import random
@@ -28,6 +29,7 @@ from tiedbracket.engine import (
     _prepare,
     double_bracket,
     kauffman_bracket,
+    resolution_tree,
     resolve,
 )
 from tiedbracket.laurent import LOOP
@@ -39,18 +41,18 @@ SEEDED = (RandomStrategy(3), RandomStrategy(2**64 + 11))
 CATALOG = load_catalog()
 
 
-def tree_sum(slots, colors, loops, seed):
-    """The tree walk's leaves, summed per (apow, dpow, k)."""
+def tree_sum(d, strategy):
+    """The leaves of `resolution_tree`, summed per (apow, dpow, k)."""
     out = {}
-    for k, _, sign, apow, dpow in _kernel_py.resolve_leaves(slots, colors, loops, seed):
-        key = (apow, dpow, k)
-        out[key] = out.get(key, 0) + sign
+    for *_, (sign, apow, dpow), leaf in resolution_tree(d, strategy):
+        if leaf is not None:
+            key = (apow, dpow, leaf.component_count())
+            out[key] = out.get(key, 0) + sign
     return {key: v for key, v in out.items() if v}
 
 
 def assert_memo_matches_tree(d, strategy=OrderedStrategy()):
-    args = _prepare(d, strategy)
-    assert _kernel_py.resolve_sum(*args) == tree_sum(*args)
+    assert _kernel_py.resolve_sum(*_prepare(d, strategy)) == tree_sum(d, strategy)
 
 
 @given(st.data(), st.integers(0, 10_000), st.integers(1, 7), st.integers(1, 4), st.integers(0, 3))
@@ -160,13 +162,10 @@ def test_memo_walk_matches_the_unfolded_tree(root):
 
     def expand(node):
         expanded.append(node)
-        kids = DAG[node]
-        return kids if type(kids) is int else [(c, c, *w) for c, *w in kids]
+        return DAG[node]
 
-    flat = _kernel_py._memo_walk(root, root, expand)
-    it = iter(flat)
-    got = {(t, a, d): count for t, a, d, count in zip(it, it, it, it)}
-    assert len(got) * 4 == len(flat) and 0 not in got.values()
+    got = _kernel_py._memo_walk(root, expand)
+    assert 0 not in got.values()
     assert got == dag_tree_sum(DAG, root)
     if root == "r":
         # each state expanded once
@@ -174,19 +173,19 @@ def test_memo_walk_matches_the_unfolded_tree(root):
         assert got[(13, 0, 1)] == -1 and got[(24, -2, 1)] == -1
         assert (10, 3, 0) not in got and all(t != 30 for t, _, _ in got)
     else:
-        assert expanded == ["a"] and flat == [10, 0, 0, 1]
+        assert expanded == ["a"] and got == {(10, 0, 0): 1}
 
 
 def count_expanded(monkeypatch, module, run):
     """The states `_memo_walk`, as ``module`` calls it, expands during ``run()``."""
     walk, calls = module._memo_walk, []
 
-    def counted(root, state, expand):
-        def counted_expand(s):
-            calls.append(s)
-            return expand(s)
+    def counted(root, expand):
+        def counted_expand(key):
+            calls.append(key)
+            return expand(key)
 
-        return walk(root, state, counted_expand)
+        return walk(root, counted_expand)
 
     with monkeypatch.context() as mp:
         mp.setattr(module, "_memo_walk", counted)
@@ -246,9 +245,7 @@ def test_seeded_leaves_ignore_arc_names():
         names = random.Random(seed).sample(range(100, 200), len(arcs))
         renamed = d.relabel_arcs(dict(zip(arcs, names)))
         strategy = RandomStrategy(seed)
-        assert _kernel_py.resolve_leaves(*_prepare(renamed, strategy)) == _kernel_py.resolve_leaves(
-            *_prepare(d, strategy)
-        )
+        assert resolve(renamed, strategy, codes=True).entries == resolve(d, strategy, codes=True).entries
 
 
 @pytest.mark.parametrize(
@@ -256,7 +253,8 @@ def test_seeded_leaves_ignore_arc_names():
 )
 def test_seeds_pick_differently_at_the_root(entry):
     slots, colors, _, _ = _prepare(entry.diagram(), OrderedStrategy())
-    slots, colors = _kernel_py._canonical(bytes(slots), bytes(colors))
+    key = _kernel_py._canonical(bytes(slots), bytes(colors))
+    slots, colors = key[: len(slots)], key[len(slots) :]
     picks = {_kernel_py._pick(slots, colors, len(slots) // 4, seed) for seed in range(10)}
     assert len(picks) >= 2
 
@@ -267,7 +265,7 @@ def test_seeds_draw_distinct_trees():
     state, trees = 0, set()
     for _ in range(30):
         state, z = _kernel_py._mix(state)
-        trees.add(tuple(_kernel_py.resolve_leaves(*_prepare(d, RandomStrategy(z >> 1)))))
+        trees.add(tuple(resolve(d, RandomStrategy(z >> 1)).entries))
     assert len(trees) == 30
 
 
