@@ -13,18 +13,16 @@ loops, matters.  A non-negative `seed` requests a seeded order, and
 `seed = -1` the default one.
 
 Inside, a node's slots and the colors of its arcs, indexed by arc label,
-are two `bytes`.  The helpers below act on them and serve `resolve_sum`,
-the tree walk `_walk` and the engine's AJ-state table
-(`engine._state_table`) alike: `_pick` chooses the crossing to smooth,
-`_children` smooths it (through `_glue`, which also reports the colors
-of the circles it closes) and `_canonical` gives a state its key, one
-`bytes` of 6 bytes a crossing: the slots with their arcs relabelled by
-first appearance, then the colors of those arcs.  A memo state is its
-key, as in the compiled kernel, and the walks slice the slots and colors
-back out of it.  `_components` counts a leaf's components.  The tree
-walk and the table add a third `bytes`, the colors of the state's
-loops, which `_smooth` carries through a smoothing.  Byte labels bound
-every walk of both kernels: fewer than 256 arcs (MAX_KEY_ARCS).
+are two `bytes`.  The helpers below act on them and serve `resolve_sum`
+and the engine's diagram walks (`engine._states`) alike: `_pick` chooses
+the crossing to smooth, `_children` smooths it (through `_glue`, which
+also reports the colors of the circles it closes) and `_canonical` gives
+a state its key, one `bytes` of 6 bytes a crossing: the slots with their
+arcs relabelled by first appearance, then the colors of those arcs.  A
+memo state is its key, as in the compiled kernel, and the walks slice
+the slots and colors back out of it.  `_components` counts a leaf's
+components.  Byte labels bound every walk of both kernels: fewer than
+256 arcs (MAX_KEY_ARCS).
 
 Leaf weights are products of the branch labels A, 1/A, -1 and
 delta = A + 1/A, so they compress to a triple (sign, apow, dpow).  The
@@ -47,27 +45,28 @@ takes the illegal crossing, in stored order, at `_draw(seed, rel)`
 modulo their number, where rel is the slots relabelled by first
 appearance.  Colors stay out of the draw, so a walker of `TiedDiagram`s,
 which renumbers colors after each merge, draws the same values (the
-tests keep one as the reference of `_walk`).  Every resolution tree
-gives the same value, so a seeded tree need only be some valid tree, not
-one drawn from a sequential random stream.
+tests keep one as the reference of the engine's tree walk).  Every
+resolution tree gives the same value, so a seeded tree need only be some
+valid tree, not one drawn from a sequential random stream.
 
-`resolve_sum` therefore walks the tree as a DAG under every seed: it
+A walk's states are defined once, by ``expand(key)``: a leaf's tag, an
+int, or the state's children as ``(key, sign, apow, dpow, dtag)``.  For
+`resolve_sum` that is `_expander(seed)`, and two drivers walk it.  The
+memo loop `_memo_walk` walks the tree as a DAG under every seed: it
 expands each key once.  Then, from the root down, each state passes the
 histogram of its paths from the root, (circles closed, apow, dpow) with
 counts, to its children, shifted by the branch weight and by the circles
-the smoothing closed; a leaf adds its own components to give k.  The
-memo loop is `_memo_walk`, which takes keys only and returns the leaves'
-histogram as a dict; the AJ-state table shares it, with the loops' colors
-added to each key and tags of distinct leaves in place of k.  The memo
-lives for one call.
-
-`_walk` is the one tree walk: it yields every node in preorder with its
-state and pick.  The engine's `resolution_tree` (behind ``tiedbracket
-tree``) and its ungrouped `resolve` read it, and so does `resolve_leaves`,
-which promises every leaf in depth-first order.  Neither the engine nor
-the compiled kernel has a leaf walk: the benchmark replays
-`resolve_leaves` to count leaves, until a counter of `resolve_sum` does
-that.
+the smoothing closed; a leaf adds its own components to give k.  It
+returns the leaves' histogram as a dict, and the memo lives for one
+call.  The tree loop `_tree_walk` yields every node of the tree in
+preorder, expanding each key once too, but visiting it again on every
+path.  `resolve_leaves` is `resolve_sum`'s tree without the memo: it
+lists every leaf in depth-first order.  The engine's AJ-state table, its
+`resolution_tree` (behind ``tiedbracket tree``) and its ungrouped
+`resolve` run the same two drivers over the engine's states, which add
+the colors of the state's loops to each key.  Neither the engine nor the
+compiled kernel needs a leaf list: the benchmark replays `resolve_leaves`
+to count leaves, until a counter of `resolve_sum` does that.
 """
 
 # Arc labels are bytes in the relabelled states and in the seeded draw.
@@ -88,21 +87,6 @@ def _mix(state):
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     z = z ^ (z >> 31)
     return state, z
-
-
-def resolve_leaves(slots, colors, loops, seed=-1):
-    """Resolve completely; return [(k, crossings_left, sign, apow, dpow)]
-    in depth-first leaf order.
-
-    Only the number of loops counts here, so they enter `_walk` as color 0,
-    which no repaint replaces.
-    """
-    walk = _walk(bytes(slots), bytes(colors), bytes(len(loops)), seed)
-    return [
-        (len(loops) + _components(slots, len(colors)), len(slots) >> 2, *weight)
-        for _, weight, slots, colors, loops, x in walk
-        if x < 0
-    ]
 
 
 def _pick_ordered(slots, colors, n):
@@ -212,25 +196,6 @@ def _glue(slots, colors, x, a_pairing, repaint):
     return new_slots, colors, closed
 
 
-def _smooth(slots, colors, loops, x, x_type2):
-    """`_children` with the colors of each child's loops: a list of
-    ``(slots, colors, loops, sign, apow, dpow)``.
-
-    ``loops`` holds colors sorted, as a multiset.  A delta branch repaints
-    them as it repaints the arcs, and the circles the smoothing closed join
-    them.
-    """
-    out = []
-    for c_slots, c_colors, closed, sign, apow, dpow in _children(slots, colors, x, x_type2):
-        c_loops = loops
-        if dpow:
-            c_loops = c_loops.replace(*_repaint(slots, colors, x))
-        if dpow or closed:
-            c_loops = bytes(sorted(c_loops + closed))
-        out.append((c_slots, c_colors, c_loops, sign, apow, dpow))
-    return out
-
-
 def _canonical(slots, colors):
     """The key of a state: its slots with the live arcs relabelled by first
     appearance, then the colors of those arcs in their new order, as one
@@ -332,12 +297,42 @@ def _memo_walk(root, expand):
     return {group: count for group, count in out.items() if count}
 
 
-def resolve_sum(slots, colors, loops, seed=-1):
-    """Resolve completely; return {(apow, dpow, k): signed leaf count}.
+def _tree_walk(root, expand):
+    """Walk the tree that `_memo_walk` walks as a DAG, from the key
+    ``root``, node by node; yield every node in preorder as ``(parent,
+    edge, weight, dtags, key, kids)``.
 
-    `_memo_walk` over the keys of `_canonical`, tagging each path with the
-    circles its smoothings closed; a leaf adds its components.
+    ``expand`` is `_memo_walk`'s.  ``parent`` is the index of the parent's
+    yield (None at the root), ``edge`` the weight (sign, apow, dpow) of the
+    branch from the parent (None at the root), ``weight`` and ``dtags``
+    the product of the weights and the sum of the dtags on the path from
+    the root, and ``kids`` what ``expand(key)`` returned: a leaf's tag or
+    the children.  Each distinct key is expanded once, when the walk first
+    reaches it, and its children are kept until the walk ends.
     """
+    expanded = {}
+    # Stack entries: (parent, edge, weight, dtags, key).
+    stack = [(None, None, (1, 0, 0), 0, root)]
+    node = 0
+    while stack:
+        parent, edge, weight, dtags, key = stack.pop()
+        kids = expanded.get(key)
+        if kids is None:
+            kids = expanded[key] = expand(key)
+        yield parent, edge, weight, dtags, key, kids
+        if type(kids) is not int:
+            sign, apow, dpow = weight
+            # Pushed in reverse so that children pop in the kernels' order.
+            for child, c_sign, c_apow, c_dpow, dtag in reversed(kids):
+                c_weight = (sign * c_sign, apow + c_apow, dpow + c_dpow)
+                stack.append((node, (c_sign, c_apow, c_dpow), c_weight, dtags + dtag, child))
+        node += 1
+
+
+def _expander(seed):
+    """The states of `resolve_sum`, as the ``expand`` of `_memo_walk` and
+    `_tree_walk`: a key's children, tagged with the circles each smoothing
+    closed, or a leaf's components."""
 
     def expand(key):
         n = len(key) // 6
@@ -350,39 +345,25 @@ def resolve_sum(slots, colors, loops, seed=-1):
             for c_slots, c_colors, closed, sign, apow, dpow in _children(slots, colors, x, x_type2)
         ]
 
-    groups = _memo_walk(_canonical(bytes(slots), bytes(colors)), expand)
+    return expand
+
+
+def resolve_sum(slots, colors, loops, seed=-1):
+    """Resolve completely; return {(apow, dpow, k): signed leaf count}.
+
+    `_memo_walk` over the keys of `_canonical`, tagging each path with the
+    circles its smoothings closed; a leaf adds its components.
+    """
+    groups = _memo_walk(_canonical(bytes(slots), bytes(colors)), _expander(seed))
     return {(apow, dpow, k + len(loops)): count for (k, apow, dpow), count in groups.items()}
 
 
-def _walk(slots, colors, loops, seed):
-    """Walk the resolution tree of a state depth-first; yield every node in
-    preorder as ``(parent, (sign, apow, dpow), slots, colors, loops, x)``.
-
-    ``parent`` is the index of the parent's yield (None at the root), the
-    triple is the weight sign * A^apow * delta^dpow of the branch from the
-    root, ``loops`` holds the sorted colors of the state's loops (see
-    `_smooth`) and x is the pick, -1 at a leaf.  Under a seed the state
-    is relabelled by first appearance before its pick, as the draw reads
-    it.  Children are smoothed only when the generator resumes after their
-    parent.
-    """
-    # Stack entries: (parent, weight, slots, colors, loops).
-    stack = [(None, (1, 0, 0), slots, colors, loops)]
-    node = 0
-    while stack:
-        parent, weight, slots, colors, loops = stack.pop()
-        if seed >= 0:
-            key = _canonical(slots, colors)
-            slots, colors = key[: len(slots)], key[len(slots) :]
-        x, x_type2 = _pick(slots, colors, len(slots) >> 2, seed)
-        yield parent, weight, slots, colors, loops, x
-        if x >= 0:
-            sign, apow, dpow = weight
-            # Pushed in reverse so that children pop in the kernels' order.
-            for c_slots, c_colors, c_loops, c_sign, c_apow, c_dpow in reversed(
-                _smooth(slots, colors, loops, x, x_type2)
-            ):
-                stack.append(
-                    (node, (sign * c_sign, apow + c_apow, dpow + c_dpow), c_slots, c_colors, c_loops)
-                )
-        node += 1
+def resolve_leaves(slots, colors, loops, seed=-1):
+    """Resolve completely; return [(k, crossings_left, sign, apow, dpow)]
+    in depth-first leaf order: `resolve_sum`'s tree without the memo."""
+    walk = _tree_walk(_canonical(bytes(slots), bytes(colors)), _expander(seed))
+    return [
+        (len(loops) + dtags + tag, len(key) // 6, *weight)
+        for _, _, weight, dtags, key, tag in walk
+        if type(tag) is int
+    ]

@@ -461,7 +461,7 @@ def disjoint_union(
         if missing:
             raise ColorMapError(f"color_map lacks entries for colors {sorted(missing)}")
         for v in color_map.values():
-            if not isinstance(v, int) or v <= 0:
+            if type(v) is not int or v <= 0:
                 raise ColorMapError(f"color_map values must be positive integers, got {v!r}")
         recolor = dict(color_map)
     else:

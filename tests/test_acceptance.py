@@ -7,7 +7,7 @@ file, so a corrupted catalog cannot silently pass.
 
 import time
 
-from tiedbracket import selftest
+from tiedbracket import _backend, selftest
 from tiedbracket.catalog import load_catalog
 from tiedbracket.engine import double_bracket, tied_jones, writhe
 from tiedbracket.laurent import parse_poly
@@ -101,6 +101,17 @@ def test_criterion_5_tree_independence():
     # forced pure-Python fallback still must be *correct* above
     if tiedbracket.BACKEND_NAME == "compiled":
         assert dt < 60, f"independence run took {dt:.0f}s, expected under a minute"
+
+
+def test_criterion_5_tree_independence_compiled(monkeypatch, compiled_kernel):
+    # the minute budget on the compiled backend, built from source, whatever
+    # backend the suite otherwise runs
+    monkeypatch.setattr(_backend, "kernel", compiled_kernel)
+    t0 = time.perf_counter()
+    result = selftest.check_tree_independence(trials=100, seed=0)
+    dt = time.perf_counter() - t0
+    _report(result)
+    assert dt < 60, f"independence run took {dt:.0f}s, expected under a minute"
 
 
 def test_criterion_6_axiom_suite():

@@ -176,6 +176,10 @@ def test_disjoint_union():
         disjoint_union(d, unknot(), share_colors=True)
     with pytest.raises(ColorMapError):
         disjoint_union(d, unknot(), share_colors=True, color_map={2: 1})
+    # a bool is an int to isinstance, but no color
+    for value in (True, 1.0, 0):
+        with pytest.raises(ColorMapError):
+            disjoint_union(d, unknot(), share_colors=True, color_map={1: value})
 
 
 def test_canonical_code_relabeling():

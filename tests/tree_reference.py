@@ -1,8 +1,8 @@
 """A resolution-tree walk on `TiedDiagram`s, the reference of the byte walk.
 
 `engine.resolution_tree` and the ungrouped `engine.resolve` walk the tree
-on `_kernel_py`'s byte states (`_kernel_py._walk`).  This walk shares no
-smoothing code with them: it smooths a `TiedDiagram` at every node
+on byte states (`_kernel_py._tree_walk` over `engine._states`).  This walk
+shares no smoothing code with them: it smooths a `TiedDiagram` at every node
 (`smooth_type1`, `smooth_type2`) and counts circles and colors on the
 diagrams.  It borrows only the pick rule (`_kernel_py._pick`), which it
 must follow for the two trees to be the same tree.
