@@ -9,8 +9,9 @@
    them as m - dpow for a diagram of m colors; see `_kernel_py`.
 
    A state is its key in both kernels.  The twins of the functions below:
-   intern <-> `_kernel_py._canonical`, components <-> `_components`,
-   memo_walk <-> `_memo_walk`. */
+   pick <-> `_kernel_py._pick`; expand, which glues each child and interns
+   its key, <-> `_children`; intern <-> `_canonical`; components <->
+   `_components`; memo_walk <-> `_memo_walk`. */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 #include <stdint.h>

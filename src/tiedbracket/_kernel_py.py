@@ -12,15 +12,16 @@ below the number of arcs), and only the length of `loops`, the free
 loops, matters.  A non-negative `seed` requests a seeded order, and
 `seed = -1` the default one.
 
-Inside, a node's slots and the colors of its arcs, indexed by arc label,
-are two `bytes`.  The helpers below act on them and serve `resolve_sum`
-and the engine's diagram walks (`engine._states`) alike: `_pick` chooses
-the crossing to smooth, `_children` smooths it (through `_glue`, which
-also reports the colors of the circles it closes) and `_canonical` gives
-a state its key, one `bytes` of 6 bytes a crossing: the slots with their
-arcs relabelled by first appearance, then the colors of those arcs.  A
-memo state is its key, as in the compiled kernel, and the walks slice
-the slots and colors back out of it.  `_components` counts a leaf's
+Inside, a state is its key, as in the compiled kernel: one `bytes` of 6
+bytes a crossing, the slots with their arcs relabelled by first
+appearance, then the colors of those arcs.  `_unpack` splits a key into
+its slots and a color table, arc label -> color, padded once to the 256
+bytes of `bytes.translate`.  The helpers below act on them and serve
+`resolve_sum` and the engine's diagram walks (`engine._states`) alike:
+`_pick` chooses the crossing to smooth from the strand colors of
+`_strands`; `_children` smooths it, repainting the table for the delta
+branches, and returns each child's key (`_canonical`) with the colors of
+the circles the smoothing closed.  `_components` counts a leaf's
 components.  Byte labels bound every walk of both kernels: fewer than
 256 arcs (MAX_KEY_ARCS).
 
@@ -56,9 +57,11 @@ memo loop `_memo_walk` walks the tree as a DAG under every seed: it
 expands each key once.  Then, from the root down, each state passes the
 histogram of its paths from the root, (circles closed, apow, dpow) with
 counts, to its children, shifted by the branch weight and by the circles
-the smoothing closed; a leaf adds its own components to give k.  It
-returns the leaves' histogram as a dict, and the memo lives for one
-call.  The tree loop `_tree_walk` yields every node of the tree in
+the smoothing closed; a leaf adds its own components to give k.  A
+histogram's groups are packed into one int each, in bit fields that
+hold any walk within MAX_KEY_ARCS, where |apow| and dpow stay at most
+127.  It returns the leaves' histogram as a dict, and the memo lives for
+one call.  The tree loop `_tree_walk` yields every node of the tree in
 preorder, expanding each key once too, but visiting it again on every
 path.  `resolve_leaves` is `resolve_sum`'s tree without the memo: it
 lists every leaf in depth-first order.  The engine's AJ-state table, its
@@ -77,6 +80,9 @@ _MASK64 = (1 << 64) - 1
 _DRAW_MOD = (1 << 56) - 5
 _RANGE = bytes(range(256))
 _BYTE = [_RANGE[b : b + 1] for b in range(256)]
+# The bit fields of `_memo_walk`'s histogram groups: dpow, apow, tag.
+_APOW = 9
+_TAG = 18
 
 
 def _mix(state):
@@ -89,21 +95,6 @@ def _mix(state):
     return state, z
 
 
-def _pick_ordered(slots, colors, n):
-    """The default order: the first mixed-color illegal crossing, else the
-    first same-color one.  Returns (x, is_type2), x = -1 for a leaf."""
-    first1 = -1
-    for i in range(n):
-        cu = colors[slots[4 * i]]
-        co = colors[slots[4 * i + 1]]
-        if co == cu:
-            if first1 < 0:
-                first1 = i
-        elif co < cu:
-            return i, True
-    return first1, False
-
-
 def _draw(seed, rel):
     """The seeded draw of a state: rel, its slots relabelled by first
     appearance, read as a big-endian integer mod _DRAW_MOD and XORed into
@@ -111,102 +102,113 @@ def _draw(seed, rel):
     return _mix(seed ^ int.from_bytes(rel, "big") % _DRAW_MOD)[1]
 
 
-def _pick(slots, colors, n, seed):
+def _unpack(key):
+    """A key's slots and its colors as a table: arc label -> color,
+    zero-padded to the 256 bytes of `bytes.translate`."""
+    n = len(key) // 6
+    return key[: 4 * n], key[4 * n :].ljust(256, b"\0")
+
+
+def _strands(slots, table):
+    """The colors of the under strands and of the over strands of the
+    crossings, as two `bytes`, one byte a crossing."""
+    return slots[0::4].translate(table), slots[1::4].translate(table)
+
+
+def _pick(slots, table, seed):
     """The pick of a state; returns (x, is_type2), x = -1 for a leaf.
 
-    seed < 0 is the default order.  Otherwise ``slots`` must be relabelled
+    ``table`` is the state's color table (`_unpack`).  seed < 0 is the
+    default order: the first mixed-color illegal crossing, else the first
+    same-color one.  Otherwise ``slots`` must be relabelled
     by first appearance, and the pick is the illegal crossing, in stored
     order, at the state's draw modulo their number.
     """
+    under, over = _strands(slots, table)
+    if under == over:  # one color: every crossing is illegal, of type 1
+        if not under:
+            return -1, False
+        return (0 if seed < 0 else _draw(seed, slots) % len(under)), False
     if seed < 0:
-        return _pick_ordered(slots, colors, n)
-    illegal = []
-    for i in range(n):
-        cu = colors[slots[4 * i]]
-        co = colors[slots[4 * i + 1]]
-        if co <= cu:
-            illegal.append((i, co < cu))
+        first1 = -1
+        for i, (cu, co) in enumerate(zip(under, over)):
+            if co == cu:
+                if first1 < 0:
+                    first1 = i
+            elif co < cu:
+                return i, True
+        return first1, False
+    illegal = [i for i, (cu, co) in enumerate(zip(under, over)) if co <= cu]
     if not illegal:
         return -1, False
-    return illegal[_draw(seed, slots) % len(illegal)]
+    x = illegal[_draw(seed, slots) % len(illegal)]
+    return x, over[x] < under[x]
 
 
-def _repaint(slots, colors, x):
+def _repaint(slots, table, x):
     """The recoloring of the delta branches of type-2 crossing x, as the
     arguments of `bytes.replace`: the under strand's color j becomes the
     over strand's i."""
-    return _BYTE[colors[slots[4 * x]]], _BYTE[colors[slots[4 * x + 1]]]
+    return _BYTE[table[slots[4 * x]]], _BYTE[table[slots[4 * x + 1]]]
 
 
-def _children(slots, colors, x, x_type2):
+def _children(slots, table, x, x_type2):
     """The children of smoothing crossing x, in the kernels' order: two
     (the flipped crossing), zero, one; or A, 1/A.
 
-    Each child is (slots, colors, closed, sign, apow, dpow): ``closed``
-    holds the colors of the circles the smoothing closed, and the branch
-    weight is sign * A^apow * delta^dpow.
-    """
-    if x_type2:
-        repaint = _repaint(slots, colors, x)
-        s = 4 * x
-        flipped = slots[:s] + slots[s + 1 : s + 4] + slots[s : s + 1] + slots[s + 4 :]
-        return (
-            (flipped, colors, b"", -1, 0, 0),
-            (*_glue(slots, colors, x, True, repaint), 1, 0, 1),
-            (*_glue(slots, colors, x, False, repaint), 1, 0, 1),
-        )
-    return (
-        (*_glue(slots, colors, x, True, None), 1, 1, 0),
-        (*_glue(slots, colors, x, False, None), 1, -1, 0),
-    )
-
-
-def _glue(slots, colors, x, a_pairing, repaint):
-    """Remove crossing x, reconnect its ends, optionally repaint a color.
-
-    a_pairing=True glues {s0-s1, s2-s3} (the A-smoothing), else {s0-s3, s1-s2}.
-    Gluing two ends of distinct arcs renames one arc as the other; gluing
-    the two ends of one arc closes a circle.  ``repaint`` is None or the
-    pair of `_repaint`.  Returns (slots, colors, closed): the colors, after
-    the repaint, of the circles closed.
+    Each child is (key, closed, sign, apow, dpow): its key (`_canonical`),
+    the colors of the circles the smoothing closed and the branch weight
+    sign * A^apow * delta^dpow.  The A-smoothing glues {s0-s1, s2-s3} of
+    crossing x, the others {s0-s3, s1-s2}.  Gluing two ends of distinct
+    arcs renames one arc as the other; gluing the two ends of one arc
+    closes a circle.  The delta branches repaint first (`_repaint`): the
+    under strand's color j is above the over strand's, so j >= 1 and the
+    table's zero padding stays zero.
     """
     s = 4 * x
     s0, s1, s2, s3 = slots[s : s + 4]
-    new_slots = slots[:s] + slots[s + 4 :]
-    if a_pairing:
-        p, q, r, t = s0, s1, s2, s3
-    else:
-        p, q, r, t = s0, s3, s1, s2
-    if repaint is not None:
-        colors = colors.replace(*repaint)
+    rest = slots[:s] + slots[s + 4 :]
+    out = []
+    weights = (1, 1, 0), (1, -1, 0)
+    if x_type2:
+        flipped = slots[:s] + slots[s + 1 : s + 4] + slots[s : s + 1] + slots[s + 4 :]
+        out.append((_canonical(flipped, table), b"", -1, 0, 0))
+        table = table.replace(*_repaint(slots, table, x))
+        weights = (1, 0, 1), (1, 0, 1)
+    for (p, q, r, t), weight in zip(((s0, s1, s2, s3), (s0, s3, s1, s2)), weights):
+        child, closed = rest, b""
+        if p == q:
+            closed = table[p : p + 1]
+        else:
+            child = child.replace(_BYTE[q], _BYTE[p])
+            if r == q:
+                r = p
+            if t == q:
+                t = p
+        if r == t:
+            closed += table[r : r + 1]
+        else:
+            child = child.replace(_BYTE[t], _BYTE[r])
+        out.append((_canonical(child, table), closed, *weight))
+    return out
 
-    closed = b""
-    if p == q:
-        closed = colors[p : p + 1]
-    else:
-        new_slots = new_slots.replace(_BYTE[q], _BYTE[p])
-        if r == q:
-            r = p
-        if t == q:
-            t = p
-    if r == t:
-        closed += colors[r : r + 1]
-    else:
-        new_slots = new_slots.replace(_BYTE[t], _BYTE[r])
-    return new_slots, colors, closed
 
-
-def _canonical(slots, colors):
+def _canonical(slots, table):
     """The key of a state: its slots with the live arcs relabelled by first
     appearance, then the colors of those arcs in their new order, as one
-    `bytes` of 6 bytes a crossing.
+    `bytes` of 6 bytes a crossing.  ``table`` maps arc labels to colors,
+    as `_unpack` gives it.
 
     Every live arc occurs twice among the slots, so the slots take the
     first two thirds of the key and no two states share it.
     """
     order = bytes(dict.fromkeys(slots))
-    rel = slots.translate(bytes.maketrans(order, _RANGE[: len(order)]))
-    return rel + order.translate(colors.ljust(256, b"\0"))
+    return slots.translate(bytes.maketrans(order, _RANGE[: len(order)])) + order.translate(table)
+
+
+def _key(slots, colors):
+    """The key of a diagram given as arc ids and arc colors, lists of ints."""
+    return _canonical(bytes(slots), bytes(colors).ljust(256, b"\0"))
 
 
 def _components(slots, n_arcs):
@@ -239,17 +241,23 @@ def _memo_walk(root, expand):
     path's weights.
 
     Two passes.  The first expands each key once, depth-first, numbers the
-    states in post-order and keeps only their edges: ``(child, sign, apow,
-    dpow, dtag)`` tuples, or the leaf's tag.  The second visits the states
-    in reverse post-order, a topological order with the root first.  Each
-    state then holds the histogram ``{(dtags, apow, dpow): count}`` of its
-    paths from the root, complete since its parents came before; it pushes
-    that, shifted by each edge, into its children, or into the output at a
-    leaf, and is freed.  Each histogram is thus merged once per out-edge
-    and lives only from its first parent's visit to its own.  Edges and
-    histogram keys are short tuples; CPython keeps up to 2000 freed tuples
-    of each length below 20 for reuse, so a walk of any size leaves at
-    most a few hundred KB behind.
+    states in post-order and keeps only their edges, ``(child, sign,
+    shift)`` with the rest of the edge packed as below, or the leaf's tag.
+    The second visits the states in reverse post-order, a topological
+    order with the root first.  Each state then holds the histogram of its
+    paths from the root, (dtags, apow, dpow) -> count, complete since its
+    parents came before; it pushes that, shifted by each edge, into its
+    children, or into the output at a leaf, and is freed.  Each histogram
+    is thus merged once per out-edge and lives only from its first
+    parent's visit to its own.
+
+    A histogram's groups are ints, dtags << _TAG | (apow + 256) << _APOW |
+    dpow, so an edge shifts them by one addition and the output is
+    decoded once.  This is exact while every path keeps 0 <= dpow < 512
+    and -256 <= apow < 256; a walk's tags may take any int.  A smoothing
+    of the kernels removes a crossing or adds nothing to apow and dpow,
+    so their walks, of at most MAX_KEY_ARCS // 2 = 127 crossings, keep
+    |apow| + dpow <= 127.
     """
     index = {}
     edges = []
@@ -260,14 +268,16 @@ def _memo_walk(root, expand):
         key, kids = stack.pop()
         if kids is not None:
             index[key] = len(edges)
-            edges.append([(index[c[0]], *c[1:]) for c in kids])
+            edges.append(
+                [(index[k], sign, (t << _TAG) + (a << _APOW) + d) for k, sign, a, d, t in kids]
+            )
             continue
         if key in index:
             continue
         kids = expand(key)
         if type(kids) is int:
             index[key] = len(edges)
-            edges.append(kids)
+            edges.append(kids << _TAG)
             continue
         stack.append((key, kids))
         for c in kids:
@@ -276,25 +286,27 @@ def _memo_walk(root, expand):
     del index  # the push reads indices only; free the keys first
 
     paths = [None] * len(edges)
-    paths[-1] = {(0, 0, 0): 1}
+    paths[-1] = {256 << _APOW: 1}
     out = {}
     for i in range(len(edges) - 1, -1, -1):
         hist, paths[i] = paths[i], None
         kids = edges[i]
         if type(kids) is int:
-            for (t, a, d), count in hist.items():
-                group = (t + kids, a, d)
+            for group, count in hist.items():
+                group += kids
                 out[group] = out.get(group, 0) + count
             continue
-        for child, sign, apow, dpow, dtag in kids:
+        for child, sign, shift in kids:
             acc = paths[child]
             if acc is None:
                 acc = paths[child] = {}
-            for (t, a, d), count in hist.items():
+            for group, count in hist.items():
                 if count:
-                    group = (t + dtag, a + apow, d + dpow)
+                    group += shift
                     acc[group] = acc.get(group, 0) + sign * count
-    return {group: count for group, count in out.items() if count}
+    return {
+        (g >> _TAG, (g >> _APOW & 511) - 256, g & 511): count for g, count in out.items() if count
+    }
 
 
 def _tree_walk(root, expand):
@@ -335,14 +347,13 @@ def _expander(seed):
     closed, or a leaf's components."""
 
     def expand(key):
-        n = len(key) // 6
-        slots, colors = key[: 4 * n], key[4 * n :]
-        x, x_type2 = _pick(slots, colors, n, seed)
+        slots, table = _unpack(key)
+        x, x_type2 = _pick(slots, table, seed)
         if x < 0:
-            return _components(slots, 2 * n)
+            return _components(slots, len(slots) >> 1)
         return [
-            (_canonical(c_slots, c_colors), sign, apow, dpow, len(closed))
-            for c_slots, c_colors, closed, sign, apow, dpow in _children(slots, colors, x, x_type2)
+            (child, sign, apow, dpow, len(closed))
+            for child, closed, sign, apow, dpow in _children(slots, table, x, x_type2)
         ]
 
     return expand
@@ -354,14 +365,14 @@ def resolve_sum(slots, colors, loops, seed=-1):
     `_memo_walk` over the keys of `_canonical`, tagging each path with the
     circles its smoothings closed; a leaf adds its components.
     """
-    groups = _memo_walk(_canonical(bytes(slots), bytes(colors)), _expander(seed))
+    groups = _memo_walk(_key(slots, colors), _expander(seed))
     return {(apow, dpow, k + len(loops)): count for (k, apow, dpow), count in groups.items()}
 
 
 def resolve_leaves(slots, colors, loops, seed=-1):
     """Resolve completely; return [(k, crossings_left, sign, apow, dpow)]
     in depth-first leaf order: `resolve_sum`'s tree without the memo."""
-    walk = _tree_walk(_canonical(bytes(slots), bytes(colors)), _expander(seed))
+    walk = _tree_walk(_key(slots, colors), _expander(seed))
     return [
         (len(loops) + dtags + tag, len(key) // 6, *weight)
         for _, _, weight, dtags, key, tag in walk

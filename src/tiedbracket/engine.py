@@ -28,13 +28,15 @@ from typing import Sequence
 from . import _backend
 from ._kernel_py import (
     MAX_KEY_ARCS,
-    _canonical,
     _children,
+    _key,
     _memo_walk,
     _mix,
     _pick,
     _repaint,
+    _strands,
     _tree_walk,
+    _unpack,
 )
 from .laurent import A, A_INV, C, DELTA, LOOP, BivariateLaurent
 from .diagram import (
@@ -218,22 +220,23 @@ def _prepare(d: TiedDiagram, strategy: Strategy):
     return slots, colors, d.free_loops, _seed(strategy)
 
 
-def _smooth(slots, colors, loops, x, x_type2):
+def _smooth(slots, table, loops, x, x_type2):
     """`_kernel_py._children` with the colors of each child's loops: a list
-    of ``(slots, colors, loops, sign, apow, dpow)``.
+    of ``((key, loops), sign, apow, dpow, 0)``, as `_states`'s ``expand``
+    returns them.
 
     ``loops`` holds colors sorted, as a multiset.  A delta branch repaints
     them as it repaints the arcs, and the circles the smoothing closed join
     them.
     """
     out = []
-    for c_slots, c_colors, closed, sign, apow, dpow in _children(slots, colors, x, x_type2):
+    for key, closed, sign, apow, dpow in _children(slots, table, x, x_type2):
         c_loops = loops
         if dpow:
-            c_loops = c_loops.replace(*_repaint(slots, colors, x))
+            c_loops = c_loops.replace(*_repaint(slots, table, x))
         if dpow or closed:
             c_loops = bytes(sorted(c_loops + closed))
-        out.append((c_slots, c_colors, c_loops, sign, apow, dpow))
+        out.append(((key, c_loops), sign, apow, dpow, 0))
     return out
 
 
@@ -260,16 +263,12 @@ def _states(d: TiedDiagram, strategy: Strategy, walk: str):
 
     def expand(state):
         key, loops = state
-        n = len(key) // 6
-        rel, colors = key[: 4 * n], key[4 * n :]
-        x, x_type2 = _pick(rel, colors, n, seed)
+        slots, table = _unpack(key)
+        x, x_type2 = _pick(slots, table, seed)
         if x < 0:
             leaves.append(state)
             return len(leaves) - 1
-        return [
-            ((_canonical(c_slots, c_colors), c_loops), sign, apow, dpow, 0)
-            for c_slots, c_colors, c_loops, sign, apow, dpow in _smooth(rel, colors, loops, x, x_type2)
-        ]
+        return _smooth(slots, table, loops, x, x_type2)
 
     def diagram(leaf):
         key, loops = leaves[leaf]
@@ -282,7 +281,7 @@ def _states(d: TiedDiagram, strategy: Strategy, walk: str):
         )
 
     loops = bytes(sorted(number[c] for c in d.free_loops if c in number))
-    return (_canonical(bytes(slots), bytes(colors)), loops), expand, diagram
+    return (_key(slots, colors), loops), expand, diagram
 
 
 @cache
@@ -291,8 +290,9 @@ def _branch_weight(sign: int, apow: int, dpow: int) -> BivariateLaurent:
 
 
 @cache
-def _group_value(dpow: int, loops: int) -> BivariateLaurent:
-    return DELTA**dpow * LOOP**loops
+def _group_value(dpow: int, loops: int) -> tuple[tuple[tuple[int, int], int], ...]:
+    """The terms of delta^dpow * LOOP^loops, as ``((a_exp, c_exp), coeff)`` items."""
+    return tuple((DELTA**dpow * LOOP**loops).terms().items())
 
 
 def double_bracket(d: TiedDiagram, strategy: Strategy = _DEFAULT) -> BivariateLaurent:
@@ -309,8 +309,7 @@ def double_bracket(d: TiedDiagram, strategy: Strategy = _DEFAULT) -> BivariateLa
     acc: dict[tuple[int, int], int] = {}
     for (apow, dpow, k), count in groups.items():
         gamma = m - dpow
-        base = _group_value(dpow, k - gamma)
-        for (a, c), coeff in base.terms().items():
+        for (a, c), coeff in _group_value(dpow, k - gamma):
             kk = (a + apow, c + gamma - 1)
             s = acc.get(kk, 0) + coeff * count
             if s:
@@ -400,11 +399,10 @@ def resolution_tree(d: TiedDiagram, strategy: Strategy = _DEFAULT):
     """
     root, expand, diagram = _states(d, strategy, "the resolution tree")
     for node, (parent, edge, weight, _, (key, _), leaf) in enumerate(_tree_walk(root, expand)):
-        n = len(key) // 6
-        colors = key[4 * n :]
-        illegal = sum(colors[key[s + 1]] <= colors[key[s]] for s in range(0, 4 * n, 4))
+        under, over = _strands(*_unpack(key))
+        illegal = sum(co <= cu for cu, co in zip(under, over))
         leaf = diagram(leaf) if type(leaf) is int else None
-        yield node, parent, _LABELS.get(edge, ""), Complexity(n, illegal), weight, leaf
+        yield node, parent, _LABELS.get(edge, ""), Complexity(len(under), illegal), weight, leaf
 
 
 def kauffman_bracket(d: TiedDiagram) -> BivariateLaurent:

@@ -2,10 +2,12 @@
 `resolution_tree`, in the default order and under seeds; the memoized
 AJ-state table against the reference tree walk on diagrams
 (`tree_reference`), also on many loops and colors; `_memo_walk` and
-`_tree_walk` on a hand-made DAG; how many states each memo expands; the
-seeded pick rule; closures whose tree only the memo can afford, on both
-kernels, up to the byte labels' bound; and that the memo, the code search
-and `double_bracket` leave no reference cycles."""
+`_tree_walk` on a hand-made DAG, and `_memo_walk`'s packed groups at
+their bounds; how many states each memo expands; the seeded pick rule;
+the pick and smoothing against a plain one (`kernel_reference`);
+closures whose tree only the memo can afford, on both kernels, up to the
+byte labels' bound; and that the memo, the code search and
+`double_bracket` leave no reference cycles."""
 
 import gc
 import random
@@ -15,6 +17,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+import kernel_reference
 from torus import torus_2, torus_2_closed_form
 from tree_reference import reference_sum
 
@@ -176,6 +179,38 @@ def test_memo_walk_matches_the_unfolded_tree(root):
         assert expanded == ["a"] and got == {(10, 0, 0): 1}
 
 
+def bounds_dag(steps=127):
+    """A DAG at the bounds of `_memo_walk`'s packed groups, which hold
+    0 <= dpow < 512 and -256 <= apow < 256 on every path and any tag; the
+    kernels' walks keep |apow| + dpow <= 127 (MAX_KEY_ARCS // 2 crossings).
+
+    Two chains of ``steps`` edges reach apow +127 and, with dpow 127,
+    -127; tags and dtags pass 2^18; on the ladder of 8 steps below "l0",
+    two of the three edges of each step cancel, as do their paths.
+    """
+    dag = {"r": [("u0", 1, 0, 0, 0), ("d0", -1, 0, 0, 3 << 18), ("d0", 1, 0, 0, 0), ("l0", 1, 0, 0, 1 << 30)]}
+    for i in range(steps):
+        dag[f"u{i}"] = [(f"u{i + 1}", 1, 1, 0, 0)]
+        dag[f"d{i}"] = [(f"d{i + 1}", 1, -1, 1, 0)]
+    dag[f"u{steps}"] = (1 << 18) + 5
+    dag[f"d{steps}"] = 1 << 19
+    for i in range(8):
+        dag[f"l{i}"] = [(f"l{i + 1}", 1, 1, 0, 0), (f"l{i + 1}", -1, 1, 0, 0), (f"l{i + 1}", 1, -1, 0, 1)]
+    dag["l8"] = 7
+    return dag
+
+
+def test_memo_walk_packs_groups_up_to_their_bounds():
+    dag = bounds_dag()
+    got = _kernel_py._memo_walk("r", dag.__getitem__)
+    assert got == dag_tree_sum(dag, "r") == {
+        ((1 << 18) + 5, 127, 0): 1,
+        ((3 << 18) + (1 << 19), -127, 127): -1,
+        (1 << 19, -127, 127): 1,
+        ((1 << 30) + 8 + 7, -8, 0): 1,
+    }
+
+
 # The 18 nodes of the tree that DAG unfolds to from "r", in preorder, as
 # (key, parent, edge).
 DAG_TREE = [
@@ -302,10 +337,40 @@ def test_seeded_leaves_ignore_arc_names():
 )
 def test_seeds_pick_differently_at_the_root(entry):
     slots, colors, _, _ = _prepare(entry.diagram(), OrderedStrategy())
-    key = _kernel_py._canonical(bytes(slots), bytes(colors))
-    slots, colors = key[: len(slots)], key[len(slots) :]
-    picks = {_kernel_py._pick(slots, colors, len(slots) // 4, seed) for seed in range(10)}
+    slots, table = _kernel_py._unpack(_kernel_py._key(slots, colors))
+    picks = {_kernel_py._pick(slots, table, seed) for seed in range(10)}
     assert len(picks) >= 2
+
+
+def assert_smoothing_matches_reference(key, seed):
+    slots, table = _kernel_py._unpack(key)
+    colors = key[len(slots) :]
+    pick = _kernel_py._pick(slots, table, seed)
+    assert pick == kernel_reference.pick(slots, colors, len(slots) // 4, seed)
+    if pick[0] >= 0:
+        got = _kernel_py._children(slots, table, *pick)
+        assert got == kernel_reference.children(slots, colors, *pick)
+
+
+@pytest.mark.parametrize("strategy", (OrderedStrategy(),) + SEEDED, ids=["ordered", "seed3", "seed2^64+11"])
+def test_pick_and_children_match_the_reference(strategy):
+    # on every state the kernel's memo walk expands, the crossingless key,
+    # and a root of 508 slots
+    seed = engine._seed(strategy)
+    expand = _kernel_py._expander(seed)
+
+    def checked(key):
+        assert_smoothing_matches_reference(key, seed)
+        return expand(key)
+
+    diagrams = [e.diagram() for e in CATALOG]
+    diagrams += [random_diagram(s, s % 8 + 1, s % 4 + 1, s % 3) for s in range(100)]
+    for d in diagrams:
+        slots, colors, _, _ = _prepare(d, strategy)
+        _kernel_py._memo_walk(_kernel_py._key(slots, colors), checked)
+    slots, colors, _, _ = _prepare(torus_2(127), strategy)
+    for key in (b"", _kernel_py._key(slots, colors)):
+        assert_smoothing_matches_reference(key, seed)
 
 
 def test_seeds_draw_distinct_trees():

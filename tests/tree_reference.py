@@ -15,11 +15,12 @@ from tiedbracket.engine import OrderedStrategy, StateSum, _branch_weight, _order
 
 def _relabel(cur):
     """The slots of ``cur`` relabelled by first appearance, and the colors
-    of those arcs in that order: what the picks (`_kernel_py._pick`) read
-    of a state."""
+    of those arcs in that order, numbered from 0 in order and padded to a
+    table: what the picks (`_kernel_py._pick`) read of a state."""
     names = {}
     rel = [names.setdefault(a, len(names)) for rec in cur.crossings for a in rec]
-    return rel, [cur.arc_color[a] for a in names]
+    number = {c: i for i, c in enumerate(sorted(set(cur.arc_color[a] for a in names)))}
+    return bytes(rel), bytes(number[cur.arc_color[a]] for a in names).ljust(256, b"\0")
 
 
 def _smoothings(cur, x, x_type2):
@@ -51,7 +52,7 @@ def reference_tree(d, strategy=OrderedStrategy()):
     node = 0
     while stack:
         parent, label, cur, sign, apow, dpow = stack.pop()
-        x, x_type2 = _pick(*_relabel(cur), len(cur.crossings), seed)
+        x, x_type2 = _pick(*_relabel(cur), seed)
         yield node, parent, label, cur, (sign, apow, dpow), x < 0
         if x >= 0:
             # Pushed in reverse so that children pop in the kernels' order.
