@@ -1,17 +1,20 @@
 /* Compiled resolution kernel, written against the CPython C API.
 
    Twin of `_kernel_py.resolve_sum`: the same two-pass memo walk
-   (`_memo_walk`) over the same keys (`_canonical`, six bytes per crossing),
-   the same seeded picks and identical results.  Counts are checked 128-bit
-   integers that raise OverflowError rather than wrap.  Byte labels bound
+   (`_memo_walk`) over the same keys (`_kernel_py._key`: for each slot its
+   partner's crossing, then its partner's slot number, then each crossing's
+   under-strand and over-strand color, ten bytes per crossing), the same
+   seeded picks and identical results.  Counts are checked 128-bit integers
+   that raise OverflowError rather than wrap.  Byte crossing indices bound
    the arcs (MAX_KEY_ARCS); arguments past them, or not shaped like a
-   diagram, raise ValueError.  Leaves carry no colors: the engine counts
-   them as m - dpow for a diagram of m colors; see `_kernel_py`.
+   diagram, raise the ValueError of `_kernel_py`.  Leaves carry no colors:
+   the engine counts them as m - dpow for a diagram of m colors; see
+   `_kernel_py`.
 
    A state is its key in both kernels.  The twins of the functions below:
-   pick <-> `_kernel_py._pick`; expand, which glues each child and interns
-   its key, <-> `_children`; intern <-> `_canonical`; components <->
-   `_components`; memo_walk <-> `_memo_walk`. */
+   encode <-> `_kernel_py._key`; pick <-> `_pick`; expand, which builds
+   each child (flip, glue) and interns its key, <-> `_children`;
+   components <-> `_components`; memo_walk <-> `_memo_walk`. */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 #include <stdint.h>
@@ -21,6 +24,8 @@ typedef uint64_t u64;
 typedef __int128 i128;
 
 #define MAX_KEY_ARCS 255
+#define MAX_CROSSINGS (MAX_KEY_ARCS / 2)
+#define MAX_LOOPS (INT_MAX / 2)
 #define DRAW_MOD (((u64)1 << 56) - 5)
 
 typedef struct {
@@ -41,7 +46,7 @@ typedef struct {
 } Edge;
 
 typedef struct {
-    Py_ssize_t key; /* its key is keys[key:key + 6n] */
+    Py_ssize_t key; /* its key is keys[key:key + 10n] */
     int n;
     unsigned hash;
     int n_edges; /* -1 until expanded */
@@ -135,110 +140,154 @@ static void free_hist(Hist *h)
     *h = (Hist){0};
 }
 
+/* Write to out the key of the m slots of arc labels in, whose colors by label are colors,
+   as `_kernel_py._key`; the caller has checked them. */
+static void encode(const u8 *in, int m, const u8 *colors, u8 *out)
+{
+    int first[256], n = m / 4;
+    memset(first, 0xff, sizeof first);
+    for (int s = 0; s < m; s++) {
+        int t = first[in[s]];
+        if (t < 0) {
+            first[in[s]] = s;
+            continue;
+        }
+        out[s] = (u8)(t / 4), out[m + s] = (u8)(t % 4);
+        out[t] = (u8)(s / 4), out[m + t] = (u8)(s % 4);
+    }
+    for (int c = 0; c < n; c++) {
+        out[2 * m + c] = colors[in[4 * c]];
+        out[2 * m + n + c] = colors[in[4 * c + 1]];
+    }
+}
+
 /* The crossing of a key to smooth, -1 at a leaf, as `_kernel_py._pick`; *type2
    tells whether it has two colors.  A seed draws among the illegal crossings. */
 static int pick(const Walk *w, const u8 *s, int n, int *type2)
 {
-    const u8 *colors = s + 4 * n;
+    const u8 *under = s + 8 * n, *over = under + n;
     int x = -1, n_illegal = 0;
     for (int i = 0; i < n; i++) {
-        int cu = colors[s[4 * i]], co = colors[s[4 * i + 1]];
         if (w->random_pick) {
-            n_illegal += co <= cu;
-        } else if (co < cu || (co == cu && x < 0)) {
+            n_illegal += over[i] <= under[i];
+        } else if (over[i] < under[i] || (over[i] == under[i] && x < 0)) {
             x = i;
-            if (co < cu) /* the first two-color crossing, else the first one-color one */
+            if (over[i] < under[i]) /* the first two-color crossing, else the first one-color one */
                 break;
         }
     }
-    if (n_illegal) { /* the draw of `_kernel_py._draw`: the slots as a big-endian integer
-                        mod DRAW_MOD, XORed into the seed, then one splitmix64 step */
+    if (n_illegal) { /* the draw of `_kernel_py._draw`: the partner bytes as a big-endian
+                        integer mod DRAW_MOD, XORed into the seed, then one splitmix64 step */
         u64 z = 0;
-        for (int i = 0; i < 4 * n; i++)
-            z = (z << 8 | s[i]) % DRAW_MOD;
+        for (int i = 0; i < 8 * n; i++) { /* z * 256 + s[i] mod 2**56 - 5, where 2**56 = 5 */
+            z = z << 8 | s[i];
+            z = (z & (((u64)1 << 56) - 1)) + 5 * (z >> 56);
+            z -= z >= DRAW_MOD ? DRAW_MOD : 0;
+        }
         z = (w->seed ^ z) + 0x9E3779B97F4A7C15ULL;
         z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
         z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
         u64 d = (z ^ (z >> 31)) % (u64)n_illegal; /* the pick: the d-th illegal crossing */
-        for (x = 0; colors[s[4 * x + 1]] > colors[s[4 * x]] || d--; x++)
+        for (x = 0; over[x] > under[x] || d--; x++)
             ;
     }
-    *type2 = x >= 0 && colors[s[4 * x + 1]] < colors[s[4 * x]];
+    *type2 = x >= 0 && over[x] < under[x];
     return x;
 }
 
-/* The components of a leaf's 2n arcs: the two ends of each strand join. */
+/* The components of a leaf of n crossings: each walks from a slot along its strand to
+   the slot across and on to that slot's partner, until it closes. */
 static int components(const u8 *s, int n)
 {
-    u8 parent[MAX_KEY_ARCS];
-    int k = 2 * n;
-    for (int a = 0; a < 2 * n; a++)
-        parent[a] = (u8)a;
-    for (int i = 0; i < 4 * n; i += i % 4 ? 3 : 1) { /* the under, then the over strand */
-        int a = s[i], b = s[i + 2];
-        while (parent[a] != a)
-            a = parent[a];
-        while (parent[b] != b)
-            b = parent[b];
-        if (a != b) {
-            parent[b] = (u8)a;
-            k--;
+    u8 seen[4 * MAX_CROSSINGS] = {0};
+    int m = 4 * n, k = 0;
+    for (int a = 0; a < m; a++) {
+        k += !seen[a];
+        for (int t = a; !seen[t]; t = 4 * s[t] + s[m + t]) {
+            seen[t] = seen[t ^ 2] = 1;
+            t ^= 2;
         }
     }
     return k;
 }
 
-/* Write slots minus crossing x, with the gluing applied, to out; return
-   the number of circles the gluing closes.  a_pairing glues {s0-s1, s2-s3}
-   (the A-smoothing), else {s0-s3, s1-s2}; a glued arc takes the other's label. */
-static int glue(const u8 *slots, int n, int x, int a_pairing, u8 *out)
+/* Write to out the key of n crossings with crossing x turned by one slot and its two
+   colors swapped: the flipped crossing of a type-2 smoothing. */
+static void flip(const u8 *s, int n, int x, u8 *out)
 {
-    const u8 *s = slots + 4 * x;
-    u8 end[4] = {s[0], s[a_pairing ? 1 : 3], s[a_pairing ? 2 : 1], s[a_pairing ? 3 : 2]};
-    int m = 4 * (n - 1), closed = 0;
-
-    memcpy(out, slots, 4 * x);
-    memcpy(out + 4 * x, s + 4, m - 4 * x);
-    for (int e = 0; e < 4; e += 2) { /* join end[e + 1] to end[e], or close a circle */
-        u8 p = end[e], q = end[e + 1];
-        closed += p == q;
-        for (int i = 0; i < m; i++)
-            out[i] = out[i] == q ? p : out[i];
-        end[3] = end[3] == q ? p : end[3];
-        end[2] = end[2] == q ? p : end[2];
+    int m = 4 * n;
+    memcpy(out, s, 10 * n);
+    for (int k = 0; k < 4; k++) { /* new slot k is old slot k + 1; old slot j of x, new j - 1 */
+        int o = 4 * x + (k + 1) % 4, t = 4 * s[o] + s[m + o];
+        if (t / 4 == x)
+            t = 4 * x + ((t - 1) & 3);
+        else
+            out[m + t] = (u8)k;
+        out[4 * x + k] = (u8)(t / 4);
+        out[m + 4 * x + k] = (u8)(t % 4);
     }
+    out[2 * m + x] = s[2 * m + n + x];
+    out[2 * m + n + x] = s[2 * m + x];
+}
+
+/* Write to out the key of smoothing crossing x of the key s of n crossings, color j
+   repainted as i (j = -1: none); return the number of circles it closes.  a_pairing
+   glues {s0-s1, s2-s3} (the A-smoothing), else {s0-s3, s1-s2}: the partners of two
+   glued slots become each other's, unless they are each other's, which closes a
+   circle.  Then x's slots go and the crossing indices above x drop by one. */
+static int glue(const u8 *s, int n, int x, int a_pairing, int j, int i, u8 *out)
+{
+    static const int pairs[2][4] = {{0, 3, 1, 2}, {0, 1, 2, 3}};
+    u8 p[8 * MAX_CROSSINGS];
+    int m = 4 * n, closed = 0;
+    memcpy(p, s, 2 * m);
+    for (int e = 0; e < 4; e += 2) {
+        int a = 4 * x + pairs[a_pairing][e], b = 4 * x + pairs[a_pairing][e + 1];
+        int ta = 4 * p[a] + p[m + a], tb = 4 * p[b] + p[m + b];
+        if (ta == b) {
+            closed++;
+            continue;
+        }
+        p[ta] = p[b], p[m + ta] = p[m + b];
+        p[tb] = p[a], p[m + tb] = p[m + a];
+    }
+    for (int a = 0; a < m; a++) /* the partners' crossings, moved down past x */
+        if (a < 4 * x || a >= 4 * x + 4)
+            *out++ = (u8)(p[a] - (p[a] > x));
+    memcpy(out, p + m, 4 * x); /* their slots */
+    memcpy(out + 4 * x, p + m + 4 * x + 4, m - 4 * x - 4);
+    out += m - 4;
+    for (int c = 0; c < 2 * n; c++) /* the under colors, then the over colors */
+        if (c != x && c != n + x)
+            *out++ = (u8)(s[2 * m + c] == j ? i : s[2 * m + c]);
     return closed;
 }
 
-/* The id of the state of m slots and their colors by label, color j
-   repainted as i, keyed as `_kernel_py._canonical` at the end of the keys,
-   which the caller makes room for; a new key is a new, unexpanded state. */
-static int intern(Walk *w, const u8 *slots, int m, const u8 *colors, int j, int i)
+/* The id of the state of n crossings whose key the caller wrote at the end of the keys,
+   after making room for it; a new key is a new, unexpanded state. */
+static int intern(Walk *w, int n)
 {
-    u8 label[256], *k = w->keys + w->n_keys;
-    unsigned hash = 0;
-    memset(label, 0xff, sizeof label); /* canonical labels stay below 254 */
-    for (int a = 0, next = 0; a < m; a++) { /* branch-free: first appearances are unpredictable */
-        int l = label[slots[a]], fresh = l == 0xff, c = colors[slots[a]] == j ? i : colors[slots[a]];
-        l = fresh ? next : l;
-        next += fresh;
-        label[slots[a]] = k[a] = (u8)l;
-        k[m + l] = (u8)c;
-        hash = hash * 31 + (unsigned)(l | c << 8); /* a function of the key: c is l's color */
+    const u8 *k = w->keys + w->n_keys;
+    u64 h = (u64)n, word;
+    for (int a = 0; a < 10 * n; a += 8) { /* eight bytes at a time, the last word zero-padded */
+        word = 0;
+        memcpy(&word, k + a, 10 * n - a < 8 ? 10 * n - a : 8);
+        h = (h ^ word) * 0x9E3779B97F4A7C15ULL;
+        h ^= h >> 29;
     }
-    hash = (hash ^ hash >> 15) * 0x2C1B3C6Du;
+    unsigned hash = (unsigned)(h ^ h >> 32);
     if (reserve(&w->states, &w->cap_states, w->n_states + 1, sizeof(State)) < 0 ||
         regrow(&w->table, &w->table_size, w->n_states, &w->states->hash, sizeof(State)) < 0)
         return -1;
     for (unsigned a = hash & (w->table_size - 1);; a = (a + 1) & (w->table_size - 1)) {
         int id = w->table[a];
         if (id < 0) {
-            w->states[w->n_states] = (State){w->n_keys, m / 4, hash, -1, -1, {{0}}, {0}};
-            w->n_keys += m + m / 2;
+            w->states[w->n_states] = (State){w->n_keys, n, hash, -1, -1, {{0}}, {0}};
+            w->n_keys += 10 * n;
             return w->table[a] = (int)w->n_states++;
         }
         const State *st = &w->states[id];
-        if (st->hash == hash && st->n == m / 4 && !memcmp(w->keys + st->key, k, m + m / 2))
+        if (st->hash == hash && st->n == n && !memcmp(w->keys + st->key, k, 10 * n))
             return id;
     }
 }
@@ -251,11 +300,10 @@ static int expand(Walk *w, int id)
     int n = w->states[id].n, type2;
     if (id % 4096 == 0 && PyErr_CheckSignals() < 0) /* let a runaway walk be interrupted */
         return -1;
-    if (reserve(&w->keys, &w->cap_keys, w->n_keys + 18 * n, 1) < 0) /* room for three children */
+    if (reserve(&w->keys, &w->cap_keys, w->n_keys + 30 * n, 1) < 0) /* room for three children */
         return -1;
-    const u8 *s = w->keys + w->states[id].key, *colors = s + 4 * n;
+    const u8 *s = w->keys + w->states[id].key;
     int x = pick(w, s, n, &type2);
-    u8 out[2 * MAX_KEY_ARCS];
 
     if (x < 0) {
         w->states[id].edges[0] = (Edge){-1, 1, 0, 0, components(s, n)};
@@ -263,15 +311,17 @@ static int expand(Walk *w, int id)
         return 0;
     }
     for (int c = type2 ? 0 : 1; c < 3; c++) {
-        int closed = c ? glue(s, n, x, c == 1, out) : 0;
-        for (int a = 0; c == 0 && a < 4 * n; a++) /* the flipped crossing, turned by a slot */
-            out[a] = a / 4 == x ? s[4 * x + (a + 1) % 4] : s[a];
-        int j = type2 && c ? colors[s[4 * x]] : -1;
-        int child = intern(w, out, c ? 4 * n - 4 : 4 * n, colors, j, colors[s[4 * x + 1]]);
+        u8 *out = w->keys + w->n_keys;
+        int closed = 0;
+        if (c) /* the delta branches repaint the under strand's color as the over strand's */
+            closed = glue(s, n, x, c == 1, type2 ? s[8 * n + x] : -1, s[9 * n + x], out);
+        else
+            flip(s, n, x, out);
+        int child = intern(w, c ? n - 1 : n);
         if (child < 0)
             return -1;
         w->states[id].edges[c - !type2] =
-            (Edge){child, c ? 1 : -1, type2 ? 0 : 3 - 2 * c, j >= 0, closed};
+            (Edge){child, c ? 1 : -1, type2 ? 0 : 3 - 2 * c, type2 && c, closed};
     }
     w->states[id].n_edges = type2 ? 3 : 2;
     return 0;
@@ -345,19 +395,25 @@ static PyObject *resolve_sum(PyObject *Py_UNUSED(self), PyObject *args, PyObject
     Py_ssize_t loop_count = PySequence_Size(seq[2]); /* loops only count */
     if (loop_count < 0)
         goto done;
+    const u8 *col = (const u8 *)PyBytes_AS_STRING(colors);
     int bad = n_slots % 4 || n_arcs > MAX_KEY_ARCS; /* with two slots an arc, 127 crossings */
     for (Py_ssize_t i = 0; i < n_slots && !bad; i++)
         bad = ++uses[in[i]] > 2;
     for (int a = 0; a < 256; a++)
         bad |= uses[a] && (uses[a] != 2 || a >= n_arcs);
-    if (bad || loop_count > INT_MAX / 2) {
+    for (Py_ssize_t i = 0; i < n_slots && !bad; i += 4) /* each strand of one color */
+        bad = col[in[i]] != col[in[i + 2]] || col[in[i + 1]] != col[in[i + 3]];
+    if (bad || loop_count > MAX_LOOPS) {
         PyErr_Format(PyExc_ValueError, "kernel takes 4 slots per crossing, each arc of the colors "
-                     "in two slots or none, at most %d crossings, %d arcs and %d loops",
-                     MAX_KEY_ARCS / 2, MAX_KEY_ARCS, INT_MAX / 2);
+                     "in two slots or none and each strand of one color, at most %d crossings, "
+                     "%d arcs and %d loops", MAX_CROSSINGS, MAX_KEY_ARCS, MAX_LOOPS);
         goto done;
     }
-    int root = reserve(&w.keys, &w.cap_keys, n_slots * 3 / 2 + 1, 1) < 0 ? -1 :
-               intern(&w, in, (int)n_slots, (const u8 *)PyBytes_AS_STRING(colors), -1, 0);
+    int root = -1;
+    if (reserve(&w.keys, &w.cap_keys, n_slots * 5 / 2 + 1, 1) == 0) {
+        encode(in, (int)n_slots, col, w.keys);
+        root = intern(&w, (int)n_slots / 4);
+    }
     if (root < 0 || memo_walk(&w, root) < 0 || !(result = PyDict_New()))
         goto done;
     for (Py_ssize_t g = 0; result && g < w.out.n_groups; g++) { /* the sums without their zeros */

@@ -6,24 +6,31 @@ results, seeded picks included.  The engine picks one at import time; see
 `_backend`.
 
 Diagrams arrive pre-encoded: `slots` is a flat list of 4*n arc ids (dense,
-0-based, at most MAX_KEY_ARCS arcs), `colors` maps arc id -> non-negative
-color (below 256; the engine numbers arc colors in order, so they stay
-below the number of arcs), and only the length of `loops`, the free
-loops, matters.  A non-negative `seed` requests a seeded order, and
-`seed = -1` the default one.
+0-based, at most MAX_KEY_ARCS arcs), each in two slots, `colors` maps arc
+id -> non-negative color (below 256; the engine numbers arc colors in
+order, so they stay below the number of arcs), and only the length of
+`loops`, the free loops, matters.  Both kernels raise the same ValueError
+for arguments not shaped like a diagram (`_key`).  A non-negative `seed`
+requests a seeded order, and `seed = -1` the default one.
 
-Inside, a state is its key, as in the compiled kernel: one `bytes` of 6
-bytes a crossing, the slots with their arcs relabelled by first
-appearance, then the colors of those arcs.  `_unpack` splits a key into
-its slots and a color table, arc label -> color, padded once to the 256
-bytes of `bytes.translate`.  The helpers below act on them and serve
-`resolve_sum` and the engine's diagram walks (`engine._states`) alike:
-`_pick` chooses the crossing to smooth from the strand colors of
-`_strands`; `_children` smooths it, repainting the table for the delta
-branches, and returns each child's key (`_canonical`) with the colors of
-the circles the smoothing closed.  `_components` counts a leaf's
-components.  Byte labels bound every walk of both kernels: fewer than
-256 arcs (MAX_KEY_ARCS).
+Inside, a state is its key, as in the compiled kernel: one `bytes` of 10
+bytes a crossing, which names no arc.  Slot 4c + k (k = 0..3) of the key's
+crossings lies on one arc with another slot, its partner 4c' + k'; the key
+holds c' for each slot, then k' for each slot, then the color of each
+crossing's under strand (slots 0 and 2), then of its over strand (slots 1
+and 3).  That is one state per slot structure and coloring, as the
+slots with their arcs relabelled by first appearance and the colors of
+those arcs would be, but a smoothing need not relabel: `_children` joins
+the partners of the slots it glues, deletes the crossing and lowers the
+crossing indices above it with one `bytes.translate` (`_SHIFT`).  The
+helpers below serve `resolve_sum` and the engine's diagram walks
+(`engine._states`) alike: `_key` builds a diagram's key, `_pick` chooses
+the crossing to smooth from the strand colors (`_strands`), `_children`
+smooths it, repainting the colors for the delta branches, and returns
+each child's key with the number of circles the smoothing closed,
+`_components` counts a leaf's components and `_arcs` names a leaf's
+arcs again.  Byte crossing indices bound every walk of both kernels: at
+most 127 crossings, fewer than 256 arcs (MAX_KEY_ARCS).
 
 Leaf weights are products of the branch labels A, 1/A, -1 and
 delta = A + 1/A, so they compress to a triple (sign, apow, dpow).  The
@@ -39,16 +46,15 @@ over strand's i, two distinct colors in use, so each removes exactly
 one.  A leaf reached through dpow delta branches of a diagram with m
 colors thus has gamma = m - dpow, which the engine applies.
 
-A node's pick depends only on its state: the live slots and their
-colors.  The default order (`seed = -1`) takes the first mixed-color
-illegal crossing in stored order, else the first same-color one.  A seed
-takes the illegal crossing, in stored order, at `_draw(seed, rel)`
-modulo their number, where rel is the slots relabelled by first
-appearance.  Colors stay out of the draw, so a walker of `TiedDiagram`s,
-which renumbers colors after each merge, draws the same values (the
-tests keep one as the reference of the engine's tree walk).  Every
-resolution tree gives the same value, so a seeded tree need only be some
-valid tree, not one drawn from a sequential random stream.
+A node's pick depends only on its state: the key.  The default order
+(`seed = -1`) takes the first mixed-color illegal crossing in stored
+order, else the first same-color one.  A seed takes the illegal crossing,
+in stored order, at `_draw(seed, partners)` modulo their number, where
+partners is the key's first 8n bytes.  Colors stay out of the draw, so a
+walker of `TiedDiagram`s, which renumbers colors after each merge, draws
+the same values (the tests keep one as the reference of the engine's tree
+walk).  Every resolution tree gives the same value, so a seeded tree need
+only be some valid tree, not one drawn from a sequential random stream.
 
 A walk's states are defined once, by ``expand(key)``: a leaf's tag, an
 int, or the state's children as ``(key, sign, apow, dpow, dtag)``.  For
@@ -72,17 +78,40 @@ compiled kernel needs a leaf list: the benchmark replays `resolve_leaves`
 to count leaves, until a counter of `resolve_sum` does that.
 """
 
-# Arc labels are bytes in the relabelled states and in the seeded draw.
+# Arc labels are bytes in the arguments, crossing indices bytes in the keys.
 MAX_KEY_ARCS = 255
 
 _MASK64 = (1 << 64) - 1
-# Below 2^56, so that a C twin can read rel byte by byte in a u64.
+# Below 2^56, so that a C twin can read the partners byte by byte in a u64.
 _DRAW_MOD = (1 << 56) - 5
 _RANGE = bytes(range(256))
-_BYTE = [_RANGE[b : b + 1] for b in range(256)]
+# _SHIFT[x] lowers the crossing indices above x by one (`bytes.translate`).
+_SHIFT = [_RANGE[: x + 1] + _RANGE[x:255] for x in range(MAX_KEY_ARCS // 2)]
+# The kernels' argument check, word for word; C ints bound the loops.
+_MAX_LOOPS = (1 << 30) - 1
+_BAD_ARGUMENTS = (
+    "kernel takes 4 slots per crossing, each arc of the colors in two slots or none "
+    f"and each strand of one color, at most {MAX_KEY_ARCS // 2} crossings, "
+    f"{MAX_KEY_ARCS} arcs and {_MAX_LOOPS} loops"
+)
 # The bit fields of `_memo_walk`'s histogram groups: dpow, apow, tag.
 _APOW = 9
 _TAG = 18
+
+
+def _smoothings(a_weight, weight):
+    """The two smoothings of each crossing x, as (the two slot pairs they
+    glue, sign, apow, dpow): the A-smoothing glues {s0-s1, s2-s3}, the
+    other {s0-s3, s1-s2}, with branch weights sign * A^apow * delta^dpow."""
+    return [
+        ((((s, s + 1), (s + 2, s + 3)), *a_weight), (((s, s + 3), (s + 1, s + 2)), *weight))
+        for s in range(0, 4 * (MAX_KEY_ARCS // 2), 4)
+    ]
+
+
+# Those of a type-1 crossing, A and 1/A; the delta branches of a type-2 one.
+_TYPE1 = _smoothings((1, 1, 0), (1, -1, 0))
+_TYPE2 = _smoothings((1, 0, 1), (1, 0, 1))
 
 
 def _mix(state):
@@ -95,40 +124,48 @@ def _mix(state):
     return state, z
 
 
-def _draw(seed, rel):
-    """The seeded draw of a state: rel, its slots relabelled by first
-    appearance, read as a big-endian integer mod _DRAW_MOD and XORed into
-    the seed, then one splitmix64 step (which takes the seed mod 2^64)."""
-    return _mix(seed ^ int.from_bytes(rel, "big") % _DRAW_MOD)[1]
+def _draw(seed, partners):
+    """The seeded draw of a state: its key's partner bytes read as a
+    big-endian integer mod _DRAW_MOD and XORed into the seed, then one
+    splitmix64 step (which takes the seed mod 2^64)."""
+    return _mix(seed ^ int.from_bytes(partners, "big") % _DRAW_MOD)[1]
 
 
-def _unpack(key):
-    """A key's slots and its colors as a table: arc label -> color,
-    zero-padded to the 256 bytes of `bytes.translate`."""
-    n = len(key) // 6
-    return key[: 4 * n], key[4 * n :].ljust(256, b"\0")
-
-
-def _strands(slots, table):
-    """The colors of the under strands and of the over strands of the
+def _strands(key):
+    """The colors of the under strands and of the over strands of a key's
     crossings, as two `bytes`, one byte a crossing."""
-    return slots[0::4].translate(table), slots[1::4].translate(table)
+    n = len(key) // 10
+    return key[8 * n : 9 * n], key[9 * n :]
 
 
-def _pick(slots, table, seed):
+def _arcs(key):
+    """The slots of a key with their arcs labelled by first appearance,
+    and the color of each arc, as two lists."""
+    n = len(key) // 10
+    m = 4 * n
+    slots = [-1] * m
+    colors = []
+    for s in range(m):
+        if slots[s] < 0:
+            slots[s] = slots[4 * key[s] + key[m + s]] = len(colors)
+            # under strands at slots 0 and 2, over strands at 1 and 3
+            colors.append(key[8 * n + n * (s & 1) + (s >> 2)])
+    return slots, colors
+
+
+def _pick(key, seed):
     """The pick of a state; returns (x, is_type2), x = -1 for a leaf.
 
-    ``table`` is the state's color table (`_unpack`).  seed < 0 is the
-    default order: the first mixed-color illegal crossing, else the first
-    same-color one.  Otherwise ``slots`` must be relabelled
-    by first appearance, and the pick is the illegal crossing, in stored
-    order, at the state's draw modulo their number.
+    seed < 0 is the default order: the first mixed-color illegal crossing,
+    else the first same-color one.  Otherwise the pick is the illegal
+    crossing, in stored order, at the state's draw modulo their number.
     """
-    under, over = _strands(slots, table)
+    under, over = _strands(key)
+    n = len(under)
     if under == over:  # one color: every crossing is illegal, of type 1
-        if not under:
+        if not n:
             return -1, False
-        return (0 if seed < 0 else _draw(seed, slots) % len(under)), False
+        return (0 if seed < 0 else _draw(seed, key[: 8 * n]) % n), False
     if seed < 0:
         first1 = -1
         for i, (cu, co) in enumerate(zip(under, over)):
@@ -141,90 +178,107 @@ def _pick(slots, table, seed):
     illegal = [i for i, (cu, co) in enumerate(zip(under, over)) if co <= cu]
     if not illegal:
         return -1, False
-    x = illegal[_draw(seed, slots) % len(illegal)]
+    x = illegal[_draw(seed, key[: 8 * n]) % len(illegal)]
     return x, over[x] < under[x]
 
 
-def _repaint(slots, table, x):
-    """The recoloring of the delta branches of type-2 crossing x, as the
-    arguments of `bytes.replace`: the under strand's color j becomes the
-    over strand's i."""
-    return _BYTE[table[slots[4 * x]]], _BYTE[table[slots[4 * x + 1]]]
-
-
-def _children(slots, table, x, x_type2):
+def _children(key, x, x_type2):
     """The children of smoothing crossing x, in the kernels' order: two
     (the flipped crossing), zero, one; or A, 1/A.
 
-    Each child is (key, closed, sign, apow, dpow): its key (`_canonical`),
-    the colors of the circles the smoothing closed and the branch weight
-    sign * A^apow * delta^dpow.  The A-smoothing glues {s0-s1, s2-s3} of
-    crossing x, the others {s0-s3, s1-s2}.  Gluing two ends of distinct
-    arcs renames one arc as the other; gluing the two ends of one arc
-    closes a circle.  The delta branches repaint first (`_repaint`): the
-    under strand's color j is above the over strand's, so j >= 1 and the
-    table's zero padding stays zero.
+    Each child is (key, sign, apow, dpow, closed), as `_memo_walk`'s
+    ``expand`` returns it: its key, the branch weight sign * A^apow *
+    delta^dpow and the number of circles the smoothing closed, all of the
+    over strand's color.  The A-smoothing glues {s0-s1, s2-s3} of
+    crossing x, the others {s0-s3, s1-s2}.  Gluing two slots joins their
+    partners, or closes a circle when they are each other's partners;
+    then x's four slots go and the crossings above x move down by one.
+    The flipped crossing is x turned by one slot, with its two colors
+    swapped.  The delta branches repaint the under strand's color j as
+    the over strand's i, so a circle closes in color i either way.
     """
+    n = len(key) // 10
+    m = 4 * n
     s = 4 * x
-    s0, s1, s2, s3 = slots[s : s + 4]
-    rest = slots[:s] + slots[s + 4 :]
+    # each slot's partner: its crossing, its slot number; each crossing's strand colors
+    crossings, slots, colors = key[:m], key[m : 2 * m], key[2 * m :]
     out = []
-    weights = (1, 1, 0), (1, -1, 0)
+    smoothings = _TYPE1
     if x_type2:
-        flipped = slots[:s] + slots[s + 1 : s + 4] + slots[s : s + 1] + slots[s + 4 :]
-        out.append((_canonical(flipped, table), b"", -1, 0, 0))
-        table = table.replace(*_repaint(slots, table, x))
-        weights = (1, 0, 1), (1, 0, 1)
-    for (p, q, r, t), weight in zip(((s0, s1, s2, s3), (s0, s3, s1, s2)), weights):
-        child, closed = rest, b""
-        if p == q:
-            closed = table[p : p + 1]
-        else:
-            child = child.replace(_BYTE[q], _BYTE[p])
-            if r == q:
-                r = p
-            if t == q:
-                t = p
-        if r == t:
-            closed += table[r : r + 1]
-        else:
-            child = child.replace(_BYTE[t], _BYTE[r])
-        out.append((_canonical(child, table), closed, *weight))
+        c, q = bytearray(crossings), bytearray(slots)
+        for k in range(4):  # new slot k is old slot k + 1; old slot j of x, new j - 1
+            o = s + (k + 1) % 4
+            t = 4 * crossings[o] + slots[o]
+            if t >> 2 == x:
+                t = s + (t - 1 & 3)
+            else:
+                q[t] = k
+            c[s + k] = t >> 2
+            q[s + k] = t & 3
+        j, i = colors[x : x + 1], colors[n + x : n + x + 1]
+        flipped = colors[:x] + i + colors[x + 1 : n + x] + j + colors[n + x + 1 :]
+        out.append((b"".join((c, q, flipped)), -1, 0, 0, 0))
+        colors = colors.replace(j, i)
+        smoothings = _TYPE2
+    colors = colors[:x] + colors[x + 1 : n + x] + colors[n + x + 1 :]
+    shift = _SHIFT[x]
+    for pairs, sign, apow, dpow in smoothings[x]:
+        c, q = bytearray(crossings), bytearray(slots)
+        closed = 0
+        for a, b in pairs:
+            ta = 4 * c[a] + q[a]
+            if ta == b:
+                closed += 1
+                continue
+            tb = 4 * c[b] + q[b]
+            c[ta] = c[b]
+            q[ta] = q[b]
+            c[tb] = c[a]
+            q[tb] = q[a]
+        del c[s : s + 4]
+        del q[s : s + 4]
+        out.append((b"".join((c.translate(shift), q, colors)), sign, apow, dpow, closed))
     return out
 
 
-def _canonical(slots, table):
-    """The key of a state: its slots with the live arcs relabelled by first
-    appearance, then the colors of those arcs in their new order, as one
-    `bytes` of 6 bytes a crossing.  ``table`` maps arc labels to colors,
-    as `_unpack` gives it.
-
-    Every live arc occurs twice among the slots, so the slots take the
-    first two thirds of the key and no two states share it.
-    """
-    order = bytes(dict.fromkeys(slots))
-    return slots.translate(bytes.maketrans(order, _RANGE[: len(order)])) + order.translate(table)
-
-
 def _key(slots, colors):
-    """The key of a diagram given as arc ids and arc colors, lists of ints."""
-    return _canonical(bytes(slots), bytes(colors).ljust(256, b"\0"))
+    """The key of a diagram given as arc ids and arc colors, lists of
+    ints.  ValueError (`_BAD_ARGUMENTS`) unless the slots come in fours,
+    each arc of ``colors`` lies in two slots or none, and the two slots
+    of each strand have one color, as the compiled kernel checks them."""
+    slots, colors = bytes(slots), bytes(colors)
+    m = len(slots)
+    key = bytearray(2 * m)
+    first = {}
+    for s, a in enumerate(slots):
+        t = first.pop(a, None)
+        if t is None:
+            first[a] = s
+        else:
+            key[s], key[m + s], key[t], key[m + t] = t >> 2, t & 3, s >> 2, s & 3
+    bad = m % 4 or len(colors) > MAX_KEY_ARCS or first or 2 * len(set(slots)) != m
+    if not bad:
+        table = colors.ljust(256, b"\0")
+        under, over, under2, over2 = (slots[k::4].translate(table) for k in range(4))
+        bad = max(slots, default=-1) >= len(colors) or under != under2 or over != over2
+    if bad:
+        raise ValueError(_BAD_ARGUMENTS)
+    return bytes(key) + under + over
 
 
-def _components(slots, n_arcs):
-    """The components of a leaf whose arcs are labelled below ``n_arcs``:
-    the two ends of each strand join."""
-    parent = list(range(n_arcs))
-    k = len(slots) >> 1
-    for s in range(0, len(slots), 4):
-        for a, b in ((slots[s], slots[s + 2]), (slots[s + 1], slots[s + 3])):
-            while parent[a] != a:
-                a = parent[a]
-            while parent[b] != b:
-                b = parent[b]
-            if a != b:
-                parent[b] = a
-                k -= 1
+def _components(key):
+    """The components of a leaf: each walks from a slot along its strand
+    to the slot across and on to that slot's partner, until it closes."""
+    m = len(key) // 10 * 4
+    seen = bytearray(m)
+    k = 0
+    for s in range(m):
+        if not seen[s]:
+            k += 1
+            while not seen[s]:
+                s ^= 2
+                seen[s] = seen[s ^ 2] = 1
+                s = 4 * key[s] + key[m + s]
     return k
 
 
@@ -347,14 +401,10 @@ def _expander(seed):
     closed, or a leaf's components."""
 
     def expand(key):
-        slots, table = _unpack(key)
-        x, x_type2 = _pick(slots, table, seed)
+        x, x_type2 = _pick(key, seed)
         if x < 0:
-            return _components(slots, len(slots) >> 1)
-        return [
-            (child, sign, apow, dpow, len(closed))
-            for child, closed, sign, apow, dpow in _children(slots, table, x, x_type2)
-        ]
+            return _components(key)
+        return _children(key, x, x_type2)
 
     return expand
 
@@ -362,9 +412,11 @@ def _expander(seed):
 def resolve_sum(slots, colors, loops, seed=-1):
     """Resolve completely; return {(apow, dpow, k): signed leaf count}.
 
-    `_memo_walk` over the keys of `_canonical`, tagging each path with the
+    `_memo_walk` over the keys of `_key`, tagging each path with the
     circles its smoothings closed; a leaf adds its components.
     """
+    if len(loops) > _MAX_LOOPS:
+        raise ValueError(_BAD_ARGUMENTS)
     groups = _memo_walk(_key(slots, colors), _expander(seed))
     return {(apow, dpow, k + len(loops)): count for (k, apow, dpow), count in groups.items()}
 
@@ -374,7 +426,7 @@ def resolve_leaves(slots, colors, loops, seed=-1):
     in depth-first leaf order: `resolve_sum`'s tree without the memo."""
     walk = _tree_walk(_key(slots, colors), _expander(seed))
     return [
-        (len(loops) + dtags + tag, len(key) // 6, *weight)
+        (len(loops) + dtags + tag, len(key) // 10, *weight)
         for _, _, weight, dtags, key, tag in walk
         if type(tag) is int
     ]

@@ -28,15 +28,14 @@ from typing import Sequence
 from . import _backend
 from ._kernel_py import (
     MAX_KEY_ARCS,
+    _arcs,
     _children,
     _key,
     _memo_walk,
     _mix,
     _pick,
-    _repaint,
     _strands,
     _tree_walk,
-    _unpack,
 )
 from .laurent import A, A_INV, C, DELTA, LOOP, BivariateLaurent
 from .diagram import (
@@ -220,29 +219,32 @@ def _prepare(d: TiedDiagram, strategy: Strategy):
     return slots, colors, d.free_loops, _seed(strategy)
 
 
-def _smooth(slots, table, loops, x, x_type2):
+def _smooth(key, loops, x, x_type2):
     """`_kernel_py._children` with the colors of each child's loops: a list
     of ``((key, loops), sign, apow, dpow, 0)``, as `_states`'s ``expand``
     returns them.
 
     ``loops`` holds colors sorted, as a multiset.  A delta branch repaints
-    them as it repaints the arcs, and the circles the smoothing closed join
-    them.
+    them as it repaints the arcs, the under strand's color j as the over
+    strand's i, and the circles the smoothing closed, all of color i,
+    join them.
     """
+    under, over = _strands(key)
+    j, i = under[x : x + 1], over[x : x + 1]
     out = []
-    for key, closed, sign, apow, dpow in _children(slots, table, x, x_type2):
+    for child, sign, apow, dpow, closed in _children(key, x, x_type2):
         c_loops = loops
         if dpow:
-            c_loops = c_loops.replace(*_repaint(slots, table, x))
+            c_loops = c_loops.replace(j, i)
         if dpow or closed:
-            c_loops = bytes(sorted(c_loops + closed))
-        out.append(((key, c_loops), sign, apow, dpow, 0))
+            c_loops = bytes(sorted(c_loops + i * closed))
+        out.append(((child, c_loops), sign, apow, dpow, 0))
     return out
 
 
 def _states(d: TiedDiagram, strategy: Strategy, walk: str):
     """The states of the diagram walks, the AJ-state table's and the tree's:
-    the keys of `_kernel_py.resolve_sum` (`_kernel_py._canonical`) with the
+    the keys of `_kernel_py.resolve_sum` (`_kernel_py._key`) with the
     sorted colors of the state's loops added, ``(key, loops)``, smoothed by
     `_smooth`.
 
@@ -250,10 +252,10 @@ def _states(d: TiedDiagram, strategy: Strategy, walk: str):
     have fewer than 256 arcs (MAX_KEY_ARCS).  Returns the root state,
     ``expand`` as `_kernel_py._memo_walk` and `_kernel_py._tree_walk` take
     it, which tags the distinct leaves it meets 0, 1, 2, ..., and
-    ``diagram``, which decodes a leaf's tag into a `TiedDiagram`.  A loop
-    of a color that no arc carries stays out of the states, and
-    ``diagram`` adds it back: a repaint merges the colors of two arcs, so
-    it never reaches that loop.
+    ``diagram``, which decodes a leaf's tag into a `TiedDiagram` whose arcs
+    are numbered by first appearance in the slots.  A loop of a color that
+    no arc carries stays out of the states, and ``diagram`` adds it back: a
+    repaint merges the colors of two arcs, so it never reaches that loop.
     """
     slots, colors, number = _encode(d, strategy, walk)
     palette = list(number)
@@ -263,20 +265,18 @@ def _states(d: TiedDiagram, strategy: Strategy, walk: str):
 
     def expand(state):
         key, loops = state
-        slots, table = _unpack(key)
-        x, x_type2 = _pick(slots, table, seed)
+        x, x_type2 = _pick(key, seed)
         if x < 0:
             leaves.append(state)
             return len(leaves) - 1
-        return _smooth(slots, table, loops, x, x_type2)
+        return _smooth(key, loops, x, x_type2)
 
     def diagram(leaf):
         key, loops = leaves[leaf]
-        n = len(key) // 6
-        slots = key[: 4 * n]
+        slots, colors = _arcs(key)
         return TiedDiagram(
             tuple(zip(*[iter(slots)] * 4)),
-            {a: palette[key[4 * n + a]] for a in slots},
+            {a: palette[c] for a, c in enumerate(colors)},
             tuple(palette[c] for c in loops) + inert,
         )
 
@@ -364,7 +364,7 @@ def _state_table(d: TiedDiagram, strategy: Strategy, codes: bool) -> StateSum:
     """The grouped AJ-state table of ``d``, expanding each distinct state once.
 
     `_memo_walk` over the states of `_states`.  States with one key have
-    isomorphic subtrees: the picks read only the relabelled slots and
+    isomorphic subtrees: the picks read only the slots' partners and
     their colors, and a leaf's code, k and gamma read its loop colors only
     as a multiset.  Each key is expanded once, and the weights of its
     paths from the root are pushed down to the leaves once, giving the
@@ -399,7 +399,7 @@ def resolution_tree(d: TiedDiagram, strategy: Strategy = _DEFAULT):
     """
     root, expand, diagram = _states(d, strategy, "the resolution tree")
     for node, (parent, edge, weight, _, (key, _), leaf) in enumerate(_tree_walk(root, expand)):
-        under, over = _strands(*_unpack(key))
+        under, over = _strands(key)
         illegal = sum(co <= cu for cu, co in zip(under, over))
         leaf = diagram(leaf) if type(leaf) is int else None
         yield node, parent, _LABELS.get(edge, ""), Complexity(len(under), illegal), weight, leaf

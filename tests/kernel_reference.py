@@ -1,35 +1,54 @@
-"""A plain smoothing and pick on byte states, the reference of `_kernel_py`'s.
+"""A plain smoothing and pick on arc-labelled states, the reference of `_kernel_py`'s.
 
-`_kernel_py._pick` reads the strand colors of all crossings at once and
-`_kernel_py._children` glues, repaints and keys each child in one pass
-over a shared color table.  These do the same one crossing and one child
-at a time: the pick reads the color of each strand through its arc, and
-`_glue` returns a child's slots and colors, which `canonical` then keys.
-``colors`` is indexed by arc label and need not be padded.
+`_kernel_py` keeps a state as a partner key (`_kernel_py._key`) and
+smooths it by rewiring the partners of the glued slots.  These decode a
+key into slots with their arcs labelled by first appearance and the
+colors of those arcs (`decode`), pick by reading the color of each strand
+through its arc, smooth one child at a time by renaming arcs (`_glue`),
+and encode each child back into a partner key (`encode`).  `canonical` is
+the state's key as the kernels once spelled it, the relabelled slots and
+the colors of their arcs: the reference of which states one key merges.
 """
 
-from tiedbracket._kernel_py import _BYTE, _RANGE, _draw
+from tiedbracket._kernel_py import _draw
 
 
-def pick_ordered(slots, colors, n):
-    """The default order: the first mixed-color illegal crossing, else the
-    first same-color one.  Returns (x, is_type2), x = -1 for a leaf."""
-    first1 = -1
-    for i in range(n):
-        cu = colors[slots[4 * i]]
-        co = colors[slots[4 * i + 1]]
-        if co == cu:
-            if first1 < 0:
-                first1 = i
-        elif co < cu:
-            return i, True
-    return first1, False
+def decode(key):
+    """The slots of a partner key with their arcs labelled by first
+    appearance, and the colors of those arcs, as two `bytes`."""
+    n = len(key) // 10
+    m = 4 * n
+    label, slots, colors = {}, [], []
+    for s in range(m):
+        if s not in label:
+            label[4 * key[s] + key[m + s]] = len(colors)
+            # under strands at slots 0 and 2, over strands at 1 and 3
+            colors.append(key[8 * n + s // 4] if s % 2 == 0 else key[9 * n + s // 4])
+        slots.append(label.get(s, len(colors) - 1))
+    return bytes(slots), bytes(colors)
 
 
-def pick(slots, colors, n, seed):
-    """The pick of a state; returns (x, is_type2), x = -1 for a leaf."""
-    if seed < 0:
-        return pick_ordered(slots, colors, n)
+def encode(slots, colors):
+    """The partner key of slots labelled by arc and of their arcs' colors."""
+    ends = {}
+    for s, a in enumerate(slots):
+        ends.setdefault(a, []).append(s)
+    partner = [sum(ends[a]) - s for s, a in enumerate(slots)]
+    return (
+        bytes(t // 4 for t in partner)
+        + bytes(t % 4 for t in partner)
+        + bytes(colors[a] for a in slots[0::4])
+        + bytes(colors[a] for a in slots[1::4])
+    )
+
+
+def pick(key, seed):
+    """The pick of a state; returns (x, is_type2), x = -1 for a leaf.
+    The default order (seed < 0) takes the first mixed-color illegal
+    crossing, else the first same-color one; a seed draws among the
+    illegal crossings from the key's partner bytes."""
+    slots, colors = decode(key)
+    n = len(slots) // 4
     illegal = []
     for i in range(n):
         cu = colors[slots[4 * i]]
@@ -38,14 +57,18 @@ def pick(slots, colors, n, seed):
             illegal.append((i, co < cu))
     if not illegal:
         return -1, False
-    return illegal[_draw(seed, slots) % len(illegal)]
+    if seed >= 0:
+        return illegal[_draw(seed, key[: 8 * n]) % len(illegal)]
+    return next((c for c in illegal if c[1]), illegal[0])
 
 
-def children(slots, colors, x, x_type2):
+def children(key, x, x_type2):
     """The children of smoothing crossing x as `_kernel_py._children`
-    gives them: (key, closed, sign, apow, dpow)."""
+    gives them: (key, sign, apow, dpow, closed), with the number of
+    circles closed, which all take the over strand's color."""
+    slots, colors = decode(key)
     if x_type2:
-        repaint = _BYTE[colors[slots[4 * x]]], _BYTE[colors[slots[4 * x + 1]]]
+        repaint = colors[slots[4 * x] : slots[4 * x] + 1], colors[slots[4 * x + 1] : slots[4 * x + 1] + 1]
         s = 4 * x
         flipped = slots[:s] + slots[s + 1 : s + 4] + slots[s : s + 1] + slots[s + 4 :]
         kids = (
@@ -58,7 +81,9 @@ def children(slots, colors, x, x_type2):
             (*_glue(slots, colors, x, True, None), 1, 1, 0),
             (*_glue(slots, colors, x, False, None), 1, -1, 0),
         )
-    return [(canonical(s, c), closed, *weight) for s, c, closed, *weight in kids]
+    over = colors[slots[4 * x + 1] : slots[4 * x + 1] + 1]
+    assert all(closed == over * len(closed) for _, _, closed, *_ in kids)
+    return [(encode(s, c), *weight, len(closed)) for s, c, closed, *weight in kids]
 
 
 def _glue(slots, colors, x, a_pairing, repaint):
@@ -74,7 +99,7 @@ def _glue(slots, colors, x, a_pairing, repaint):
     if p == q:
         closed = colors[p : p + 1]
     else:
-        new_slots = new_slots.replace(_BYTE[q], _BYTE[p])
+        new_slots = new_slots.replace(bytes([q]), bytes([p]))
         if r == q:
             r = p
         if t == q:
@@ -82,13 +107,13 @@ def _glue(slots, colors, x, a_pairing, repaint):
     if r == t:
         closed += colors[r : r + 1]
     else:
-        new_slots = new_slots.replace(_BYTE[t], _BYTE[r])
+        new_slots = new_slots.replace(bytes([t]), bytes([r]))
     return new_slots, colors, closed
 
 
 def canonical(slots, colors):
-    """The key of a state: slots relabelled by first appearance, then the
-    colors of the live arcs in that order."""
+    """The relabelled key of a state: slots relabelled by first
+    appearance, then the colors of the live arcs in that order."""
     order = bytes(dict.fromkeys(slots))
-    rel = slots.translate(bytes.maketrans(order, _RANGE[: len(order)]))
+    rel = slots.translate(bytes.maketrans(order, bytes(range(len(order)))))
     return rel + order.translate(colors.ljust(256, b"\0"))

@@ -1,8 +1,10 @@
 """The compiled kernel and the pure-Python kernel, its spec, must agree
 exactly: the same sums under the same seeded choices, on every input both
 accept, up to the byte labels' 254 arcs and past 64-bit counts.  Both must
-match the naive expander.  The compiled one must reject arguments its byte
-keys cannot hold, free all it allocates and compile without warnings."""
+match the naive expander.  Both must refuse arguments not shaped like a
+diagram with the same error; the compiled one must also reject arguments
+its byte keys cannot hold, free all it allocates and compile without
+warnings."""
 
 import ctypes
 import importlib
@@ -93,6 +95,26 @@ def test_parity_random_diagrams_past_32_crossings(compiled_kernel, n):
 def test_compiled_kernel_rejects_bad_arguments(compiled_kernel, slots, colors, loops):
     with pytest.raises(ValueError):
         compiled_kernel.resolve_sum(slots, colors, loops)
+
+
+@pytest.mark.parametrize(
+    "slots, colors",
+    [
+        ([0, 1, 2, 3], [0, 0, 0, 0]),  # every arc in one slot
+        ([0, 0, 0, 1, 1, 1, 2, 2], [0, 0, 0]),  # arcs in three slots
+        ([0, 1, 0, 1, 2, 2], [0, 0, 0]),  # six slots
+        ([0, 0, 1, 1], [0]),  # an arc label past the colors
+        ([0, 1, 1, 0], [0, 1]),  # an under strand of two colors
+        ([0, 0, 1, 1], [0] * 300),  # 300 arcs
+    ],
+)
+def test_kernels_refuse_malformed_arguments_alike(compiled_kernel, slots, colors):
+    messages = []
+    for kernel in (_kernel_py, compiled_kernel):
+        with pytest.raises(ValueError, match="^kernel takes 4 slots per crossing") as refused:
+            kernel.resolve_sum(slots, colors, [])
+        messages.append(str(refused.value))
+    assert messages[0] == messages[1]
 
 
 def test_compiled_kernel_frees_what_it_allocates(compiled_kernel):

@@ -4,7 +4,8 @@ AJ-state table against the reference tree walk on diagrams
 (`tree_reference`), also on many loops and colors; `_memo_walk` and
 `_tree_walk` on a hand-made DAG, and `_memo_walk`'s packed groups at
 their bounds; how many states each memo expands; the seeded pick rule;
-the pick and smoothing against a plain one (`kernel_reference`);
+the pick and smoothing against a plain one (`kernel_reference`), and the
+partner keys against the relabelled keys they replaced;
 closures whose tree only the memo can afford, on both kernels, up to the
 byte labels' bound; and that the memo, the code search and
 `double_bracket` leave no reference cycles."""
@@ -337,40 +338,62 @@ def test_seeded_leaves_ignore_arc_names():
 )
 def test_seeds_pick_differently_at_the_root(entry):
     slots, colors, _, _ = _prepare(entry.diagram(), OrderedStrategy())
-    slots, table = _kernel_py._unpack(_kernel_py._key(slots, colors))
-    picks = {_kernel_py._pick(slots, table, seed) for seed in range(10)}
+    key = _kernel_py._key(slots, colors)
+    picks = {_kernel_py._pick(key, seed) for seed in range(10)}
     assert len(picks) >= 2
 
 
 def assert_smoothing_matches_reference(key, seed):
-    slots, table = _kernel_py._unpack(key)
-    colors = key[len(slots) :]
-    pick = _kernel_py._pick(slots, table, seed)
-    assert pick == kernel_reference.pick(slots, colors, len(slots) // 4, seed)
+    pick = _kernel_py._pick(key, seed)
+    assert pick == kernel_reference.pick(key, seed)
     if pick[0] >= 0:
-        got = _kernel_py._children(slots, table, *pick)
-        assert got == kernel_reference.children(slots, colors, *pick)
+        assert _kernel_py._children(key, *pick) == kernel_reference.children(key, *pick)
 
 
-@pytest.mark.parametrize("strategy", (OrderedStrategy(),) + SEEDED, ids=["ordered", "seed3", "seed2^64+11"])
-def test_pick_and_children_match_the_reference(strategy):
-    # on every state the kernel's memo walk expands, the crossingless key,
-    # and a root of 508 slots
-    seed = engine._seed(strategy)
-    expand = _kernel_py._expander(seed)
+def expanded_keys(strategy, visit):
+    """Call ``visit(key)`` on every state the kernel's memo walk expands
+    on the catalog and 100 random diagrams under ``strategy``, on the
+    crossingless key and on the root of 508 slots of torus_2(127)."""
+    expand = _kernel_py._expander(engine._seed(strategy))
 
-    def checked(key):
-        assert_smoothing_matches_reference(key, seed)
+    def visited(key):
+        visit(key)
         return expand(key)
 
     diagrams = [e.diagram() for e in CATALOG]
     diagrams += [random_diagram(s, s % 8 + 1, s % 4 + 1, s % 3) for s in range(100)]
     for d in diagrams:
         slots, colors, _, _ = _prepare(d, strategy)
-        _kernel_py._memo_walk(_kernel_py._key(slots, colors), checked)
+        _kernel_py._memo_walk(_kernel_py._key(slots, colors), visited)
     slots, colors, _, _ = _prepare(torus_2(127), strategy)
     for key in (b"", _kernel_py._key(slots, colors)):
-        assert_smoothing_matches_reference(key, seed)
+        visit(key)
+
+
+STRATEGY_IDS = ["ordered", "seed3", "seed2^64+11"]
+
+
+@pytest.mark.parametrize("strategy", (OrderedStrategy(),) + SEEDED, ids=STRATEGY_IDS)
+def test_pick_and_children_match_the_reference(strategy):
+    seed = engine._seed(strategy)
+    expanded_keys(strategy, lambda key: assert_smoothing_matches_reference(key, seed))
+
+
+@pytest.mark.parametrize("strategy", (OrderedStrategy(),) + SEEDED, ids=STRATEGY_IDS)
+def test_partner_keys_merge_what_relabelled_keys_merge(strategy):
+    # a partner key stands for one relabelled key (`kernel_reference.canonical`)
+    # and the other way round, on every state the walks expand
+    relabelled, partner = {}, {}
+
+    def visit(key):
+        slots, colors = kernel_reference.decode(key)
+        assert kernel_reference.encode(slots, colors) == key
+        old = kernel_reference.canonical(slots, colors)
+        assert relabelled.setdefault(key, old) == old
+        assert partner.setdefault(old, key) == key
+
+    expanded_keys(strategy, visit)
+    assert len(relabelled) == len(partner) > 1000
 
 
 def test_seeds_draw_distinct_trees():

@@ -13,14 +13,23 @@ from tiedbracket.diagram import BAR0, BAR1, ONE, TWO, ZERO
 from tiedbracket.engine import OrderedStrategy, StateSum, _branch_weight, _ordered, _seed, _summary
 
 
-def _relabel(cur):
-    """The slots of ``cur`` relabelled by first appearance, and the colors
-    of those arcs in that order, numbered from 0 in order and padded to a
-    table: what the picks (`_kernel_py._pick`) read of a state."""
-    names = {}
-    rel = [names.setdefault(a, len(names)) for rec in cur.crossings for a in rec]
-    number = {c: i for i, c in enumerate(sorted(set(cur.arc_color[a] for a in names)))}
-    return bytes(rel), bytes(number[cur.arc_color[a]] for a in names).ljust(256, b"\0")
+def _key(cur):
+    """The partner key of ``cur``, as `_kernel_py._key` spells it, with
+    its colors numbered from 0 in order: what the picks
+    (`_kernel_py._pick`) read of a state."""
+    slots = [a for rec in cur.crossings for a in rec]
+    ends = {}
+    for s, a in enumerate(slots):
+        ends[a] = ends.get(a, 0) + s
+    partner = [ends[a] - s for s, a in enumerate(slots)]
+    number = {c: i for i, c in enumerate(sorted({cur.arc_color[a] for a in slots}))}
+    strand = [number[cur.arc_color[a]] for a in slots]
+    return (
+        bytes(t // 4 for t in partner)
+        + bytes(t % 4 for t in partner)
+        + bytes(strand[0::4])
+        + bytes(strand[1::4])
+    )
 
 
 def _smoothings(cur, x, x_type2):
@@ -52,7 +61,7 @@ def reference_tree(d, strategy=OrderedStrategy()):
     node = 0
     while stack:
         parent, label, cur, sign, apow, dpow = stack.pop()
-        x, x_type2 = _pick(*_relabel(cur), seed)
+        x, x_type2 = _pick(_key(cur), seed)
         yield node, parent, label, cur, (sign, apow, dpow), x < 0
         if x >= 0:
             # Pushed in reverse so that children pop in the kernels' order.
