@@ -1,10 +1,10 @@
 /* Compiled resolution kernel, written against the CPython C API.
 
-   Twin of `_kernel_py.resolve_sum`: the same two-pass memo walk
-   (`_memo_walk`) over the same keys (`_kernel_py._key`: for each slot its
-   partner's crossing, then its partner's slot number, then each crossing's
-   under-strand and over-strand color, ten bytes per crossing), the same
-   seeded picks and identical results.  Counts are checked 128-bit integers
+   Twin of `_kernel_py.resolve_sum`: the same one-pass memo walk in falling
+   rank (`_memo_walk`, `_rank`) over the same keys (`_kernel_py._key`: for
+   each slot its partner's crossing, then its partner's slot number, then
+   each crossing's under-strand and over-strand color, ten bytes per
+   crossing), the same seeded picks and identical results.  Counts are checked 128-bit integers
    that raise OverflowError rather than wrap.  Byte crossing indices bound
    the arcs (MAX_KEY_ARCS); arguments past them, or not shaped like a
    diagram, raise the ValueError of `_kernel_py`.  Leaves carry no colors:
@@ -12,9 +12,10 @@
    `_kernel_py`.
 
    A state is its key in both kernels.  The twins of the functions below:
-   encode <-> `_kernel_py._key`; pick <-> `_pick`; expand, which builds
-   each child (flip, glue) and interns its key, <-> `_children`;
-   components <-> `_components`; memo_walk <-> `_memo_walk`. */
+   encode <-> `_kernel_py._key`; rank <-> `_rank`; pick <-> `_pick`;
+   expand, which builds each child (flip, glue), interns its key and
+   pushes the state's paths into it, <-> `_children`; components <->
+   `_components`; memo_walk <-> `_memo_walk`. */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 #include <stdint.h>
@@ -42,17 +43,11 @@ typedef struct {
 } Hist;
 
 typedef struct {
-    int child, sign, apow, dpow, closed;
-} Edge;
-
-typedef struct {
     Py_ssize_t key; /* its key is keys[key:key + 10n] */
     int n;
     unsigned hash;
-    int n_edges; /* -1 until expanded */
-    int link; /* first pass: the state it came from; once numbered, the next in reverse post-order */
-    Edge edges[3];
-    Hist hist; /* second pass: (closed, apow, dpow) -> count of its paths from the root */
+    int next; /* the next state of its rank, -1 at the end */
+    Hist hist; /* (closed, apow, dpow) -> count of its paths from the root, until expanded */
 } State;
 
 typedef struct {
@@ -61,6 +56,7 @@ typedef struct {
     u8 *keys; /* the states' keys, back to back */
     State *states;
     int *table; /* of the states by key */
+    int *rank; /* by rank, up to the root's: the first state of that rank, -1 for none */
     Py_ssize_t n_keys, n_states, cap_keys, cap_states, table_size;
     Hist out; /* (apow, dpow, k) -> signed leaf count */
 } Walk;
@@ -159,6 +155,16 @@ static void encode(const u8 *in, int m, const u8 *colors, u8 *out)
         out[2 * m + c] = colors[in[4 * c]];
         out[2 * m + n + c] = colors[in[4 * c + 1]];
     }
+}
+
+/* The complexity of a key of n crossings, (crossings, illegal crossings), as one int, as
+   `_kernel_py._rank`. */
+static int rank(const u8 *s, int n)
+{
+    int illegal = 0;
+    for (int c = 0; c < n; c++)
+        illegal += s[9 * n + c] <= s[8 * n + c];
+    return 128 * n + illegal;
 }
 
 /* The crossing of a key to smooth, -1 at a leaf, as `_kernel_py._pick`; *type2
@@ -264,7 +270,8 @@ static int glue(const u8 *s, int n, int x, int a_pairing, int j, int i, u8 *out)
 }
 
 /* The id of the state of n crossings whose key the caller wrote at the end of the keys,
-   after making room for it; a new key is a new, unexpanded state. */
+   after making room for it; a new key is a new state, with no paths yet, first in the
+   list of its rank. */
 static int intern(Walk *w, int n)
 {
     const u8 *k = w->keys + w->n_keys;
@@ -282,7 +289,9 @@ static int intern(Walk *w, int n)
     for (unsigned a = hash & (w->table_size - 1);; a = (a + 1) & (w->table_size - 1)) {
         int id = w->table[a];
         if (id < 0) {
-            w->states[w->n_states] = (State){w->n_keys, n, hash, -1, -1, {{0}}, {0}};
+            int r = rank(k, n);
+            w->states[w->n_states] = (State){w->n_keys, n, hash, w->rank[r], {0}};
+            w->rank[r] = (int)w->n_states;
             w->n_keys += 10 * n;
             return w->table[a] = (int)w->n_states++;
         }
@@ -292,9 +301,23 @@ static int intern(Walk *w, int n)
     }
 }
 
-/* Pick the crossing of state id and add its edges in the kernels' order: two (the
-   flipped crossing), zero, one; or A, 1/A; or a leaf's one edge, to the output (child
-   -1), which closes its k components.  The delta branches repaint color j as i. */
+/* Push the paths of state id, shifted by the edge's weight sign * A^apow * delta^dpow and
+   the circles it closes, into to. */
+static int push(Walk *w, int id, Hist *to, int sign, int apow, int dpow, int closed)
+{
+    const Hist *h = &w->states[id].hist;
+    for (Py_ssize_t g = 0; g < h->n_groups; g++) {
+        const Group *p = &h->groups[g];
+        if (p->count && add_group(to, p->apow + apow, p->dpow + dpow, p->k + closed, p->count, sign) < 0)
+            return -1;
+    }
+    return 0;
+}
+
+/* Pick the crossing of state id and push its paths into its children, each interned as it
+   is built, in the kernels' order: two (the flipped crossing), zero, one; or A, 1/A; or,
+   at a leaf, into the output, closing its k components.  The delta branches repaint color
+   j as i. */
 static int expand(Walk *w, int id)
 {
     int n = w->states[id].n, type2;
@@ -305,11 +328,8 @@ static int expand(Walk *w, int id)
     const u8 *s = w->keys + w->states[id].key;
     int x = pick(w, s, n, &type2);
 
-    if (x < 0) {
-        w->states[id].edges[0] = (Edge){-1, 1, 0, 0, components(s, n)};
-        w->states[id].n_edges = 1;
-        return 0;
-    }
+    if (x < 0)
+        return push(w, id, &w->out, 1, 0, 0, components(s, n));
     for (int c = type2 ? 0 : 1; c < 3; c++) {
         u8 *out = w->keys + w->n_keys;
         int closed = 0;
@@ -317,56 +337,28 @@ static int expand(Walk *w, int id)
             closed = glue(s, n, x, c == 1, type2 ? s[8 * n + x] : -1, s[9 * n + x], out);
         else
             flip(s, n, x, out);
-        int child = intern(w, c ? n - 1 : n);
-        if (child < 0)
+        int child = intern(w, c ? n - 1 : n); /* which may move the states */
+        if (child < 0 || push(w, id, &w->states[child].hist, c ? 1 : -1, type2 ? 0 : 3 - 2 * c,
+                              type2 && c, closed) < 0)
             return -1;
-        w->states[id].edges[c - !type2] =
-            (Edge){child, c ? 1 : -1, type2 ? 0 : 3 - 2 * c, type2 && c, closed};
     }
-    w->states[id].n_edges = type2 ? 3 : 2;
     return 0;
 }
 
-/* As `_kernel_py._memo_walk`.  The first pass expands each state once, depth-first,
-   and numbers the states in post-order.  The second visits them in reverse post-order,
-   a topological order with the root first: each pushes its paths, shifted by each
-   edge, into its children or, at a leaf, into the output, and frees them. */
-static int memo_walk(Walk *w, int root)
+/* As `_kernel_py._memo_walk`: one pass over the states in falling rank, from the root's
+   rank top down, each list of a rank threaded through the states' next.  Every parent
+   of a state has a higher rank, so its paths are complete when it is expanded; then
+   they are pushed on and freed. */
+static int memo_walk(Walk *w, int root, int top)
 {
-    for (int id = root, numbered = -1; id >= 0;) {
-        if (w->states[id].n_edges < 0 && expand(w, id) < 0) /* the first visit */
-            return -1;
-        State *st = &w->states[id];
-        /* down to an unexpanded child (no state is its own descendant, so the others are
-           numbered); once there is none, number this state and go back up */
-        int c = 0;
-        while (c < st->n_edges && (st->edges[c].child < 0 || w->states[st->edges[c].child].n_edges >= 0))
-            c++;
-        if (c < st->n_edges) {
-            w->states[st->edges[c].child].link = id;
-            id = st->edges[c].child;
-        } else {
-            int up = st->link;
-            st->link = numbered;
-            numbered = id;
-            id = up;
-        }
-    }
     if (add_group(&w->states[root].hist, 0, 0, 0, 1, 1) < 0)
         return -1;
-    for (State *st = &w->states[root]; st; st = st->link < 0 ? NULL : &w->states[st->link]) {
-        for (int c = 0; c < st->n_edges; c++) {
-            const Edge *e = &st->edges[c];
-            Hist *to = e->child < 0 ? &w->out : &w->states[e->child].hist;
-            for (Py_ssize_t g = 0; g < st->hist.n_groups; g++) {
-                const Group *p = &st->hist.groups[g];
-                if (p->count && add_group(to, p->apow + e->apow, p->dpow + e->dpow, p->k + e->closed,
-                                          p->count, e->sign) < 0)
-                    return -1;
-            }
+    for (int r = top; r >= 0; r--)
+        for (int id = w->rank[r]; id >= 0; id = w->states[id].next) {
+            if (expand(w, id) < 0)
+                return -1;
+            free_hist(&w->states[id].hist);
         }
-        free_hist(&st->hist);
-    }
     return 0;
 }
 
@@ -409,12 +401,17 @@ static PyObject *resolve_sum(PyObject *Py_UNUSED(self), PyObject *args, PyObject
                      "%d arcs and %d loops", MAX_CROSSINGS, MAX_KEY_ARCS, MAX_LOOPS);
         goto done;
     }
-    int root = -1;
+    int root = -1, n = (int)n_slots / 4, top = 0;
+    Py_ssize_t n_ranks = 0;
     if (reserve(&w.keys, &w.cap_keys, n_slots * 5 / 2 + 1, 1) == 0) {
         encode(in, (int)n_slots, col, w.keys);
-        root = intern(&w, (int)n_slots / 4);
+        top = rank(w.keys, n);
+        if (reserve(&w.rank, &n_ranks, top + 1, sizeof(int)) == 0) {
+            memset(w.rank, 0xff, n_ranks * sizeof(int));
+            root = intern(&w, n);
+        }
     }
-    if (root < 0 || memo_walk(&w, root) < 0 || !(result = PyDict_New()))
+    if (root < 0 || memo_walk(&w, root, top) < 0 || !(result = PyDict_New()))
         goto done;
     for (Py_ssize_t g = 0; result && g < w.out.n_groups; g++) { /* the sums without their zeros */
         const Group *e = &w.out.groups[g];
@@ -436,6 +433,7 @@ done:
     PyMem_Free(w.keys);
     PyMem_Free(w.states);
     PyMem_Free(w.table);
+    PyMem_Free(w.rank);
     free_hist(&w.out);
     return result;
 }

@@ -59,17 +59,19 @@ only be some valid tree, not one drawn from a sequential random stream.
 A walk's states are defined once, by ``expand(key)``: a leaf's tag, an
 int, or the state's children as ``(key, sign, apow, dpow, dtag)``.  For
 `resolve_sum` that is `_expander(seed)`, and two drivers walk it.  The
-memo loop `_memo_walk` walks the tree as a DAG under every seed: it
-expands each key once.  Then, from the root down, each state passes the
-histogram of its paths from the root, (circles closed, apow, dpow) with
-counts, to its children, shifted by the branch weight and by the circles
-the smoothing closed; a leaf adds its own components to give k.  A
-histogram's groups are packed into one int each, in bit fields that
-hold any walk within MAX_KEY_ARCS, where |apow| and dpow stay at most
-127.  It returns the leaves' histogram as a dict, and the memo lives for
-one call.  The tree loop `_tree_walk` yields every node of the tree in
-preorder, expanding each key once too, but visiting it again on every
-path.  `resolve_leaves` is `resolve_sum`'s tree without the memo: it
+memo loop `_memo_walk` walks the tree as a DAG under every seed, in one
+pass in falling complexity (`_rank`): the paper's (crossings, illegal
+crossings), which every smoothing lowers.  It takes each key once, when
+all its parents have passed it the histogram of its paths from the
+root, (circles closed, apow, dpow) with counts; it expands the key and
+passes that histogram on to the children, shifted by the branch weight
+and by the circles the smoothing closed, and forgets the key.  A leaf
+adds its own components to give k.  A histogram's groups are packed
+into one int each, in bit fields that hold any walk within MAX_KEY_ARCS,
+where |apow| and dpow stay at most 127.  It returns the leaves'
+histogram as a dict.  The tree loop `_tree_walk` yields every node of
+the tree in preorder, expanding each key once too, but visiting it
+again on every path.  `resolve_leaves` is `resolve_sum`'s tree without the memo: it
 lists every leaf in depth-first order.  The engine's AJ-state table, its
 `resolution_tree` (behind ``tiedbracket tree``) and its ungrouped
 `resolve` run the same two drivers over the engine's states, which add
@@ -77,6 +79,8 @@ the colors of the state's loops to each key.  Neither the engine nor the
 compiled kernel needs a leaf list: the benchmark replays `resolve_leaves`
 to count leaves, until a counter of `resolve_sum` does that.
 """
+
+from operator import le
 
 # Arc labels are bytes in the arguments, crossing indices bytes in the keys.
 MAX_KEY_ARCS = 255
@@ -282,7 +286,14 @@ def _components(key):
     return k
 
 
-def _memo_walk(root, expand):
+def _rank(key):
+    """The complexity of a state, (crossings, illegal crossings), as one
+    int, n * 128 + illegal: each smoothing lowers it (see `_memo_walk`)."""
+    under, over = _strands(key)
+    return len(under) * 128 + sum(map(le, over, under))
+
+
+def _memo_walk(root, expand, rank):
     """Walk a resolution tree as a DAG from the key ``root``; return the
     histogram ``{(tag, apow, dpow): count}`` of its leaves, without zero
     counts.
@@ -292,18 +303,21 @@ def _memo_walk(root, expand):
     as ``(key, sign, apow, dpow, dtag)``: the branch weight sign * A^apow *
     delta^dpow and a shift of the tags below.  A leaf reached by a path
     counts once at its tag plus the path's dtags, with the product of the
-    path's weights.
+    path's weights.  ``rank(key)`` is an int that falls along every edge,
+    as `_rank` does for the kernels' keys: a smoothing removes a crossing
+    or, flipping one, makes it legal.
 
-    Two passes.  The first expands each key once, depth-first, numbers the
-    states in post-order and keeps only their edges, ``(child, sign,
-    shift)`` with the rest of the edge packed as below, or the leaf's tag.
-    The second visits the states in reverse post-order, a topological
-    order with the root first.  Each state then holds the histogram of its
-    paths from the root, (dtags, apow, dpow) -> count, complete since its
-    parents came before; it pushes that, shifted by each edge, into its
-    children, or into the output at a leaf, and is freed.  Each histogram
-    is thus merged once per out-edge and lives only from its first
-    parent's visit to its own.
+    One pass, in falling rank, which is a topological order with the root
+    first.  ``paths`` maps each state met but not yet expanded to the
+    histogram of its paths from the root, (dtags, apow, dpow) -> count,
+    and ``ranks`` lists those states by rank.  The walk takes the states
+    of the highest rank left; when it takes one, every parent has a higher
+    rank and has pushed its paths, so the histogram is complete.  It pops
+    that histogram, expands the state once, and pushes the histogram,
+    shifted by each edge, into each child, or into the output at a leaf.
+    A child met for the first time gets an empty histogram and joins the
+    list of its rank.  No state comes back once taken, since every edge
+    lowers the rank, so ``paths`` is the memo and a taken state is freed.
 
     A histogram's groups are ints, dtags << _TAG | (apow + 256) << _APOW |
     dpow, so an edge shifts them by one addition and the output is
@@ -313,51 +327,29 @@ def _memo_walk(root, expand):
     so their walks, of at most MAX_KEY_ARCS // 2 = 127 crossings, keep
     |apow| + dpow <= 127.
     """
-    index = {}
-    edges = []
-    # Stack entries: (key, None) expands a state;
-    # (key, kids) numbers it once its children are numbered.
-    stack = [(root, None)]
-    while stack:
-        key, kids = stack.pop()
-        if kids is not None:
-            index[key] = len(edges)
-            edges.append(
-                [(index[k], sign, (t << _TAG) + (a << _APOW) + d) for k, sign, a, d, t in kids]
-            )
-            continue
-        if key in index:
-            continue
-        kids = expand(key)
-        if type(kids) is int:
-            index[key] = len(edges)
-            edges.append(kids << _TAG)
-            continue
-        stack.append((key, kids))
-        for c in kids:
-            if c[0] not in index:
-                stack.append((c[0], None))
-    del index  # the push reads indices only; free the keys first
-
-    paths = [None] * len(edges)
-    paths[-1] = {256 << _APOW: 1}
+    paths = {root: {256 << _APOW: 1}}
+    ranks = {rank(root): [root]}
     out = {}
-    for i in range(len(edges) - 1, -1, -1):
-        hist, paths[i] = paths[i], None
-        kids = edges[i]
-        if type(kids) is int:
-            for group, count in hist.items():
-                group += kids
-                out[group] = out.get(group, 0) + count
-            continue
-        for child, sign, shift in kids:
-            acc = paths[child]
-            if acc is None:
-                acc = paths[child] = {}
-            for group, count in hist.items():
-                if count:
-                    group += shift
-                    acc[group] = acc.get(group, 0) + sign * count
+    while ranks:
+        for key in ranks.pop(max(ranks)):
+            hist = paths.pop(key)
+            kids = expand(key)
+            if type(kids) is int:
+                kids <<= _TAG
+                for group, count in hist.items():
+                    group += kids
+                    out[group] = out.get(group, 0) + count
+                continue
+            for child, sign, apow, dpow, dtag in kids:
+                acc = paths.get(child)
+                if acc is None:
+                    acc = paths[child] = {}
+                    ranks.setdefault(rank(child), []).append(child)
+                shift = (dtag << _TAG) + (apow << _APOW) + dpow
+                for group, count in hist.items():
+                    if count:
+                        group += shift
+                        acc[group] = acc.get(group, 0) + sign * count
     return {
         (g >> _TAG, (g >> _APOW & 511) - 256, g & 511): count for g, count in out.items() if count
     }
@@ -413,11 +405,15 @@ def resolve_sum(slots, colors, loops, seed=-1):
     """Resolve completely; return {(apow, dpow, k): signed leaf count}.
 
     `_memo_walk` over the keys of `_key`, tagging each path with the
-    circles its smoothings closed; a leaf adds its components.
+    circles its smoothings closed; a leaf adds its components.  A seed
+    that is no int raises the compiled kernel's TypeError.
     """
+    if not isinstance(seed, int):
+        name = "None" if seed is None else type(seed).__name__
+        raise TypeError(f"argument 4 must be int, not {name}")
     if len(loops) > _MAX_LOOPS:
         raise ValueError(_BAD_ARGUMENTS)
-    groups = _memo_walk(_key(slots, colors), _expander(seed))
+    groups = _memo_walk(_key(slots, colors), _expander(seed), _rank)
     return {(apow, dpow, k + len(loops)): count for (k, apow, dpow), count in groups.items()}
 
 

@@ -447,7 +447,8 @@ def disjoint_union(
     With ``share_colors=False`` the colors of ``d2`` are shifted above those
     of ``d1`` (new blocks).  With ``share_colors=True`` the caller supplies
     ``color_map`` sending each color of ``d2`` to a color in ``d1``'s index
-    space.  The result has normalized colors.
+    space.  A ``color_map`` without ``share_colors=True`` raises
+    ColorMapError rather than go unused.  The result has normalized colors.
     """
     shift = max(d1.used_arcs(), default=-1) + 1
     relabel = {a: a + shift for a in d2.used_arcs()}
@@ -464,6 +465,8 @@ def disjoint_union(
             if type(v) is not int or v <= 0:
                 raise ColorMapError(f"color_map values must be positive integers, got {v!r}")
         recolor = dict(color_map)
+    elif color_map is not None:
+        raise ColorMapError("color_map requires share_colors=True")
     else:
         offset = max(set(d1.arc_color.values()) | set(d1.free_loops), default=0)
         recolor = {c: c + offset for c in d2_colors}

@@ -34,6 +34,7 @@ from ._kernel_py import (
     _memo_walk,
     _mix,
     _pick,
+    _rank,
     _strands,
     _tree_walk,
 )
@@ -363,17 +364,19 @@ def _summary(leaf: TiedDiagram, codes: bool) -> AJStateSummary:
 def _state_table(d: TiedDiagram, strategy: Strategy, codes: bool) -> StateSum:
     """The grouped AJ-state table of ``d``, expanding each distinct state once.
 
-    `_memo_walk` over the states of `_states`.  States with one key have
-    isomorphic subtrees: the picks read only the slots' partners and
-    their colors, and a leaf's code, k and gamma read its loop colors only
-    as a multiset.  Each key is expanded once, and the weights of its
-    paths from the root are pushed down to the leaves once, giving the
-    histogram of (leaf, apow, dpow), where leaf is the tag of a distinct
-    leaf; each distinct leaf is rebuilt as one diagram and summarized once.
+    `_memo_walk` over the states of `_states`, ranked by their keys
+    (`_kernel_py._rank`; the loops do not change it).  States with one
+    key have isomorphic subtrees: the picks read only the slots' partners
+    and their colors, and a leaf's code, k and gamma read its loop colors
+    only as a multiset.  Each state is expanded once, in falling rank,
+    once all its parents have pushed it the weights of their paths from
+    the root, and pushes them on, giving the histogram of (leaf, apow,
+    dpow), where leaf is the tag of a distinct leaf; each distinct leaf
+    is rebuilt as one diagram and summarized once.
     """
     root, expand, diagram = _states(d, strategy, "the AJ-state table")
     weights: dict[int, BivariateLaurent] = {}
-    for (leaf, apow, dpow), count in _memo_walk(root, expand).items():
+    for (leaf, apow, dpow), count in _memo_walk(root, expand, lambda state: _rank(state[0])).items():
         w = _branch_weight(1, apow, dpow) * count
         weights[leaf] = weights[leaf] + w if leaf in weights else w
     return StateSum(

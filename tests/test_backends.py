@@ -2,12 +2,14 @@
 exactly: the same sums under the same seeded choices, on every input both
 accept, up to the byte labels' 254 arcs and past 64-bit counts.  Both must
 match the naive expander.  Both must refuse arguments not shaped like a
-diagram with the same error; the compiled one must also reject arguments
-its byte keys cannot hold, free all it allocates and compile without
-warnings."""
+diagram, or a seed that is no int, with the same error; the compiled one
+must also reject arguments its byte keys cannot hold, free all it
+allocates, compile without warnings and run clean under the address and
+undefined-behavior sanitizers."""
 
 import ctypes
 import importlib
+import os
 import random
 import shlex
 import shutil
@@ -34,6 +36,8 @@ from tiedbracket.engine import (
     double_bracket,
     naive_double_bracket,
 )
+
+KERNEL_C = Path(_kernel_py.__file__).with_name("_kernel_c.c")
 
 
 def _args(d):
@@ -117,9 +121,26 @@ def test_kernels_refuse_malformed_arguments_alike(compiled_kernel, slots, colors
     assert messages[0] == messages[1]
 
 
+@pytest.mark.parametrize("seed", [1.5, None, "x"])
+@pytest.mark.parametrize("slots, colors, loops", [([], [], [1]), _args(random_diagram(3, 3, 2, 1))])
+def test_kernels_refuse_a_seed_that_is_no_int_alike(compiled_kernel, seed, slots, colors, loops):
+    # before the walk, with no crossing to pick and with some
+    messages = []
+    for kernel in (_kernel_py, compiled_kernel):
+        for args, kwargs in (((seed,), {}), ((), {"seed": seed})):
+            with pytest.raises(TypeError, match="^argument 4 must be int, not ") as refused:
+                kernel.resolve_sum(slots, colors, loops, *args, **kwargs)
+            messages.append(str(refused.value))
+    assert len(set(messages)) == 1
+    # a bool is an int to both
+    assert _kernel_py.resolve_sum(slots, colors, loops, True) == compiled_kernel.resolve_sum(
+        slots, colors, loops, True
+    )
+
+
 def test_compiled_kernel_frees_what_it_allocates(compiled_kernel):
-    # the state table, the edges, the histograms and the 128-bit counts,
-    # on success, under a seed and when the arguments are refused
+    # the state table, the rank lists, the histograms and the 128-bit
+    # counts, on success, under a seed and when the arguments are refused
     calls = [(*_args(torus_2(70)), -1), (*_args(torus_2(12)), 7), ([0, 1, 0, 2], [0, 0], [], -1)]
 
     def run():
@@ -183,19 +204,25 @@ int probe_regrow(Py_ssize_t n)
 """
 
 
+def c_compiler():
+    """The C compiler Python was built with, as a command, and the flag of
+    Python's headers; skips the test without the compiler."""
+    cc = shlex.split(sysconfig.get_config_var("CC") or "cc")
+    if shutil.which(cc[0]) is None:
+        pytest.skip(f"no C compiler {cc[0]!r}")
+    return cc, f"-I{sysconfig.get_paths()['include']}"
+
+
 def test_compiled_kernel_buffers_refuse_sizes_that_overflow(tmp_path):
     # The kernel's buffer helpers, linked into a library of their own: a
     # size whose bytes overflow, or a table past its int indices, raises
     # MemoryError instead of allocating too little.
-    cc = shlex.split(sysconfig.get_config_var("CC") or "cc")
-    if shutil.which(cc[0]) is None:
-        pytest.skip(f"no C compiler {cc[0]!r}")
-    include = sysconfig.get_paths()["include"]
+    cc, include = c_compiler()
     probe = tmp_path / "probe.c"
-    probe.write_text(f'#include "{Path(_kernel_py.__file__).with_name("_kernel_c.c")}"\n{PROBE}')
+    probe.write_text(f'#include "{KERNEL_C}"\n{PROBE}')
     lib = tmp_path / "probe.so"
     proc = subprocess.run(
-        [*cc, f"-I{include}", "-shared", "-fPIC", str(probe), "-o", str(lib)], capture_output=True, text=True
+        [*cc, include, "-shared", "-fPIC", str(probe), "-o", str(lib)], capture_output=True, text=True
     )
     assert proc.returncode == 0, proc.stderr
     lib = ctypes.PyDLL(str(lib))  # holds the GIL and raises the error the call sets
@@ -253,11 +280,61 @@ def test_backend_env_selection(monkeypatch, compiled_kernel):
 
 
 def test_compiled_kernel_has_no_warnings():
-    source = Path(_kernel_py.__file__).with_name("_kernel_c.c")
-    cc = shlex.split(sysconfig.get_config_var("CC") or "cc")
-    if shutil.which(cc[0]) is None:
-        pytest.skip(f"no C compiler {cc[0]!r}")
-    include = sysconfig.get_paths()["include"]
-    flags = ["-fsyntax-only", "-Wall", "-Wextra", "-Werror", f"-I{include}"]
-    proc = subprocess.run([*cc, *flags, str(source)], capture_output=True, text=True)
+    cc, include = c_compiler()
+    flags = ["-fsyntax-only", "-Wall", "-Wextra", "-Werror", include]
+    proc = subprocess.run([*cc, *flags, str(KERNEL_C)], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+# Run by a child Python with the sanitized kernel at argv[1].
+SANITIZED_PARITY = """
+import importlib.util, sys
+from torus import torus_2
+from tiedbracket import _kernel_py
+from tiedbracket.catalog import load_catalog
+from tiedbracket.diagram import random_diagram
+from tiedbracket.engine import OrderedStrategy, _prepare
+
+spec = importlib.util.spec_from_file_location("tiedbracket._kernel_c", sys.argv[1])
+kernel = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(kernel)
+runs = [(e.diagram(), (-1, 5)) for e in load_catalog()]
+runs += [(random_diagram(s, s % 8 + 1, s % 3 + 1, s % 3), (-1, s, 2**64 + s)) for s in range(60)]
+runs.append((torus_2(127), (-1,)))
+for d, seeds in runs:
+    slots, colors, loops, _ = _prepare(d, OrderedStrategy())
+    for seed in seeds:
+        got = kernel.resolve_sum(slots, colors, loops, seed)
+        assert got == _kernel_py.resolve_sum(slots, colors, loops, seed), (d, seed)
+for slots, colors in (([0, 1, 0, 2], [0, 0]), ([0, 0, 1, 1], [0] * 300)):
+    messages = []
+    for k in (kernel, _kernel_py):
+        try:
+            k.resolve_sum(slots, colors, [])
+        except ValueError as exc:
+            messages.append(str(exc))
+    assert len(messages) == 2 and messages[0] == messages[1], messages
+"""
+
+
+def test_compiled_kernel_is_clean_under_sanitizers(tmp_path):
+    # The kernel built with AddressSanitizer and UndefinedBehaviorSanitizer,
+    # which abort the child at the first bad access or undefined operation.
+    cc, include = c_compiler()
+    runtimes = []
+    for name in ("libasan.so", "libubsan.so"):
+        path = subprocess.run([cc[0], f"-print-file-name={name}"], capture_output=True, text=True).stdout.strip()
+        if not Path(path).is_absolute() or not Path(path).exists():
+            pytest.skip(f"no {name} for {cc[0]!r}")
+        runtimes.append(path)
+    lib = tmp_path / f"_kernel_c{sysconfig.get_config_var('EXT_SUFFIX')}"
+    flags = ["-shared", "-fPIC", "-O1", "-g", "-fno-omit-frame-pointer", include]
+    flags += ["-fsanitize=address,undefined", "-fno-sanitize-recover=undefined"]
+    proc = subprocess.run([*cc, *flags, str(KERNEL_C), "-o", str(lib)], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    env = dict(os.environ, LD_PRELOAD=" ".join(runtimes), ASAN_OPTIONS="detect_leaks=0")
+    env["PYTHONPATH"] = os.pathsep.join([str(KERNEL_C.parents[1]), str(Path(__file__).parent)])
+    proc = subprocess.run(
+        [sys.executable, "-c", SANITIZED_PARITY, str(lib)], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0 and "Sanitizer" not in proc.stderr, proc.stderr

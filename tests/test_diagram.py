@@ -176,6 +176,10 @@ def test_disjoint_union():
         disjoint_union(d, unknot(), share_colors=True)
     with pytest.raises(ColorMapError):
         disjoint_union(d, unknot(), share_colors=True, color_map={2: 1})
+    # a map without share_colors would go unused
+    for color_map in ({1: 2}, {}):
+        with pytest.raises(ColorMapError, match="requires share_colors=True"):
+            disjoint_union(d, unknot(), share_colors=False, color_map=color_map)
     # a bool is an int to isinstance, but no color
     for value in (True, 1.0, 0):
         with pytest.raises(ColorMapError):

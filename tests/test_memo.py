@@ -3,7 +3,9 @@
 AJ-state table against the reference tree walk on diagrams
 (`tree_reference`), also on many loops and colors; `_memo_walk` and
 `_tree_walk` on a hand-made DAG, and `_memo_walk`'s packed groups at
-their bounds; how many states each memo expands; the seeded pick rule;
+their bounds; how many states each memo expands; that the rank of the
+memo walks falls along every edge and that a walk frees the states it
+has expanded; the seeded pick rule;
 the pick and smoothing against a plain one (`kernel_reference`), and the
 partner keys against the relabelled keys they replaced;
 closures whose tree only the memo can afford, on both kernels, up to the
@@ -13,7 +15,9 @@ byte labels' bound; and that the memo, the code search and
 import gc
 import random
 import signal
+import tracemalloc
 from dataclasses import replace
+from functools import cache
 
 import pytest
 from hypothesis import given, settings
@@ -145,6 +149,18 @@ DAG = {
 }
 
 
+def height(dag):
+    """The rank of ``dag``'s nodes for `_memo_walk`: the length of the
+    longest path down to a leaf, which falls along every edge."""
+
+    @cache
+    def h(node):
+        kids = dag[node]
+        return 0 if type(kids) is int else 1 + max(h(child) for child, *_ in kids)
+
+    return h
+
+
 def dag_tree_sum(dag, node, weight=(1, 0, 0, 0), out=None):
     """The leaves of the tree that ``dag`` unfolds to, expanded path by
     path, summed per (tag, apow, dpow) without zero counts."""
@@ -168,7 +184,7 @@ def test_memo_walk_matches_the_unfolded_tree(root):
         expanded.append(node)
         return DAG[node]
 
-    got = _kernel_py._memo_walk(root, expand)
+    got = _kernel_py._memo_walk(root, expand, height(DAG))
     assert 0 not in got.values()
     assert got == dag_tree_sum(DAG, root)
     if root == "r":
@@ -203,7 +219,7 @@ def bounds_dag(steps=127):
 
 def test_memo_walk_packs_groups_up_to_their_bounds():
     dag = bounds_dag()
-    got = _kernel_py._memo_walk("r", dag.__getitem__)
+    got = _kernel_py._memo_walk("r", dag.__getitem__, height(dag))
     assert got == dag_tree_sum(dag, "r") == {
         ((1 << 18) + 5, 127, 0): 1,
         ((3 << 18) + (1 << 19), -127, 127): -1,
@@ -265,12 +281,12 @@ def count_expanded(monkeypatch, module, run):
     """The states `_memo_walk`, as ``module`` calls it, expands during ``run()``."""
     walk, calls = module._memo_walk, []
 
-    def counted(root, expand):
+    def counted(root, expand, rank):
         def counted_expand(key):
             calls.append(key)
             return expand(key)
 
-        return walk(root, counted_expand)
+        return walk(root, counted_expand, rank)
 
     with monkeypatch.context() as mp:
         mp.setattr(module, "_memo_walk", counted)
@@ -350,21 +366,25 @@ def assert_smoothing_matches_reference(key, seed):
         assert _kernel_py._children(key, *pick) == kernel_reference.children(key, *pick)
 
 
+def walked_diagrams():
+    """The catalog and 100 random diagrams."""
+    diagrams = [e.diagram() for e in CATALOG]
+    return diagrams + [random_diagram(s, s % 8 + 1, s % 4 + 1, s % 3) for s in range(100)]
+
+
 def expanded_keys(strategy, visit):
     """Call ``visit(key)`` on every state the kernel's memo walk expands
-    on the catalog and 100 random diagrams under ``strategy``, on the
-    crossingless key and on the root of 508 slots of torus_2(127)."""
+    on `walked_diagrams` under ``strategy``, on the crossingless key and
+    on the root of 508 slots of torus_2(127)."""
     expand = _kernel_py._expander(engine._seed(strategy))
 
     def visited(key):
         visit(key)
         return expand(key)
 
-    diagrams = [e.diagram() for e in CATALOG]
-    diagrams += [random_diagram(s, s % 8 + 1, s % 4 + 1, s % 3) for s in range(100)]
-    for d in diagrams:
+    for d in walked_diagrams():
         slots, colors, _, _ = _prepare(d, strategy)
-        _kernel_py._memo_walk(_kernel_py._key(slots, colors), visited)
+        _kernel_py._memo_walk(_kernel_py._key(slots, colors), visited, _kernel_py._rank)
     slots, colors, _, _ = _prepare(torus_2(127), strategy)
     for key in (b"", _kernel_py._key(slots, colors)):
         visit(key)
@@ -394,6 +414,43 @@ def test_partner_keys_merge_what_relabelled_keys_merge(strategy):
 
     expanded_keys(strategy, visit)
     assert len(relabelled) == len(partner) > 1000
+
+
+@pytest.mark.parametrize("strategy", (OrderedStrategy(),) + SEEDED, ids=STRATEGY_IDS)
+def test_rank_falls_along_every_edge(strategy):
+    # the memo walks take states in falling rank, so that each comes after
+    # all its parents: no smoothing may keep or raise the rank
+    rank = _kernel_py._rank
+    expand = _kernel_py._expander(engine._seed(strategy))
+
+    def visit(key):
+        kids = expand(key)
+        if type(kids) is not int:
+            assert all(rank(child) < rank(key) for child, *_ in kids)
+
+    expanded_keys(strategy, visit)
+    for d in walked_diagrams():
+        root, expand_state, _ = engine._states(d, strategy, "the AJ-state table")
+
+        def checked(state):
+            kids = expand_state(state)
+            if type(kids) is not int:
+                assert all(rank(child[0]) < rank(state[0]) for child, *_ in kids)
+            return kids
+
+        _kernel_py._memo_walk(root, checked, lambda state: rank(state[0]))
+
+
+def test_memo_walk_frees_what_it_has_taken():
+    # a seeded walk of 3,481 states, each freed once expanded
+    args = _prepare(torus_2(24), RandomStrategy(1))
+    tracemalloc.start()
+    try:
+        _kernel_py.resolve_sum(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_seeds_draw_distinct_trees():
