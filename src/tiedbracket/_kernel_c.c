@@ -1,21 +1,20 @@
 /* Compiled resolution kernel, written against the CPython C API.
 
    Twin of `_kernel_py.resolve_sum`: the same one-pass memo walk in falling
-   rank (`_memo_walk`, `_rank`) over the same keys (`_kernel_py._key`: for
-   each slot its partner's crossing, then its partner's slot number, then
-   each crossing's under-strand and over-strand color, ten bytes per
-   crossing), the same seeded picks and identical results.  Counts are checked 128-bit integers
-   that raise OverflowError rather than wrap.  Byte crossing indices bound
-   the arcs (MAX_KEY_ARCS); arguments past them, or not shaped like a
-   diagram, raise the ValueError of `_kernel_py`.  Leaves carry no colors:
-   the engine counts them as m - dpow for a diagram of m colors; see
-   `_kernel_py`.
+   rank (`_memo_walk`, `_rank`) from the same keys (for each slot its
+   partner's crossing, then its partner's slot number, then each crossing's
+   under-strand and over-strand color, ten bytes per crossing), the same
+   seeded picks and identical results.  Counts are checked 128-bit integers
+   that raise OverflowError rather than wrap.  Arguments that are no such
+   key, or past MAX_CROSSINGS, raise the TypeError or ValueError of
+   `_kernel_py._check`.  Leaves carry no colors: the engine counts them as
+   m - dpow for a diagram of m colors; see `_kernel_py`.
 
    A state is its key in both kernels.  The twins of the functions below:
-   encode <-> `_kernel_py._key`; rank <-> `_rank`; pick <-> `_pick`;
-   expand, which builds each child (flip, glue), interns its key and
-   pushes the state's paths into it, <-> `_children`; components <->
-   `_components`; memo_walk <-> `_memo_walk`. */
+   the check in resolve_sum <-> `_kernel_py._check`; rank <-> `_rank`;
+   pick <-> `_pick`; expand, which builds each child (flip, glue), interns
+   its key and pushes the state's paths into it, <-> `_children`;
+   components <-> `_components`; memo_walk <-> `_memo_walk`. */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 #include <stdint.h>
@@ -24,8 +23,7 @@ typedef uint8_t u8;
 typedef uint64_t u64;
 typedef __int128 i128;
 
-#define MAX_KEY_ARCS 255
-#define MAX_CROSSINGS (MAX_KEY_ARCS / 2)
+#define MAX_CROSSINGS 127 /* crossing indices are bytes, and rank counts illegal ones below 128 */
 #define MAX_LOOPS (INT_MAX / 2)
 #define DRAW_MOD (((u64)1 << 56) - 5)
 
@@ -134,27 +132,6 @@ static void free_hist(Hist *h)
     PyMem_Free(h->groups);
     PyMem_Free(h->table);
     *h = (Hist){0};
-}
-
-/* Write to out the key of the m slots of arc labels in, whose colors by label are colors,
-   as `_kernel_py._key`; the caller has checked them. */
-static void encode(const u8 *in, int m, const u8 *colors, u8 *out)
-{
-    int first[256], n = m / 4;
-    memset(first, 0xff, sizeof first);
-    for (int s = 0; s < m; s++) {
-        int t = first[in[s]];
-        if (t < 0) {
-            first[in[s]] = s;
-            continue;
-        }
-        out[s] = (u8)(t / 4), out[m + s] = (u8)(t % 4);
-        out[t] = (u8)(s / 4), out[m + t] = (u8)(s % 4);
-    }
-    for (int c = 0; c < n; c++) {
-        out[2 * m + c] = colors[in[4 * c]];
-        out[2 * m + n + c] = colors[in[4 * c + 1]];
-    }
 }
 
 /* The complexity of a key of n crossings, (crossings, illegal crossings), as one int, as
@@ -364,13 +341,12 @@ static int memo_walk(Walk *w, int root, int top)
 
 static PyObject *resolve_sum(PyObject *Py_UNUSED(self), PyObject *args, PyObject *kwargs)
 {
-    static char *kwlist[] = {"slots", "colors", "loops", "seed", NULL};
-    PyObject *seq[3], *seed = NULL, *slots = NULL, *colors = NULL, *result = NULL;
+    static char *kwlist[] = {"key", "loops", "seed", NULL};
+    PyObject *key, *loops, *seed = NULL, *result = NULL;
     Walk w = {0};
-    int uses[256] = {0};
 
-    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "OOO|O!", kwlist, &seq[0], &seq[1],
-                                     &seq[2], &PyLong_Type, &seed))
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "O!O|O!", kwlist, &PyBytes_Type, &key, &loops,
+                                     &PyLong_Type, &seed))
         return NULL;
     /* any non-negative seed, taken mod 2**64 as in _kernel_py */
     int overflow = 0;
@@ -379,37 +355,32 @@ static PyObject *resolve_sum(PyObject *Py_UNUSED(self), PyObject *args, PyObject
         return NULL;
     w.random_pick = overflow > 0 || (overflow == 0 && s >= 0);
     w.seed = seed ? PyLong_AsUnsignedLongLongMask(seed) : 0;
-    /* as bytes(): an item outside [0, 256) raises ValueError */
-    if (!(slots = PyBytes_FromObject(seq[0])) || !(colors = PyBytes_FromObject(seq[1])))
-        goto done;
-    const u8 *in = (const u8 *)PyBytes_AS_STRING(slots);
-    Py_ssize_t n_slots = PyBytes_GET_SIZE(slots), n_arcs = PyBytes_GET_SIZE(colors);
-    Py_ssize_t loop_count = PySequence_Size(seq[2]); /* loops only count */
+    Py_ssize_t size = PyBytes_GET_SIZE(key), loop_count = PySequence_Size(loops); /* loops only count */
     if (loop_count < 0)
-        goto done;
-    const u8 *col = (const u8 *)PyBytes_AS_STRING(colors);
-    int bad = n_slots % 4 || n_arcs > MAX_KEY_ARCS; /* with two slots an arc, 127 crossings */
-    for (Py_ssize_t i = 0; i < n_slots && !bad; i++)
-        bad = ++uses[in[i]] > 2;
-    for (int a = 0; a < 256; a++)
-        bad |= uses[a] && (uses[a] != 2 || a >= n_arcs);
-    for (Py_ssize_t i = 0; i < n_slots && !bad; i += 4) /* each strand of one color */
-        bad = col[in[i]] != col[in[i + 2]] || col[in[i + 1]] != col[in[i + 3]];
-    if (bad || loop_count > MAX_LOOPS) {
-        PyErr_Format(PyExc_ValueError, "kernel takes 4 slots per crossing, each arc of the colors "
-                     "in two slots or none and each strand of one color, at most %d crossings, "
-                     "%d arcs and %d loops", MAX_CROSSINGS, MAX_KEY_ARCS, MAX_LOOPS);
-        goto done;
+        return NULL;
+    /* as `_kernel_py._check`: each slot a's partner p is another slot, p's partner is a, and
+       the strands at a and p have one color */
+    const u8 *in = (const u8 *)PyBytes_AS_STRING(key);
+    int bad = size % 10 || size > 10 * MAX_CROSSINGS || loop_count > MAX_LOOPS;
+    int n = bad ? 0 : (int)(size / 10), m = 4 * n;
+    for (int a = 0; a < m && !bad; a++) {
+        int p = 4 * in[a] + in[m + a];
+        bad = in[a] >= n || in[m + a] > 3 || p == a || 4 * in[p] + in[m + p] != a ||
+              in[8 * n + n * (a & 1) + a / 4] != in[8 * n + n * (p & 1) + p / 4];
     }
-    int root = -1, n = (int)n_slots / 4, top = 0;
+    if (bad) {
+        PyErr_Format(PyExc_ValueError, "kernel takes a key of 10 bytes a crossing, at most %d "
+                     "crossings, each slot paired with another slot of its color, and at most %d "
+                     "loops", MAX_CROSSINGS, MAX_LOOPS);
+        return NULL;
+    }
+    int root = -1, top = rank(in, n);
     Py_ssize_t n_ranks = 0;
-    if (reserve(&w.keys, &w.cap_keys, n_slots * 5 / 2 + 1, 1) == 0) {
-        encode(in, (int)n_slots, col, w.keys);
-        top = rank(w.keys, n);
-        if (reserve(&w.rank, &n_ranks, top + 1, sizeof(int)) == 0) {
-            memset(w.rank, 0xff, n_ranks * sizeof(int));
-            root = intern(&w, n);
-        }
+    if (reserve(&w.keys, &w.cap_keys, size + 1, 1) == 0 &&
+        reserve(&w.rank, &n_ranks, top + 1, sizeof(int)) == 0) {
+        memcpy(w.keys, in, size);
+        memset(w.rank, 0xff, n_ranks * sizeof(int));
+        root = intern(&w, n);
     }
     if (root < 0 || memo_walk(&w, root, top) < 0 || !(result = PyDict_New()))
         goto done;
@@ -426,8 +397,6 @@ static PyObject *resolve_sum(PyObject *Py_UNUSED(self), PyObject *args, PyObject
         Py_XDECREF(count);
     }
 done:
-    Py_XDECREF(slots);
-    Py_XDECREF(colors);
     for (Py_ssize_t i = 0; i < w.n_states; i++)
         free_hist(&w.states[i].hist);
     PyMem_Free(w.keys);
@@ -440,7 +409,7 @@ done:
 
 static PyMethodDef methods[] = {
     {"resolve_sum", (PyCFunction)(void (*)(void))resolve_sum, METH_VARARGS | METH_KEYWORDS,
-     "resolve_sum(slots, colors, loops, seed=-1)\n--\n\nResolve completely; return "
+     "resolve_sum(key, loops, seed=-1)\n--\n\nResolve completely; return "
      "{(apow, dpow, k): signed leaf count}."},
     {NULL, NULL, 0, NULL},
 };

@@ -5,32 +5,27 @@ run the same memo walk over the same keys and must produce identical
 results, seeded picks included.  The engine picks one at import time; see
 `_backend`.
 
-Diagrams arrive pre-encoded: `slots` is a flat list of 4*n arc ids (dense,
-0-based, at most MAX_KEY_ARCS arcs), each in two slots, `colors` maps arc
-id -> non-negative color (below 256; the engine numbers arc colors in
-order, so they stay below the number of arcs), and only the length of
-`loops`, the free loops, matters.  Both kernels raise the same ValueError
-for arguments not shaped like a diagram (`_key`).  A non-negative `seed`
-requests a seeded order, and `seed = -1` the default one.
-
-Inside, a state is its key, as in the compiled kernel: one `bytes` of 10
-bytes a crossing, which names no arc.  Slot 4c + k (k = 0..3) of the key's
+A diagram arrives as its key, which the engine builds once from the strand
+map (`engine._encode`), and as its free loops, of which only the number
+matters.  A state is its key in both kernels: one `bytes` of 10 bytes a
+crossing, which names no arc.  Slot 4c + k (k = 0..3) of the key's
 crossings lies on one arc with another slot, its partner 4c' + k'; the key
 holds c' for each slot, then k' for each slot, then the color of each
 crossing's under strand (slots 0 and 2), then of its over strand (slots 1
-and 3).  That is one state per slot structure and coloring, as the
-slots with their arcs relabelled by first appearance and the colors of
-those arcs would be, but a smoothing need not relabel: `_children` joins
-the partners of the slots it glues, deletes the crossing and lowers the
-crossing indices above it with one `bytes.translate` (`_SHIFT`).  The
-helpers below serve `resolve_sum` and the engine's diagram walks
-(`engine._states`) alike: `_key` builds a diagram's key, `_pick` chooses
-the crossing to smooth from the strand colors (`_strands`), `_children`
-smooths it, repainting the colors for the delta branches, and returns
-each child's key with the number of circles the smoothing closed,
-`_components` counts a leaf's components and `_arcs` names a leaf's
-arcs again.  Byte crossing indices bound every walk of both kernels: at
-most 127 crossings, fewer than 256 arcs (MAX_KEY_ARCS).
+and 3).  That is one state per slot structure and coloring, and a
+smoothing need not relabel: `_children` joins the partners of the slots it
+glues, deletes the crossing and lowers the crossing indices above it with
+one `bytes.translate` (`_SHIFT`).  Both kernels refuse, with the same
+TypeError or ValueError, arguments that are no such key (`_check`): byte
+crossing indices and the bit fields of `_memo_walk` bound every walk at
+MAX_CROSSINGS = 127 crossings.  A non-negative `seed` requests a seeded
+order, and `seed = -1` the default one.  The helpers below serve
+`resolve_sum` and the engine's diagram walks (`engine._states`) alike:
+`_pick` chooses the crossing to smooth from the strand colors
+(`_strands`), `_children` smooths it, repainting the colors for the delta
+branches, and returns each child's key with the number of circles the
+smoothing closed, `_components` counts a leaf's components and `_arcs`
+names a leaf's arcs again.
 
 Leaf weights are products of the branch labels A, 1/A, -1 and
 delta = A + 1/A, so they compress to a triple (sign, apow, dpow).  The
@@ -67,8 +62,8 @@ root, (circles closed, apow, dpow) with counts; it expands the key and
 passes that histogram on to the children, shifted by the branch weight
 and by the circles the smoothing closed, and forgets the key.  A leaf
 adds its own components to give k.  A histogram's groups are packed
-into one int each, in bit fields that hold any walk within MAX_KEY_ARCS,
-where |apow| and dpow stay at most 127.  It returns the leaves'
+into one int each, in bit fields that hold any walk within MAX_CROSSINGS,
+where |apow| and dpow stay at most MAX_CROSSINGS.  It returns the leaves'
 histogram as a dict.  The tree loop `_tree_walk` yields every node of
 the tree in preorder, expanding each key once too, but visiting it
 again on every path.  `resolve_leaves` is `resolve_sum`'s tree without the memo: it
@@ -80,23 +75,23 @@ compiled kernel needs a leaf list: the benchmark replays `resolve_leaves`
 to count leaves, until a counter of `resolve_sum` does that.
 """
 
-from operator import le
+from operator import eq, itemgetter, le
 
-# Arc labels are bytes in the arguments, crossing indices bytes in the keys.
-MAX_KEY_ARCS = 255
+# Crossing indices are bytes in the keys, and `_rank` counts illegal
+# crossings below 128.
+MAX_CROSSINGS = 127
 
 _MASK64 = (1 << 64) - 1
 # Below 2^56, so that a C twin can read the partners byte by byte in a u64.
 _DRAW_MOD = (1 << 56) - 5
 _RANGE = bytes(range(256))
 # _SHIFT[x] lowers the crossing indices above x by one (`bytes.translate`).
-_SHIFT = [_RANGE[: x + 1] + _RANGE[x:255] for x in range(MAX_KEY_ARCS // 2)]
-# The kernels' argument check, word for word; C ints bound the loops.
+_SHIFT = [_RANGE[: x + 1] + _RANGE[x:255] for x in range(MAX_CROSSINGS)]
+# The kernels' argument check (`_check`), word for word; C ints bound the loops.
 _MAX_LOOPS = (1 << 30) - 1
 _BAD_ARGUMENTS = (
-    "kernel takes 4 slots per crossing, each arc of the colors in two slots or none "
-    f"and each strand of one color, at most {MAX_KEY_ARCS // 2} crossings, "
-    f"{MAX_KEY_ARCS} arcs and {_MAX_LOOPS} loops"
+    f"kernel takes a key of 10 bytes a crossing, at most {MAX_CROSSINGS} crossings, "
+    f"each slot paired with another slot of its color, and at most {_MAX_LOOPS} loops"
 )
 # The bit fields of `_memo_walk`'s histogram groups: dpow, apow, tag.
 _APOW = 9
@@ -109,7 +104,7 @@ def _smoothings(a_weight, weight):
     other {s0-s3, s1-s2}, with branch weights sign * A^apow * delta^dpow."""
     return [
         ((((s, s + 1), (s + 2, s + 3)), *a_weight), (((s, s + 3), (s + 1, s + 2)), *weight))
-        for s in range(0, 4 * (MAX_KEY_ARCS // 2), 4)
+        for s in range(0, 4 * MAX_CROSSINGS, 4)
     ]
 
 
@@ -245,31 +240,6 @@ def _children(key, x, x_type2):
     return out
 
 
-def _key(slots, colors):
-    """The key of a diagram given as arc ids and arc colors, lists of
-    ints.  ValueError (`_BAD_ARGUMENTS`) unless the slots come in fours,
-    each arc of ``colors`` lies in two slots or none, and the two slots
-    of each strand have one color, as the compiled kernel checks them."""
-    slots, colors = bytes(slots), bytes(colors)
-    m = len(slots)
-    key = bytearray(2 * m)
-    first = {}
-    for s, a in enumerate(slots):
-        t = first.pop(a, None)
-        if t is None:
-            first[a] = s
-        else:
-            key[s], key[m + s], key[t], key[m + t] = t >> 2, t & 3, s >> 2, s & 3
-    bad = m % 4 or len(colors) > MAX_KEY_ARCS or first or 2 * len(set(slots)) != m
-    if not bad:
-        table = colors.ljust(256, b"\0")
-        under, over, under2, over2 = (slots[k::4].translate(table) for k in range(4))
-        bad = max(slots, default=-1) >= len(colors) or under != under2 or over != over2
-    if bad:
-        raise ValueError(_BAD_ARGUMENTS)
-    return bytes(key) + under + over
-
-
 def _components(key):
     """The components of a leaf: each walks from a slot along its strand
     to the slot across and on to that slot's partner, until it closes."""
@@ -324,7 +294,7 @@ def _memo_walk(root, expand, rank):
     decoded once.  This is exact while every path keeps 0 <= dpow < 512
     and -256 <= apow < 256; a walk's tags may take any int.  A smoothing
     of the kernels removes a crossing or adds nothing to apow and dpow,
-    so their walks, of at most MAX_KEY_ARCS // 2 = 127 crossings, keep
+    so their walks, of at most MAX_CROSSINGS = 127 crossings, keep
     |apow| + dpow <= 127.
     """
     paths = {root: {256 << _APOW: 1}}
@@ -401,26 +371,51 @@ def _expander(seed):
     return expand
 
 
-def resolve_sum(slots, colors, loops, seed=-1):
+def _check(key, loops, seed):
+    """Refuse what the kernels cannot take, as the compiled kernel does:
+    TypeError unless ``key`` is bytes and ``seed`` an int; ValueError
+    (`_BAD_ARGUMENTS`) unless the key has 10 bytes a crossing and at most
+    MAX_CROSSINGS crossings, each slot's partner is another slot whose
+    partner it is, the two ends of each arc have one color, and there are
+    at most _MAX_LOOPS loops."""
+    for i, value, kind in ((1, key, bytes), (3, seed, int)):
+        if not isinstance(value, kind):
+            name = "None" if value is None else type(value).__name__
+            raise TypeError(f"argument {i} must be {kind.__name__}, not {name}")
+    n, rest = divmod(len(key), 10)
+    m = 4 * n
+    bad = len(loops) > _MAX_LOOPS or rest or n > MAX_CROSSINGS
+    if n and not bad:
+        bad = max(key[:m]) >= n or max(key[m : 2 * m]) > 3
+    if n and not bad:
+        partner = [4 * c + k for c, k in zip(key[:m], key[m : 2 * m])]
+        back = itemgetter(*partner)
+        color = bytearray(m)  # the color of each slot's strand
+        color[0::4] = color[2::4] = key[8 * n : 9 * n]
+        color[1::4] = color[3::4] = key[9 * n :]
+        slots = range(m)
+        bad = any(map(eq, partner, slots)) or back(partner) != tuple(slots) or back(color) != tuple(color)
+    if bad:
+        raise ValueError(_BAD_ARGUMENTS)
+
+
+def resolve_sum(key, loops, seed=-1):
     """Resolve completely; return {(apow, dpow, k): signed leaf count}.
 
-    `_memo_walk` over the keys of `_key`, tagging each path with the
-    circles its smoothings closed; a leaf adds its components.  A seed
-    that is no int raises the compiled kernel's TypeError.
+    `_memo_walk` from ``key``, tagging each path with the circles its
+    smoothings closed; a leaf adds its components.  Arguments are checked
+    as the compiled kernel checks them (`_check`).
     """
-    if not isinstance(seed, int):
-        name = "None" if seed is None else type(seed).__name__
-        raise TypeError(f"argument 4 must be int, not {name}")
-    if len(loops) > _MAX_LOOPS:
-        raise ValueError(_BAD_ARGUMENTS)
-    groups = _memo_walk(_key(slots, colors), _expander(seed), _rank)
+    _check(key, loops, seed)
+    groups = _memo_walk(key, _expander(seed), _rank)
     return {(apow, dpow, k + len(loops)): count for (k, apow, dpow), count in groups.items()}
 
 
-def resolve_leaves(slots, colors, loops, seed=-1):
+def resolve_leaves(key, loops, seed=-1):
     """Resolve completely; return [(k, crossings_left, sign, apow, dpow)]
     in depth-first leaf order: `resolve_sum`'s tree without the memo."""
-    walk = _tree_walk(_key(slots, colors), _expander(seed))
+    _check(key, loops, seed)
+    walk = _tree_walk(key, _expander(seed))
     return [
         (len(loops) + dtags + tag, len(key) // 10, *weight)
         for _, _, weight, dtags, key, tag in walk

@@ -378,26 +378,44 @@ class TiedDiagram:
         return "\n".join(parts)
 
 
+def _darts(crossings: Sequence[tuple[int, int, int, int]]) -> tuple[dict[int, list[int]], list[int]]:
+    """The strand map of a diagram: ``(ends, succ)``.
+
+    Dart 4 * ci + si enters crossing ci at slot si and leaves it at slot
+    si ^ 2.  ``ends[arc]`` lists the darts at the arc's ends in increasing
+    order, and ``succ[dart]`` is the dart the strand enters next, at the
+    other end of the arc it leaves by.  An arc without exactly two ends
+    leads nowhere: a dart that leaves by it is its own successor, so that
+    `from_pd` can trace components before `TiedDiagram.validate` rejects
+    such a diagram.
+    """
+    ends: dict[int, list[int]] = {}
+    for dart, arc in enumerate(a for rec in crossings for a in rec):
+        ends.setdefault(arc, []).append(dart)
+    succ = list(range(4 * len(crossings)))
+    for darts in ends.values():
+        if len(darts) == 2:
+            a, b = darts
+            succ[a ^ 2], succ[b ^ 2] = b, a
+    return ends, succ
+
+
 def _trace_components(crossings: Sequence[tuple[int, int, int, int]]) -> list[frozenset[int]]:
-    """The arcs of each component, joined through the strands of every
-    crossing by a union-find, sorted by smallest arc id."""
-    parent: dict[int, int] = {}
-
-    def find(a: int) -> int:
-        while parent.setdefault(a, a) != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for s0, s1, s2, s3 in crossings:
-        for a, b in ((s0, s2), (s1, s3)):
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[rb] = ra
-    groups: dict[int, set[int]] = {}
-    for arc in parent:
-        groups.setdefault(find(arc), set()).add(arc)
-    return sorted((frozenset(g) for g in groups.values()), key=min)
+    """The arcs of each component, traced along the strand map (`_darts`),
+    sorted by smallest arc id."""
+    _, succ = _darts(crossings)
+    arcs = [a for rec in crossings for a in rec]
+    seen = bytearray(len(succ))
+    comps = []
+    for dart in range(len(succ)):
+        comp = set()
+        while not seen[dart]:  # a strand is seen in both directions at once
+            seen[dart] = seen[dart ^ 2] = 1
+            comp.update((arcs[dart], arcs[dart ^ 2]))
+            dart = succ[dart]
+        if comp:
+            comps.append(frozenset(comp))
+    return sorted(comps, key=min)
 
 
 def unknot(color: int = 1) -> TiedDiagram:
@@ -490,14 +508,7 @@ def _canonical_code(d: TiedDiagram) -> str:
         # Only the loops tail, its colors named by falling multiplicity.
         counts = sorted(Counter(d.free_loops).values(), reverse=True)
         return ";".join(f"-2,{name},{n}" for name, n in enumerate(counts, 1))
-    # Dart 4 * ci + si enters crossing ci at slot si and leaves it at slot
-    # si ^ 2; succ[dart] is the dart the strand enters next.
-    ends: dict[int, list[int]] = {}
-    for dart, arc in enumerate(a for rec in crossings for a in rec):
-        ends.setdefault(arc, []).append(dart)
-    succ = [0] * (4 * len(crossings))
-    for a, b in ends.values():
-        succ[a ^ 2], succ[b ^ 2] = b, a
+    _, succ = _darts(crossings)
     pieces: list[list[int]] = []  # the crossings joined through arcs
     placed: set[int] = set()
     for first in (ci for ci in range(len(crossings)) if ci not in placed):

@@ -27,10 +27,9 @@ from typing import Sequence
 
 from . import _backend
 from ._kernel_py import (
-    MAX_KEY_ARCS,
+    MAX_CROSSINGS,
     _arcs,
     _children,
-    _key,
     _memo_walk,
     _mix,
     _pick,
@@ -49,6 +48,7 @@ from .diagram import (
     CrossingClass,
     DiagramError,
     TiedDiagram,
+    _darts,
 )
 
 __all__ = [
@@ -191,33 +191,46 @@ def _seed(strategy: Strategy) -> int:
 
 def _encode(d: TiedDiagram, strategy: Strategy, walk: str):
     """Validate and order ``d`` (`_ordered`) and encode it for the kernels
-    and `_kernel_py`'s helpers: ``(slots, colors, number)``, with the arcs
-    numbered densely in order and the arc colors numbered from 0 in order,
-    as the dict ``number`` lists them.  The numbering is monotone, so picks
-    do not change.  Every walk spells arc labels as bytes, so a diagram of
-    more than MAX_KEY_ARCS arcs is rejected with a DiagramError that names
-    ``walk``.
+    and `_kernel_py`'s helpers: ``(key, number)``.
+
+    The key is built once from the strand map (`diagram._darts`): each
+    slot's partner, the other end of its arc, then the color of each
+    crossing's under strand and of its over strand, the colors numbered
+    from 0 in order, as the dict ``number`` lists them.  The numbering is
+    monotone, so picks do not change.  Keys spell crossing indices as
+    bytes, so a diagram of more than MAX_CROSSINGS crossings is rejected
+    with a DiagramError that names ``walk``.
     """
     d = _ordered(d, strategy)
-    arc_ids = sorted(d.used_arcs())
-    if len(arc_ids) > MAX_KEY_ARCS:
-        raise DiagramError(f"{walk} supports at most {MAX_KEY_ARCS // 2} crossings")
-    number = {c: i for i, c in enumerate(sorted({d.arc_color[a] for a in arc_ids}))}
-    colors = [number[d.arc_color[a]] for a in arc_ids]
-    dense = {a: i for i, a in enumerate(arc_ids)}
-    slots = [dense[s] for rec in d.crossings for s in rec]
-    return slots, colors, number
+    crossings = d.crossings
+    if len(crossings) > MAX_CROSSINGS:
+        raise DiagramError(f"{walk} supports at most {MAX_CROSSINGS} crossings")
+    ends, _ = _darts(crossings)
+    partner = [0] * (4 * len(crossings))
+    for a, b in ends.values():
+        partner[a], partner[b] = b, a
+    color = d.arc_color
+    number = {c: i for i, c in enumerate(sorted({color[a] for a in ends}))}
+    key = b"".join(
+        (
+            bytes([t >> 2 for t in partner]),
+            bytes([t & 3 for t in partner]),
+            bytes([number[color[rec[0]]] for rec in crossings]),
+            bytes([number[color[rec[1]]] for rec in crossings]),
+        )
+    )
+    return key, number
 
 
 def _prepare(d: TiedDiagram, strategy: Strategy):
-    """Validate, order and encode a diagram for the kernels (`_encode`).
+    """The kernels' arguments for ``d``: ``(key, loops, seed)``.
 
-    Diagrams past the byte labels (MAX_KEY_ARCS) are rejected here, so both
-    kernels accept the same diagrams.  Arc colors stay below the number of
-    arcs; the kernels read only the number of loops.
+    ``d`` is validated, ordered and encoded (`_encode`); diagrams past the
+    keys' bytes (MAX_CROSSINGS) are rejected here, so both kernels accept
+    the same diagrams.  The kernels read only the number of loops.
     """
-    slots, colors, _ = _encode(d, strategy, "kernel")
-    return slots, colors, d.free_loops, _seed(strategy)
+    key, _ = _encode(d, strategy, "kernel")
+    return key, d.free_loops, _seed(strategy)
 
 
 def _smooth(key, loops, x, x_type2):
@@ -245,20 +258,20 @@ def _smooth(key, loops, x, x_type2):
 
 def _states(d: TiedDiagram, strategy: Strategy, walk: str):
     """The states of the diagram walks, the AJ-state table's and the tree's:
-    the keys of `_kernel_py.resolve_sum` (`_kernel_py._key`) with the
-    sorted colors of the state's loops added, ``(key, loops)``, smoothed by
-    `_smooth`.
+    the kernels' keys with the sorted colors of the state's loops added,
+    ``(key, loops)``, smoothed by `_smooth`.
 
     ``d`` is validated, ordered and encoded once (`_encode`), so it may
-    have fewer than 256 arcs (MAX_KEY_ARCS).  Returns the root state,
-    ``expand`` as `_kernel_py._memo_walk` and `_kernel_py._tree_walk` take
-    it, which tags the distinct leaves it meets 0, 1, 2, ..., and
-    ``diagram``, which decodes a leaf's tag into a `TiedDiagram` whose arcs
-    are numbered by first appearance in the slots.  A loop of a color that
-    no arc carries stays out of the states, and ``diagram`` adds it back: a
-    repaint merges the colors of two arcs, so it never reaches that loop.
+    have at most MAX_CROSSINGS crossings, and the walks start at its key.
+    Returns the root state, ``expand`` as `_kernel_py._memo_walk` and
+    `_kernel_py._tree_walk` take it, which tags the distinct leaves it
+    meets 0, 1, 2, ..., and ``diagram``, which decodes a leaf's tag into a
+    `TiedDiagram` whose arcs are numbered by first appearance in the
+    slots.  A loop of a color that no arc carries stays out of the states,
+    and ``diagram`` adds it back: a repaint merges the colors of two arcs,
+    so it never reaches that loop.
     """
-    slots, colors, number = _encode(d, strategy, walk)
+    key, number = _encode(d, strategy, walk)
     palette = list(number)
     inert = tuple(c for c in d.free_loops if c not in number)
     seed = _seed(strategy)
@@ -282,7 +295,7 @@ def _states(d: TiedDiagram, strategy: Strategy, walk: str):
         )
 
     loops = bytes(sorted(number[c] for c in d.free_loops if c in number))
-    return (_key(slots, colors), loops), expand, diagram
+    return (key, loops), expand, diagram
 
 
 @cache
@@ -398,14 +411,12 @@ def resolution_tree(d: TiedDiagram, strategy: Strategy = _DEFAULT):
     delta^dpow of the branch from the root.  ``leaf`` is the diagram of an
     AJ-state at a leaf and None elsewhere.  Leaves arrive in the order of
     `_kernel_py.resolve_leaves`.  The walk runs over the states of
-    `_states`, so it takes fewer than 256 arcs (MAX_KEY_ARCS).
+    `_states`, so it takes at most MAX_CROSSINGS crossings.
     """
     root, expand, diagram = _states(d, strategy, "the resolution tree")
     for node, (parent, edge, weight, _, (key, _), leaf) in enumerate(_tree_walk(root, expand)):
-        under, over = _strands(key)
-        illegal = sum(co <= cu for cu, co in zip(under, over))
         leaf = diagram(leaf) if type(leaf) is int else None
-        yield node, parent, _LABELS.get(edge, ""), Complexity(len(under), illegal), weight, leaf
+        yield node, parent, _LABELS.get(edge, ""), Complexity(*divmod(_rank(key), 128)), weight, leaf
 
 
 def kauffman_bracket(d: TiedDiagram) -> BivariateLaurent:
@@ -506,37 +517,18 @@ def writhe(d: TiedDiagram, orientation: Sequence[int] | None = None) -> int:
     if len(orientation) != len(comps) or any(type(f) is not int or f not in (1, -1) for f in orientation):
         raise ValueError(f"orientation needs one ±1 flag per component ({len(comps)})")
 
-    occurrences: dict[int, list[tuple[int, int]]] = {}
-    for ci, rec in enumerate(d.crossings):
-        for si, arc in enumerate(rec):
-            occurrences.setdefault(arc, []).append((ci, si))
-    for occ in occurrences.values():
-        occ.sort()
-
-    exit_slots: dict[tuple[int, int], int] = {}  # (crossing, strand) -> exit slot
+    ends, succ = _darts(d.crossings)
+    exits = [0] * (2 * len(d.crossings))  # the exit slot of each crossing's under, over strand
     for comp, flag in zip(comps, orientation):
-        start_arc = min(comp)
-        start = occurrences[start_arc][1 if flag == 1 else 0]
-        cur = start
+        start = dart = ends[min(comp)][1 if flag == 1 else 0]
         while True:
-            ci, si = cur
-            exit_slot = (si + 2) % 4
-            exit_slots[(ci, si & 1)] = exit_slot
-            arc = d.crossings[ci][exit_slot]
-            occ = occurrences[arc]
-            nxt = occ[1] if occ[0] == (ci, exit_slot) else occ[0]
-            if nxt == start:
+            exits[2 * (dart >> 2) + (dart & 1)] = (dart & 3) ^ 2
+            dart = succ[dart]
+            if dart == start:
                 break
-            cur = nxt
-
-    total = 0
-    for ci in range(len(d.crossings)):
-        under_exit = exit_slots[(ci, 0)]
-        over_exit = exit_slots[(ci, 1)]
-        # +1 exactly when the under-strand direction is the over-strand
-        # direction rotated counterclockwise by a quarter turn.
-        total += 1 if (under_exit - over_exit) % 4 == 1 else -1
-    return total
+    # +1 exactly when the under-strand direction is the over-strand
+    # direction rotated counterclockwise by a quarter turn.
+    return sum(1 if (under - over) % 4 == 1 else -1 for under, over in zip(exits[::2], exits[1::2]))
 
 
 def tied_jones(

@@ -1,13 +1,15 @@
 """A plain smoothing and pick on arc-labelled states, the reference of `_kernel_py`'s.
 
-`_kernel_py` keeps a state as a partner key (`_kernel_py._key`) and
+`_kernel_py` keeps a state as a partner key (`engine._encode`) and
 smooths it by rewiring the partners of the glued slots.  These decode a
 key into slots with their arcs labelled by first appearance and the
 colors of those arcs (`decode`), pick by reading the color of each strand
 through its arc, smooth one child at a time by renaming arcs (`_glue`),
-and encode each child back into a partner key (`encode`).  `canonical` is
-the state's key as the kernels once spelled it, the relabelled slots and
-the colors of their arcs: the reference of which states one key merges.
+and encode each child back into a partner key (`encode`).  `encode` of
+a diagram's slots (`slot_lists`) is the reference of the engine's keys.
+`canonical` is the state's key as the kernels once spelled it, the
+relabelled slots and the colors of their arcs: the reference of which
+states one key merges.
 """
 
 from tiedbracket._kernel_py import _draw
@@ -26,6 +28,15 @@ def decode(key):
             colors.append(key[8 * n + s // 4] if s % 2 == 0 else key[9 * n + s // 4])
         slots.append(label.get(s, len(colors) - 1))
     return bytes(slots), bytes(colors)
+
+
+def slot_lists(d):
+    """The crossings of the diagram ``d`` as slots labelled by arc and the
+    colors of those arcs, both numbered densely in order, as `encode`
+    takes them, and the diagram's loops."""
+    arcs = {a: i for i, a in enumerate(sorted(d.used_arcs()))}
+    number = {c: i for i, c in enumerate(sorted({d.arc_color[a] for a in arcs}))}
+    return [arcs[a] for rec in d.crossings for a in rec], [number[d.arc_color[a]] for a in arcs], d.free_loops
 
 
 def encode(slots, colors):

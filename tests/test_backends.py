@@ -1,11 +1,11 @@
 """The compiled kernel and the pure-Python kernel, its spec, must agree
 exactly: the same sums under the same seeded choices, on every input both
-accept, up to the byte labels' 254 arcs and past 64-bit counts.  Both must
-match the naive expander.  Both must refuse arguments not shaped like a
-diagram, or a seed that is no int, with the same error; the compiled one
-must also reject arguments its byte keys cannot hold, free all it
-allocates, compile without warnings and run clean under the address and
-undefined-behavior sanitizers."""
+accept, up to the keys' 127 crossings and past 64-bit counts.  Both must
+match the naive expander.  Both must refuse a malformed key, one that is
+no bytes, or a seed that is no int, with the same error; the compiled one
+must also free all it allocates, compile without warnings and run clean
+under the address and undefined-behavior sanitizers, on diagrams and on
+random short keys."""
 
 import ctypes
 import importlib
@@ -21,6 +21,7 @@ import time
 import tracemalloc
 from pathlib import Path
 
+import kernel_reference
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -40,17 +41,10 @@ from tiedbracket.engine import (
 KERNEL_C = Path(_kernel_py.__file__).with_name("_kernel_c.c")
 
 
-def _args(d):
-    slots, colors, loops, _ = _prepare(d, OrderedStrategy())
-    return slots, colors, loops
-
-
 def assert_parity(kernel, d, seeds=(-1,)):
-    slots, colors, loops = _args(d)
+    key, loops, _ = _prepare(d, OrderedStrategy())
     for s in seeds:
-        assert _kernel_py.resolve_sum(slots, colors, loops, s) == kernel.resolve_sum(
-            slots, colors, loops, s
-        ), s
+        assert _kernel_py.resolve_sum(key, loops, s) == kernel.resolve_sum(key, loops, s), s
 
 
 @pytest.mark.parametrize("seed", range(60))
@@ -83,65 +77,87 @@ def test_parity_random_diagrams_past_32_crossings(compiled_kernel, n):
     assert_parity(compiled_kernel, d)
 
 
+# One malformed key per rule of `_kernel_py._check`, each as its partner
+# bytes (``slots``: each slot's partner crossing, then its partner slot
+# number) and its strand colors (``colors``: under strands, then over
+# strands).  They vary the key of one crossing whose slots 0-1 and 2-3 are
+# joined, a curl of one color: [0, 0, 0, 0, 1, 0, 3, 2] and [0, 0].
+MALFORMED_KEYS = [
+    ([0, 0, 0, 0, 1, 0, 3, 2], [0]),  # 9 bytes, no multiple of 10
+    ([c for c in range(128) for _ in range(4)] + [1, 0, 3, 2] * 128, [0] * 256),  # 128 curls
+    ([1, 0, 0, 0, 1, 0, 3, 2], [0, 0]),  # slot 0's partner at crossing 1 of 1
+    ([0, 0, 0, 0, 4, 0, 3, 2], [0, 0]),  # slot 0's partner at slot 4
+    ([0, 0, 0, 0, 0, 1, 3, 2], [0, 0]),  # slots 0 and 1 their own partners
+    ([0, 0, 0, 0, 1, 2, 3, 0], [0, 0]),  # partners 1, 2, 3, 0, which do not point back
+    ([0, 0, 0, 0, 1, 0, 3, 2], [0, 1]),  # an arc from an under strand of 0 to an over strand of 1
+]
+
+
 @pytest.mark.parametrize(
     "slots, colors, loops",
-    [
-        ([0, 0, 0, 0], [-1], []),
-        ([0, 1, 0, 2], [0, 0], []),  # slot >= len(colors)
-        ([0, 1, 0], [0, 0], []),  # slot count not divisible by 4
-        (list(range(256)) * 2, [0] * 256, []),  # 128 crossings, which take 256 arcs
-        ([], [0] * 256, []),  # 256 arcs
-        ([0, 1, 0, 1], [0, 256], []),  # a color past the key's bytes
-        ([0, 0, 0, 1], [0, 0], []),  # arcs in three slots and in one
-        ([0, 1, 0, 1] * 128, [0, 0], []),  # arcs in 256 slots
-    ],
+    [(slots, colors, []) for slots, colors in MALFORMED_KEYS] + [([0, 0, 0, 0, 1, 0, 3, 2], [0, 0], range(2**30))],
 )
 def test_compiled_kernel_rejects_bad_arguments(compiled_kernel, slots, colors, loops):
-    with pytest.raises(ValueError):
-        compiled_kernel.resolve_sum(slots, colors, loops)
+    # the last: the curl with more loops than the kernels take (`_kernel_py._MAX_LOOPS`)
+    with pytest.raises(ValueError, match="^kernel takes a key of 10 bytes a crossing"):
+        compiled_kernel.resolve_sum(bytes(slots + colors), loops)
 
 
-@pytest.mark.parametrize(
-    "slots, colors",
-    [
-        ([0, 1, 2, 3], [0, 0, 0, 0]),  # every arc in one slot
-        ([0, 0, 0, 1, 1, 1, 2, 2], [0, 0, 0]),  # arcs in three slots
-        ([0, 1, 0, 1, 2, 2], [0, 0, 0]),  # six slots
-        ([0, 0, 1, 1], [0]),  # an arc label past the colors
-        ([0, 1, 1, 0], [0, 1]),  # an under strand of two colors
-        ([0, 0, 1, 1], [0] * 300),  # 300 arcs
-    ],
-)
+@pytest.mark.parametrize("slots, colors", MALFORMED_KEYS)
 def test_kernels_refuse_malformed_arguments_alike(compiled_kernel, slots, colors):
     messages = []
-    for kernel in (_kernel_py, compiled_kernel):
-        with pytest.raises(ValueError, match="^kernel takes 4 slots per crossing") as refused:
-            kernel.resolve_sum(slots, colors, [])
+    for resolve in (_kernel_py.resolve_sum, _kernel_py.resolve_leaves, compiled_kernel.resolve_sum):
+        with pytest.raises(ValueError, match="^kernel takes a key of 10 bytes a crossing") as refused:
+            resolve(bytes(slots + colors), [])
         messages.append(str(refused.value))
-    assert messages[0] == messages[1]
+    assert len(set(messages)) == 1
+
+
+@pytest.mark.parametrize("kind", [list, bytearray])
+def test_kernels_refuse_a_key_that_is_no_bytes_alike(compiled_kernel, kind):
+    key = kind(_prepare(torus_2(3), OrderedStrategy())[0])
+    messages = []
+    for resolve in (_kernel_py.resolve_sum, _kernel_py.resolve_leaves, compiled_kernel.resolve_sum):
+        for args, kwargs in (((key, []), {}), ((), {"key": key, "loops": []})):
+            with pytest.raises(TypeError, match=f"^argument 1 must be bytes, not {kind.__name__}$") as refused:
+                resolve(*args, **kwargs)
+            messages.append(str(refused.value))
+    assert len(set(messages)) == 1
 
 
 @pytest.mark.parametrize("seed", [1.5, None, "x"])
-@pytest.mark.parametrize("slots, colors, loops", [([], [], [1]), _args(random_diagram(3, 3, 2, 1))])
+@pytest.mark.parametrize("slots, colors, loops", [([], [], [1]), kernel_reference.slot_lists(random_diagram(3, 3, 2, 1))])
 def test_kernels_refuse_a_seed_that_is_no_int_alike(compiled_kernel, seed, slots, colors, loops):
-    # before the walk, with no crossing to pick and with some
+    # before the walk, with no crossing to pick and with some, and before
+    # a malformed key
+    key = kernel_reference.encode(slots, colors)
     messages = []
-    for kernel in (_kernel_py, compiled_kernel):
-        for args, kwargs in (((seed,), {}), ((), {"seed": seed})):
-            with pytest.raises(TypeError, match="^argument 4 must be int, not ") as refused:
-                kernel.resolve_sum(slots, colors, loops, *args, **kwargs)
-            messages.append(str(refused.value))
+    for resolve in (_kernel_py.resolve_sum, _kernel_py.resolve_leaves, compiled_kernel.resolve_sum):
+        for k in (key, key[1:]):
+            for args, kwargs in (((seed,), {}), ((), {"seed": seed})):
+                with pytest.raises(TypeError, match="^argument 3 must be int, not ") as refused:
+                    resolve(k, loops, *args, **kwargs)
+                messages.append(str(refused.value))
     assert len(set(messages)) == 1
+    if key:
+        messages = []
+        for resolve in (_kernel_py.resolve_sum, _kernel_py.resolve_leaves, compiled_kernel.resolve_sum):
+            with pytest.raises(ValueError, match="^kernel takes a key") as refused:
+                resolve(key[1:], loops, 0)
+            messages.append(str(refused.value))
+        assert len(set(messages)) == 1
     # a bool is an int to both
-    assert _kernel_py.resolve_sum(slots, colors, loops, True) == compiled_kernel.resolve_sum(
-        slots, colors, loops, True
-    )
+    assert _kernel_py.resolve_sum(key, loops, True) == compiled_kernel.resolve_sum(key, loops, True)
 
 
 def test_compiled_kernel_frees_what_it_allocates(compiled_kernel):
     # the state table, the rank lists, the histograms and the 128-bit
     # counts, on success, under a seed and when the arguments are refused
-    calls = [(*_args(torus_2(70)), -1), (*_args(torus_2(12)), 7), ([0, 1, 0, 2], [0, 0], [], -1)]
+    calls = [
+        _prepare(torus_2(70), OrderedStrategy()),
+        _prepare(torus_2(12), RandomStrategy(7)),
+        (bytes(sum(MALFORMED_KEYS[5], [])), [], -1),
+    ]
 
     def run():
         for args in calls:
@@ -286,9 +302,13 @@ def test_compiled_kernel_has_no_warnings():
     assert proc.returncode == 0, proc.stderr
 
 
-# Run by a child Python with the sanitized kernel at argv[1].
+# Run by a child Python with the sanitized kernel at argv[1]: the diagrams
+# of the parity tests, then two malformed keys and 2,000 random short keys
+# of 0-5 crossings, some of a length that is no multiple of 10, of mostly
+# small bytes and half of them one byte away from a diagram's key, which
+# both kernels must resolve alike or refuse with the same ValueError.
 SANITIZED_PARITY = """
-import importlib.util, sys
+import importlib.util, random, sys
 from torus import torus_2
 from tiedbracket import _kernel_py
 from tiedbracket.catalog import load_catalog
@@ -302,18 +322,39 @@ runs = [(e.diagram(), (-1, 5)) for e in load_catalog()]
 runs += [(random_diagram(s, s % 8 + 1, s % 3 + 1, s % 3), (-1, s, 2**64 + s)) for s in range(60)]
 runs.append((torus_2(127), (-1,)))
 for d, seeds in runs:
-    slots, colors, loops, _ = _prepare(d, OrderedStrategy())
+    key, loops, _ = _prepare(d, OrderedStrategy())
     for seed in seeds:
-        got = kernel.resolve_sum(slots, colors, loops, seed)
-        assert got == _kernel_py.resolve_sum(slots, colors, loops, seed), (d, seed)
-for slots, colors in (([0, 1, 0, 2], [0, 0]), ([0, 0, 1, 1], [0] * 300)):
-    messages = []
+        got = kernel.resolve_sum(key, loops, seed)
+        assert got == _kernel_py.resolve_sum(key, loops, seed), (d, seed)
+
+
+def refused_alike(key, seed=-1):
+    outcomes = []
     for k in (kernel, _kernel_py):
         try:
-            k.resolve_sum(slots, colors, [])
+            outcomes.append(k.resolve_sum(key, [], seed))
         except ValueError as exc:
-            messages.append(str(exc))
-    assert len(messages) == 2 and messages[0] == messages[1], messages
+            outcomes.append(str(exc))
+    assert outcomes[0] == outcomes[1], (key, seed, outcomes)
+    return isinstance(outcomes[0], str)
+
+
+# a partner at crossing 1 of 1, and partners that do not point back
+assert refused_alike(bytes([1, 0, 0, 0, 1, 0, 3, 2, 0, 0]))
+assert refused_alike(bytes([0, 0, 0, 0, 1, 2, 3, 0, 0, 0]))
+rng = random.Random(0)
+refused = 0
+for i in range(2000):
+    n = rng.randrange(6)
+    size = 10 * n + (rng.randrange(1, 10) if rng.random() < 0.2 else 0)
+    if i % 2:
+        key = bytearray((_prepare(random_diagram(i, n, 2, 1), OrderedStrategy())[0] + bytes(9))[:size])
+        if key:
+            key[rng.randrange(size)] = rng.randrange(8)
+    else:
+        key = bytearray(rng.randrange(256) if rng.random() < 0.05 else rng.randrange(4) for _ in range(size))
+    refused += refused_alike(bytes(key), rng.choice((-1, i)))
+assert 500 < refused < 2000, refused
 """
 
 
@@ -332,7 +373,8 @@ def test_compiled_kernel_is_clean_under_sanitizers(tmp_path):
     flags += ["-fsanitize=address,undefined", "-fno-sanitize-recover=undefined"]
     proc = subprocess.run([*cc, *flags, str(KERNEL_C), "-o", str(lib)], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    env = dict(os.environ, LD_PRELOAD=" ".join(runtimes), ASAN_OPTIONS="detect_leaks=0")
+    # Python's own allocator would hide a read past a key's bytes from ASan.
+    env = dict(os.environ, LD_PRELOAD=" ".join(runtimes), ASAN_OPTIONS="detect_leaks=0", PYTHONMALLOC="malloc")
     env["PYTHONPATH"] = os.pathsep.join([str(KERNEL_C.parents[1]), str(Path(__file__).parent)])
     proc = subprocess.run(
         [sys.executable, "-c", SANITIZED_PARITY, str(lib)], env=env, capture_output=True, text=True, timeout=300

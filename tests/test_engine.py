@@ -1,5 +1,5 @@
 import tracemalloc
-from itertools import zip_longest
+from itertools import product, zip_longest
 
 import pytest
 from tree_reference import reference_sum, reference_tree
@@ -243,6 +243,41 @@ def test_writhe():
     for orientation in ([1], [True, -1], [1.0, -1]):
         with pytest.raises(ValueError):
             writhe(hopf, orientation)
+
+
+# The writhe of each catalog fixture under every orientation, in the order
+# of itertools.product((1, -1), repeat=components): 103 frozen values.
+WRITHES = {
+    "unknot": [0],
+    "unlink2_tied": [0],
+    "unlink2_shared": [0],
+    "kink_a": [1, 1],
+    "kink_b": [-1, -1],
+    "hopf": [-2, 2, 2, -2],
+    "tiedHopf12": [-2, 2, 2, -2],
+    "tiedHopf21": [-2, 2, 2, -2],
+    "trefoil": [-3, -3],
+    "figure8": [0, 0],
+    "L11n304": [5, -7, -7, -3, -3, -7, -7, 5],
+    "L11n412": [5, -3, -7, -7, -7, -7, -3, 5],
+    "L11n358": [7, 3, -5, -1, -1, -5, 3, 7],
+    "L11n418": [-1, 7, 3, -5, -5, 3, 7, -1],
+    "L11n356": [5, 1, -7, -3, -3, -7, 1, 5],
+    "L11n434": [-3, 5, -7, 1, 1, -7, 5, -3],
+    "L11n325": [1, 1, -3, -3, -3, -3, 1, 1],
+    "L11n424": [-3, 1, 1, -3, -3, 1, 1, -3],
+    "L10n79": [-6, 6, 6, -6, -6, 6, 6, -6],
+    "L10n95": [-6, 10, -2, -2, -2, -2, 10, -6],
+}
+
+
+def test_writhe_of_every_fixture_under_every_orientation():
+    got = {}
+    for e in load_catalog():
+        d = e.diagram()
+        flags = product((1, -1), repeat=len(d.components()))
+        got[e.name] = [writhe(d, list(f)) for f in flags]
+    assert got == WRITHES
 
 
 def test_tied_jones():

@@ -6,8 +6,9 @@ AJ-state table against the reference tree walk on diagrams
 their bounds; how many states each memo expands; that the rank of the
 memo walks falls along every edge and that a walk frees the states it
 has expanded; the seeded pick rule;
-the pick and smoothing against a plain one (`kernel_reference`), and the
-partner keys against the relabelled keys they replaced;
+the pick and smoothing against a plain one (`kernel_reference`), the
+keys the engine builds and the partner keys against the reference's
+encoding and the relabelled keys they replaced;
 closures whose tree only the memo can afford, on both kernels, up to the
 byte labels' bound; and that the memo, the code search and
 `double_bracket` leave no reference cycles."""
@@ -353,8 +354,7 @@ def test_seeded_leaves_ignore_arc_names():
     "entry", [e for e in CATALOG if e.name.startswith(("L10", "L11"))], ids=lambda e: e.name
 )
 def test_seeds_pick_differently_at_the_root(entry):
-    slots, colors, _, _ = _prepare(entry.diagram(), OrderedStrategy())
-    key = _kernel_py._key(slots, colors)
+    key = _prepare(entry.diagram(), OrderedStrategy())[0]
     picks = {_kernel_py._pick(key, seed) for seed in range(10)}
     assert len(picks) >= 2
 
@@ -383,10 +383,8 @@ def expanded_keys(strategy, visit):
         return expand(key)
 
     for d in walked_diagrams():
-        slots, colors, _, _ = _prepare(d, strategy)
-        _kernel_py._memo_walk(_kernel_py._key(slots, colors), visited, _kernel_py._rank)
-    slots, colors, _, _ = _prepare(torus_2(127), strategy)
-    for key in (b"", _kernel_py._key(slots, colors)):
+        _kernel_py._memo_walk(_prepare(d, strategy)[0], visited, _kernel_py._rank)
+    for key in (b"", _prepare(torus_2(127), strategy)[0]):
         visit(key)
 
 
@@ -397,6 +395,16 @@ STRATEGY_IDS = ["ordered", "seed3", "seed2^64+11"]
 def test_pick_and_children_match_the_reference(strategy):
     seed = engine._seed(strategy)
     expanded_keys(strategy, lambda key: assert_smoothing_matches_reference(key, seed))
+
+
+def test_keys_follow_the_arcs():
+    # the key `engine._encode` builds from the strand map is the one of the
+    # diagram's slots, labelled densely by arc, and the colors of its arcs
+    for d in walked_diagrams():
+        n = len(d.crossings)
+        for strategy in (OrderedStrategy(), OrderedStrategy(tuple(reversed(range(n))))):
+            slots, colors, _ = kernel_reference.slot_lists(engine._ordered(d, strategy))
+            assert _prepare(d, strategy)[0] == kernel_reference.encode(slots, colors)
 
 
 @pytest.mark.parametrize("strategy", (OrderedStrategy(),) + SEEDED, ids=STRATEGY_IDS)

@@ -14,7 +14,7 @@ from tiedbracket.engine import OrderedStrategy, StateSum, _branch_weight, _order
 
 
 def _key(cur):
-    """The partner key of ``cur``, as `_kernel_py._key` spells it, with
+    """The partner key of ``cur``, as `engine._encode` spells it, with
     its colors numbered from 0 in order: what the picks
     (`_kernel_py._pick`) read of a state."""
     slots = [a for rec in cur.crossings for a in rec]
