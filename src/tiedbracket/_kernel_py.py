@@ -6,9 +6,9 @@ results, seeded picks included.  The engine picks one at import time; see
 `_backend`.
 
 A diagram arrives as its key, which the engine builds once from the strand
-map (`engine._encode`), and as its free loops, of which only the number
-matters.  A state is its key in both kernels: one `bytes` of 10 bytes a
-crossing, which names no arc.  Slot 4c + k (k = 0..3) of the key's
+map (`engine._encode`), and as the number of its free loops, an int.  A
+state is its key in both kernels: one `bytes` of 10 bytes a crossing,
+which names no arc.  Slot 4c + k (k = 0..3) of the key's
 crossings lies on one arc with another slot, its partner 4c' + k'; the key
 holds c' for each slot, then k' for each slot, then the color of each
 crossing's under strand (slots 0 and 2), then of its over strand (slots 1
@@ -24,8 +24,8 @@ order, and `seed = -1` the default one.  The helpers below serve
 `_pick` chooses the crossing to smooth from the strand colors
 (`_strands`), `_children` smooths it, repainting the colors for the delta
 branches, and returns each child's key with the number of circles the
-smoothing closed, `_components` counts a leaf's components and `_arcs`
-names a leaf's arcs again.
+smoothing closed and the fall of its rank (`_rank`), `_components` counts
+a leaf's components and `_arcs` names a leaf's arcs again.
 
 Leaf weights are products of the branch labels A, 1/A, -1 and
 delta = A + 1/A, so they compress to a triple (sign, apow, dpow).  The
@@ -52,19 +52,21 @@ walk).  Every resolution tree gives the same value, so a seeded tree need
 only be some valid tree, not one drawn from a sequential random stream.
 
 A walk's states are defined once, by ``expand(key)``: a leaf's tag, an
-int, or the state's children as ``(key, sign, apow, dpow, dtag)``.  For
-`resolve_sum` that is `_expander(seed)`, and two drivers walk it.  The
-memo loop `_memo_walk` walks the tree as a DAG under every seed, in one
-pass in falling complexity (`_rank`): the paper's (crossings, illegal
-crossings), which every smoothing lowers.  It takes each key once, when
-all its parents have passed it the histogram of its paths from the
-root, (circles closed, apow, dpow) with counts; it expands the key and
-passes that histogram on to the children, shifted by the branch weight
-and by the circles the smoothing closed, and forgets the key.  A leaf
-adds its own components to give k.  A histogram's groups are packed
-into one int each, in bit fields that hold any walk within MAX_CROSSINGS,
-where |apow| and dpow stay at most MAX_CROSSINGS.  It returns the leaves'
-histogram as a dict.  The tree loop `_tree_walk` yields every node of
+int, or the state's children as ``(key, sign, apow, dpow, dtag, drop)``.
+For `resolve_sum` that is `_expander(seed)`, and two drivers walk it.
+The memo loop `_memo_walk` walks the tree as a DAG under every seed, in
+one pass in falling complexity (`_rank`): the paper's (crossings, illegal
+crossings), which every smoothing lowers, by the ``drop`` that the branch
+already knows, so the walk ranks no key itself.  It takes each key
+once, when all its parents have passed it the histogram of its paths
+from the root, (circles closed, apow, dpow) with counts; it expands the
+key and passes that histogram on to the children, shifted by the branch
+weight and by the circles the smoothing closed, and forgets the key.  A
+child with one parent shares that parent's histogram with a pending
+shift and sign instead of a copy.  A leaf adds its own components to
+give k.  A histogram's groups are packed into one int each, in bit fields
+that hold any walk within MAX_CROSSINGS, where |apow| and dpow stay at
+most MAX_CROSSINGS.  It returns the leaves' histogram as a dict.  The tree loop `_tree_walk` yields every node of
 the tree in preorder, expanding each key once too, but visiting it
 again on every path.  `resolve_leaves` is `resolve_sum`'s tree without the memo: it
 lists every leaf in depth-first order.  The engine's AJ-state table, its
@@ -185,16 +187,20 @@ def _children(key, x, x_type2):
     """The children of smoothing crossing x, in the kernels' order: two
     (the flipped crossing), zero, one; or A, 1/A.
 
-    Each child is (key, sign, apow, dpow, closed), as `_memo_walk`'s
+    Each child is (key, sign, apow, dpow, closed, drop), as `_memo_walk`'s
     ``expand`` returns it: its key, the branch weight sign * A^apow *
-    delta^dpow and the number of circles the smoothing closed, all of the
-    over strand's color.  The A-smoothing glues {s0-s1, s2-s3} of
-    crossing x, the others {s0-s3, s1-s2}.  Gluing two slots joins their
-    partners, or closes a circle when they are each other's partners;
-    then x's four slots go and the crossings above x move down by one.
-    The flipped crossing is x turned by one slot, with its two colors
-    swapped.  The delta branches repaint the under strand's color j as
-    the over strand's i, so a circle closes in color i either way.
+    delta^dpow, the number of circles the smoothing closed, all of the
+    over strand's color, and the amount by which the rank (`_rank`) falls.
+    The A-smoothing glues {s0-s1, s2-s3} of crossing x, the others
+    {s0-s3, s1-s2}.  Gluing two slots joins their partners, or closes a
+    circle when they are each other's partners; then x's four slots go
+    and the crossings above x move down by one.  The flipped crossing is
+    x turned by one slot, with its two colors swapped: x turns legal, a
+    drop of 1.  A type-1 smoothing removes the illegal x and changes no
+    color, a drop of 129.  The delta branches repaint the under strand's
+    color j as the over strand's i, so a circle closes in color i either
+    way, and the repaint may change which other crossings are illegal:
+    they drop by 128 plus the illegal crossings before, less those after.
     """
     n = len(key) // 10
     m = 4 * n
@@ -216,10 +222,12 @@ def _children(key, x, x_type2):
             q[s + k] = t & 3
         j, i = colors[x : x + 1], colors[n + x : n + x + 1]
         flipped = colors[:x] + i + colors[x + 1 : n + x] + j + colors[n + x + 1 :]
-        out.append((b"".join((c, q, flipped)), -1, 0, 0, 0))
+        out.append((b"".join((c, q, flipped)), -1, 0, 0, 0, 1))
+        illegal = sum(map(le, colors[n:], colors[:n]))
         colors = colors.replace(j, i)
         smoothings = _TYPE2
     colors = colors[:x] + colors[x + 1 : n + x] + colors[n + x + 1 :]
+    drop = 128 + illegal - sum(map(le, colors[n - 1 :], colors[: n - 1])) if x_type2 else 129
     shift = _SHIFT[x]
     for pairs, sign, apow, dpow in smoothings[x]:
         c, q = bytearray(crossings), bytearray(slots)
@@ -236,7 +244,7 @@ def _children(key, x, x_type2):
             q[tb] = q[a]
         del c[s : s + 4]
         del q[s : s + 4]
-        out.append((b"".join((c.translate(shift), q, colors)), sign, apow, dpow, closed))
+        out.append((b"".join((c.translate(shift), q, colors)), sign, apow, dpow, closed, drop))
     return out
 
 
@@ -258,24 +266,28 @@ def _components(key):
 
 def _rank(key):
     """The complexity of a state, (crossings, illegal crossings), as one
-    int, n * 128 + illegal: each smoothing lowers it (see `_memo_walk`)."""
+    int, n * 128 + illegal: each smoothing lowers it, by the drop that
+    `_children` gives."""
     under, over = _strands(key)
     return len(under) * 128 + sum(map(le, over, under))
 
 
-def _memo_walk(root, expand, rank):
+def _memo_walk(root, expand):
     """Walk a resolution tree as a DAG from the key ``root``; return the
     histogram ``{(tag, apow, dpow): count}`` of its leaves, without zero
     counts.
 
     A state is its key, and equal keys must stand for isomorphic subtrees.
     ``expand(key)`` returns a leaf's tag, an int, or the state's children
-    as ``(key, sign, apow, dpow, dtag)``: the branch weight sign * A^apow *
-    delta^dpow and a shift of the tags below.  A leaf reached by a path
-    counts once at its tag plus the path's dtags, with the product of the
-    path's weights.  ``rank(key)`` is an int that falls along every edge,
-    as `_rank` does for the kernels' keys: a smoothing removes a crossing
-    or, flipping one, makes it legal.
+    as ``(key, sign, apow, dpow, dtag, drop)``: the branch weight sign *
+    A^apow * delta^dpow, a shift of the tags below and the amount, above
+    0, by which the state's rank exceeds the child's.  A leaf reached by a
+    path counts once at its tag plus the path's dtags, with the product of
+    the path's weights.  The rank is an int that falls along every edge,
+    as `_rank` does for the kernels' keys, where a smoothing removes a
+    crossing or, flipping one, makes it legal; the walk places the root at
+    0 and each child at its parent's rank less the drop, so every path to
+    a state must give it the same rank.
 
     One pass, in falling rank, which is a topological order with the root
     first.  ``paths`` maps each state met but not yet expanded to the
@@ -285,9 +297,18 @@ def _memo_walk(root, expand, rank):
     rank and has pushed its paths, so the histogram is complete.  It pops
     that histogram, expands the state once, and pushes the histogram,
     shifted by each edge, into each child, or into the output at a leaf.
-    A child met for the first time gets an empty histogram and joins the
-    list of its rank.  No state comes back once taken, since every edge
-    lowers the rank, so ``paths`` is the memo and a taken state is freed.
+    No state comes back once taken, since every edge lowers the rank, so
+    ``paths`` is the memo and a taken state is freed.
+
+    Most states have one parent, so a push copies nothing until it must.
+    A child met for the first time joins the list of its rank and holds
+    its parent's histogram as ``(hist, shift, sign)``: its paths are those
+    of ``hist``, each group shifted by ``shift`` and its count times
+    ``sign``.  ``hist`` is a dict that no push writes again, as it belongs
+    to a state already taken, so any number of states may share it, and
+    down a chain of single parents the shifts add and the signs multiply.
+    Only a second push into a state builds it a dict of its own, to which
+    further pushes add.
 
     A histogram's groups are ints, dtags << _TAG | (apow + 256) << _APOW |
     dpow, so an edge shifts them by one addition and the output is
@@ -297,29 +318,39 @@ def _memo_walk(root, expand, rank):
     so their walks, of at most MAX_CROSSINGS = 127 crossings, keep
     |apow| + dpow <= 127.
     """
-    paths = {root: {256 << _APOW: 1}}
-    ranks = {rank(root): [root]}
+    paths = {root: ({256 << _APOW: 1}, 0, 1)}
+    ranks = {0: [root]}
     out = {}
     while ranks:
-        for key in ranks.pop(max(ranks)):
+        rank = max(ranks)
+        for key in ranks.pop(rank):
             hist = paths.pop(key)
+            if type(hist) is dict:
+                shift, sign = 0, 1
+            else:
+                hist, shift, sign = hist
             kids = expand(key)
             if type(kids) is int:
-                kids <<= _TAG
+                shift += kids << _TAG
                 for group, count in hist.items():
-                    group += kids
-                    out[group] = out.get(group, 0) + count
+                    group += shift
+                    out[group] = out.get(group, 0) + sign * count
                 continue
-            for child, sign, apow, dpow, dtag in kids:
+            for child, c_sign, apow, dpow, dtag, drop in kids:
+                c_shift = shift + (dtag << _TAG) + (apow << _APOW) + dpow
+                c_sign *= sign
                 acc = paths.get(child)
                 if acc is None:
-                    acc = paths[child] = {}
-                    ranks.setdefault(rank(child), []).append(child)
-                shift = (dtag << _TAG) + (apow << _APOW) + dpow
+                    paths[child] = (hist, c_shift, c_sign)
+                    ranks.setdefault(rank - drop, []).append(child)
+                    continue
+                if type(acc) is tuple:
+                    first, f_shift, f_sign = acc
+                    acc = paths[child] = {g + f_shift: f_sign * n for g, n in first.items() if n}
                 for group, count in hist.items():
                     if count:
-                        group += shift
-                        acc[group] = acc.get(group, 0) + sign * count
+                        group += c_shift
+                        acc[group] = acc.get(group, 0) + c_sign * count
     return {
         (g >> _TAG, (g >> _APOW & 511) - 256, g & 511): count for g, count in out.items() if count
     }
@@ -351,7 +382,7 @@ def _tree_walk(root, expand):
         if type(kids) is not int:
             sign, apow, dpow = weight
             # Pushed in reverse so that children pop in the kernels' order.
-            for child, c_sign, c_apow, c_dpow, dtag in reversed(kids):
+            for child, c_sign, c_apow, c_dpow, dtag, _ in reversed(kids):
                 c_weight = (sign * c_sign, apow + c_apow, dpow + c_dpow)
                 stack.append((node, (c_sign, c_apow, c_dpow), c_weight, dtags + dtag, child))
         node += 1
@@ -373,18 +404,18 @@ def _expander(seed):
 
 def _check(key, loops, seed):
     """Refuse what the kernels cannot take, as the compiled kernel does:
-    TypeError unless ``key`` is bytes and ``seed`` an int; ValueError
-    (`_BAD_ARGUMENTS`) unless the key has 10 bytes a crossing and at most
-    MAX_CROSSINGS crossings, each slot's partner is another slot whose
-    partner it is, the two ends of each arc have one color, and there are
-    at most _MAX_LOOPS loops."""
-    for i, value, kind in ((1, key, bytes), (3, seed, int)):
+    TypeError unless ``key`` is bytes and ``loops`` and ``seed`` are ints;
+    ValueError (`_BAD_ARGUMENTS`) unless the key has 10 bytes a crossing
+    and at most MAX_CROSSINGS crossings, each slot's partner is another
+    slot whose partner it is, the two ends of each arc have one color, and
+    there are 0 to _MAX_LOOPS loops."""
+    for i, value, kind in ((1, key, bytes), (2, loops, int), (3, seed, int)):
         if not isinstance(value, kind):
             name = "None" if value is None else type(value).__name__
             raise TypeError(f"argument {i} must be {kind.__name__}, not {name}")
     n, rest = divmod(len(key), 10)
     m = 4 * n
-    bad = len(loops) > _MAX_LOOPS or rest or n > MAX_CROSSINGS
+    bad = not 0 <= loops <= _MAX_LOOPS or rest or n > MAX_CROSSINGS
     if n and not bad:
         bad = max(key[:m]) >= n or max(key[m : 2 * m]) > 3
     if n and not bad:
@@ -403,12 +434,13 @@ def resolve_sum(key, loops, seed=-1):
     """Resolve completely; return {(apow, dpow, k): signed leaf count}.
 
     `_memo_walk` from ``key``, tagging each path with the circles its
-    smoothings closed; a leaf adds its components.  Arguments are checked
-    as the compiled kernel checks them (`_check`).
+    smoothings closed; a leaf adds its components and the ``loops`` free
+    loops, a count.  Arguments are checked as the compiled kernel checks
+    them (`_check`).
     """
     _check(key, loops, seed)
-    groups = _memo_walk(key, _expander(seed), _rank)
-    return {(apow, dpow, k + len(loops)): count for (k, apow, dpow), count in groups.items()}
+    groups = _memo_walk(key, _expander(seed))
+    return {(apow, dpow, k + loops): count for (k, apow, dpow), count in groups.items()}
 
 
 def resolve_leaves(key, loops, seed=-1):
@@ -417,7 +449,7 @@ def resolve_leaves(key, loops, seed=-1):
     _check(key, loops, seed)
     walk = _tree_walk(key, _expander(seed))
     return [
-        (len(loops) + dtags + tag, len(key) // 10, *weight)
+        (loops + dtags + tag, len(key) // 10, *weight)
         for _, _, weight, dtags, key, tag in walk
         if type(tag) is int
     ]

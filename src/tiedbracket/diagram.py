@@ -138,14 +138,15 @@ class TiedDiagram:
         ``loops`` gives the colors of crossingless circles.  Every color
         must be a positive int; they are renamed to 1..m afterwards.  Arc
         ids must be ints, as `validate` requires; neither may be a bool.
+
+        The slots are checked as `validate` checks them, each arc with two
+        ends, before any component is traced, so that malformed slots raise
+        the errors they raise there.  The result then holds every invariant
+        of `validate` by construction: each arc lies on one component, and
+        each component has one color.
         """
         crossings = tuple(tuple(t) for t in slot_tuples)
-        for rec in crossings:
-            if len(rec) != 4:
-                raise DiagramError(f"crossing needs exactly 4 slots, got {rec}")
-            for s in rec:
-                if type(s) is not int:
-                    raise DiagramError(f"arc ids must be integers, got {s!r}")
+        _check_slots(crossings)
         comps = _trace_components(crossings)
         if component_colors is None:
             component_colors = [1] * len(comps)
@@ -158,10 +159,7 @@ class TiedDiagram:
             if type(col) is not int or col <= 0:
                 raise DiagramError(f"colors must be positive integers, got {col!r}")
         arc_color = {arc: col for comp, col in zip(comps, component_colors) for arc in comp}
-        d = cls(crossings, arc_color, loops)
-        d = d.normalized_colors()
-        d.validate()
-        return d
+        return cls(crossings, arc_color, loops).normalized_colors()
 
     def normalized_colors(self) -> "TiedDiagram":
         """Rename colors monotonically so those in use are exactly 1..m."""
@@ -194,7 +192,7 @@ class TiedDiagram:
     def n_colors(self) -> int:
         return len(set(self.arc_color.values()) | set(self.free_loops))
 
-    def validate(self) -> None:
+    def validate(self) -> tuple[dict[int, list[int]], list[int]]:
         """Check the structural invariants; raise a DiagramError otherwise.
 
         The crossings must be a tuple of 4-tuples of int arc ids and the
@@ -203,34 +201,31 @@ class TiedDiagram:
         does not read back.  Every colored arc and every arc id
         among the slots must occur exactly twice there, every used arc
         must be colored, and all arcs of one component must share a color.
+
+        Returns the strand map (`_darts`) on which it traced the
+        components, so that a caller need not build it again.  Nothing is
+        kept on the diagram, whose ``arc_color`` may change.
         """
         for name in ("crossings", "free_loops"):
             value = getattr(self, name)
             if not isinstance(value, tuple):
                 raise DiagramError(f"{name} must be a tuple, got {type(value).__name__}")
-        counts = dict.fromkeys(self.arc_color, 0)
+        _check_slots(self.crossings, self.arc_color)
         for rec in self.crossings:
-            if not isinstance(rec, tuple) or len(rec) != 4:
-                raise DiagramError(f"crossing needs exactly 4 slots, got {rec!r}")
-            for s in rec:
-                if type(s) is not int:
-                    raise DiagramError(f"arc ids must be integers, got {s!r}")
-                counts[s] = counts.get(s, 0) + 1
-        for arc, n in counts.items():
-            if n != 2:
-                raise DanglingArcError(f"arc {arc} occurs {n} times, expected 2")
-        for arc in counts:
-            if arc not in self.arc_color:
-                raise MissingColorError(f"arc {arc} has no color")
+            for arc in rec:
+                if arc not in self.arc_color:
+                    raise MissingColorError(f"arc {arc} has no color")
         for col in list(self.arc_color.values()) + list(self.free_loops):
             if type(col) is not int or col <= 0:
                 raise DiagramError(f"colors must be positive integers, got {col!r}")
-        for comp in _trace_components(self.crossings):
+        strands = _darts(self.crossings)
+        for comp in _trace_components(self.crossings, strands[1]):
             colors = {self.arc_color[a] for a in comp}
             if len(colors) > 1:
                 raise ColorMismatchError(
                     f"component {sorted(comp)} carries colors {sorted(colors)}"
                 )
+        return strands
 
     def components(self) -> list[frozenset[int]]:
         """Arc components in deterministic order (sorted by smallest arc id).
@@ -386,8 +381,7 @@ def _darts(crossings: Sequence[tuple[int, int, int, int]]) -> tuple[dict[int, li
     order, and ``succ[dart]`` is the dart the strand enters next, at the
     other end of the arc it leaves by.  An arc without exactly two ends
     leads nowhere: a dart that leaves by it is its own successor, so that
-    `from_pd` can trace components before `TiedDiagram.validate` rejects
-    such a diagram.
+    `random_diagram` and `TiedDiagram.components` can trace any slots.
     """
     ends: dict[int, list[int]] = {}
     for dart, arc in enumerate(a for rec in crossings for a in rec):
@@ -400,10 +394,30 @@ def _darts(crossings: Sequence[tuple[int, int, int, int]]) -> tuple[dict[int, li
     return ends, succ
 
 
-def _trace_components(crossings: Sequence[tuple[int, int, int, int]]) -> list[frozenset[int]]:
+def _check_slots(crossings: tuple, colored: Iterable[int] = ()) -> None:
+    """Raise a DiagramError unless each crossing is a 4-tuple of int arc
+    ids, or a DanglingArcError unless every arc id among the slots and in
+    ``colored`` occurs exactly twice there."""
+    counts = dict.fromkeys(colored, 0)
+    for rec in crossings:
+        if not isinstance(rec, tuple) or len(rec) != 4:
+            raise DiagramError(f"crossing needs exactly 4 slots, got {rec!r}")
+        for s in rec:
+            if type(s) is not int:
+                raise DiagramError(f"arc ids must be integers, got {s!r}")
+            counts[s] = counts.get(s, 0) + 1
+    for arc, n in counts.items():
+        if n != 2:
+            raise DanglingArcError(f"arc {arc} occurs {n} times, expected 2")
+
+
+def _trace_components(
+    crossings: Sequence[tuple[int, int, int, int]], succ: list[int] | None = None
+) -> list[frozenset[int]]:
     """The arcs of each component, traced along the strand map (`_darts`),
-    sorted by smallest arc id."""
-    _, succ = _darts(crossings)
+    or along its ``succ`` if given, sorted by smallest arc id."""
+    if succ is None:
+        succ = _darts(crossings)[1]
     arcs = [a for rec in crossings for a in rec]
     seen = bytearray(len(succ))
     comps = []

@@ -49,6 +49,7 @@ from .diagram import (
     DiagramError,
     TiedDiagram,
     _darts,
+    _trace_components,
 )
 
 __all__ = [
@@ -171,17 +172,21 @@ Strategy = OrderedStrategy | RandomStrategy
 _DEFAULT = OrderedStrategy()
 
 
-def _ordered(d: TiedDiagram, strategy: Strategy) -> TiedDiagram:
-    """Validate ``d``, reject the empty diagram and apply the strategy's permutation."""
-    d.validate()
+def _ordered(d: TiedDiagram, strategy: Strategy):
+    """Validate ``d``, reject the empty diagram and apply the strategy's
+    permutation; return the ordered diagram and the ``ends`` of its strand
+    map (`diagram._darts`), the one `validate` built unless the crossings
+    were permuted."""
+    ends, _ = d.validate()
     if not d.crossings and not d.free_loops:
         raise EmptyDiagramError("cannot resolve the empty diagram")
     perm = getattr(strategy, "permutation", None)
     if perm is None:
-        return d
+        return d, ends
     if any(type(i) is not int for i in perm) or sorted(perm) != list(range(len(d.crossings))):
         raise ValueError(f"permutation {perm} is not a reordering of range({len(d.crossings)})")
-    return TiedDiagram(tuple(d.crossings[i] for i in perm), d.arc_color, d.free_loops)
+    d = TiedDiagram(tuple(d.crossings[i] for i in perm), d.arc_color, d.free_loops)
+    return d, _darts(d.crossings)[0]
 
 
 def _seed(strategy: Strategy) -> int:
@@ -193,19 +198,19 @@ def _encode(d: TiedDiagram, strategy: Strategy, walk: str):
     """Validate and order ``d`` (`_ordered`) and encode it for the kernels
     and `_kernel_py`'s helpers: ``(key, number)``.
 
-    The key is built once from the strand map (`diagram._darts`): each
-    slot's partner, the other end of its arc, then the color of each
-    crossing's under strand and of its over strand, the colors numbered
-    from 0 in order, as the dict ``number`` lists them.  The numbering is
+    The key is built once from the strand map that `_ordered` returns
+    (`diagram._darts`): each slot's partner, the other end of its arc,
+    then the color of each crossing's under strand and of its over
+    strand, the colors numbered from 0 in order, as the dict ``number``
+    lists them.  The numbering is
     monotone, so picks do not change.  Keys spell crossing indices as
     bytes, so a diagram of more than MAX_CROSSINGS crossings is rejected
     with a DiagramError that names ``walk``.
     """
-    d = _ordered(d, strategy)
+    d, ends = _ordered(d, strategy)
     crossings = d.crossings
     if len(crossings) > MAX_CROSSINGS:
         raise DiagramError(f"{walk} supports at most {MAX_CROSSINGS} crossings")
-    ends, _ = _darts(crossings)
     partner = [0] * (4 * len(crossings))
     for a, b in ends.values():
         partner[a], partner[b] = b, a
@@ -227,16 +232,16 @@ def _prepare(d: TiedDiagram, strategy: Strategy):
 
     ``d`` is validated, ordered and encoded (`_encode`); diagrams past the
     keys' bytes (MAX_CROSSINGS) are rejected here, so both kernels accept
-    the same diagrams.  The kernels read only the number of loops.
+    the same diagrams.  The kernels take only the number of loops.
     """
     key, _ = _encode(d, strategy, "kernel")
-    return key, d.free_loops, _seed(strategy)
+    return key, len(d.free_loops), _seed(strategy)
 
 
 def _smooth(key, loops, x, x_type2):
     """`_kernel_py._children` with the colors of each child's loops: a list
-    of ``((key, loops), sign, apow, dpow, 0)``, as `_states`'s ``expand``
-    returns them.
+    of ``((key, loops), sign, apow, dpow, 0, drop)``, as `_states`'s
+    ``expand`` returns them; the loops do not change the rank.
 
     ``loops`` holds colors sorted, as a multiset.  A delta branch repaints
     them as it repaints the arcs, the under strand's color j as the over
@@ -246,13 +251,13 @@ def _smooth(key, loops, x, x_type2):
     under, over = _strands(key)
     j, i = under[x : x + 1], over[x : x + 1]
     out = []
-    for child, sign, apow, dpow, closed in _children(key, x, x_type2):
+    for child, sign, apow, dpow, closed, drop in _children(key, x, x_type2):
         c_loops = loops
         if dpow:
             c_loops = c_loops.replace(j, i)
         if dpow or closed:
             c_loops = bytes(sorted(c_loops + i * closed))
-        out.append(((child, c_loops), sign, apow, dpow, 0))
+        out.append(((child, c_loops), sign, apow, dpow, 0, drop))
     return out
 
 
@@ -378,10 +383,10 @@ def _state_table(d: TiedDiagram, strategy: Strategy, codes: bool) -> StateSum:
     """The grouped AJ-state table of ``d``, expanding each distinct state once.
 
     `_memo_walk` over the states of `_states`, ranked by their keys
-    (`_kernel_py._rank`; the loops do not change it).  States with one
-    key have isomorphic subtrees: the picks read only the slots' partners
-    and their colors, and a leaf's code, k and gamma read its loop colors
-    only as a multiset.  Each state is expanded once, in falling rank,
+    (`_kernel_py._rank`, whose drops `_smooth` passes on; the loops do
+    not change it).  States with one key have isomorphic subtrees: the
+    picks read only the slots' partners and their colors, and a leaf's
+    code, k and gamma read its loop colors only as a multiset.  Each state is expanded once, in falling rank,
     once all its parents have pushed it the weights of their paths from
     the root, and pushes them on, giving the histogram of (leaf, apow,
     dpow), where leaf is the tag of a distinct leaf; each distinct leaf
@@ -389,7 +394,7 @@ def _state_table(d: TiedDiagram, strategy: Strategy, codes: bool) -> StateSum:
     """
     root, expand, diagram = _states(d, strategy, "the AJ-state table")
     weights: dict[int, BivariateLaurent] = {}
-    for (leaf, apow, dpow), count in _memo_walk(root, expand, lambda state: _rank(state[0])).items():
+    for (leaf, apow, dpow), count in _memo_walk(root, expand).items():
         w = _branch_weight(1, apow, dpow) * count
         weights[leaf] = weights[leaf] + w if leaf in weights else w
     return StateSum(
@@ -510,14 +515,13 @@ def writhe(d: TiedDiagram, orientation: Sequence[int] | None = None) -> int:
     slot occurrence, -1 the other way.  Defaults to all +1.  Reversing every
     flag leaves the writhe unchanged.
     """
-    d.validate()
-    comps = d.components()
+    ends, succ = d.validate()
+    comps = _trace_components(d.crossings, succ)
     if orientation is None:
         orientation = [1] * len(comps)
     if len(orientation) != len(comps) or any(type(f) is not int or f not in (1, -1) for f in orientation):
         raise ValueError(f"orientation needs one ±1 flag per component ({len(comps)})")
 
-    ends, succ = _darts(d.crossings)
     exits = [0] * (2 * len(d.crossings))  # the exit slot of each crossing's under, over strand
     for comp, flag in zip(comps, orientation):
         start = dart = ends[min(comp)][1 if flag == 1 else 0]

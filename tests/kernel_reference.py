@@ -5,7 +5,8 @@ smooths it by rewiring the partners of the glued slots.  These decode a
 key into slots with their arcs labelled by first appearance and the
 colors of those arcs (`decode`), pick by reading the color of each strand
 through its arc, smooth one child at a time by renaming arcs (`_glue`),
-and encode each child back into a partner key (`encode`).  `encode` of
+rank each child by counting its illegal crossings (`rank`), and encode
+each child back into a partner key (`encode`).  `encode` of
 a diagram's slots (`slot_lists`) is the reference of the engine's keys.
 `canonical` is the state's key as the kernels once spelled it, the
 relabelled slots and the colors of their arcs: the reference of which
@@ -73,10 +74,18 @@ def pick(key, seed):
     return next((c for c in illegal if c[1]), illegal[0])
 
 
+def rank(slots, colors):
+    """The complexity of arc-labelled slots, (crossings, illegal
+    crossings), as one int, n * 128 + illegal."""
+    n = len(slots) // 4
+    return 128 * n + sum(colors[slots[4 * i + 1]] <= colors[slots[4 * i]] for i in range(n))
+
+
 def children(key, x, x_type2):
     """The children of smoothing crossing x as `_kernel_py._children`
-    gives them: (key, sign, apow, dpow, closed), with the number of
-    circles closed, which all take the over strand's color."""
+    gives them: (key, sign, apow, dpow, closed, drop), with the number of
+    circles closed, which all take the over strand's color, and the fall
+    of the rank from the parent."""
     slots, colors = decode(key)
     if x_type2:
         repaint = colors[slots[4 * x] : slots[4 * x] + 1], colors[slots[4 * x + 1] : slots[4 * x + 1] + 1]
@@ -94,7 +103,8 @@ def children(key, x, x_type2):
         )
     over = colors[slots[4 * x + 1] : slots[4 * x + 1] + 1]
     assert all(closed == over * len(closed) for _, _, closed, *_ in kids)
-    return [(encode(s, c), *weight, len(closed)) for s, c, closed, *weight in kids]
+    parent = rank(slots, colors)
+    return [(encode(s, c), *weight, len(closed), parent - rank(s, c)) for s, c, closed, *weight in kids]
 
 
 def _glue(slots, colors, x, a_pairing, repaint):

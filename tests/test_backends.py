@@ -100,7 +100,7 @@ MALFORMED_KEYS = [
 def test_compiled_kernel_rejects_bad_arguments(compiled_kernel, slots, colors, loops):
     # the last: the curl with more loops than the kernels take (`_kernel_py._MAX_LOOPS`)
     with pytest.raises(ValueError, match="^kernel takes a key of 10 bytes a crossing"):
-        compiled_kernel.resolve_sum(bytes(slots + colors), loops)
+        compiled_kernel.resolve_sum(bytes(slots + colors), len(loops))
 
 
 @pytest.mark.parametrize("slots, colors", MALFORMED_KEYS)
@@ -108,7 +108,7 @@ def test_kernels_refuse_malformed_arguments_alike(compiled_kernel, slots, colors
     messages = []
     for resolve in (_kernel_py.resolve_sum, _kernel_py.resolve_leaves, compiled_kernel.resolve_sum):
         with pytest.raises(ValueError, match="^kernel takes a key of 10 bytes a crossing") as refused:
-            resolve(bytes(slots + colors), [])
+            resolve(bytes(slots + colors), 0)
         messages.append(str(refused.value))
     assert len(set(messages)) == 1
 
@@ -118,7 +118,7 @@ def test_kernels_refuse_a_key_that_is_no_bytes_alike(compiled_kernel, kind):
     key = kind(_prepare(torus_2(3), OrderedStrategy())[0])
     messages = []
     for resolve in (_kernel_py.resolve_sum, _kernel_py.resolve_leaves, compiled_kernel.resolve_sum):
-        for args, kwargs in (((key, []), {}), ((), {"key": key, "loops": []})):
+        for args, kwargs in (((key, 0), {}), ((), {"key": key, "loops": 0})):
             with pytest.raises(TypeError, match=f"^argument 1 must be bytes, not {kind.__name__}$") as refused:
                 resolve(*args, **kwargs)
             messages.append(str(refused.value))
@@ -131,6 +131,7 @@ def test_kernels_refuse_a_seed_that_is_no_int_alike(compiled_kernel, seed, slots
     # before the walk, with no crossing to pick and with some, and before
     # a malformed key
     key = kernel_reference.encode(slots, colors)
+    loops = len(loops)
     messages = []
     for resolve in (_kernel_py.resolve_sum, _kernel_py.resolve_leaves, compiled_kernel.resolve_sum):
         for k in (key, key[1:]):
@@ -150,13 +151,32 @@ def test_kernels_refuse_a_seed_that_is_no_int_alike(compiled_kernel, seed, slots
     assert _kernel_py.resolve_sum(key, loops, True) == compiled_kernel.resolve_sum(key, loops, True)
 
 
+@pytest.mark.parametrize("loops", [{1: 1}, {1}, "1", 1, [1], (1,)], ids=["dict", "set", "str", "int", "list", "tuple"])
+def test_kernels_take_the_loop_count_alike(compiled_kernel, loops):
+    # both take the number of loops as an int and refuse any other kind
+    # with one TypeError, with no crossing and with some
+    for key in (b"", _prepare(torus_2(3), OrderedStrategy())[0]):
+        outcomes = []
+        for kernel in (_kernel_py, compiled_kernel):
+            try:
+                outcomes.append(kernel.resolve_sum(key, loops))
+            except TypeError as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]
+        if type(loops) is int:
+            none = _kernel_py.resolve_sum(key, 0)
+            assert outcomes[0] == {(apow, dpow, k + 1): count for (apow, dpow, k), count in none.items()}
+        else:
+            assert outcomes[0] == f"argument 2 must be int, not {type(loops).__name__}"
+
+
 def test_compiled_kernel_frees_what_it_allocates(compiled_kernel):
     # the state table, the rank lists, the histograms and the 128-bit
     # counts, on success, under a seed and when the arguments are refused
     calls = [
         _prepare(torus_2(70), OrderedStrategy()),
         _prepare(torus_2(12), RandomStrategy(7)),
-        (bytes(sum(MALFORMED_KEYS[5], [])), [], -1),
+        (bytes(sum(MALFORMED_KEYS[5], [])), 0, -1),
     ]
 
     def run():
@@ -332,7 +352,7 @@ def refused_alike(key, seed=-1):
     outcomes = []
     for k in (kernel, _kernel_py):
         try:
-            outcomes.append(k.resolve_sum(key, [], seed))
+            outcomes.append(k.resolve_sum(key, 0, seed))
         except ValueError as exc:
             outcomes.append(str(exc))
     assert outcomes[0] == outcomes[1], (key, seed, outcomes)

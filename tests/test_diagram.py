@@ -353,6 +353,31 @@ def test_from_pd_errors():
         TiedDiagram((), {}, [1, 1]).validate()
 
 
+def test_from_pd_checks_arc_ends_before_tracing():
+    # Slots on which an arc has not two ends raise DanglingArcError, as
+    # validate() does, whatever tracing their components would give; the
+    # rest give a valid diagram or the count of colors is wrong.
+    rng = random.Random(0)
+    dangling = 0
+    for _ in range(1000):
+        n = rng.randint(1, 3)
+        pd = [tuple(rng.randint(1, 2 * n + 1) for _ in range(4)) for _ in range(n)]
+        colors = [rng.randint(1, 3) for _ in range(rng.randint(1, 3))] if rng.random() < 0.5 else None
+        ends = [a for rec in pd for a in rec]
+        if any(ends.count(a) != 2 for a in ends):
+            dangling += 1
+            with pytest.raises(DanglingArcError):
+                TiedDiagram.from_pd(pd, colors)
+            continue
+        try:
+            d = TiedDiagram.from_pd(pd, colors)
+        except DiagramError as exc:
+            assert "colors given" in str(exc)
+        else:
+            d.validate()
+    assert 900 < dangling < 1000
+
+
 def test_random_diagram_valid():
     for seed in range(20):
         d = random_diagram(seed, seed % 6 + 1, seed % 3 + 1, seed % 2)

@@ -4,8 +4,8 @@ from itertools import product, zip_longest
 import pytest
 from tree_reference import reference_sum, reference_tree
 
-from tiedbracket import _backend, _kernel_py
-from tiedbracket.catalog import load_catalog
+from tiedbracket import _backend, _kernel_py, diagram, engine
+from tiedbracket.catalog import load_catalog, parse_diagram
 from tiedbracket.diagram import TiedDiagram, random_diagram, unknot
 from tiedbracket.engine import (
     AJStateSummary,
@@ -336,3 +336,23 @@ def test_statesum_grouped_merges_by_summary():
     grouped = StateSum(list(entries)).grouped()
     assert len(grouped.entries) == 2
     assert grouped.total() == StateSum(entries).total()
+
+
+def test_an_op_builds_the_strand_map_at_most_twice(monkeypatch):
+    # parse_diagram traces the components on one strand map, and
+    # double_bracket validates on another, which the key is built from
+    calls = []
+    darts = diagram._darts
+
+    def counted(crossings):
+        calls.append(crossings)
+        return darts(crossings)
+
+    for module in (diagram, engine):
+        monkeypatch.setattr(module, "_darts", counted)
+    texts = [e.diagram_text() for e in load_catalog()]
+    texts += [str(random_diagram(s, s % 8 + 1, s % 3 + 1, s % 2)) for s in range(30)]
+    for text in texts:
+        calls.clear()
+        double_bracket(parse_diagram(text))
+        assert len(calls) <= 2, text

@@ -2,10 +2,11 @@
 `resolution_tree`, in the default order and under seeds; the memoized
 AJ-state table against the reference tree walk on diagrams
 (`tree_reference`), also on many loops and colors; `_memo_walk` and
-`_tree_walk` on a hand-made DAG, and `_memo_walk`'s packed groups at
-their bounds; how many states each memo expands; that the rank of the
-memo walks falls along every edge and that a walk frees the states it
-has expanded; the seeded pick rule;
+`_tree_walk` on a hand-made DAG, `_memo_walk` on a chain of shared
+histograms that ends in a merge, and its packed groups at their bounds;
+how many states each memo expands; that each edge's drop is the fall of
+the rank of the memo walks and that a walk frees the states it has
+expanded; the seeded pick rule;
 the pick and smoothing against a plain one (`kernel_reference`), the
 keys the engine builds and the partner keys against the reference's
 encoding and the relabelled keys they replaced;
@@ -19,6 +20,7 @@ import signal
 import tracemalloc
 from dataclasses import replace
 from functools import cache
+from operator import itemgetter
 
 import pytest
 from hypothesis import given, settings
@@ -133,10 +135,11 @@ def test_state_table_takes_many_loops_and_colors(pd, colors, loops):
 
 
 # A hand-made DAG for `_memo_walk`: a state's children as (child, sign,
-# apow, dpow, dtag), or a leaf's tag.  "s" is reached by paths of different
-# weights, one of them twice from "y"; the two paths to "z" cancel, so
-# the leaf "c" below it must not appear, and "w" cancels the path r-x-s-a
-# at the leaf "a"; "y" and its first edge shift tags.
+# apow, dpow, dtag), or a leaf's tag; `with_drops` adds each edge's drop.
+# "s" is reached by paths of different weights, one of them twice from
+# "y"; the two paths to "z" cancel, so the leaf "c" below it must not
+# appear, and "w" cancels the path r-x-s-a at the leaf "a"; "y" and its
+# first edge shift tags.
 DAG = {
     "r": [("x", 1, 1, 0, 0), ("y", 1, -1, 0, 1), ("w", 1, 1, 0, 0)],
     "x": [("s", 1, 1, 0, 0), ("z", 1, 0, 0, 0)],
@@ -150,6 +153,19 @@ DAG = {
 }
 
 
+# A single-parent chain of two -1 edges, r-p-q, whose pending sign and
+# shift compose; q is the first parent of m and of o, and o's push turns
+# m's pending histogram into a dict of its own.
+CHAIN = {
+    "r": [("p", -1, 1, 0, 1)],
+    "p": [("q", -1, 0, 1, 2)],
+    "q": [("m", 1, 1, 0, 0), ("o", 1, -1, 0, 0)],
+    "o": [("m", 1, -1, 0, 1)],
+    "m": [("t", 1, 0, 0, 0)],
+    "t": 5,
+}
+
+
 def height(dag):
     """The rank of ``dag``'s nodes for `_memo_walk`: the length of the
     longest path down to a leaf, which falls along every edge."""
@@ -160,6 +176,15 @@ def height(dag):
         return 0 if type(kids) is int else 1 + max(h(child) for child, *_ in kids)
 
     return h
+
+
+def with_drops(dag):
+    """``dag`` with each edge's drop for `_memo_walk`, the fall of `height`."""
+    h = height(dag)
+    return {
+        node: kids if type(kids) is int else [(*edge, h(node) - h(edge[0])) for edge in kids]
+        for node, kids in dag.items()
+    }
 
 
 def dag_tree_sum(dag, node, weight=(1, 0, 0, 0), out=None):
@@ -180,12 +205,13 @@ def dag_tree_sum(dag, node, weight=(1, 0, 0, 0), out=None):
 @pytest.mark.parametrize("root", ["r", "a"])
 def test_memo_walk_matches_the_unfolded_tree(root):
     expanded = []
+    dag = with_drops(DAG)
 
     def expand(node):
         expanded.append(node)
-        return DAG[node]
+        return dag[node]
 
-    got = _kernel_py._memo_walk(root, expand, height(DAG))
+    got = _kernel_py._memo_walk(root, expand)
     assert 0 not in got.values()
     assert got == dag_tree_sum(DAG, root)
     if root == "r":
@@ -195,6 +221,20 @@ def test_memo_walk_matches_the_unfolded_tree(root):
         assert (10, 3, 0) not in got and all(t != 30 for t, _, _ in got)
     else:
         assert expanded == ["a"] and got == {(10, 0, 0): 1}
+
+
+def test_memo_walk_composes_a_chain_and_merges_it():
+    expanded = []
+    dag = with_drops(CHAIN)
+
+    def expand(node):
+        expanded.append(node)
+        return dag[node]
+
+    got = _kernel_py._memo_walk("r", expand)
+    # r-p-q-m-t and r-p-q-o-m-t, each of sign (-1)(-1)
+    assert got == dag_tree_sum(CHAIN, "r") == {(8, 2, 1): 1, (9, -1, 1): 1}
+    assert expanded == ["r", "p", "q", "o", "m", "t"]
 
 
 def bounds_dag(steps=127):
@@ -220,7 +260,7 @@ def bounds_dag(steps=127):
 
 def test_memo_walk_packs_groups_up_to_their_bounds():
     dag = bounds_dag()
-    got = _kernel_py._memo_walk("r", dag.__getitem__, height(dag))
+    got = _kernel_py._memo_walk("r", with_drops(dag).__getitem__)
     assert got == dag_tree_sum(dag, "r") == {
         ((1 << 18) + 5, 127, 0): 1,
         ((3 << 18) + (1 << 19), -127, 127): -1,
@@ -256,13 +296,14 @@ DAG_TREE = [
 @pytest.mark.parametrize("root", ["r", "a"])
 def test_tree_walk_unfolds_the_dag(root):
     expanded = []
+    dag = with_drops(DAG)
 
     def expand(node):
         expanded.append(node)
-        return DAG[node]
+        return dag[node]
 
     nodes = list(_kernel_py._tree_walk(root, expand))
-    assert all(kids == DAG[key] for *_, key, kids in nodes)
+    assert all(kids == dag[key] for *_, key, kids in nodes)
     leaves = {}
     for _, _, (sign, apow, dpow), dtags, _, tag in nodes:
         if type(tag) is int:
@@ -282,12 +323,12 @@ def count_expanded(monkeypatch, module, run):
     """The states `_memo_walk`, as ``module`` calls it, expands during ``run()``."""
     walk, calls = module._memo_walk, []
 
-    def counted(root, expand, rank):
+    def counted(root, expand):
         def counted_expand(key):
             calls.append(key)
             return expand(key)
 
-        return walk(root, counted_expand, rank)
+        return walk(root, counted_expand)
 
     with monkeypatch.context() as mp:
         mp.setattr(module, "_memo_walk", counted)
@@ -383,7 +424,7 @@ def expanded_keys(strategy, visit):
         return expand(key)
 
     for d in walked_diagrams():
-        _kernel_py._memo_walk(_prepare(d, strategy)[0], visited, _kernel_py._rank)
+        _kernel_py._memo_walk(_prepare(d, strategy)[0], visited)
     for key in (b"", _prepare(torus_2(127), strategy)[0]):
         visit(key)
 
@@ -403,7 +444,7 @@ def test_keys_follow_the_arcs():
     for d in walked_diagrams():
         n = len(d.crossings)
         for strategy in (OrderedStrategy(), OrderedStrategy(tuple(reversed(range(n))))):
-            slots, colors, _ = kernel_reference.slot_lists(engine._ordered(d, strategy))
+            slots, colors, _ = kernel_reference.slot_lists(engine._ordered(d, strategy)[0])
             assert _prepare(d, strategy)[0] == kernel_reference.encode(slots, colors)
 
 
@@ -424,29 +465,49 @@ def test_partner_keys_merge_what_relabelled_keys_merge(strategy):
     assert len(relabelled) == len(partner) > 1000
 
 
-@pytest.mark.parametrize("strategy", (OrderedStrategy(),) + SEEDED, ids=STRATEGY_IDS)
-def test_rank_falls_along_every_edge(strategy):
-    # the memo walks take states in falling rank, so that each comes after
-    # all its parents: no smoothing may keep or raise the rank
+# Orders for a diagram of n crossings: the default one, a seeded
+# permutation of the crossings, and the seeds of SEEDED.
+ORDERS = {
+    "ordered": lambda n: OrderedStrategy(),
+    "permuted": lambda n: OrderedStrategy(tuple(random.Random(n).sample(range(n), n))),
+    "seed3": lambda n: SEEDED[0],
+    "seed2^64+11": lambda n: SEEDED[1],
+}
+
+
+@pytest.mark.parametrize("order", list(ORDERS))
+def test_rank_falls_along_every_edge(order):
+    # The memo walks place each child at its parent's rank less the drop
+    # that the branch gives, and take states in falling rank, so that each
+    # comes after all its parents: every drop must be the fall of `_rank`,
+    # and above 0, on the kernel's states and on the engine's, whose loops
+    # do not change the rank.
     rank = _kernel_py._rank
-    expand = _kernel_py._expander(engine._seed(strategy))
+    drops = set()
 
-    def visit(key):
-        kids = expand(key)
-        if type(kids) is not int:
-            assert all(rank(child) < rank(key) for child, *_ in kids)
-
-    expanded_keys(strategy, visit)
-    for d in walked_diagrams():
-        root, expand_state, _ = engine._states(d, strategy, "the AJ-state table")
-
-        def checked(state):
-            kids = expand_state(state)
+    def checked(expand, key=lambda state: state):
+        def expand_checked(state):
+            kids = expand(state)
             if type(kids) is not int:
-                assert all(rank(child[0]) < rank(state[0]) for child, *_ in kids)
+                for child, *_, drop in kids:
+                    assert drop == rank(key(state)) - rank(key(child)) > 0
+                    drops.add(drop)
             return kids
 
-        _kernel_py._memo_walk(root, checked, lambda state: rank(state[0]))
+        return expand_checked
+
+    for d in walked_diagrams():
+        strategy = ORDERS[order](len(d.crossings))
+        expand = checked(_kernel_py._expander(engine._seed(strategy)))
+        _kernel_py._memo_walk(_prepare(d, strategy)[0], expand)
+        root, expand_state, _ = engine._states(d, strategy, "the AJ-state table")
+        _kernel_py._memo_walk(root, checked(expand_state, itemgetter(0)))
+    # the children of the root of 127 crossings, the most a key holds
+    strategy = ORDERS[order](127)
+    checked(_kernel_py._expander(engine._seed(strategy)))(_prepare(torus_2(127), strategy)[0])
+    # flips, type-1 smoothings, and delta branches whose repaint makes
+    # other crossings illegal
+    assert {1, 127, 128, 129} <= drops
 
 
 def test_memo_walk_frees_what_it_has_taken():

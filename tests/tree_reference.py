@@ -55,7 +55,7 @@ def reference_tree(d, strategy=OrderedStrategy()):
     (sign, apow, dpow), is_leaf)``, numbered and labelled as
     `engine.resolution_tree` numbers and labels them.
     """
-    d = _ordered(d, strategy)
+    d, _ = _ordered(d, strategy)
     seed = _seed(strategy)
     stack = [(None, "", d, 1, 0, 0)]
     node = 0
