@@ -7,8 +7,9 @@
    seeded picks and identical results.  Counts are checked 128-bit integers
    that raise OverflowError rather than wrap.  Arguments that are no such
    key, or past MAX_CROSSINGS, raise the TypeError or ValueError of
-   `_kernel_py._check`.  Leaves carry no colors: the engine counts them as
-   m - dpow for a diagram of m colors; see `_kernel_py`.
+   `_kernel_py._check`.  Leaves carry no colors and no free loops: the engine
+   counts the colors as m - dpow for a diagram of m colors and adds the loops
+   to k; see `_kernel_py`.
 
    A state is its key in both kernels.  The twins of the functions below:
    the check in resolve_sum <-> `_kernel_py._check`; rank <-> `_rank`,
@@ -34,7 +35,6 @@ typedef uint64_t u64;
 typedef __int128 i128;
 
 #define MAX_CROSSINGS 127 /* crossing indices are bytes, and rank counts illegal ones below 128 */
-#define MAX_LOOPS (INT_MAX / 2)
 #define DRAW_MOD (((u64)1 << 56) - 5)
 
 typedef struct {
@@ -409,28 +409,25 @@ static int memo_walk(Walk *w, int root, int top)
 
 static PyObject *resolve_sum(PyObject *Py_UNUSED(self), PyObject *args, PyObject *kwargs)
 {
-    static char *kwlist[] = {"key", "loops", "seed", NULL};
-    PyObject *key, *loops, *seed = NULL, *result = NULL;
+    static char *kwlist[] = {"key", "seed", NULL};
+    PyObject *key, *seed = NULL, *result = NULL;
     Walk w = {0};
 
-    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "O!O!|O!", kwlist, &PyBytes_Type, &key,
-                                     &PyLong_Type, &loops, &PyLong_Type, &seed))
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "O!|O!", kwlist, &PyBytes_Type, &key,
+                                     &PyLong_Type, &seed))
         return NULL;
     /* any non-negative seed, taken mod 2**64 as in _kernel_py */
-    int overflow = 0, loops_overflow = 0;
+    int overflow = 0;
     long long s = seed ? PyLong_AsLongLongAndOverflow(seed, &overflow) : -1;
     if (s == -1 && PyErr_Occurred())
         return NULL;
     w.random_pick = overflow > 0 || (overflow == 0 && s >= 0);
     w.seed = seed ? PyLong_AsUnsignedLongLongMask(seed) : 0;
-    long long loop_count = PyLong_AsLongLongAndOverflow(loops, &loops_overflow); /* -1 past long long */
-    if (loop_count == -1 && PyErr_Occurred())
-        return NULL;
     Py_ssize_t size = PyBytes_GET_SIZE(key);
     /* as `_kernel_py._check`: each slot a's partner p is another slot, p's partner is a, and
        the strands at a and p have one color */
     const u8 *in = (const u8 *)PyBytes_AS_STRING(key);
-    int bad = size % 10 || size > 10 * MAX_CROSSINGS || loop_count < 0 || loop_count > MAX_LOOPS;
+    int bad = size % 10 || size > 10 * MAX_CROSSINGS;
     int n = bad ? 0 : (int)(size / 10), m = 4 * n;
     for (int a = 0; a < m && !bad; a++) {
         int p = 4 * in[a] + in[m + a];
@@ -439,8 +436,7 @@ static PyObject *resolve_sum(PyObject *Py_UNUSED(self), PyObject *args, PyObject
     }
     if (bad) {
         PyErr_Format(PyExc_ValueError, "kernel takes a key of 10 bytes a crossing, at most %d "
-                     "crossings, each slot paired with another slot of its color, and at most %d "
-                     "loops", MAX_CROSSINGS, MAX_LOOPS);
+                     "crossings, each slot paired with another slot of its color", MAX_CROSSINGS);
         return NULL;
     }
     int root = -1, top = rank(in, n);
@@ -457,7 +453,7 @@ static PyObject *resolve_sum(PyObject *Py_UNUSED(self), PyObject *args, PyObject
         const Group *e = &w.out.groups[g];
         if (!e->count)
             continue;
-        PyObject *tuple = Py_BuildValue("(iii)", e->apow, e->dpow, e->k + (int)loop_count);
+        PyObject *tuple = Py_BuildValue("(iii)", e->apow, e->dpow, e->k);
         PyObject *count = e->count == (long long)e->count ? PyLong_FromLongLong((long long)e->count)
                           : _PyLong_FromByteArray((const u8 *)&e->count, 16, PY_LITTLE_ENDIAN, 1);
         if (!tuple || !count || PyDict_SetItem(result, tuple, count) < 0)
@@ -478,7 +474,7 @@ done:
 
 static PyMethodDef methods[] = {
     {"resolve_sum", (PyCFunction)(void (*)(void))resolve_sum, METH_VARARGS | METH_KEYWORDS,
-     "resolve_sum(key, loops, seed=-1)\n--\n\nResolve completely; return "
+     "resolve_sum(key, seed=-1)\n--\n\nResolve completely; return "
      "{(apow, dpow, k): signed leaf count}."},
     {NULL, NULL, 0, NULL},
 };

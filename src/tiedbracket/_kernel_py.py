@@ -5,9 +5,10 @@ run the same memo walk over the same keys and must produce identical
 results, seeded picks included.  The engine picks one at import time; see
 `_backend`.
 
-A diagram arrives as its key, which the engine builds once from the strand
-map (`engine._encode`), and as the number of its free loops, an int.  A
-state is its key in both kernels: one `bytes` of 10 bytes a crossing,
+A diagram arrives as its key alone, which the engine builds once from the
+strand map (`engine._encode`): a free loop only multiplies the bracket by
+a loop factor, so the engine adds the loops to each leaf's k.  A state is
+its key in both kernels: one `bytes` of 10 bytes a crossing,
 which names no arc.  Slot 4c + k (k = 0..3) of the key's
 crossings lies on one arc with another slot, its partner 4c' + k'; the key
 holds c' for each slot, then k' for each slot, then the color of each
@@ -89,11 +90,10 @@ _DRAW_MOD = (1 << 56) - 5
 _RANGE = bytes(range(256))
 # _SHIFT[x] lowers the crossing indices above x by one (`bytes.translate`).
 _SHIFT = [_RANGE[: x + 1] + _RANGE[x:255] for x in range(MAX_CROSSINGS)]
-# The kernels' argument check (`_check`), word for word; C ints bound the loops.
-_MAX_LOOPS = (1 << 30) - 1
+# The kernels' argument check (`_check`), word for word.
 _BAD_ARGUMENTS = (
     f"kernel takes a key of 10 bytes a crossing, at most {MAX_CROSSINGS} crossings, "
-    f"each slot paired with another slot of its color, and at most {_MAX_LOOPS} loops"
+    "each slot paired with another slot of its color"
 )
 # The bit fields of `_memo_walk`'s histogram groups: dpow, apow, tag.
 _APOW = 9
@@ -402,20 +402,19 @@ def _expander(seed):
     return expand
 
 
-def _check(key, loops, seed):
+def _check(key, seed):
     """Refuse what the kernels cannot take, as the compiled kernel does:
-    TypeError unless ``key`` is bytes and ``loops`` and ``seed`` are ints;
-    ValueError (`_BAD_ARGUMENTS`) unless the key has 10 bytes a crossing
-    and at most MAX_CROSSINGS crossings, each slot's partner is another
-    slot whose partner it is, the two ends of each arc have one color, and
-    there are 0 to _MAX_LOOPS loops."""
-    for i, value, kind in ((1, key, bytes), (2, loops, int), (3, seed, int)):
+    TypeError unless ``key`` is bytes and ``seed`` an int; ValueError
+    (`_BAD_ARGUMENTS`) unless the key has 10 bytes a crossing and at most
+    MAX_CROSSINGS crossings, each slot's partner is another slot whose
+    partner it is, and the two ends of each arc have one color."""
+    for i, value, kind in ((1, key, bytes), (2, seed, int)):
         if not isinstance(value, kind):
             name = "None" if value is None else type(value).__name__
             raise TypeError(f"argument {i} must be {kind.__name__}, not {name}")
     n, rest = divmod(len(key), 10)
     m = 4 * n
-    bad = not 0 <= loops <= _MAX_LOOPS or rest or n > MAX_CROSSINGS
+    bad = rest or n > MAX_CROSSINGS
     if n and not bad:
         bad = max(key[:m]) >= n or max(key[m : 2 * m]) > 3
     if n and not bad:
@@ -430,26 +429,25 @@ def _check(key, loops, seed):
         raise ValueError(_BAD_ARGUMENTS)
 
 
-def resolve_sum(key, loops, seed=-1):
+def resolve_sum(key, seed=-1):
     """Resolve completely; return {(apow, dpow, k): signed leaf count}.
 
     `_memo_walk` from ``key``, tagging each path with the circles its
-    smoothings closed; a leaf adds its components and the ``loops`` free
-    loops, a count.  Arguments are checked as the compiled kernel checks
-    them (`_check`).
+    smoothings closed; a leaf adds its components.  Arguments are checked
+    as the compiled kernel checks them (`_check`).
     """
-    _check(key, loops, seed)
+    _check(key, seed)
     groups = _memo_walk(key, _expander(seed))
-    return {(apow, dpow, k + loops): count for (k, apow, dpow), count in groups.items()}
+    return {(apow, dpow, k): count for (k, apow, dpow), count in groups.items()}
 
 
-def resolve_leaves(key, loops, seed=-1):
+def resolve_leaves(key, seed=-1):
     """Resolve completely; return [(k, crossings_left, sign, apow, dpow)]
     in depth-first leaf order: `resolve_sum`'s tree without the memo."""
-    _check(key, loops, seed)
+    _check(key, seed)
     walk = _tree_walk(key, _expander(seed))
     return [
-        (loops + dtags + tag, len(key) // 10, *weight)
+        (dtags + tag, len(key) // 10, *weight)
         for _, _, weight, dtags, key, tag in walk
         if type(tag) is int
     ]

@@ -471,25 +471,21 @@ def random_diagram(
 def disjoint_union(
     d1: TiedDiagram,
     d2: TiedDiagram,
-    share_colors: bool = False,
     color_map: Mapping[int, int] | None = None,
 ) -> TiedDiagram:
     """Place ``d2`` next to ``d1`` with disjoint arc labels.
 
-    With ``share_colors=False`` the colors of ``d2`` are shifted above those
-    of ``d1`` (new blocks).  With ``share_colors=True`` the caller supplies
-    ``color_map`` sending each color of ``d2`` to a color in ``d1``'s index
-    space.  A ``color_map`` without ``share_colors=True`` raises
-    ColorMapError rather than go unused.  The result has normalized colors.
+    Without ``color_map`` the colors of ``d2`` are shifted above those of
+    ``d1`` (new blocks).  With one, the caller shares colors: it sends
+    each color of ``d2`` to a color in ``d1``'s index space.  The result
+    has normalized colors.
     """
     shift = max(d1.used_arcs(), default=-1) + 1
     relabel = {a: a + shift for a in d2.used_arcs()}
     d2r = d2.relabel_arcs(relabel) if relabel else d2
 
     d2_colors = set(d2r.arc_color.values()) | set(d2r.free_loops)
-    if share_colors:
-        if color_map is None:
-            raise ColorMapError("share_colors=True requires a color_map")
+    if color_map is not None:
         missing = d2_colors - set(color_map)
         if missing:
             raise ColorMapError(f"color_map lacks entries for colors {sorted(missing)}")
@@ -497,8 +493,6 @@ def disjoint_union(
             if type(v) is not int or v <= 0:
                 raise ColorMapError(f"color_map values must be positive integers, got {v!r}")
         recolor = dict(color_map)
-    elif color_map is not None:
-        raise ColorMapError("color_map requires share_colors=True")
     else:
         offset = max(set(d1.arc_color.values()) | set(d1.free_loops), default=0)
         recolor = {c: c + offset for c in d2_colors}

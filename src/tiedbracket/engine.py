@@ -37,7 +37,7 @@ from ._kernel_py import (
     _strands,
     _tree_walk,
 )
-from .laurent import A, A_INV, C, DELTA, LOOP, BivariateLaurent
+from .laurent import A, A_INV, C, DELTA, LOOP, ZERO, BivariateLaurent
 from .diagram import (
     BAR0,
     BAR1,
@@ -48,7 +48,6 @@ from .diagram import (
     CrossingClass,
     DiagramError,
     TiedDiagram,
-    _darts,
     _trace_components,
 )
 
@@ -99,15 +98,9 @@ class AJStateSummary:
             raise ValueError("crossings_left must be >= 0")
 
 
-def state_value(s: AJStateSummary | tuple[int, int]) -> BivariateLaurent:
+def state_value(s: AJStateSummary) -> BivariateLaurent:
     """The bracket value of a resolved state: c^(gamma-1) * (-A^2-A^-2)^(k-gamma)."""
-    if isinstance(s, AJStateSummary):
-        k, gamma = s.k, s.gamma
-    else:
-        k, gamma = s
-        if not (1 <= gamma <= k):
-            raise ValueError(f"need 1 <= gamma <= k, got k={k}, gamma={gamma}")
-    return C ** (gamma - 1) * LOOP ** (k - gamma)
+    return C ** (s.gamma - 1) * LOOP ** (s.k - s.gamma)
 
 
 @dataclass
@@ -122,7 +115,7 @@ class StateSum:
     entries: list[tuple[AJStateSummary, BivariateLaurent]]
 
     def total(self) -> BivariateLaurent:
-        acc = BivariateLaurent.zero()
+        acc = ZERO
         for summary, weight in self.entries:
             acc = acc + weight * state_value(summary)
         return acc
@@ -172,21 +165,21 @@ Strategy = OrderedStrategy | RandomStrategy
 _DEFAULT = OrderedStrategy()
 
 
-def _ordered(d: TiedDiagram, strategy: Strategy):
+def _ordered(d: TiedDiagram, strategy: Strategy) -> dict[int, list[int]]:
     """Validate ``d``, reject the empty diagram and apply the strategy's
-    permutation; return the ordered diagram and the ``ends`` of its strand
-    map (`diagram._darts`), the one `validate` built unless the crossings
-    were permuted."""
+    permutation to the ``ends`` of the strand map (`diagram._darts`) that
+    `validate` built: crossing ``perm[i]`` is renumbered i, so dart 4 *
+    perm[i] + s becomes 4 * i + s."""
     ends, _ = d.validate()
     if not d.crossings and not d.free_loops:
         raise EmptyDiagramError("cannot resolve the empty diagram")
     perm = getattr(strategy, "permutation", None)
     if perm is None:
-        return d, ends
+        return ends
     if any(type(i) is not int for i in perm) or sorted(perm) != list(range(len(d.crossings))):
         raise ValueError(f"permutation {perm} is not a reordering of range({len(d.crossings)})")
-    d = TiedDiagram(tuple(d.crossings[i] for i in perm), d.arc_color, d.free_loops)
-    return d, _darts(d.crossings)[0]
+    place = dict(zip(perm, range(0, 4 * len(perm), 4)))
+    return {arc: [place[a >> 2] | a & 3 for a in darts] for arc, darts in ends.items()}
 
 
 def _seed(strategy: Strategy) -> int:
@@ -200,42 +193,44 @@ def _encode(d: TiedDiagram, strategy: Strategy, walk: str):
 
     The key is built once from the strand map that `_ordered` returns
     (`diagram._darts`): each slot's partner, the other end of its arc,
-    then the color of each crossing's under strand and of its over
-    strand, the colors numbered from 0 in order, as the dict ``number``
-    lists them.  The numbering is
-    monotone, so picks do not change.  Keys spell crossing indices as
-    bytes, so a diagram of more than MAX_CROSSINGS crossings is rejected
-    with a DiagramError that names ``walk``.
+    then the color of each crossing's under strand (slot 0) and of its
+    over strand (slot 1), the colors numbered from 0 in order, as the
+    dict ``number`` lists them.  The numbering is monotone, so picks do
+    not change.  Keys spell crossing indices as bytes, so a diagram of
+    more than MAX_CROSSINGS crossings is rejected with a DiagramError
+    that names ``walk``.
     """
-    d, ends = _ordered(d, strategy)
-    crossings = d.crossings
-    if len(crossings) > MAX_CROSSINGS:
+    ends = _ordered(d, strategy)
+    if len(d.crossings) > MAX_CROSSINGS:
         raise DiagramError(f"{walk} supports at most {MAX_CROSSINGS} crossings")
-    partner = [0] * (4 * len(crossings))
-    for a, b in ends.values():
-        partner[a], partner[b] = b, a
     color = d.arc_color
     number = {c: i for i, c in enumerate(sorted({color[a] for a in ends}))}
+    m = 4 * len(d.crossings)
+    partner, strand = [0] * m, [0] * m  # each slot's partner, and the color of its arc
+    for arc, (a, b) in ends.items():
+        partner[a], partner[b] = b, a
+        strand[a] = strand[b] = number[color[arc]]
     key = b"".join(
         (
             bytes([t >> 2 for t in partner]),
             bytes([t & 3 for t in partner]),
-            bytes([number[color[rec[0]]] for rec in crossings]),
-            bytes([number[color[rec[1]]] for rec in crossings]),
+            bytes(strand[0::4]),
+            bytes(strand[1::4]),
         )
     )
     return key, number
 
 
 def _prepare(d: TiedDiagram, strategy: Strategy):
-    """The kernels' arguments for ``d``: ``(key, loops, seed)``.
+    """The kernels' arguments for ``d``: ``(key, seed)``.
 
     ``d`` is validated, ordered and encoded (`_encode`); diagrams past the
     keys' bytes (MAX_CROSSINGS) are rejected here, so both kernels accept
-    the same diagrams.  The kernels take only the number of loops.
+    the same diagrams.  The free loops stay out: `double_bracket` adds
+    them to each group's k.
     """
     key, _ = _encode(d, strategy, "kernel")
-    return key, len(d.free_loops), _seed(strategy)
+    return key, _seed(strategy)
 
 
 def _smooth(key, loops, x, x_type2):
@@ -321,14 +316,14 @@ def double_bracket(d: TiedDiagram, strategy: Strategy = _DEFAULT) -> BivariateLa
     value.  Runs on the active kernel backend.
     """
     groups = _backend.kernel.resolve_sum(*_prepare(d, strategy))
-    # The kernels leave the color count gamma of a leaf to this layer: a
-    # leaf reached through dpow delta branches has gamma = m - dpow, where
-    # m counts the colors of d (see `_kernel_py`).
-    m = d.n_colors
+    # The kernels leave the free loops and the color count gamma of a leaf
+    # to this layer: a leaf reached through dpow delta branches has gamma
+    # = m - dpow, where m counts the colors of d (see `_kernel_py`).
+    m, loops = d.n_colors, len(d.free_loops)
     acc: dict[tuple[int, int], int] = {}
     for (apow, dpow, k), count in groups.items():
         gamma = m - dpow
-        for (a, c), coeff in _group_value(dpow, k - gamma):
+        for (a, c), coeff in _group_value(dpow, k + loops - gamma):
             kk = (a + apow, c + gamma - 1)
             s = acc.get(kk, 0) + coeff * count
             if s:
@@ -474,7 +469,7 @@ def kauffman_bracket(d: TiedDiagram) -> BivariateLaurent:
         key = (n - 2 * r, k)
         counts[key] = counts.get(key, 0) + 1
 
-    acc = BivariateLaurent.zero()
+    acc = ZERO
     for (apow, k), cnt in counts.items():
         acc = acc + BivariateLaurent.monomial(apow, 0, cnt) * LOOP ** (k - 1)
     return acc
@@ -502,9 +497,7 @@ def naive_double_bracket(d: TiedDiagram) -> BivariateLaurent:
                 + DELTA * naive_double_bracket(d.smooth_type2(x, KIND_ZERO))
                 + DELTA * naive_double_bracket(d.smooth_type2(x, KIND_ONE))
             )
-    k = d.component_count()
-    gamma = d.n_colors
-    return state_value((k, gamma))
+    return state_value(AJStateSummary(d.component_count(), d.n_colors))
 
 
 def writhe(d: TiedDiagram, orientation: Sequence[int] | None = None) -> int:
@@ -535,15 +528,12 @@ def writhe(d: TiedDiagram, orientation: Sequence[int] | None = None) -> int:
     return sum(1 if (under - over) % 4 == 1 else -1 for under, over in zip(exits[::2], exits[1::2]))
 
 
-def tied_jones(
-    d: TiedDiagram,
-    orientation: Sequence[int] | None = None,
-    strategy: Strategy = _DEFAULT,
-) -> BivariateLaurent:
-    """The tied Jones polynomial (-A)^(-3w) * <<D>>."""
+def tied_jones(d: TiedDiagram, orientation: Sequence[int] | None = None) -> BivariateLaurent:
+    """The tied Jones polynomial (-A)^(-3w) * <<D>>, with <<D>> in the
+    default order: by the paper's theorem no order changes it."""
     w = writhe(d, orientation)
     sign = -1 if w % 2 else 1
-    return BivariateLaurent.monomial(-3 * w, 0, sign) * double_bracket(d, strategy)
+    return BivariateLaurent.monomial(-3 * w, 0, sign) * double_bracket(d)
 
 
 def independence_check(d: TiedDiagram, trials: int = 100, seed: int = 0) -> bool:

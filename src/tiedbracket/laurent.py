@@ -12,7 +12,7 @@ The ring houses the handful of constants the skein calculus needs:
 from __future__ import annotations
 
 import re
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 __all__ = [
     "BivariateLaurent",
@@ -65,14 +65,6 @@ class BivariateLaurent:
     # -- constructors ------------------------------------------------
 
     @classmethod
-    def zero(cls) -> "BivariateLaurent":
-        return cls()
-
-    @classmethod
-    def one(cls) -> "BivariateLaurent":
-        return cls({(0, 0): 1})
-
-    @classmethod
     def monomial(cls, a_exp: int, c_exp: int = 0, coeff: int = 1) -> "BivariateLaurent":
         return cls({(a_exp, c_exp): coeff})
 
@@ -90,9 +82,6 @@ class BivariateLaurent:
 
     def __len__(self) -> int:
         return len(self._terms)
-
-    def __iter__(self) -> Iterator[tuple[tuple[int, int], int]]:
-        return iter(sorted(self._terms.items(), key=lambda kv: (-kv[0][0], kv[0][1])))
 
     # -- ring operations ----------------------------------------------
 
@@ -139,7 +128,7 @@ class BivariateLaurent:
     def __pow__(self, n: int) -> "BivariateLaurent":
         if n < 0:
             raise ValueError("negative powers are not defined in Z[A^±1, c]")
-        result = BivariateLaurent.one()
+        result = ONE
         base = self
         while n:
             if n & 1:
@@ -168,8 +157,8 @@ class BivariateLaurent:
         used when comparing against the classical Kauffman bracket.  It
         is a ring homomorphism.
         """
-        out = BivariateLaurent.zero()
-        loop_pows: dict[int, BivariateLaurent] = {0: BivariateLaurent.one()}
+        out = ZERO
+        loop_pows: dict[int, BivariateLaurent] = {0: ONE}
         for (a, c), coeff in self._terms.items():
             if c not in loop_pows:
                 loop_pows[c] = LOOP ** c
@@ -310,8 +299,8 @@ def render_poly(p: BivariateLaurent) -> str:
     return " ".join(parts)
 
 
-ZERO = BivariateLaurent.zero()
-ONE = BivariateLaurent.one()
+ZERO = BivariateLaurent()
+ONE = BivariateLaurent.monomial(0)
 A = BivariateLaurent.monomial(1)
 A_INV = BivariateLaurent.monomial(-1)
 C = BivariateLaurent.monomial(0, 1)

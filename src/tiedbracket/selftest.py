@@ -188,13 +188,13 @@ def check_axioms(count: int = 200) -> CriterionResult:
     for i in range(per):
         # new-color circle multiplies by c
         d = random_diagram(10_000 + i, i % 8 + 1, i % 3 + 1, i % 2)
-        if double_bracket(disjoint_union(d, unknot(), share_colors=False)) != C * double_bracket(d):
+        if double_bracket(disjoint_union(d, unknot())) != C * double_bracket(d):
             return CriterionResult("axioms", False, f"new-circle axiom failed on seed {10_000 + i}")
     for i in range(per):
         # existing-color circle multiplies by -A^2 - A^-2
         d = random_diagram(15_000 + i, i % 8 + 1, i % 3 + 1, i % 2)
         existing = rng.choice(sorted(set(d.arc_color.values()) | set(d.free_loops)))
-        tilde = disjoint_union(d, unknot(), share_colors=True, color_map={1: existing})
+        tilde = disjoint_union(d, unknot(), color_map={1: existing})
         if double_bracket(tilde) != LOOP * double_bracket(d):
             return CriterionResult("axioms", False, f"shared-circle axiom failed on seed {15_000 + i}")
     for i in range(per):
@@ -283,12 +283,7 @@ CRITERIA: list[tuple[str, Callable[..., CriterionResult]]] = [
 ]
 
 
-def run_all(
-    pattern: str | None = None,
-    trials: int = 100,
-    seed: int = 0,
-    out: Callable[[str], None] = print,
-) -> bool:
+def run_all(pattern: str | None = None, trials: int = 100, seed: int = 0) -> bool:
     """Run (a filtered subset of) the acceptance criteria; print one line each."""
     ok = True
     for name, fn in CRITERIA:
@@ -302,5 +297,5 @@ def run_all(
         result.seconds = time.perf_counter() - t0
         ok = ok and result.passed
         status = "PASS" if result.passed else "FAIL"
-        out(f"{status}  {name:<18} {result.detail}  [{result.seconds:.2f}s]")
+        print(f"{status}  {name:<18} {result.detail}  [{result.seconds:.2f}s]")
     return ok

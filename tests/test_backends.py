@@ -2,10 +2,10 @@
 exactly: the same sums under the same seeded choices, on every input both
 accept, up to the keys' 127 crossings and past 64-bit counts.  Both must
 match the naive expander.  Both must refuse a malformed key, one that is
-no bytes, or a seed that is no int, with the same error; the compiled one
-must also free all it allocates, compile without warnings and run clean
-under the address and undefined-behavior sanitizers, on diagrams and on
-random short keys."""
+no bytes, or a seed that is no int, with the same error, and a third
+argument with a TypeError; the compiled one must also free all it
+allocates, compile without warnings and run clean under the address and
+undefined-behavior sanitizers, on diagrams and on random short keys."""
 
 import ctypes
 import importlib
@@ -42,9 +42,9 @@ KERNEL_C = Path(_kernel_py.__file__).with_name("_kernel_c.c")
 
 
 def assert_parity(kernel, d, seeds=(-1,)):
-    key, loops, _ = _prepare(d, OrderedStrategy())
+    key, _ = _prepare(d, OrderedStrategy())
     for s in seeds:
-        assert _kernel_py.resolve_sum(key, loops, s) == kernel.resolve_sum(key, loops, s), s
+        assert _kernel_py.resolve_sum(key, s) == kernel.resolve_sum(key, s), s
 
 
 @pytest.mark.parametrize("seed", range(60))
@@ -93,14 +93,22 @@ MALFORMED_KEYS = [
 ]
 
 
+# the ids name a loops column, which the rows had while the kernels took
+# the diagram's loop count
 @pytest.mark.parametrize(
-    "slots, colors, loops",
-    [(slots, colors, []) for slots, colors in MALFORMED_KEYS] + [([0, 0, 0, 0, 1, 0, 3, 2], [0, 0], range(2**30))],
+    "slots, colors",
+    MALFORMED_KEYS,
+    ids=[f"slots{i}-colors{i}-loops{i}" for i in range(len(MALFORMED_KEYS))],
 )
-def test_compiled_kernel_rejects_bad_arguments(compiled_kernel, slots, colors, loops):
-    # the last: the curl with more loops than the kernels take (`_kernel_py._MAX_LOOPS`)
-    with pytest.raises(ValueError, match="^kernel takes a key of 10 bytes a crossing"):
-        compiled_kernel.resolve_sum(bytes(slots + colors), len(loops))
+def test_compiled_kernel_rejects_bad_arguments(compiled_kernel, slots, colors):
+    # under any seed, passed either way, and with the kernel whole after:
+    # the well-formed curl still resolves as in the Python kernel
+    for seed in (-1, 5, 2**64 + 1):
+        for args, kwargs in (((seed,), {}), ((), {"seed": seed})):
+            with pytest.raises(ValueError, match="^kernel takes a key of 10 bytes a crossing"):
+                compiled_kernel.resolve_sum(bytes(slots + colors), *args, **kwargs)
+    curl = bytes([0, 0, 0, 0, 1, 0, 3, 2, 0, 0])
+    assert compiled_kernel.resolve_sum(curl) == _kernel_py.resolve_sum(curl)
 
 
 @pytest.mark.parametrize("slots, colors", MALFORMED_KEYS)
@@ -108,7 +116,7 @@ def test_kernels_refuse_malformed_arguments_alike(compiled_kernel, slots, colors
     messages = []
     for resolve in (_kernel_py.resolve_sum, _kernel_py.resolve_leaves, compiled_kernel.resolve_sum):
         with pytest.raises(ValueError, match="^kernel takes a key of 10 bytes a crossing") as refused:
-            resolve(bytes(slots + colors), 0)
+            resolve(bytes(slots + colors))
         messages.append(str(refused.value))
     assert len(set(messages)) == 1
 
@@ -118,7 +126,7 @@ def test_kernels_refuse_a_key_that_is_no_bytes_alike(compiled_kernel, kind):
     key = kind(_prepare(torus_2(3), OrderedStrategy())[0])
     messages = []
     for resolve in (_kernel_py.resolve_sum, _kernel_py.resolve_leaves, compiled_kernel.resolve_sum):
-        for args, kwargs in (((key, 0), {}), ((), {"key": key, "loops": 0})):
+        for args, kwargs in (((key,), {}), ((), {"key": key})):
             with pytest.raises(TypeError, match=f"^argument 1 must be bytes, not {kind.__name__}$") as refused:
                 resolve(*args, **kwargs)
             messages.append(str(refused.value))
@@ -131,43 +139,30 @@ def test_kernels_refuse_a_seed_that_is_no_int_alike(compiled_kernel, seed, slots
     # before the walk, with no crossing to pick and with some, and before
     # a malformed key
     key = kernel_reference.encode(slots, colors)
-    loops = len(loops)
+    kernels = (_kernel_py.resolve_sum, _kernel_py.resolve_leaves, compiled_kernel.resolve_sum)
     messages = []
-    for resolve in (_kernel_py.resolve_sum, _kernel_py.resolve_leaves, compiled_kernel.resolve_sum):
+    for resolve in kernels:
         for k in (key, key[1:]):
             for args, kwargs in (((seed,), {}), ((), {"seed": seed})):
-                with pytest.raises(TypeError, match="^argument 3 must be int, not ") as refused:
-                    resolve(k, loops, *args, **kwargs)
+                with pytest.raises(TypeError, match="^argument 2 must be int, not ") as refused:
+                    resolve(k, *args, **kwargs)
                 messages.append(str(refused.value))
     assert len(set(messages)) == 1
     if key:
         messages = []
-        for resolve in (_kernel_py.resolve_sum, _kernel_py.resolve_leaves, compiled_kernel.resolve_sum):
+        for resolve in kernels:
             with pytest.raises(ValueError, match="^kernel takes a key") as refused:
-                resolve(key[1:], loops, 0)
+                resolve(key[1:], 0)
             messages.append(str(refused.value))
         assert len(set(messages)) == 1
+    # a third argument, such as the diagram's loop count before the seed, is refused
+    for resolve in kernels:
+        for k in (key, key[1:]):
+            for args, kwargs in (((len(loops), -1), {}), ((len(loops),), {"seed": -1})):
+                with pytest.raises(TypeError):
+                    resolve(k, *args, **kwargs)
     # a bool is an int to both
-    assert _kernel_py.resolve_sum(key, loops, True) == compiled_kernel.resolve_sum(key, loops, True)
-
-
-@pytest.mark.parametrize("loops", [{1: 1}, {1}, "1", 1, [1], (1,)], ids=["dict", "set", "str", "int", "list", "tuple"])
-def test_kernels_take_the_loop_count_alike(compiled_kernel, loops):
-    # both take the number of loops as an int and refuse any other kind
-    # with one TypeError, with no crossing and with some
-    for key in (b"", _prepare(torus_2(3), OrderedStrategy())[0]):
-        outcomes = []
-        for kernel in (_kernel_py, compiled_kernel):
-            try:
-                outcomes.append(kernel.resolve_sum(key, loops))
-            except TypeError as exc:
-                outcomes.append(str(exc))
-        assert outcomes[0] == outcomes[1]
-        if type(loops) is int:
-            none = _kernel_py.resolve_sum(key, 0)
-            assert outcomes[0] == {(apow, dpow, k + 1): count for (apow, dpow, k), count in none.items()}
-        else:
-            assert outcomes[0] == f"argument 2 must be int, not {type(loops).__name__}"
+    assert _kernel_py.resolve_sum(key, True) == compiled_kernel.resolve_sum(key, True)
 
 
 def test_compiled_kernel_frees_what_it_allocates(compiled_kernel):
@@ -176,7 +171,7 @@ def test_compiled_kernel_frees_what_it_allocates(compiled_kernel):
     calls = [
         _prepare(torus_2(70), OrderedStrategy()),
         _prepare(torus_2(12), RandomStrategy(7)),
-        (bytes(sum(MALFORMED_KEYS[5], [])), 0, -1),
+        (bytes(sum(MALFORMED_KEYS[5], [])), -1),
     ]
 
     def run():
@@ -315,9 +310,11 @@ def test_backend_env_selection(monkeypatch, compiled_kernel):
         importlib.reload(backend)
 
 
-def test_compiled_kernel_has_no_warnings():
+def test_compiled_kernel_has_no_warnings(tmp_path):
+    # an object at -O2, so that the warnings of flow analysis, such as
+    # maybe-uninitialized and array-bounds, are checked too
     cc, include = c_compiler()
-    flags = ["-fsyntax-only", "-Wall", "-Wextra", "-Werror", include]
+    flags = ["-c", "-O2", "-fPIC", "-Wall", "-Wextra", "-Werror", include, "-o", str(tmp_path / "kernel.o")]
     proc = subprocess.run([*cc, *flags, str(KERNEL_C)], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
 
@@ -342,17 +339,17 @@ runs = [(e.diagram(), (-1, 5)) for e in load_catalog()]
 runs += [(random_diagram(s, s % 8 + 1, s % 3 + 1, s % 3), (-1, s, 2**64 + s)) for s in range(60)]
 runs.append((torus_2(127), (-1,)))
 for d, seeds in runs:
-    key, loops, _ = _prepare(d, OrderedStrategy())
+    key, _ = _prepare(d, OrderedStrategy())
     for seed in seeds:
-        got = kernel.resolve_sum(key, loops, seed)
-        assert got == _kernel_py.resolve_sum(key, loops, seed), (d, seed)
+        got = kernel.resolve_sum(key, seed)
+        assert got == _kernel_py.resolve_sum(key, seed), (d, seed)
 
 
 def refused_alike(key, seed=-1):
     outcomes = []
     for k in (kernel, _kernel_py):
         try:
-            outcomes.append(k.resolve_sum(key, 0, seed))
+            outcomes.append(k.resolve_sum(key, seed))
         except ValueError as exc:
             outcomes.append(str(exc))
     assert outcomes[0] == outcomes[1], (key, seed, outcomes)

@@ -161,29 +161,24 @@ def test_is_aj_state():
 
 def test_disjoint_union():
     d = tied_hopf()
-    grown = disjoint_union(d, unknot(), share_colors=False)
+    grown = disjoint_union(d, unknot())
     assert grown.n_colors == d.n_colors + 1
     assert len(grown.free_loops) == 1
 
-    shared = disjoint_union(d, unknot(), share_colors=True, color_map={1: 2})
+    shared = disjoint_union(d, unknot(), color_map={1: 2})
     assert shared.n_colors == d.n_colors
     assert len(shared.free_loops) == 1
 
-    uu = disjoint_union(unknot(), unknot(), share_colors=False)
+    uu = disjoint_union(unknot(), unknot())
     assert sorted(uu.free_loops) == [1, 2]
 
-    with pytest.raises(ColorMapError):
-        disjoint_union(d, unknot(), share_colors=True)
-    with pytest.raises(ColorMapError):
-        disjoint_union(d, unknot(), share_colors=True, color_map={2: 1})
-    # a map without share_colors would go unused
-    for color_map in ({1: 2}, {}):
-        with pytest.raises(ColorMapError, match="requires share_colors=True"):
-            disjoint_union(d, unknot(), share_colors=False, color_map=color_map)
+    for color_map in ({2: 1}, {}):
+        with pytest.raises(ColorMapError, match="lacks entries for colors"):
+            disjoint_union(d, unknot(), color_map=color_map)
     # a bool is an int to isinstance, but no color
     for value in (True, 1.0, 0):
         with pytest.raises(ColorMapError):
-            disjoint_union(d, unknot(), share_colors=True, color_map={1: value})
+            disjoint_union(d, unknot(), color_map={1: value})
 
 
 def test_canonical_code_relabeling():
@@ -262,7 +257,7 @@ def mirror(d):
 def shared(a, b):
     """The disjoint union with color 1 of ``a`` and of ``b`` identified."""
     color_map = {c: 1 if c == 1 else a.n_colors + c - 1 for c in range(1, b.n_colors + 1)}
-    return disjoint_union(a, b, share_colors=True, color_map=color_map)
+    return disjoint_union(a, b, color_map=color_map)
 
 
 def test_canonical_code_ignores_the_order_of_pieces():

@@ -1,10 +1,12 @@
+import random
+import sys
 import tracemalloc
 from itertools import product, zip_longest
 
 import pytest
 from tree_reference import reference_sum, reference_tree
 
-from tiedbracket import _backend, _kernel_py, diagram, engine
+from tiedbracket import _backend, _kernel_py, diagram
 from tiedbracket.catalog import load_catalog, parse_diagram
 from tiedbracket.diagram import TiedDiagram, random_diagram, unknot
 from tiedbracket.engine import (
@@ -41,7 +43,7 @@ def test_state_value_instances():
     with pytest.raises(ValueError):
         AJStateSummary(1, 2)
     with pytest.raises(ValueError):
-        state_value((0, 0))
+        AJStateSummary(0, 0)
 
 
 def test_resolve_crossingless():
@@ -70,9 +72,10 @@ def test_resolve_tied_hopf_leaves():
 
 def test_resolve_with_codes_matches_kernel():
     # the reference walk on diagrams picks the kernels' crossings, seeded
-    # draws included, and counts each leaf's colors, where the pure-Python
-    # kernel's leaf walk leaves gamma = m - dpow to the engine; the
-    # ungrouped resolve, on byte states, returns the reference's leaves
+    # draws included, and counts each leaf's colors and loops, where the
+    # pure-Python kernel's leaf walk leaves gamma = m - dpow and the free
+    # loops to the engine; the ungrouped resolve, on byte states, returns
+    # the reference's leaves
     strategies = [
         OrderedStrategy(),
         OrderedStrategy((4, 2, 0, 3, 1)),
@@ -81,13 +84,13 @@ def test_resolve_with_codes_matches_kernel():
     ]
     for seed in range(20):
         d = random_diagram(seed, 5, seed % 5 + 1, seed % 4)
-        m = d.n_colors
+        m, loops = d.n_colors, len(d.free_loops)
         for strategy in strategies:
             leaves = _kernel_py.resolve_leaves(*_prepare(d, strategy))
             coded = reference_sum(d, strategy, codes=True)
             assert resolve(d, strategy, codes=True).entries == coded.entries
             assert [(s.k, s.gamma, s.crossings_left) for s, _ in coded.entries] == [
-                (k, m - dpow, left) for k, left, _, _, dpow in leaves
+                (k + loops, m - dpow, left) for k, left, _, _, dpow in leaves
             ]
             assert [w for _, w in coded.entries] == [
                 BivariateLaurent.monomial(apow, 0, sign) * DELTA**dpow
@@ -204,12 +207,14 @@ def test_double_bracket_strategies_agree():
     ],
 )
 def test_kernel_limits(request, pd, colors, loops, expected):
-    # many loops and many colors get exact values on both kernels
+    # many loops and many colors get exact values on both kernels, in
+    # the default order and under a seed
     d = TiedDiagram.from_pd(pd, colors, loops)
     for kernel in (_kernel_py, request.getfixturevalue("compiled_kernel")):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(_backend, "kernel", kernel)
             assert double_bracket(d) == expected
+            assert double_bracket(d, RandomStrategy(1)) == expected
 
 
 def test_empty_diagram_rejected():
@@ -340,7 +345,8 @@ def test_statesum_grouped_merges_by_summary():
 
 def test_an_op_builds_the_strand_map_at_most_twice(monkeypatch):
     # parse_diagram traces the components on one strand map, and
-    # double_bracket validates on another, which the key is built from
+    # double_bracket validates on another, which the key is built from,
+    # in any order of the crossings
     calls = []
     darts = diagram._darts
 
@@ -348,11 +354,17 @@ def test_an_op_builds_the_strand_map_at_most_twice(monkeypatch):
         calls.append(crossings)
         return darts(crossings)
 
-    for module in (diagram, engine):
-        monkeypatch.setattr(module, "_darts", counted)
+    for name, module in list(sys.modules.items()):  # wherever the package imported it
+        if name.startswith("tiedbracket") and getattr(module, "_darts", None) is darts:
+            monkeypatch.setattr(module, "_darts", counted)
     texts = [e.diagram_text() for e in load_catalog()]
     texts += [str(random_diagram(s, s % 8 + 1, s % 3 + 1, s % 2)) for s in range(30)]
+    rng = random.Random(0)
     for text in texts:
-        calls.clear()
-        double_bracket(parse_diagram(text))
-        assert len(calls) <= 2, text
+        n = len(parse_diagram(text).crossings)
+        shuffled = rng.sample(range(n), n)
+        orders = (OrderedStrategy(), OrderedStrategy(tuple(reversed(range(n)))), OrderedStrategy(tuple(shuffled)))
+        for strategy in orders + (RandomStrategy(1),):
+            calls.clear()
+            double_bracket(parse_diagram(text), strategy)
+            assert len(calls) <= 2, (text, strategy)

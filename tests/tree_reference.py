@@ -9,7 +9,7 @@ must follow for the two trees to be the same tree.
 """
 
 from tiedbracket._kernel_py import _pick
-from tiedbracket.diagram import BAR0, BAR1, ONE, TWO, ZERO
+from tiedbracket.diagram import BAR0, BAR1, ONE, TWO, ZERO, TiedDiagram
 from tiedbracket.engine import OrderedStrategy, StateSum, _branch_weight, _ordered, _seed, _summary
 
 
@@ -48,6 +48,15 @@ def _smoothings(cur, x, x_type2):
     )
 
 
+def permuted(d, strategy):
+    """``d`` with its crossings in the order of the strategy's
+    permutation, if it has one: crossing ``perm[i]`` becomes crossing i."""
+    perm = getattr(strategy, "permutation", None)
+    if perm is None:
+        return d
+    return TiedDiagram(tuple(d.crossings[i] for i in perm), d.arc_color, d.free_loops)
+
+
 def reference_tree(d, strategy=OrderedStrategy()):
     """Expand the resolution tree of ``d`` on diagrams, depth-first.
 
@@ -55,7 +64,8 @@ def reference_tree(d, strategy=OrderedStrategy()):
     (sign, apow, dpow), is_leaf)``, numbered and labelled as
     `engine.resolution_tree` numbers and labels them.
     """
-    d, _ = _ordered(d, strategy)
+    _ordered(d, strategy)  # validates d and the permutation
+    d = permuted(d, strategy)
     seed = _seed(strategy)
     stack = [(None, "", d, 1, 0, 0)]
     node = 0
