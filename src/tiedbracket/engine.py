@@ -142,10 +142,9 @@ class StateSum:
 
 @dataclass(frozen=True)
 class OrderedStrategy:
-    """Scan crossings in stored order (optionally permuted first) and smooth
-    the first mixed-color illegal crossing, else the first same-color one."""
-
-    permutation: tuple[int, ...] | None = None
+    """Scan crossings in stored order and smooth the first mixed-color
+    illegal crossing, else the first same-color one.  Another order is a
+    reordering of ``d.crossings``."""
 
 
 @dataclass(frozen=True)
@@ -165,42 +164,34 @@ Strategy = OrderedStrategy | RandomStrategy
 _DEFAULT = OrderedStrategy()
 
 
-def _ordered(d: TiedDiagram, strategy: Strategy) -> dict[int, list[int]]:
-    """Validate ``d``, reject the empty diagram and apply the strategy's
-    permutation to the ``ends`` of the strand map (`diagram._darts`) that
-    `validate` built: crossing ``perm[i]`` is renumbered i, so dart 4 *
-    perm[i] + s becomes 4 * i + s."""
+def _seed(strategy: Strategy) -> int:
+    """The kernels' seed argument: the strategy's seed, or -1 for the
+    stored order.  The one reader of a strategy: `_prepare` and `_states`
+    call it before `_encode`, so anything else raises a TypeError before
+    the diagram is validated."""
+    if isinstance(strategy, RandomStrategy):
+        return strategy.seed
+    if isinstance(strategy, OrderedStrategy):
+        return -1
+    raise TypeError(f"strategy must be an OrderedStrategy or a RandomStrategy, not {strategy!r}")
+
+
+def _encode(d: TiedDiagram, walk: str):
+    """Validate ``d`` and encode it, in its stored order, for the kernels
+    and `_kernel_py`'s helpers: ``(key, number)``.
+
+    The empty diagram is rejected, and so is a diagram of more than
+    MAX_CROSSINGS crossings, with a DiagramError that names ``walk``:
+    keys spell crossing indices as bytes.  The key is built once from the
+    ``ends`` of the strand map that `validate` returns (`diagram._darts`):
+    each slot's partner, the other end of its arc, then the color of each
+    crossing's under strand (slot 0) and of its over strand (slot 1), the
+    colors numbered from 0 in order, as the dict ``number`` lists them.
+    The numbering is monotone, so picks do not change.
+    """
     ends, _ = d.validate()
     if not d.crossings and not d.free_loops:
         raise EmptyDiagramError("cannot resolve the empty diagram")
-    perm = getattr(strategy, "permutation", None)
-    if perm is None:
-        return ends
-    if any(type(i) is not int for i in perm) or sorted(perm) != list(range(len(d.crossings))):
-        raise ValueError(f"permutation {perm} is not a reordering of range({len(d.crossings)})")
-    place = dict(zip(perm, range(0, 4 * len(perm), 4)))
-    return {arc: [place[a >> 2] | a & 3 for a in darts] for arc, darts in ends.items()}
-
-
-def _seed(strategy: Strategy) -> int:
-    """The kernels' seed argument: the strategy's seed, or -1 for an order."""
-    return strategy.seed if isinstance(strategy, RandomStrategy) else -1
-
-
-def _encode(d: TiedDiagram, strategy: Strategy, walk: str):
-    """Validate and order ``d`` (`_ordered`) and encode it for the kernels
-    and `_kernel_py`'s helpers: ``(key, number)``.
-
-    The key is built once from the strand map that `_ordered` returns
-    (`diagram._darts`): each slot's partner, the other end of its arc,
-    then the color of each crossing's under strand (slot 0) and of its
-    over strand (slot 1), the colors numbered from 0 in order, as the
-    dict ``number`` lists them.  The numbering is monotone, so picks do
-    not change.  Keys spell crossing indices as bytes, so a diagram of
-    more than MAX_CROSSINGS crossings is rejected with a DiagramError
-    that names ``walk``.
-    """
-    ends = _ordered(d, strategy)
     if len(d.crossings) > MAX_CROSSINGS:
         raise DiagramError(f"{walk} supports at most {MAX_CROSSINGS} crossings")
     color = d.arc_color
@@ -224,13 +215,15 @@ def _encode(d: TiedDiagram, strategy: Strategy, walk: str):
 def _prepare(d: TiedDiagram, strategy: Strategy):
     """The kernels' arguments for ``d``: ``(key, seed)``.
 
-    ``d`` is validated, ordered and encoded (`_encode`); diagrams past the
-    keys' bytes (MAX_CROSSINGS) are rejected here, so both kernels accept
-    the same diagrams.  The free loops stay out: `double_bracket` adds
-    them to each group's k.
+    The strategy is read first (`_seed`), then ``d`` is validated and
+    encoded in its stored order (`_encode`); diagrams past the keys'
+    bytes (MAX_CROSSINGS) are rejected here, so both kernels accept the
+    same diagrams.  The free loops stay out: `double_bracket` adds them
+    to each group's k.
     """
-    key, _ = _encode(d, strategy, "kernel")
-    return key, _seed(strategy)
+    seed = _seed(strategy)
+    key, _ = _encode(d, "kernel")
+    return key, seed
 
 
 def _smooth(key, loops, x, x_type2):
@@ -261,8 +254,9 @@ def _states(d: TiedDiagram, strategy: Strategy, walk: str):
     the kernels' keys with the sorted colors of the state's loops added,
     ``(key, loops)``, smoothed by `_smooth`.
 
-    ``d`` is validated, ordered and encoded once (`_encode`), so it may
-    have at most MAX_CROSSINGS crossings, and the walks start at its key.
+    The strategy is read first (`_seed`), then ``d`` is validated and
+    encoded once (`_encode`), so it may have at most MAX_CROSSINGS
+    crossings, and the walks start at its key.
     Returns the root state, ``expand`` as `_kernel_py._memo_walk` and
     `_kernel_py._tree_walk` take it, which tags the distinct leaves it
     meets 0, 1, 2, ..., and ``diagram``, which decodes a leaf's tag into a
@@ -271,10 +265,10 @@ def _states(d: TiedDiagram, strategy: Strategy, walk: str):
     and ``diagram`` adds it back: a repaint merges the colors of two arcs,
     so it never reaches that loop.
     """
-    key, number = _encode(d, strategy, walk)
+    seed = _seed(strategy)
+    key, number = _encode(d, walk)
     palette = list(number)
     inert = tuple(c for c in d.free_loops if c not in number)
-    seed = _seed(strategy)
     leaves: list[tuple[bytes, bytes]] = []
 
     def expand(state):

@@ -26,6 +26,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from torus import torus_2
+from tree_reference import reordered
 
 from tiedbracket import _backend, _kernel_py
 from tiedbracket.catalog import load_catalog
@@ -56,6 +57,29 @@ def test_parity_random_diagrams(seed, compiled_kernel):
 def test_parity_catalog_fixtures(compiled_kernel):
     for e in load_catalog():
         assert_parity(compiled_kernel, e.diagram(), (-1, 5))
+
+
+def assert_parity_out_of_order(kernel, d, rng):
+    """Parity under seed -1 and a seed on ``d`` with its crossings
+    shuffled, whose value must be the stored order's."""
+    n = len(d.crossings)
+    shuffled = reordered(d, rng.sample(range(n), n))
+    assert_parity(kernel, shuffled, (-1, 5))
+    assert double_bracket(shuffled) == double_bracket(d)
+
+
+def test_parity_catalog_fixtures_out_of_order(compiled_kernel):
+    # the crossings out of the order the fixtures come in, which costs
+    # the memo more states: three seeded shuffles of each
+    rng = random.Random(0)
+    for e in load_catalog():
+        for _ in range(3):
+            assert_parity_out_of_order(compiled_kernel, e.diagram(), rng)
+
+
+@pytest.mark.parametrize("n", [16, 24, 32])
+def test_parity_torus_closures_out_of_order(compiled_kernel, n):
+    assert_parity_out_of_order(compiled_kernel, torus_2(n), random.Random(n))
 
 
 @pytest.mark.parametrize("n", [33, 70, 127])

@@ -4,7 +4,7 @@ import tracemalloc
 from itertools import product, zip_longest
 
 import pytest
-from tree_reference import reference_sum, reference_tree
+from tree_reference import reference_sum, reference_tree, reordered
 
 from tiedbracket import _backend, _kernel_py, diagram
 from tiedbracket.catalog import load_catalog, parse_diagram
@@ -75,17 +75,16 @@ def test_resolve_with_codes_matches_kernel():
     # draws included, and counts each leaf's colors and loops, where the
     # pure-Python kernel's leaf walk leaves gamma = m - dpow and the free
     # loops to the engine; the ungrouped resolve, on byte states, returns
-    # the reference's leaves
-    strategies = [
-        OrderedStrategy(),
-        OrderedStrategy((4, 2, 0, 3, 1)),
-        RandomStrategy(0),
-        RandomStrategy(5),
-    ]
+    # the reference's leaves, in stored order, in another and under seeds
     for seed in range(20):
-        d = random_diagram(seed, 5, seed % 5 + 1, seed % 4)
-        m, loops = d.n_colors, len(d.free_loops)
-        for strategy in strategies:
+        stored = random_diagram(seed, 5, seed % 5 + 1, seed % 4)
+        m, loops = stored.n_colors, len(stored.free_loops)
+        for d, strategy in [
+            (stored, OrderedStrategy()),
+            (reordered(stored, (4, 2, 0, 3, 1)), OrderedStrategy()),
+            (stored, RandomStrategy(0)),
+            (stored, RandomStrategy(5)),
+        ]:
             leaves = _kernel_py.resolve_leaves(*_prepare(d, strategy))
             coded = reference_sum(d, strategy, codes=True)
             assert resolve(d, strategy, codes=True).entries == coded.entries
@@ -117,8 +116,8 @@ def test_resolution_tree_matches_the_diagram_walk():
     # loops and colors
     for seed in range(60):
         d = random_diagram(seed, seed % 7 + 1, seed % 5 + 1, seed % 4)
-        reversed_order = OrderedStrategy(tuple(reversed(range(len(d.crossings)))))
-        for strategy in (OrderedStrategy(), reversed_order, RandomStrategy(3), RandomStrategy(2**64 + 11)):
+        assert_tree_matches_reference(reordered(d, reversed(range(len(d.crossings)))), OrderedStrategy())
+        for strategy in (OrderedStrategy(), RandomStrategy(3), RandomStrategy(2**64 + 11)):
             assert_tree_matches_reference(d, strategy)
 
 
@@ -176,20 +175,35 @@ def test_double_bracket_examples():
 def test_double_bracket_strategies_agree():
     d = tied_hopf()
     default = double_bracket(d)
-    assert double_bracket(d, OrderedStrategy((1, 0))) == default
+    assert double_bracket(reordered(d, (1, 0))) == default
     assert double_bracket(d, RandomStrategy(7)) == default
-    with pytest.raises(ValueError):
-        double_bracket(d, OrderedStrategy((0, 0)))
-    # entries that sort like ints but are not ints used to pass the check
-    # and fail with a TypeError while indexing
-    for perm in ((0.0, 1), (1, 0.0), (True, 0)):
-        with pytest.raises(ValueError, match="reordering"):
-            double_bracket(d, OrderedStrategy(perm))
     with pytest.raises(ValueError):
         RandomStrategy(-1)
     for seed in (1.5, True):
         with pytest.raises(ValueError, match="integer"):
             RandomStrategy(seed)
+
+
+@pytest.mark.parametrize("strategy", [5, None, "random", (1, 0)], ids=repr)
+def test_non_strategies_are_refused(strategy):
+    # an order is the stored one or a seed: anything else is refused, and
+    # before the diagram, empty or malformed, is looked at
+    d = tied_hopf()
+    calls = [
+        lambda: double_bracket(d, strategy),
+        lambda: resolve(d, strategy),
+        lambda: resolve(d, strategy, codes=True, group=True),
+        lambda: next(resolution_tree(d, strategy)),
+        lambda: _prepare(d, strategy),
+        lambda: double_bracket(TiedDiagram((), {}, ()), strategy),
+        lambda: double_bracket(TiedDiagram(((1, 2, 3, 4),), {}, ()), strategy),
+    ]
+    for call in calls:
+        with pytest.raises(TypeError, match="strategy"):
+            call()
+    # and the stored order takes no permutation
+    with pytest.raises(TypeError, match="OrderedStrategy"):
+        OrderedStrategy((1, 0))
 
 
 @pytest.mark.parametrize(
@@ -346,7 +360,7 @@ def test_statesum_grouped_merges_by_summary():
 def test_an_op_builds_the_strand_map_at_most_twice(monkeypatch):
     # parse_diagram traces the components on one strand map, and
     # double_bracket validates on another, which the key is built from,
-    # in any order of the crossings
+    # on the text of the diagram and of its reorderings, and under a seed
     calls = []
     darts = diagram._darts
 
@@ -361,10 +375,11 @@ def test_an_op_builds_the_strand_map_at_most_twice(monkeypatch):
     texts += [str(random_diagram(s, s % 8 + 1, s % 3 + 1, s % 2)) for s in range(30)]
     rng = random.Random(0)
     for text in texts:
-        n = len(parse_diagram(text).crossings)
-        shuffled = rng.sample(range(n), n)
-        orders = (OrderedStrategy(), OrderedStrategy(tuple(reversed(range(n)))), OrderedStrategy(tuple(shuffled)))
-        for strategy in orders + (RandomStrategy(1),):
+        d = parse_diagram(text)
+        n = len(d.crossings)
+        reorders = [str(reordered(d, perm)) for perm in (reversed(range(n)), rng.sample(range(n), n))]
+        runs = [(text, OrderedStrategy()), (text, RandomStrategy(1))] + [(t, OrderedStrategy()) for t in reorders]
+        for t, strategy in runs:
             calls.clear()
-            double_bracket(parse_diagram(text), strategy)
-            assert len(calls) <= 2, (text, strategy)
+            double_bracket(parse_diagram(t), strategy)
+            assert len(calls) <= 2, (t, strategy)

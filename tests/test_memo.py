@@ -27,7 +27,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 import kernel_reference
 from torus import torus_2, torus_2_closed_form
-from tree_reference import permuted, reference_sum
+from tree_reference import reference_sum, reordered
 
 from tiedbracket import _backend, _kernel_py, engine
 from tiedbracket.catalog import load_catalog
@@ -72,8 +72,8 @@ def assert_memo_matches_tree(d, strategy=OrderedStrategy()):
 def test_memo_matches_tree_walk(data, seed, n, n_colors, n_loops):
     d = random_diagram(seed, n, n_colors, n_loops)
     assert_memo_matches_tree(d)
-    perm = tuple(data.draw(st.permutations(range(n))))
-    assert_memo_matches_tree(d, OrderedStrategy(perm))
+    perm = data.draw(st.permutations(range(n)))
+    assert_memo_matches_tree(reordered(d, perm))
     for strategy in SEEDED:
         assert_memo_matches_tree(d, strategy)
 
@@ -97,8 +97,8 @@ def assert_state_table_matches_tree(d, strategy=OrderedStrategy()):
 @settings(max_examples=60, deadline=None)
 def test_state_table_matches_tree_walk(seed, n, n_colors, n_loops):
     d = random_diagram(seed, n, n_colors, n_loops)
-    reversed_order = OrderedStrategy(tuple(reversed(range(len(d.crossings)))))
-    for strategy in (OrderedStrategy(), reversed_order) + SEEDED:
+    assert_state_table_matches_tree(reordered(d, reversed(range(n))))
+    for strategy in (OrderedStrategy(),) + SEEDED:
         assert_state_table_matches_tree(d, strategy)
 
 
@@ -443,10 +443,9 @@ def test_keys_follow_the_arcs():
     # the key `engine._encode` builds from the strand map is the one of the
     # diagram's slots, labelled densely by arc, and the colors of its arcs
     for d in walked_diagrams():
-        n = len(d.crossings)
-        for strategy in (OrderedStrategy(), OrderedStrategy(tuple(reversed(range(n))))):
-            slots, colors, _ = kernel_reference.slot_lists(permuted(d, strategy))
-            assert _prepare(d, strategy)[0] == kernel_reference.encode(slots, colors)
+        for e in (d, reordered(d, reversed(range(len(d.crossings))))):
+            slots, colors, _ = kernel_reference.slot_lists(e)
+            assert _prepare(e, OrderedStrategy())[0] == kernel_reference.encode(slots, colors)
 
 
 @pytest.mark.parametrize("strategy", (OrderedStrategy(),) + SEEDED, ids=STRATEGY_IDS)
@@ -466,13 +465,19 @@ def test_partner_keys_merge_what_relabelled_keys_merge(strategy):
     assert len(relabelled) == len(partner) > 1000
 
 
-# Orders for a diagram of n crossings: the default one, a seeded
-# permutation of the crossings, and the seeds of SEEDED.
+def shuffled(d):
+    """``d`` with its crossings reordered by a shuffle seeded by their number."""
+    n = len(d.crossings)
+    return reordered(d, random.Random(n).sample(range(n), n))
+
+
+# Orders of a diagram, as the diagram to walk and its strategy: the stored
+# order, a seeded shuffle of the crossings, and the seeds of SEEDED.
 ORDERS = {
-    "ordered": lambda n: OrderedStrategy(),
-    "permuted": lambda n: OrderedStrategy(tuple(random.Random(n).sample(range(n), n))),
-    "seed3": lambda n: SEEDED[0],
-    "seed2^64+11": lambda n: SEEDED[1],
+    "ordered": lambda d: (d, OrderedStrategy()),
+    "permuted": lambda d: (shuffled(d), OrderedStrategy()),
+    "seed3": lambda d: (d, SEEDED[0]),
+    "seed2^64+11": lambda d: (d, SEEDED[1]),
 }
 
 
@@ -498,14 +503,14 @@ def test_rank_falls_along_every_edge(order):
         return expand_checked
 
     for d in walked_diagrams():
-        strategy = ORDERS[order](len(d.crossings))
+        d, strategy = ORDERS[order](d)
         expand = checked(_kernel_py._expander(engine._seed(strategy)))
         _kernel_py._memo_walk(_prepare(d, strategy)[0], expand)
         root, expand_state, _ = engine._states(d, strategy, "the AJ-state table")
         _kernel_py._memo_walk(root, checked(expand_state, itemgetter(0)))
     # the children of the root of 127 crossings, the most a key holds
-    strategy = ORDERS[order](127)
-    checked(_kernel_py._expander(engine._seed(strategy)))(_prepare(torus_2(127), strategy)[0])
+    d, strategy = ORDERS[order](torus_2(127))
+    checked(_kernel_py._expander(engine._seed(strategy)))(_prepare(d, strategy)[0])
     # flips, type-1 smoothings, and delta branches whose repaint makes
     # other crossings illegal
     assert {1, 127, 128, 129} <= drops

@@ -5,12 +5,14 @@ on byte states (`_kernel_py._tree_walk` over `engine._states`).  This walk
 shares no smoothing code with them: it smooths a `TiedDiagram` at every node
 (`smooth_type1`, `smooth_type2`) and counts circles and colors on the
 diagrams.  It borrows only the pick rule (`_kernel_py._pick`), which it
-must follow for the two trees to be the same tree.
+must follow for the two trees to be the same tree.  Both walk the stored
+order of the crossings, or a seeded draw; `reordered` gives a diagram
+another stored order.
 """
 
 from tiedbracket._kernel_py import _pick
 from tiedbracket.diagram import BAR0, BAR1, ONE, TWO, ZERO, TiedDiagram
-from tiedbracket.engine import OrderedStrategy, StateSum, _branch_weight, _ordered, _seed, _summary
+from tiedbracket.engine import OrderedStrategy, StateSum, _branch_weight, _prepare, _summary
 
 
 def _key(cur):
@@ -48,12 +50,10 @@ def _smoothings(cur, x, x_type2):
     )
 
 
-def permuted(d, strategy):
-    """``d`` with its crossings in the order of the strategy's
-    permutation, if it has one: crossing ``perm[i]`` becomes crossing i."""
-    perm = getattr(strategy, "permutation", None)
-    if perm is None:
-        return d
+def reordered(d, perm):
+    """``d`` with its crossings reordered: crossing ``perm[i]`` becomes
+    crossing i.  The engine walks the stored order; this is how a test
+    asks for another one."""
     return TiedDiagram(tuple(d.crossings[i] for i in perm), d.arc_color, d.free_loops)
 
 
@@ -64,9 +64,7 @@ def reference_tree(d, strategy=OrderedStrategy()):
     (sign, apow, dpow), is_leaf)``, numbered and labelled as
     `engine.resolution_tree` numbers and labels them.
     """
-    _ordered(d, strategy)  # validates d and the permutation
-    d = permuted(d, strategy)
-    seed = _seed(strategy)
+    _, seed = _prepare(d, strategy)  # validates the strategy and d
     stack = [(None, "", d, 1, 0, 0)]
     node = 0
     while stack:
