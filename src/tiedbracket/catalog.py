@@ -19,9 +19,7 @@ every expected value carries a provenance note.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
-from importlib import resources
-from .diagram import DiagramError, TiedDiagram
+from .diagram import DiagramError, TiedDiagram, _Record
 from .laurent import BivariateLaurent, parse_poly
 
 __all__ = [
@@ -120,19 +118,34 @@ def ingest_linkinfo_pd(text: str) -> str:
     return "pd: " + " ".join("X[%d,%d,%d,%d]" % q for q in quads)
 
 
-@dataclass
-class FixtureEntry:
-    """One catalog fixture: a named diagram and what is known about it."""
+class FixtureEntry(_Record):
+    """One catalog fixture: a named diagram and what is known about it.
+    ``colors`` and ``loops`` are fresh empty lists when omitted."""
 
-    name: str
-    pd: str
-    colors: list[int] = field(default_factory=list)
-    loops: list[int] = field(default_factory=list)
-    expected_bracket: BivariateLaurent | None = None
-    diff_partner: str | None = None
-    expected_difference: BivariateLaurent | None = None
-    source: str = ""
-    meta: str = ""
+    __slots__ = ("name", "pd", "colors", "loops", "expected_bracket", "diff_partner",
+                 "expected_difference", "source", "meta")
+
+    def __init__(
+        self,
+        name: str,
+        pd: str,
+        colors: list[int] | None = None,
+        loops: list[int] | None = None,
+        expected_bracket: BivariateLaurent | None = None,
+        diff_partner: str | None = None,
+        expected_difference: BivariateLaurent | None = None,
+        source: str = "",
+        meta: str = "",
+    ):
+        self.name = name
+        self.pd = pd
+        self.colors = [] if colors is None else colors
+        self.loops = [] if loops is None else loops
+        self.expected_bracket = expected_bracket
+        self.diff_partner = diff_partner
+        self.expected_difference = expected_difference
+        self.source = source
+        self.meta = meta
 
     def diagram_text(self) -> str:
         parts = []
@@ -200,6 +213,10 @@ def _parse_catalog(text: str) -> list[FixtureEntry]:
 
 def load_catalog() -> list[FixtureEntry]:
     """Load the fixtures shipped with the package."""
+    # Imported here, as it loads pathlib, tempfile and zipfile, which a
+    # command that reads no fixture does not need.
+    from importlib import resources
+
     text = resources.files("tiedbracket.data").joinpath("catalog.txt").read_text()
     return _parse_catalog(text)
 

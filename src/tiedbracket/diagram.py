@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import enum
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
+from functools import total_ordering
 
 __all__ = [
     "DiagramError",
@@ -90,36 +90,93 @@ ONE = "one"
 TWO = "two"
 
 
-@dataclass(frozen=True, order=True)
-class Complexity:
+_set = object.__setattr__  # how a frozen record's __init__ sets its fields
+
+
+class _Record:
+    """A value made of the fields named in ``__slots__``, in order: equal
+    to a record of its own class with equal fields, shown as
+    ``Name(field=value, ...)`` and pickled and copied by its constructor.
+    A mutable record is unhashable, as defining ``__eq__`` makes it."""
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple([getattr(self, f) for f in self.__slots__])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        shown = ", ".join([f"{f}={getattr(self, f)!r}" for f in self.__slots__])
+        return f"{type(self).__qualname__}({shown})"
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+
+class _Frozen(_Record):
+    """A record whose fields are set once, in ``__init__`` by `_set`, and
+    hashed by value."""
+
+    __slots__ = ()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+@total_ordering
+class Complexity(_Frozen):
     """The pair (total crossings, illegal crossings), ordered lexicographically."""
 
-    total: int
-    illegal: int
+    __slots__ = ("total", "illegal")
 
-    def __post_init__(self):
-        if self.illegal > self.total or self.total < 0 or self.illegal < 0:
-            raise ValueError(f"impossible complexity {(self.total, self.illegal)}")
+    def __init__(self, total: int, illegal: int):
+        if illegal > total or total < 0 or illegal < 0:
+            raise ValueError(f"impossible complexity {(total, illegal)}")
+        _set(self, "total", total)
+        _set(self, "illegal", illegal)
+
+    def __lt__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() < other._fields()
 
 
-@dataclass(frozen=True)
-class TiedDiagram:
+class TiedDiagram(_Frozen):
     """An immutable tied link diagram.
 
     Fields:
         crossings: one 4-tuple of arc ids per crossing, in a stable stored
             order: the arc ends counterclockwise, the under-strand in
             slots 0 and 2.
-        arc_color: mapping from arc id to color index (1-based).
+        arc_color: mapping from arc id to color index (1-based); a fresh
+            empty dict when omitted.
         free_loops: colors of the crossingless circles, one entry per circle.
 
     Every smoothing returns a fresh diagram, so values can be fanned out
     across workers freely.
     """
 
-    crossings: tuple[tuple[int, int, int, int], ...]
-    arc_color: Mapping[int, int] = field(default_factory=dict)
-    free_loops: tuple[int, ...] = ()
+    __slots__ = ("crossings", "arc_color", "free_loops")
+
+    def __init__(
+        self,
+        crossings: tuple[tuple[int, int, int, int], ...],
+        arc_color: Mapping[int, int] | None = None,
+        free_loops: tuple[int, ...] = (),
+    ):
+        _set(self, "crossings", crossings)
+        _set(self, "arc_color", {} if arc_color is None else arc_color)
+        _set(self, "free_loops", free_loops)
 
     # -- construction ---------------------------------------------------
 

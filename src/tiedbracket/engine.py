@@ -21,9 +21,8 @@ recursive expander used to confirm hand-derived values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
 from functools import cache
-from typing import Sequence
 
 from . import _backend
 from ._kernel_py import (
@@ -48,6 +47,9 @@ from .diagram import (
     CrossingClass,
     DiagramError,
     TiedDiagram,
+    _Frozen,
+    _Record,
+    _set,
     _trace_components,
 )
 
@@ -76,8 +78,7 @@ class EmptyDiagramError(DiagramError):
     """Brackets of the empty diagram are not defined (no circle to normalize)."""
 
 
-@dataclass(frozen=True)
-class AJStateSummary:
+class AJStateSummary(_Frozen):
     """What a resolved state contributes through: circle and color counts.
 
     ``k`` is the number of components (crossing-traced circles plus free
@@ -86,16 +87,17 @@ class AJStateSummary:
     optional canonical code identifying the state diagram.
     """
 
-    k: int
-    gamma: int
-    crossings_left: int = 0
-    code: str | None = None
+    __slots__ = ("k", "gamma", "crossings_left", "code")
 
-    def __post_init__(self):
-        if not (1 <= self.gamma <= self.k):
-            raise ValueError(f"need 1 <= gamma <= k, got k={self.k}, gamma={self.gamma}")
-        if self.crossings_left < 0:
+    def __init__(self, k: int, gamma: int, crossings_left: int = 0, code: str | None = None):
+        if not (1 <= gamma <= k):
+            raise ValueError(f"need 1 <= gamma <= k, got k={k}, gamma={gamma}")
+        if crossings_left < 0:
             raise ValueError("crossings_left must be >= 0")
+        _set(self, "k", k)
+        _set(self, "gamma", gamma)
+        _set(self, "crossings_left", crossings_left)
+        _set(self, "code", code)
 
 
 def state_value(s: AJStateSummary) -> BivariateLaurent:
@@ -103,8 +105,7 @@ def state_value(s: AJStateSummary) -> BivariateLaurent:
     return C ** (s.gamma - 1) * LOOP ** (s.k - s.gamma)
 
 
-@dataclass
-class StateSum:
+class StateSum(_Record):
     """A formal sum of resolved states with their accumulated branch weights.
 
     ``entries`` holds one (summary, weight) pair per leaf, or per group
@@ -112,7 +113,10 @@ class StateSum:
     grouping never changes it.
     """
 
-    entries: list[tuple[AJStateSummary, BivariateLaurent]]
+    __slots__ = ("entries",)
+
+    def __init__(self, entries: list[tuple[AJStateSummary, BivariateLaurent]]):
+        self.entries = entries
 
     def total(self) -> BivariateLaurent:
         acc = ZERO
@@ -140,24 +144,25 @@ class StateSum:
         return StateSum(entries)
 
 
-@dataclass(frozen=True)
-class OrderedStrategy:
+class OrderedStrategy(_Frozen):
     """Scan crossings in stored order and smooth the first mixed-color
     illegal crossing, else the first same-color one.  Another order is a
     reordering of ``d.crossings``."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
-class RandomStrategy:
+
+class RandomStrategy(_Frozen):
     """Pick among the illegal crossings by a draw from the seed and the
     state alone, so identical states pick identically, on every kernel
     backend and in `resolution_tree` (see `_kernel_py`)."""
 
-    seed: int
+    __slots__ = ("seed",)
 
-    def __post_init__(self):
-        if type(self.seed) is not int or self.seed < 0:
-            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
+    def __init__(self, seed: int):
+        if type(seed) is not int or seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+        _set(self, "seed", seed)
 
 
 Strategy = OrderedStrategy | RandomStrategy

@@ -12,7 +12,7 @@ The ring houses the handful of constants the skein calculus needs:
 from __future__ import annotations
 
 import re
-from typing import Iterable, Mapping
+from collections.abc import Iterable, Mapping
 
 __all__ = [
     "BivariateLaurent",

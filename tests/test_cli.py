@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from tiedbracket.cli import main
 
@@ -214,3 +218,20 @@ def test_states_seeded_table_matches_bracket(capsys):
 def test_states_negative_seed(capsys):
     code, out, err = run(capsys, "states", "--fixture", "trefoil", "--seed", "-1")
     assert code == 1 and out == "" and err.startswith("error:") and "--seed" in err
+
+
+def test_cli_imports_only_what_it_runs():
+    # a one-shot command pays for every module it imports, in a fresh
+    # interpreter without site (which may load modules of its own)
+    probe = (
+        "import sys, tiedbracket.cli\n"
+        "loaded = [m for m in ('dataclasses', 'inspect', 'typing', 'importlib.resources')"
+        " if m in sys.modules]\n"
+        "assert not loaded, loaded\n"
+        "assert len(tiedbracket.load_catalog()) == 20\n"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run([sys.executable, "-S", "-c", probe], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr

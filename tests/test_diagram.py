@@ -84,8 +84,15 @@ def test_complexity():
     assert tied_hopf().complexity() == Complexity(2, 1)
     assert TiedDiagram((), {}, (1,)).complexity() == Complexity(0, 0)
     assert Complexity(2, 1) < Complexity(2, 2) < Complexity(3, 0)
-    with pytest.raises(ValueError):
+    assert Complexity(3, 0) > Complexity(2, 2) >= Complexity(2, 2) >= Complexity(2, 1)
+    assert Complexity(2, 1) <= Complexity(2, 1) and not Complexity(2, 2) <= Complexity(2, 1)
+    assert sorted([Complexity(3, 0), Complexity(2, 2), Complexity(2, 1)])[0] == Complexity(2, 1)
+    with pytest.raises(TypeError):
+        Complexity(2, 1) < (3, 0)
+    with pytest.raises(ValueError, match=r"^impossible complexity \(1, 2\)$"):
         Complexity(1, 2)
+    with pytest.raises(ValueError, match=r"^impossible complexity \(-1, -1\)$"):
+        Complexity(-1, -1)
 
 
 def two_color_6_4():

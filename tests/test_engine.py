@@ -40,10 +40,12 @@ def test_state_value_instances():
     assert state_value(AJStateSummary(1, 1)) == ONE
     assert state_value(AJStateSummary(2, 2)) == C
     assert state_value(AJStateSummary(3, 2)) == C * LOOP == parse_poly("-A^2*c - A^-2*c")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^need 1 <= gamma <= k, got k=1, gamma=2$"):
         AJStateSummary(1, 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^need 1 <= gamma <= k, got k=0, gamma=0$"):
         AJStateSummary(0, 0)
+    with pytest.raises(ValueError, match=r"^crossings_left must be >= 0$"):
+        AJStateSummary(1, 1, -1)
 
 
 def test_resolve_crossingless():
@@ -177,10 +179,10 @@ def test_double_bracket_strategies_agree():
     default = double_bracket(d)
     assert double_bracket(reordered(d, (1, 0))) == default
     assert double_bracket(d, RandomStrategy(7)) == default
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^seed must be a non-negative integer, got -1$"):
         RandomStrategy(-1)
     for seed in (1.5, True):
-        with pytest.raises(ValueError, match="integer"):
+        with pytest.raises(ValueError, match=rf"^seed must be a non-negative integer, got {seed!r}$"):
             RandomStrategy(seed)
 
 
