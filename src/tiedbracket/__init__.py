@@ -18,11 +18,6 @@ from .laurent import (
     render_poly,
 )
 from .diagram import (
-    BAR0,
-    BAR1,
-    ONE,
-    TWO,
-    ZERO,
     Complexity,
     CrossingClass,
     ColorMapError,
@@ -66,11 +61,6 @@ __all__ = [
     "MalformedPolynomialError",
     "parse_poly",
     "render_poly",
-    "BAR0",
-    "BAR1",
-    "ZERO",
-    "ONE",
-    "TWO",
     "Complexity",
     "CrossingClass",
     "ColorMapError",

@@ -29,11 +29,6 @@ __all__ = [
     "CrossingClass",
     "Complexity",
     "TiedDiagram",
-    "BAR0",
-    "BAR1",
-    "ZERO",
-    "ONE",
-    "TWO",
     "disjoint_union",
     "unknot",
 ]
@@ -75,19 +70,6 @@ class CrossingClass(enum.Enum):
     LEGAL = "legal"
     ILLEGAL_TYPE1 = "illegal-type-1"
     ILLEGAL_TYPE2 = "illegal-type-2"
-
-
-# Smoothing kind names.  bar0/bar1 apply to same-color (type 1) crossings,
-# zero/one/two to mixed-color (type 2) crossings.  bar0 and zero reconnect
-# {s0-s1, s2-s3} (the classical A-smoothing: calibrated so the knot-table
-# trefoil gets its published Jones polynomial); bar1 and one reconnect
-# {s0-s3, s1-s2}; two keeps the crossing and swaps the strands' over/under
-# roles.
-BAR0 = "bar0"
-BAR1 = "bar1"
-ZERO = "zero"
-ONE = "one"
-TWO = "two"
 
 
 _set = object.__setattr__  # how a frozen record's __init__ sets its fields
@@ -318,45 +300,42 @@ class TiedDiagram(_Frozen):
 
     # -- smoothings --------------------------------------------------------
 
-    def smooth_type1(self, x: int, kind: str) -> "TiedDiagram":
-        """Resolve a same-color crossing by one of the two reconnections.
+    def smooth_type1(self, x: int) -> tuple["TiedDiagram", "TiedDiagram"]:
+        """The terms ``(bar0, bar1)`` of the two-term relation at a
+        same-color crossing: <<D>> = A<<bar0>> + A^-1<<bar1>>.
 
-        ``bar0`` glues s0-s1 and s2-s3 (the classical A-smoothing, which
+        ``bar0`` glues s0-s1 and s2-s3: the classical A-smoothing, which
         merges the two regions swept by rotating the over-strand
-        counterclockwise onto the under-strand); ``bar1`` glues s0-s3 and
-        s1-s2.  Colors are untouched.  Complexity drops from (n, k) to
-        exactly (n-1, k-1).
+        counterclockwise onto the under-strand (calibrated so that the
+        knot-table trefoil gets its published Jones polynomial).  ``bar1``
+        glues s0-s3 and s1-s2.  Colors are untouched.  Complexity drops
+        from (n, k) to exactly (n-1, k-1).
         """
         if self.classify(x) is not CrossingClass.ILLEGAL_TYPE1:
             raise WrongClassError(f"crossing {x} is {self.classify(x).value}, expected type 1")
-        if kind == BAR0:
-            return self._reconnect(x, a_pairing=True)
-        if kind == BAR1:
-            return self._reconnect(x, a_pairing=False)
-        raise ValueError(f"unknown type-1 smoothing kind {kind!r}")
+        return self._reconnect(x, a_pairing=True), self._reconnect(x, a_pairing=False)
 
-    def smooth_type2(self, x: int, kind: str) -> "TiedDiagram":
-        """Resolve a mixed-color crossing whose over-strand color index is lower.
+    def smooth_type2(self, x: int) -> tuple["TiedDiagram", "TiedDiagram", "TiedDiagram"]:
+        """The terms ``(two, zero, one)`` of the three-term relation at a
+        mixed-color crossing whose over-strand color index is lower:
+        <<D>> = -<<two>> + delta<<zero>> + delta<<one>>.
 
         ``two`` keeps the crossing but swaps the strands' over/under roles
         (slot tuple rotated by one), leaving colors alone; the crossing
         becomes legal.  ``zero`` and ``one`` remove the crossing with the
         bar0/bar1 reconnections and then merge the two color blocks, every
-        arc and loop of the higher color inheriting the lower one.
+        arc and loop of the higher (under) color inheriting the lower one.
         """
         if self.classify(x) is not CrossingClass.ILLEGAL_TYPE2:
             raise WrongClassError(f"crossing {x} is {self.classify(x).value}, expected type 2")
         s0, s1, s2, s3 = self.crossings[x]
-        i = self.arc_color[s1]  # over, lower index
-        j = self.arc_color[s0]  # under, higher index
-        if kind == TWO:
-            flipped = self.crossings[:x] + ((s1, s2, s3, s0),) + self.crossings[x + 1 :]
-            return TiedDiagram(flipped, self.arc_color, self.free_loops)
-        if kind == ZERO:
-            return self._reconnect(x, a_pairing=True, recolor=(j, i))
-        if kind == ONE:
-            return self._reconnect(x, a_pairing=False, recolor=(j, i))
-        raise ValueError(f"unknown type-2 smoothing kind {kind!r}")
+        recolor = (self.arc_color[s0], self.arc_color[s1])  # under (j) -> over (i < j)
+        flipped = self.crossings[:x] + ((s1, s2, s3, s0),) + self.crossings[x + 1 :]
+        return (
+            TiedDiagram(flipped, self.arc_color, self.free_loops),
+            self._reconnect(x, a_pairing=True, recolor=recolor),
+            self._reconnect(x, a_pairing=False, recolor=recolor),
+        )
 
     def _reconnect(self, x: int, a_pairing: bool, recolor: tuple[int, int] | None = None) -> "TiedDiagram":
         """Remove crossing ``x`` and glue its four arc ends in two pairs.
@@ -438,7 +417,8 @@ def _darts(crossings: Sequence[tuple[int, int, int, int]]) -> tuple[dict[int, li
     order, and ``succ[dart]`` is the dart the strand enters next, at the
     other end of the arc it leaves by.  An arc without exactly two ends
     leads nowhere: a dart that leaves by it is its own successor, so that
-    `random_diagram` and `TiedDiagram.components` can trace any slots.
+    `TiedDiagram.components`, and with it ``str``, can trace the slots of
+    a diagram that was never validated.
     """
     ends: dict[int, list[int]] = {}
     for dart, arc in enumerate(a for rec in crossings for a in rec):

@@ -38,11 +38,6 @@ from ._kernel_py import (
 )
 from .laurent import A, A_INV, C, DELTA, LOOP, ZERO, BivariateLaurent
 from .diagram import (
-    BAR0,
-    BAR1,
-    ONE as KIND_ONE,
-    TWO as KIND_TWO,
-    ZERO as KIND_ZERO,
     Complexity,
     CrossingClass,
     DiagramError,
@@ -487,15 +482,12 @@ def naive_double_bracket(d: TiedDiagram) -> BivariateLaurent:
     for x in range(len(d.crossings)):
         cls = d.classify(x)
         if cls is CrossingClass.ILLEGAL_TYPE1:
-            return A * naive_double_bracket(d.smooth_type1(x, BAR0)) + A_INV * naive_double_bracket(
-                d.smooth_type1(x, BAR1)
-            )
+            bar0, bar1 = d.smooth_type1(x)
+            return A * naive_double_bracket(bar0) + A_INV * naive_double_bracket(bar1)
         if cls is CrossingClass.ILLEGAL_TYPE2:
-            return (
-                -naive_double_bracket(d.smooth_type2(x, KIND_TWO))
-                + DELTA * naive_double_bracket(d.smooth_type2(x, KIND_ZERO))
-                + DELTA * naive_double_bracket(d.smooth_type2(x, KIND_ONE))
-            )
+            two, zero, one = d.smooth_type2(x)
+            return (-naive_double_bracket(two) + DELTA * naive_double_bracket(zero)
+                    + DELTA * naive_double_bracket(one))
     return state_value(AJStateSummary(d.component_count(), d.n_colors))
 
 

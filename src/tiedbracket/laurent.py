@@ -148,6 +148,9 @@ class BivariateLaurent:
             self._hash = hash(frozenset(self._terms.items()))
         return self._hash
 
+    def __reduce__(self):
+        return BivariateLaurent, (self._terms,)
+
     # -- substitutions -------------------------------------------------
 
     def substitute_c_loop(self) -> "BivariateLaurent":

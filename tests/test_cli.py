@@ -224,7 +224,7 @@ def test_cli_imports_only_what_it_runs():
     # a one-shot command pays for every module it imports, in a fresh
     # interpreter without site (which may load modules of its own)
     probe = (
-        "import sys, tiedbracket.cli\n"
+        "import sys, tiedbracket.cli, tiedbracket.selftest\n"
         "loaded = [m for m in ('dataclasses', 'inspect', 'typing', 'importlib.resources')"
         " if m in sys.modules]\n"
         "assert not loaded, loaded\n"

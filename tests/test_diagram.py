@@ -5,10 +5,6 @@ import pytest
 
 from tiedbracket.catalog import fixture
 from tiedbracket.diagram import (
-    BAR0,
-    BAR1,
-    TWO as KIND_TWO,
-    ZERO as KIND_ZERO,
     ColorMapError,
     ColorMismatchError,
     Complexity,
@@ -121,40 +117,41 @@ def test_complexity_census_6_4():
 
 def test_smooth_type1_kink():
     kink = TiedDiagram.from_pd([(1, 1, 2, 2)])
-    a = kink.smooth_type1(0, BAR0)
-    b = kink.smooth_type1(0, BAR1)
+    a, b = kink.smooth_type1(0)
     counts = sorted([len(a.free_loops), len(b.free_loops)])
     assert counts == [1, 2]
     assert set(a.free_loops) <= {1} and set(b.free_loops) <= {1}
     with pytest.raises(WrongClassError):
-        tied_hopf().smooth_type1(1, BAR0)
+        tied_hopf().smooth_type1(1)
 
 
 def test_smooth_type1_complexity_drop():
-    d = tied_hopf().smooth_type2(1, KIND_ZERO)
+    d = tied_hopf().smooth_type2(1)[1]
     assert d.complexity() == Complexity(1, 1)
-    done = d.smooth_type1(0, BAR0)
+    done = d.smooth_type1(0)[0]
     assert done.complexity() < d.complexity()
     assert done.complexity().total == 0
 
 
 def test_smooth_type2_kind_two():
     d = tied_hopf()
-    flipped = d.smooth_type2(1, KIND_TWO)
+    flipped = d.smooth_type2(1)[0]
     assert all(flipped.classify(x) is CrossingClass.LEGAL for x in range(2))
     assert flipped.component_count() == 2 and flipped.n_colors == 2
     with pytest.raises(WrongClassError):
-        flipped.smooth_type2(1, KIND_TWO)
+        flipped.smooth_type2(1)
 
 
 def test_smooth_type2_merge():
     d = tied_hopf()
-    merged = d.smooth_type2(1, KIND_ZERO)
+    merged = d.smooth_type2(1)[1]
     assert merged.n_colors == 1
     assert len(merged.components()) == 1
     assert merged.classify(0) is CrossingClass.ILLEGAL_TYPE1
     with pytest.raises(WrongClassError):
-        d.smooth_type2(0, KIND_ZERO)  # crossing 0 is legal
+        d.smooth_type2(0)  # crossing 0 is legal
+    with pytest.raises(WrongClassError):
+        merged.smooth_type2(0)  # a type-1 crossing
 
 
 def test_is_aj_state():
@@ -384,3 +381,15 @@ def test_random_diagram_valid():
     for seed in range(20):
         d = random_diagram(seed, seed % 6 + 1, seed % 3 + 1, seed % 2)
         d.validate()
+
+
+def test_module_exports_do_not_clash():
+    # the package re-exports these modules' names side by side, so a name
+    # listed by two of them must be one object
+    from tiedbracket import catalog, diagram, engine, laurent
+
+    seen = {}
+    for module in (laurent, diagram, engine, catalog):
+        for name in module.__all__:
+            obj = getattr(module, name)
+            assert seen.setdefault(name, obj) is obj, (name, module.__name__)

@@ -9,11 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tiedbracket.diagram import (
-    BAR0,
-    BAR1,
-    ONE as KIND_ONE,
-    TWO as KIND_TWO,
-    ZERO as KIND_ZERO,
     CrossingClass,
     TiedDiagram,
     random_diagram,
@@ -69,15 +64,15 @@ def test_smoothing_preserves_validity_and_decreases_complexity(seed, n, colors):
             break
         x, cls = rng.choice(illegal)
         if cls is CrossingClass.ILLEGAL_TYPE1:
-            d2 = d.smooth_type1(x, rng.choice([BAR0, BAR1]))
+            d2 = rng.choice(d.smooth_type1(x))
             assert (d2.complexity().total, d2.complexity().illegal) == (
                 before.total - 1,
                 before.illegal - 1,
             )
         else:
-            kind = rng.choice([KIND_ZERO, KIND_ONE, KIND_TWO])
-            d2 = d.smooth_type2(x, kind)
-            if kind == KIND_TWO:
+            two, zero, one = d.smooth_type2(x)
+            d2 = rng.choice([zero, one, two])
+            if d2 is two:
                 assert (d2.complexity().total, d2.complexity().illegal) == (
                     before.total,
                     before.illegal - 1,

@@ -1,9 +1,12 @@
 """The README's library example runs as written, and its comment gives
-the value that `double_bracket` returns there."""
+the value that `double_bracket` returns there; each of its command lines
+runs and exits 0."""
 
 import re
+import shlex
 from pathlib import Path
 
+from tiedbracket.cli import main
 from tiedbracket.laurent import parse_poly
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -18,3 +21,18 @@ def test_readme_example_runs():
     scope = {}
     exec(compile(block, str(README), "exec"), scope)
     assert scope["double_bracket"](scope["d"]) == parse_poly(value.group(1))
+
+
+def test_readme_commands_run(capsys):
+    section = README.read_text().split("\n## Command line\n", 1)[1]
+    block = re.search(r"^```sh\n(.*?)^```", section, re.M | re.S).group(1)
+    commands = []
+    for token in shlex.split(block, comments=True):
+        if token == "tiedbracket":
+            commands.append([])
+        else:
+            commands[-1].append(token)
+    assert len(commands) == 9
+    for argv in commands:
+        assert main(argv) == 0, argv
+        capsys.readouterr()

@@ -129,8 +129,7 @@ ROUND_TRIPPED = {
 @pytest.mark.parametrize("how, trip", ROUND_TRIPS, ids=[h for h, _ in ROUND_TRIPS])
 @pytest.mark.parametrize("record", ROUND_TRIPPED.values(), ids=ROUND_TRIPPED)
 def test_records_round_trip(how, trip, record):
-    # from protocol 2 on, as BivariateLaurent values, being slotted, need it
-    for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
         back = trip(record, protocol)
         assert type(back) is type(record) and back == record
         assert repr(back) == repr(record)

@@ -11,7 +11,7 @@ another stored order.
 """
 
 from tiedbracket._kernel_py import _pick
-from tiedbracket.diagram import BAR0, BAR1, ONE, TWO, ZERO, TiedDiagram
+from tiedbracket.diagram import TiedDiagram
 from tiedbracket.engine import OrderedStrategy, StateSum, _branch_weight, _prepare, _summary
 
 
@@ -34,20 +34,21 @@ def _key(cur):
     )
 
 
+# The branches of each relation, in the order the smoothings return their
+# terms: (label, sign, apow, dpow) with the weight sign * A^apow * delta^dpow.
+_TYPE2 = (("-1", -1, 0, 0), ("δ", 1, 0, 1), ("δ", 1, 0, 1))  # two, zero, one
+_TYPE1 = (("A", 1, 1, 0), ("A⁻¹", 1, -1, 0))  # bar0, bar1
+
+
 def _smoothings(cur, x, x_type2):
     """The children of smoothing crossing ``x`` of ``cur``, in the kernels'
     order (two, zero, one; or A, A⁻¹), as ``(label, diagram, sign, apow,
-    dpow)`` with the branch weight sign * A^apow * delta^dpow."""
+    dpow)``."""
     if x_type2:
-        return (
-            ("-1", cur.smooth_type2(x, TWO), -1, 0, 0),
-            ("δ", cur.smooth_type2(x, ZERO), 1, 0, 1),
-            ("δ", cur.smooth_type2(x, ONE), 1, 0, 1),
-        )
-    return (
-        ("A", cur.smooth_type1(x, BAR0), 1, 1, 0),
-        ("A⁻¹", cur.smooth_type1(x, BAR1), 1, -1, 0),
-    )
+        terms, branches = cur.smooth_type2(x), _TYPE2
+    else:
+        terms, branches = cur.smooth_type1(x), _TYPE1
+    return [(label, child, *weight) for child, (label, *weight) in zip(terms, branches)]
 
 
 def reordered(d, perm):
