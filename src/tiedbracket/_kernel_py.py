@@ -72,8 +72,14 @@ the tree in preorder, expanding each key once too, but visiting it
 again on every path.  `resolve_leaves` is `resolve_sum`'s tree without the memo: it
 lists every leaf in depth-first order.  The engine's AJ-state table, its
 `resolution_tree` (behind ``tiedbracket tree``) and its ungrouped
-`resolve` run the same two drivers over the engine's states, which add
-the colors of the state's loops to each key.  Neither the engine nor the
+`resolve` run the same two drivers over the same keys (`engine._states`).
+Their paths also carry the colors of their loops, one count per color in
+the path's tag: the free loops of arc colors start in the root's tag, and
+a smoothing adds the circles it closed to the over strand's color.  A
+delta branch also repaints the under strand's color as the over strand's
+in the tag, which is no shift: ``expand`` asks the drivers for it with a
+``(repaint, dtag)`` pair, and `_memo_walk` copies the histogram on that
+edge.  `resolve_sum` never repaints.  Neither the engine nor the
 compiled kernel needs a leaf list: the benchmark replays `resolve_leaves`
 to count leaves, until a counter of `resolve_sum` does that.
 """
@@ -98,6 +104,7 @@ _BAD_ARGUMENTS = (
 # The bit fields of `_memo_walk`'s histogram groups: dpow, apow, tag.
 _APOW = 9
 _TAG = 18
+_LOW = (1 << _TAG) - 1
 
 
 def _smoothings(a_weight, weight):
@@ -272,7 +279,7 @@ def _rank(key):
     return len(under) * 128 + sum(map(le, over, under))
 
 
-def _memo_walk(root, expand):
+def _memo_walk(root, expand, tag=0):
     """Walk a resolution tree as a DAG from the key ``root``; return the
     histogram ``{(tag, apow, dpow): count}`` of its leaves, without zero
     counts.
@@ -280,14 +287,18 @@ def _memo_walk(root, expand):
     A state is its key, and equal keys must stand for isomorphic subtrees.
     ``expand(key)`` returns a leaf's tag, an int, or the state's children
     as ``(key, sign, apow, dpow, dtag, drop)``: the branch weight sign *
-    A^apow * delta^dpow, a shift of the tags below and the amount, above
-    0, by which the state's rank exceeds the child's.  A leaf reached by a
-    path counts once at its tag plus the path's dtags, with the product of
-    the path's weights.  The rank is an int that falls along every edge,
-    as `_rank` does for the kernels' keys, where a smoothing removes a
-    crossing or, flipping one, makes it legal; the walk places the root at
-    0 and each child at its parent's rank less the drop, so every path to
-    a state must give it the same rank.
+    A^apow * delta^dpow, a change of the tags below and the amount, above
+    0, by which the state's rank exceeds the child's.  A ``dtag`` is an
+    int that shifts the tags, or a pair ``(repaint, dtag)`` that first
+    maps each tag by the function ``repaint`` and then shifts it: the
+    engine's AJ-state table repaints the colors of its loops on a delta
+    branch (`engine._states`).  A path's tag starts at ``tag``, the root's.
+    A leaf reached by a path counts once at its tag plus the path's tag,
+    with the product of the path's weights.  The rank is an int that
+    falls along every edge, as `_rank` does for the kernels' keys, where
+    a smoothing removes a crossing or, flipping one, makes it legal; the
+    walk places the root at 0 and each child at its parent's rank less
+    the drop, so every path to a state must give it the same rank.
 
     One pass, in falling rank, which is a topological order with the root
     first.  ``paths`` maps each state met but not yet expanded to the
@@ -308,7 +319,9 @@ def _memo_walk(root, expand):
     to a state already taken, so any number of states may share it, and
     down a chain of single parents the shifts add and the signs multiply.
     Only a second push into a state builds it a dict of its own, to which
-    further pushes add.
+    further pushes add.  A repainting edge is the one edge that is not a
+    shift: it copies the histogram, repainted, and its child shares the
+    copy as it would share its parent's.
 
     A histogram's groups are ints, dtags << _TAG | (apow + 256) << _APOW |
     dpow, so an edge shifts them by one addition and the output is
@@ -318,7 +331,7 @@ def _memo_walk(root, expand):
     so their walks, of at most MAX_CROSSINGS = 127 crossings, keep
     |apow| + dpow <= 127.
     """
-    paths = {root: ({256 << _APOW: 1}, 0, 1)}
+    paths = {root: ({tag << _TAG | 256 << _APOW: 1}, 0, 1)}
     ranks = {0: [root]}
     out = {}
     while ranks:
@@ -337,17 +350,28 @@ def _memo_walk(root, expand):
                     out[group] = out.get(group, 0) + sign * count
                 continue
             for child, c_sign, apow, dpow, dtag, drop in kids:
-                c_shift = shift + (dtag << _TAG) + (apow << _APOW) + dpow
+                c_hist = hist
+                if type(dtag) is int:
+                    c_shift = shift + (dtag << _TAG) + (apow << _APOW) + dpow
+                else:
+                    repaint, dtag = dtag
+                    c_hist = {}
+                    for group, count in hist.items():
+                        if count:
+                            group += shift
+                            group = repaint(group >> _TAG) << _TAG | group & _LOW
+                            c_hist[group] = c_hist.get(group, 0) + count
+                    c_shift = (dtag << _TAG) + (apow << _APOW) + dpow
                 c_sign *= sign
                 acc = paths.get(child)
                 if acc is None:
-                    paths[child] = (hist, c_shift, c_sign)
+                    paths[child] = (c_hist, c_shift, c_sign)
                     ranks.setdefault(rank - drop, []).append(child)
                     continue
                 if type(acc) is tuple:
                     first, f_shift, f_sign = acc
                     acc = paths[child] = {g + f_shift: f_sign * n for g, n in first.items() if n}
-                for group, count in hist.items():
+                for group, count in c_hist.items():
                     if count:
                         group += c_shift
                         acc[group] = acc.get(group, 0) + c_sign * count
@@ -356,22 +380,23 @@ def _memo_walk(root, expand):
     }
 
 
-def _tree_walk(root, expand):
+def _tree_walk(root, expand, tag=0):
     """Walk the tree that `_memo_walk` walks as a DAG, from the key
     ``root``, node by node; yield every node in preorder as ``(parent,
     edge, weight, dtags, key, kids)``.
 
-    ``expand`` is `_memo_walk`'s.  ``parent`` is the index of the parent's
-    yield (None at the root), ``edge`` the weight (sign, apow, dpow) of the
-    branch from the parent (None at the root), ``weight`` and ``dtags``
-    the product of the weights and the sum of the dtags on the path from
-    the root, and ``kids`` what ``expand(key)`` returned: a leaf's tag or
-    the children.  Each distinct key is expanded once, when the walk first
+    ``expand`` and ``tag`` are `_memo_walk`'s.  ``parent`` is the index of
+    the parent's yield (None at the root), ``edge`` the weight (sign,
+    apow, dpow) of the branch from the parent (None at the root),
+    ``weight`` the product of the weights on the path from the root and
+    ``dtags`` the path's tag: ``tag`` changed by each dtag on the path,
+    and ``kids`` what ``expand(key)`` returned: a leaf's tag or the
+    children.  Each distinct key is expanded once, when the walk first
     reaches it, and its children are kept until the walk ends.
     """
     expanded = {}
     # Stack entries: (parent, edge, weight, dtags, key).
-    stack = [(None, None, (1, 0, 0), 0, root)]
+    stack = [(None, None, (1, 0, 0), tag, root)]
     node = 0
     while stack:
         parent, edge, weight, dtags, key = stack.pop()
@@ -384,7 +409,8 @@ def _tree_walk(root, expand):
             # Pushed in reverse so that children pop in the kernels' order.
             for child, c_sign, c_apow, c_dpow, dtag, _ in reversed(kids):
                 c_weight = (sign * c_sign, apow + c_apow, dpow + c_dpow)
-                stack.append((node, (c_sign, c_apow, c_dpow), c_weight, dtags + dtag, child))
+                c_tags = dtags + dtag if type(dtag) is int else dtag[0](dtags) + dtag[1]
+                stack.append((node, (c_sign, c_apow, c_dpow), c_weight, c_tags, child))
         node += 1
 
 

@@ -97,7 +97,13 @@ class AJStateSummary(_Frozen):
 
 def state_value(s: AJStateSummary) -> BivariateLaurent:
     """The bracket value of a resolved state: c^(gamma-1) * (-A^2-A^-2)^(k-gamma)."""
-    return C ** (s.gamma - 1) * LOOP ** (s.k - s.gamma)
+    return _state_value(s.k, s.gamma)
+
+
+@cache
+def _state_value(k: int, gamma: int) -> BivariateLaurent:
+    # Polynomials are immutable, so every caller may share one value.
+    return C ** (gamma - 1) * LOOP ** (k - gamma)
 
 
 class StateSum(_Record):
@@ -114,10 +120,11 @@ class StateSum(_Record):
         self.entries = entries
 
     def total(self) -> BivariateLaurent:
-        acc = ZERO
+        acc: dict[tuple[int, int], int] = {}
         for summary, weight in self.entries:
-            acc = acc + weight * state_value(summary)
-        return acc
+            for kk, coeff in (weight * state_value(summary)).terms().items():
+                acc[kk] = acc.get(kk, 0) + coeff
+        return BivariateLaurent(acc)
 
     def grouped(self) -> "StateSum":
         """Merge entries describing the same state.
@@ -226,70 +233,71 @@ def _prepare(d: TiedDiagram, strategy: Strategy):
     return key, seed
 
 
-def _smooth(key, loops, x, x_type2):
-    """`_kernel_py._children` with the colors of each child's loops: a list
-    of ``((key, loops), sign, apow, dpow, 0, drop)``, as `_states`'s
-    ``expand`` returns them; the loops do not change the rank.
-
-    ``loops`` holds colors sorted, as a multiset.  A delta branch repaints
-    them as it repaints the arcs, the under strand's color j as the over
-    strand's i, and the circles the smoothing closed, all of color i,
-    join them.
-    """
-    under, over = _strands(key)
-    j, i = under[x : x + 1], over[x : x + 1]
-    out = []
-    for child, sign, apow, dpow, closed, drop in _children(key, x, x_type2):
-        c_loops = loops
-        if dpow:
-            c_loops = c_loops.replace(j, i)
-        if dpow or closed:
-            c_loops = bytes(sorted(c_loops + i * closed))
-        out.append(((child, c_loops), sign, apow, dpow, 0, drop))
-    return out
+@cache
+def _repaint(width: int, i: int, j: int):
+    """The tags of `_states` with the loops of color j repainted as i:
+    the count in j's field of ``width`` bits moves to i's."""
+    low, mask = width * j, (1 << width) - 1
+    step = (1 << width * i) - (1 << low)
+    return lambda tag: tag + (tag >> low & mask) * step
 
 
 def _states(d: TiedDiagram, strategy: Strategy, walk: str):
     """The states of the diagram walks, the AJ-state table's and the tree's:
-    the kernels' keys with the sorted colors of the state's loops added,
-    ``(key, loops)``, smoothed by `_smooth`.
+    the kernels' keys, with the colors of each path's loops in its tag.
 
     The strategy is read first (`_seed`), then ``d`` is validated and
     encoded once (`_encode`), so it may have at most MAX_CROSSINGS
-    crossings, and the walks start at its key.
-    Returns the root state, ``expand`` as `_kernel_py._memo_walk` and
-    `_kernel_py._tree_walk` take it, which tags the distinct leaves it
-    meets 0, 1, 2, ..., and ``diagram``, which decodes a leaf's tag into a
-    `TiedDiagram` whose arcs are numbered by first appearance in the
-    slots.  A loop of a color that no arc carries stays out of the states,
-    and ``diagram`` adds it back: a repaint merges the colors of two arcs,
-    so it never reaches that loop.
+    crossings, and the walks start at its key.  Returns the root's key
+    and tag and ``expand``, as `_kernel_py._memo_walk` and
+    `_kernel_py._tree_walk` take them, and ``diagram``, which decodes a
+    leaf's tag into a `TiedDiagram` whose arcs are numbered by first
+    appearance in the slots.
+
+    A tag holds one count of loops for each color of the key, in fields
+    of ``width`` bits, wide enough for every loop that a path can hold:
+    the free loops of arc colors, in the root's tag, and at most two
+    circles closed by each smoothing.  ``expand`` picks and smooths as
+    `_kernel_py._expander` does; each child adds the circles it closed,
+    all of the over strand's color i, to i's count, and a delta branch
+    also repaints the under strand's color j as i, in the tags as in the
+    key (`_repaint`).  A leaf's tag numbers its key among the distinct leaf
+    keys met, above the loop fields.  A loop of a color that no arc
+    carries stays out of the tags, and ``diagram`` adds it back: a repaint
+    merges the colors of two arcs, so it never reaches that loop.
     """
     seed = _seed(strategy)
     key, number = _encode(d, walk)
     palette = list(number)
     inert = tuple(c for c in d.free_loops if c not in number)
-    leaves: list[tuple[bytes, bytes]] = []
+    loops = [number[c] for c in d.free_loops if c in number]
+    width = (len(loops) + 2 * len(d.crossings)).bit_length()
+    fields, mask = width * len(palette), (1 << width) - 1
+    leaves: list[bytes] = []
 
-    def expand(state):
-        key, loops = state
+    def expand(key):
         x, x_type2 = _pick(key, seed)
         if x < 0:
-            leaves.append(state)
-            return len(leaves) - 1
-        return _smooth(key, loops, x, x_type2)
+            leaves.append(key)
+            return len(leaves) - 1 << fields
+        under, over = _strands(key)
+        i = over[x]
+        circle = 1 << width * i
+        repaint = _repaint(width, i, under[x]) if x_type2 else None
+        return [
+            (child, sign, apow, dpow, (repaint, closed * circle) if dpow else closed * circle, drop)
+            for child, sign, apow, dpow, closed, drop in _children(key, x, x_type2)
+        ]
 
-    def diagram(leaf):
-        key, loops = leaves[leaf]
-        slots, colors = _arcs(key)
+    def diagram(tag):
+        slots, colors = _arcs(leaves[tag >> fields])
         return TiedDiagram(
             tuple(zip(*[iter(slots)] * 4)),
             {a: palette[c] for a, c in enumerate(colors)},
-            tuple(palette[c] for c in loops) + inert,
+            tuple(p for c, p in enumerate(palette) for _ in range(tag >> width * c & mask)) + inert,
         )
 
-    loops = bytes(sorted(number[c] for c in d.free_loops if c in number))
-    return (key, loops), expand, diagram
+    return key, sum(1 << width * c for c in loops), expand, diagram
 
 
 @cache
@@ -335,24 +343,27 @@ def resolve(
 ) -> StateSum:
     """Collect the AJ-states of the resolution tree of ``d`` with their weights.
 
-    Both walks run over the states of `_states`.  ``group=True`` is the
+    Both walks run over the states of `_states`: the kernel's keys, with
+    the colors of the loops in the path tags.  ``group=True`` is the
     AJ-state table (`_state_table`, behind ``tiedbracket states``): it
-    expands each distinct state once, summarizes each distinct leaf once
-    and merges the entries of identical states.  ``group=False`` walks
-    every node of the tree (`_kernel_py._tree_walk`, as `resolution_tree`
-    does), summarizes each distinct leaf once and returns every leaf,
-    depth-first as `_kernel_py.resolve_leaves` does.  With ``codes=True``
-    each leaf diagram also gets its canonical code, and grouping merges by
-    code instead of by the (k, gamma, crossings_left) summary.
+    expands each of the kernel's states once, summarizes each distinct
+    leaf once and merges the entries of identical states.  ``group=False``
+    walks every node of the tree (`_kernel_py._tree_walk`, as
+    `resolution_tree` does), summarizes each distinct leaf once and
+    returns every leaf, depth-first as `_kernel_py.resolve_leaves` does.
+    A distinct leaf is a leaf key with the colors of its loops.  With
+    ``codes=True`` each leaf diagram also gets its canonical code, and
+    grouping merges by code instead of by the (k, gamma, crossings_left)
+    summary.
     """
     if group:
         return _state_table(d, strategy, codes)
-    root, expand, diagram = _states(d, strategy, "the resolution tree")
+    root, tag, expand, diagram = _states(d, strategy, "the resolution tree")
     summary = cache(lambda leaf: _summary(diagram(leaf), codes))
     return StateSum(
         [
-            (summary(leaf), _branch_weight(*weight))
-            for _, _, weight, _, _, leaf in _tree_walk(root, expand)
+            (summary(dtags + leaf), _branch_weight(*weight))
+            for _, _, weight, dtags, _, leaf in _tree_walk(root, expand, tag)
             if type(leaf) is int
         ]
     )
@@ -369,25 +380,29 @@ def _summary(leaf: TiedDiagram, codes: bool) -> AJStateSummary:
 
 
 def _state_table(d: TiedDiagram, strategy: Strategy, codes: bool) -> StateSum:
-    """The grouped AJ-state table of ``d``, expanding each distinct state once.
+    """The grouped AJ-state table of ``d``, expanding each of the
+    kernel's states once.
 
-    `_memo_walk` over the states of `_states`, ranked by their keys
-    (`_kernel_py._rank`, whose drops `_smooth` passes on; the loops do
-    not change it).  States with one key have isomorphic subtrees: the
-    picks read only the slots' partners and their colors, and a leaf's
-    code, k and gamma read its loop colors only as a multiset.  Each state is expanded once, in falling rank,
-    once all its parents have pushed it the weights of their paths from
-    the root, and pushes them on, giving the histogram of (leaf, apow,
-    dpow), where leaf is the tag of a distinct leaf; each distinct leaf
-    is rebuilt as one diagram and summarized once.
+    `_memo_walk` over the states of `_states`, which are the keys of
+    `_kernel_py.resolve_sum` under the same strategy: the picks read only
+    the slots' partners and their colors, and the loops ride in the path
+    tags, so they split no state.  Each state is expanded once, in
+    falling rank, once all its parents have pushed it the weights of
+    their paths from the root, and pushes them on, giving the histogram
+    of (leaf, apow, dpow), where leaf tags a leaf key with the colors of
+    its loops.  Each count folds into one term dict per distinct leaf,
+    through the cached terms of delta^dpow, as `double_bracket` folds;
+    each distinct leaf is rebuilt as one diagram and summarized once.
     """
-    root, expand, diagram = _states(d, strategy, "the AJ-state table")
-    weights: dict[int, BivariateLaurent] = {}
-    for (leaf, apow, dpow), count in _memo_walk(root, expand).items():
-        w = _branch_weight(1, apow, dpow) * count
-        weights[leaf] = weights[leaf] + w if leaf in weights else w
+    root, tag, expand, diagram = _states(d, strategy, "the AJ-state table")
+    weights: dict[int, dict[tuple[int, int], int]] = {}
+    for (leaf, apow, dpow), count in _memo_walk(root, expand, tag).items():
+        acc = weights.setdefault(leaf, {})
+        for (a, c), coeff in _group_value(dpow, 0):
+            kk = (a + apow, c)
+            acc[kk] = acc.get(kk, 0) + coeff * count
     return StateSum(
-        [(_summary(diagram(leaf), codes), w) for leaf, w in weights.items()]
+        [(_summary(diagram(leaf), codes), BivariateLaurent(w)) for leaf, w in weights.items()]
     ).grouped()
 
 
@@ -407,9 +422,9 @@ def resolution_tree(d: TiedDiagram, strategy: Strategy = _DEFAULT):
     `_kernel_py.resolve_leaves`.  The walk runs over the states of
     `_states`, so it takes at most MAX_CROSSINGS crossings.
     """
-    root, expand, diagram = _states(d, strategy, "the resolution tree")
-    for node, (parent, edge, weight, _, (key, _), leaf) in enumerate(_tree_walk(root, expand)):
-        leaf = diagram(leaf) if type(leaf) is int else None
+    root, tag, expand, diagram = _states(d, strategy, "the resolution tree")
+    for node, (parent, edge, weight, dtags, key, leaf) in enumerate(_tree_walk(root, expand, tag)):
+        leaf = diagram(dtags + leaf) if type(leaf) is int else None
         yield node, parent, _LABELS.get(edge, ""), Complexity(*divmod(_rank(key), 128)), weight, leaf
 
 

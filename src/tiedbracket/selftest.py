@@ -22,10 +22,12 @@ from .diagram import (
     unknot,
 )
 from .engine import (
+    RandomStrategy,
     double_bracket,
     independence_check,
     kauffman_bracket,
     naive_double_bracket,
+    resolve,
     tied_jones,
 )
 from .laurent import A, A_INV, C, DELTA, LOOP, ONE, parse_poly
@@ -166,6 +168,31 @@ def check_tree_independence(trials: int = 100, seed: int = 0) -> CriterionResult
     )
 
 
+# The seeds of `check_state_independence`, one past 2^64.
+_TABLE_SEEDS = (1, 7, 2**64 + 11)
+
+
+def check_state_independence() -> CriterionResult:
+    """Each AJ-state contributes the same under every resolution order:
+    the table grouped by canonical code is identical under the default
+    order and under `RandomStrategy` of each of _TABLE_SEEDS."""
+    count = 0
+    for e in _fixture_map().values():
+        if not e.pd and not e.loops:
+            continue
+        d = e.diagram()
+        if len(d.crossings) > 16:
+            continue
+        table = resolve(d, codes=True, group=True).entries
+        for seed in _TABLE_SEEDS:
+            if resolve(d, RandomStrategy(seed), codes=True, group=True).entries != table:
+                detail = f"{e.name}: RandomStrategy({seed}) changed the AJ-state table"
+                return CriterionResult("state-independence", False, detail)
+        count += 1
+    detail = f"{count} fixtures give one AJ-state table under {len(_TABLE_SEEDS)} random strategies"
+    return CriterionResult("state-independence", True, detail)
+
+
 def _random_with_class(seed: int, cls: CrossingClass, n: int, colors: int) -> tuple[TiedDiagram, int]:
     for attempt in range(200):
         d = random_diagram(seed * 211 + attempt, n, colors)
@@ -276,6 +303,7 @@ CRITERIA: list[tuple[str, Callable[..., CriterionResult]]] = [
     ("axioms", check_axioms),
     ("hand-derived-hopf", check_hand_derived_hopf),
     ("monotonicity", check_monotonicity),
+    ("state-independence", check_state_independence),
 ]
 
 

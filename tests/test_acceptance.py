@@ -126,6 +126,10 @@ def test_criterion_8_complexity_monotonicity():
     _report(selftest.check_monotonicity(1000))
 
 
+def test_criterion_9_state_independence():
+    _report(selftest.check_state_independence())
+
+
 def test_golden_pair_jones_transfers():
     # equal writhes, so the tied Jones polynomials coincide as well
     fx = _fixtures()
