@@ -70,9 +70,10 @@ that hold any walk within MAX_CROSSINGS, where |apow| and dpow stay at
 most MAX_CROSSINGS.  It returns the leaves' histogram as a dict.  The tree loop `_tree_walk` yields every node of
 the tree in preorder, expanding each key once too, but visiting it
 again on every path.  `resolve_leaves` is `resolve_sum`'s tree without the memo: it
-lists every leaf in depth-first order.  The engine's AJ-state table, its
-`resolution_tree` (behind ``tiedbracket tree``) and its ungrouped
-`resolve` run the same two drivers over the same keys (`engine._states`).
+lists every leaf in depth-first order.  The engine's AJ-state table
+(`resolve`, on `_memo_walk`) and its `resolution_tree` (behind
+``tiedbracket tree``, on `_tree_walk`) run the same two drivers over the
+same keys (`engine._states`).
 Their paths also carry the colors of their loops, one count per color in
 the path's tag: the free loops of arc colors start in the root's tag, and
 a smoothing adds the circles it closed to the over strand's color.  A

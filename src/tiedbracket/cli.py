@@ -112,7 +112,7 @@ def cmd_states(args) -> int:
         strategy = RandomStrategy(args.seed) if args.seed is not None else OrderedStrategy()
     except ValueError as exc:
         raise InputError(f"--seed: {exc}") from None
-    sum_ = resolve(d, strategy, codes=True, group=True)
+    sum_ = resolve(d, strategy, codes=True)
     rows = []
     for summary, weight in sum_.entries:
         rows.append(
@@ -180,8 +180,13 @@ def cmd_tree(args) -> int:
 
 
 def cmd_distinguish(args) -> int:
-    da = _load_diagram(args.input_a, args.fixture_a)
-    db = _load_diagram(args.input_b, args.fixture_b)
+    # the diagram arguments fill, in order, the sides that name no fixture
+    names = (args.fixture_a, args.fixture_b)
+    texts = [t for t in (args.input_a, args.input_b) if t is not None]
+    if len(texts) != names.count(None):
+        raise InputError("give exactly one diagram per side: an input argument or --fixture-a/-b NAME")
+    texts = iter(texts)
+    da, db = [_load_diagram(next(texts) if name is None else None, name) for name in names]
     pa, pb = double_bracket(da), double_bracket(db)
     diff = pa - pb
     distinguished = not diff.is_zero()

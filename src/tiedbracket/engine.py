@@ -301,11 +301,6 @@ def _states(d: TiedDiagram, strategy: Strategy, walk: str):
 
 
 @cache
-def _branch_weight(sign: int, apow: int, dpow: int) -> BivariateLaurent:
-    return BivariateLaurent.monomial(apow, 0, sign) * DELTA**dpow
-
-
-@cache
 def _group_value(dpow: int, loops: int) -> tuple[tuple[tuple[int, int], int], ...]:
     """The terms of delta^dpow * LOOP^loops, as ``((a_exp, c_exp), coeff)`` items."""
     return tuple((DELTA**dpow * LOOP**loops).terms().items())
@@ -339,49 +334,9 @@ def resolve(
     d: TiedDiagram,
     strategy: Strategy = _DEFAULT,
     codes: bool = False,
-    group: bool = False,
+    group: bool = True,
 ) -> StateSum:
-    """Collect the AJ-states of the resolution tree of ``d`` with their weights.
-
-    Both walks run over the states of `_states`: the kernel's keys, with
-    the colors of the loops in the path tags.  ``group=True`` is the
-    AJ-state table (`_state_table`, behind ``tiedbracket states``): it
-    expands each of the kernel's states once, summarizes each distinct
-    leaf once and merges the entries of identical states.  ``group=False``
-    walks every node of the tree (`_kernel_py._tree_walk`, as
-    `resolution_tree` does), summarizes each distinct leaf once and
-    returns every leaf, depth-first as `_kernel_py.resolve_leaves` does.
-    A distinct leaf is a leaf key with the colors of its loops.  With
-    ``codes=True`` each leaf diagram also gets its canonical code, and
-    grouping merges by code instead of by the (k, gamma, crossings_left)
-    summary.
-    """
-    if group:
-        return _state_table(d, strategy, codes)
-    root, tag, expand, diagram = _states(d, strategy, "the resolution tree")
-    summary = cache(lambda leaf: _summary(diagram(leaf), codes))
-    return StateSum(
-        [
-            (summary(dtags + leaf), _branch_weight(*weight))
-            for _, _, weight, dtags, _, leaf in _tree_walk(root, expand, tag)
-            if type(leaf) is int
-        ]
-    )
-
-
-def _summary(leaf: TiedDiagram, codes: bool) -> AJStateSummary:
-    """The summary of an AJ-state, with its canonical code if ``codes``."""
-    return AJStateSummary(
-        leaf.component_count(),
-        leaf.n_colors,
-        len(leaf.crossings),
-        leaf.canonical_code() if codes else None,
-    )
-
-
-def _state_table(d: TiedDiagram, strategy: Strategy, codes: bool) -> StateSum:
-    """The grouped AJ-state table of ``d``, expanding each of the
-    kernel's states once.
+    """The AJ-state table of ``d``: what each AJ-state contributes to <<D>>.
 
     `_memo_walk` over the states of `_states`, which are the keys of
     `_kernel_py.resolve_sum` under the same strategy: the picks read only
@@ -392,8 +347,17 @@ def _state_table(d: TiedDiagram, strategy: Strategy, codes: bool) -> StateSum:
     of (leaf, apow, dpow), where leaf tags a leaf key with the colors of
     its loops.  Each count folds into one term dict per distinct leaf,
     through the cached terms of delta^dpow, as `double_bracket` folds;
-    each distinct leaf is rebuilt as one diagram and summarized once.
+    each distinct leaf is rebuilt as one diagram and summarized once.  The
+    entries of one state merge (`StateSum.grouped`): by canonical code
+    with ``codes=True``, else by the (k, gamma, crossings_left) summary.
+    ``group`` takes only True: `resolution_tree` yields every leaf of the
+    tree with its weight.
     """
+    if group is not True:
+        raise ValueError(
+            f"resolve gives only the grouped AJ-state table, not group={group!r}; "
+            "resolution_tree yields every leaf"
+        )
     root, tag, expand, diagram = _states(d, strategy, "the AJ-state table")
     weights: dict[int, dict[tuple[int, int], int]] = {}
     for (leaf, apow, dpow), count in _memo_walk(root, expand, tag).items():
@@ -404,6 +368,16 @@ def _state_table(d: TiedDiagram, strategy: Strategy, codes: bool) -> StateSum:
     return StateSum(
         [(_summary(diagram(leaf), codes), BivariateLaurent(w)) for leaf, w in weights.items()]
     ).grouped()
+
+
+def _summary(leaf: TiedDiagram, codes: bool) -> AJStateSummary:
+    """The summary of an AJ-state, with its canonical code if ``codes``."""
+    return AJStateSummary(
+        leaf.component_count(),
+        leaf.n_colors,
+        len(leaf.crossings),
+        leaf.canonical_code() if codes else None,
+    )
 
 
 # The label of each branch weight of a smoothing.

@@ -164,6 +164,23 @@ def test_distinguish_needs_exactly_one_diagram_each(capsys):
     assert "give exactly one diagram" in err
 
 
+def test_distinguish_fixture_a_and_inline_b(capsys):
+    # the diagram argument fills side B when side A names a fixture
+    code, out, err = run(capsys, "distinguish", "--fixture-a", "hopf", TIED_HOPF)
+    assert code == 0 and err == ""
+    assert out.splitlines()[:2] == ["difference: A^2 + c + A^-2", "verdict: DISTINGUISHED"]
+    code, out, _ = run(capsys, "distinguish", "--fixture-a", "tiedHopf12", TIED_HOPF)
+    assert code == 0 and "NOT DISTINGUISHED" in out
+    # two diagram arguments and a fixture are one diagram too many
+    code, out, err = run(capsys, "distinguish", TIED_HOPF, TIED_HOPF, "--fixture-b", "hopf")
+    assert code == 1 and out == ""
+    assert "give exactly one diagram per side" in err
+    # and a side with neither is one too few
+    code, out, err = run(capsys, "distinguish", "--fixture-a", "hopf")
+    assert code == 1 and out == ""
+    assert "give exactly one diagram per side" in err
+
+
 def test_distinguish_oriented_writhes(capsys):
     code, out, _ = run(
         capsys, "distinguish", "--oriented", "3", "3",

@@ -4,7 +4,7 @@ import tracemalloc
 from itertools import product, zip_longest
 
 import pytest
-from tree_reference import reference_sum, reference_tree, reordered
+from tree_reference import leaf_sum, reference_sum, reference_tree, reordered
 
 from tiedbracket import _backend, _kernel_py, diagram
 from tiedbracket.catalog import load_catalog, parse_diagram
@@ -49,7 +49,7 @@ def test_state_value_instances():
 
 
 def test_resolve_crossingless():
-    ss = resolve(TiedDiagram((), {}, (1, 2)))
+    ss = leaf_sum(TiedDiagram((), {}, (1, 2)))
     assert len(ss.entries) == 1
     summary, weight = ss.entries[0]
     assert (summary.k, summary.gamma, summary.crossings_left) == (2, 2, 0)
@@ -58,7 +58,7 @@ def test_resolve_crossingless():
 
 
 def test_resolve_tied_hopf_leaves():
-    ss = resolve(tied_hopf())
+    ss = leaf_sum(tied_hopf())
     got = {((s.k, s.gamma, s.crossings_left), str(w)) for s, w in ss.entries}
     expected = {
         ((2, 2, 2), "-1"),
@@ -76,8 +76,8 @@ def test_resolve_with_codes_matches_kernel():
     # the reference walk on diagrams picks the kernels' crossings, seeded
     # draws included, and counts each leaf's colors and loops, where the
     # pure-Python kernel's leaf walk leaves gamma = m - dpow and the free
-    # loops to the engine; the ungrouped resolve, on byte states, returns
-    # the reference's leaves, in stored order, in another and under seeds
+    # loops to the engine; the leaves of resolution_tree, on byte states,
+    # are the reference's, in stored order, in another and under seeds
     for seed in range(20):
         stored = random_diagram(seed, 5, seed % 5 + 1, seed % 4)
         m, loops = stored.n_colors, len(stored.free_loops)
@@ -89,7 +89,7 @@ def test_resolve_with_codes_matches_kernel():
         ]:
             leaves = _kernel_py.resolve_leaves(*_prepare(d, strategy))
             coded = reference_sum(d, strategy, codes=True)
-            assert resolve(d, strategy, codes=True).entries == coded.entries
+            assert leaf_sum(d, strategy, codes=True).entries == coded.entries
             assert [(s.k, s.gamma, s.crossings_left) for s, _ in coded.entries] == [
                 (k + loops, m - dpow, left) for k, left, _, _, dpow in leaves
             ]
@@ -148,7 +148,7 @@ def test_resolution_tree_memory_stays_below_the_tree():
 
 def test_resolve_grouping_preserves_total():
     d = TiedDiagram.from_pd([(1, 4, 2, 5), (3, 6, 4, 1), (5, 2, 6, 3)])
-    ss = resolve(d, codes=True)
+    ss = leaf_sum(d, codes=True)
     assert ss.grouped().total() == ss.total() == double_bracket(d)
 
 
@@ -160,7 +160,7 @@ def test_mixed_and_classical_states_structure():
         (10, 5, 11, 6), (7, 11, 8, 12), (8, 12, 1, 9),
     ]
     d = TiedDiagram.from_pd(quads, [1, 2])
-    ss = resolve(d)
+    ss = leaf_sum(d)
     gammas = {s.gamma for s, _ in ss.entries}
     assert 2 in gammas  # states keeping both colors, possibly with legal crossings
     assert 1 in gammas  # states reached after the color blocks merged
@@ -194,7 +194,7 @@ def test_non_strategies_are_refused(strategy):
     calls = [
         lambda: double_bracket(d, strategy),
         lambda: resolve(d, strategy),
-        lambda: resolve(d, strategy, codes=True, group=True),
+        lambda: resolve(d, strategy, codes=True),
         lambda: next(resolution_tree(d, strategy)),
         lambda: _prepare(d, strategy),
         lambda: double_bracket(TiedDiagram((), {}, ()), strategy),
@@ -323,7 +323,7 @@ def test_independence_check():
 
 
 def grouped_map(d, strat):
-    ss = resolve(d, strat, codes=True, group=True)
+    ss = resolve(d, strat, codes=True)
     return {s.code: (s.k, s.gamma, s.crossings_left, w) for s, w in ss.entries}
 
 

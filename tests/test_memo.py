@@ -1,9 +1,10 @@
 """The memoized walk of `_kernel_py.resolve_sum` against the tree of
 `resolution_tree`, in the default order and under seeds; the memoized
 AJ-state table against the reference tree walk on diagrams
-(`tree_reference`), also on many loops and colors; `_memo_walk` and
-`_tree_walk` on a hand-made DAG, `_memo_walk` on a chain of shared
-histograms that ends in a merge, and its packed groups at their bounds;
+(`tree_reference`), also on many loops and colors, and that it walks no
+tree; `_memo_walk` and `_tree_walk` on a hand-made DAG, `_memo_walk` on
+a chain of shared histograms that ends in a merge, and its packed groups
+at their bounds;
 how many states each memo expands; that each edge's drop is the fall of
 the rank of the memo walks and that a walk frees the states it has
 expanded; the seeded pick rule;
@@ -25,7 +26,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 import kernel_reference
 from torus import torus_2, torus_2_closed_form
-from tree_reference import reference_sum, reordered
+from tree_reference import leaf_sum, reference_sum, reordered
 
 from tiedbracket import _backend, _kernel_py, engine
 from tiedbracket.catalog import load_catalog
@@ -90,7 +91,7 @@ def assert_state_table_matches_tree(d, strategy=OrderedStrategy()):
         [(AJStateSummary(s.k, s.gamma, s.crossings_left), w) for s, w in coded.entries]
     )
     for codes, tree in ((True, coded), (False, uncoded)):
-        memo = resolve(d, strategy, codes=codes, group=True)
+        memo = resolve(d, strategy, codes=codes)
         assert memo.entries == tree.grouped().entries
 
 
@@ -136,7 +137,7 @@ def test_state_table_takes_many_loops_and_colors(pd, colors, loops):
     d = TiedDiagram.from_pd(pd, colors, loops)
     for strategy in (OrderedStrategy(),) + SEEDED:
         assert_state_table_matches_tree(d, strategy)
-    assert resolve(d, group=True).total() == double_bracket(d)
+    assert resolve(d).total() == double_bracket(d)
 
 
 # A hand-made DAG for `_memo_walk`: a state's children as (child, sign,
@@ -347,7 +348,7 @@ def test_memo_keys_merge_the_same_states(monkeypatch):
     # loops would split states and expand more of them; one that merges
     # states with different subtrees gives a wrong table.
     def table_and_walk(d, strategy):
-        table = expanded(monkeypatch, engine, lambda: resolve(d, strategy, codes=True, group=True))
+        table = expanded(monkeypatch, engine, lambda: resolve(d, strategy, codes=True))
         walk = expanded(
             monkeypatch, _kernel_py, lambda: _kernel_py.resolve_sum(*_prepare(d, strategy))
         )
@@ -373,7 +374,7 @@ def test_code_and_state_table_leave_no_garbage_cycles():
     try:
         d.canonical_code()
         assert gc.collect() == 0
-        resolve(d, codes=True, group=True)
+        resolve(d, codes=True)
         assert gc.collect() == 0
         double_bracket(d)
         assert gc.collect() == 0
@@ -382,7 +383,8 @@ def test_code_and_state_table_leave_no_garbage_cycles():
 
 
 def test_state_table_encodes_each_distinct_leaf_once(monkeypatch):
-    # of the 16,522 leaves of L11n418's tree, 43 distinct ones carry weight
+    # of the 16,522 leaves of L11n418's tree, 43 distinct ones carry
+    # weight: the table encodes each once and merges them into 32 entries
     calls = []
     code = TiedDiagram.canonical_code
 
@@ -392,8 +394,32 @@ def test_state_table_encodes_each_distinct_leaf_once(monkeypatch):
 
     monkeypatch.setattr(TiedDiagram, "canonical_code", counted)
     d = next(e for e in CATALOG if e.name == "L11n418").diagram()
-    assert len(resolve(d, codes=True, group=True).entries) == 32
-    assert len(calls) < 100
+    assert len(resolve(d, codes=True).entries) == 32
+    assert len(calls) == 43
+
+
+def test_resolve_walks_no_tree(monkeypatch):
+    # the table is the memo walk alone: with the tree walk gone it is the
+    # same table, and it has no ungrouped form to fall back to
+    diagrams = [e.diagram() for e in CATALOG]
+    diagrams += [random_diagram(s, s % 8 + 1, s % 4 + 1, s % 3) for s in range(20)]
+    cases = [
+        (d, strategy, codes)
+        for d in diagrams
+        for strategy in (OrderedStrategy(),) + SEEDED
+        for codes in (True, False)
+    ]
+    tables = [resolve(d, strategy, codes=codes) for d, strategy, codes in cases]
+
+    def no_tree(*args):
+        raise AssertionError("resolve walked the tree")
+
+    monkeypatch.setattr(engine, "_tree_walk", no_tree)
+    assert [resolve(d, strategy, codes=codes) for d, strategy, codes in cases] == tables
+    for d in diagrams:
+        assert resolve(d) == resolve(d, group=True)
+        with pytest.raises(ValueError, match="resolution_tree"):
+            resolve(d, group=False)
 
 
 def test_seeded_leaves_ignore_arc_names():
@@ -405,7 +431,7 @@ def test_seeded_leaves_ignore_arc_names():
         names = random.Random(seed).sample(range(100, 200), len(arcs))
         renamed = d.relabel_arcs(dict(zip(arcs, names)))
         strategy = RandomStrategy(seed)
-        assert resolve(renamed, strategy, codes=True).entries == resolve(d, strategy, codes=True).entries
+        assert leaf_sum(renamed, strategy, codes=True).entries == leaf_sum(d, strategy, codes=True).entries
 
 
 @pytest.mark.parametrize(
@@ -550,7 +576,8 @@ def test_seeds_draw_distinct_trees():
     state, trees = 0, set()
     for _ in range(30):
         state, z = _kernel_py._mix(state)
-        trees.add(tuple(resolve(d, RandomStrategy(z >> 1)).entries))
+        # each node without its leaf diagram, which is not hashable
+        trees.add(tuple(node[:5] for node in resolution_tree(d, RandomStrategy(z >> 1))))
     assert len(trees) == 30
 
 
@@ -590,16 +617,17 @@ def test_state_table_takes_a_closure_past_the_kernel_bound():
     # 80 arcs, past the 64 the compiled kernel once took, and 254, the most
     # the byte labels take
     for n in (40, 127):
-        assert LOOP * resolve(torus_2(n), group=True).total() == torus_2_closed_form(n, -1)
+        assert LOOP * resolve(torus_2(n)).total() == torus_2_closed_form(n, -1)
 
 
 def test_byte_walks_refuse_256_arcs(capsys):
     d = torus_2(128)
     # the table and the tree walk spell arc labels as bytes in every order
     for strategy in (OrderedStrategy(), RandomStrategy(1)):
-        for group in (True, False):
-            with pytest.raises(DiagramError, match="at most 127 crossings"):
-                resolve(d, strategy, codes=True, group=group)
+        with pytest.raises(DiagramError, match="at most 127 crossings"):
+            resolve(d, strategy, codes=True)
+        with pytest.raises(DiagramError, match="at most 127 crossings"):
+            next(resolution_tree(d, strategy))
     for args in (["bracket"], ["states", "--seed", "1"], ["tree", "--max-nodes", "3"]):
         assert main([*args, str(torus_2(130))]) == 1
         out = capsys.readouterr()

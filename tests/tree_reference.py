@@ -1,8 +1,8 @@
 """A resolution-tree walk on `TiedDiagram`s, the reference of the byte walk.
 
-`engine.resolution_tree` and the ungrouped `engine.resolve` walk the tree
-on byte states (`_kernel_py._tree_walk` over `engine._states`).  This walk
-shares no smoothing code with them: it smooths a `TiedDiagram` at every node
+`engine.resolution_tree` walks the tree on byte states
+(`_kernel_py._tree_walk` over `engine._states`).  This walk shares no
+smoothing code with it: it smooths a `TiedDiagram` at every node
 (`smooth_type1`, `smooth_type2`) and counts circles and colors on the
 diagrams.  It borrows only the pick rule (`_kernel_py._pick`), which it
 must follow for the two trees to be the same tree.  Both walk the stored
@@ -12,7 +12,14 @@ another stored order.
 
 from tiedbracket._kernel_py import _pick
 from tiedbracket.diagram import TiedDiagram
-from tiedbracket.engine import OrderedStrategy, StateSum, _branch_weight, _prepare, _summary
+from tiedbracket.engine import (
+    OrderedStrategy,
+    StateSum,
+    _prepare,
+    _summary,
+    resolution_tree,
+)
+from tiedbracket.laurent import DELTA, BivariateLaurent
 
 
 def _key(cur):
@@ -79,13 +86,29 @@ def reference_tree(d, strategy=OrderedStrategy()):
         node += 1
 
 
+def _weight(sign, apow, dpow):
+    return BivariateLaurent.monomial(apow, 0, sign) * DELTA**dpow
+
+
 def reference_sum(d, strategy=OrderedStrategy(), codes=False):
-    """The leaves of `reference_tree` with their weights: what the
-    ungrouped `engine.resolve` returns."""
+    """The leaves of `reference_tree` with their weights, depth-first;
+    grouped, the AJ-state table that `engine.resolve` returns."""
     return StateSum(
         [
-            (_summary(cur, codes), _branch_weight(*weight))
+            (_summary(cur, codes), _weight(*weight))
             for _, _, _, cur, weight, leaf in reference_tree(d, strategy)
             if leaf
+        ]
+    )
+
+
+def leaf_sum(d, strategy=OrderedStrategy(), codes=False):
+    """The leaves of `engine.resolution_tree` with their weights, as
+    `reference_sum` lists them."""
+    return StateSum(
+        [
+            (_summary(leaf, codes), _weight(*weight))
+            for *_, weight, leaf in resolution_tree(d, strategy)
+            if leaf is not None
         ]
     )
