@@ -67,22 +67,20 @@ child with one parent shares that parent's histogram with a pending
 shift and sign instead of a copy.  A leaf adds its own components to
 give k.  A histogram's groups are packed into one int each, in bit fields
 that hold any walk within MAX_CROSSINGS, where |apow| and dpow stay at
-most MAX_CROSSINGS.  It returns the leaves' histogram as a dict.  The tree loop `_tree_walk` yields every node of
-the tree in preorder, expanding each key once too, but visiting it
-again on every path.  `resolve_leaves` is `resolve_sum`'s tree without the memo: it
-lists every leaf in depth-first order.  The engine's AJ-state table
+most MAX_CROSSINGS.  It returns the leaves' histogram as a dict keyed
+(apow, dpow, tag), which for `resolve_sum` is the compiled kernel's
+(apow, dpow, k).  The tree loop `_tree_walk` yields every node of the
+tree in preorder, expanding each key once too, but visiting it again on
+every path.  `resolve_leaves` is `resolve_sum`'s tree without the memo:
+it lists every leaf in depth-first order.  The engine's AJ-state table
 (`resolve`, on `_memo_walk`) and its `resolution_tree` (behind
 ``tiedbracket tree``, on `_tree_walk`) run the same two drivers over the
-same keys (`engine._states`).
-Their paths also carry the colors of their loops, one count per color in
-the path's tag: the free loops of arc colors start in the root's tag, and
-a smoothing adds the circles it closed to the over strand's color.  A
-delta branch also repaints the under strand's color as the over strand's
-in the tag, which is no shift: ``expand`` asks the drivers for it with a
-``(repaint, dtag)`` pair, and `_memo_walk` copies the histogram on that
-edge.  `resolve_sum` never repaints.  Neither the engine nor the
-compiled kernel needs a leaf list: the benchmark replays `resolve_leaves`
-to count leaves, until a counter of `resolve_sum` does that.
+same keys (`engine._states`), whose tags also carry the colors of the
+paths' loops.  In every walk a ``dtag`` is an int that the drivers add
+to the tags below: what a color merge does to the loops is the engine's
+to resolve, once per leaf.  Neither the engine nor the compiled kernel
+needs a leaf list: the benchmark replays `resolve_leaves` to count
+leaves, until a counter of `resolve_sum` does that.
 """
 
 from operator import eq, itemgetter, le
@@ -105,7 +103,6 @@ _BAD_ARGUMENTS = (
 # The bit fields of `_memo_walk`'s histogram groups: dpow, apow, tag.
 _APOW = 9
 _TAG = 18
-_LOW = (1 << _TAG) - 1
 
 
 def _smoothings(a_weight, weight):
@@ -282,18 +279,15 @@ def _rank(key):
 
 def _memo_walk(root, expand, tag=0):
     """Walk a resolution tree as a DAG from the key ``root``; return the
-    histogram ``{(tag, apow, dpow): count}`` of its leaves, without zero
+    histogram ``{(apow, dpow, tag): count}`` of its leaves, without zero
     counts.
 
     A state is its key, and equal keys must stand for isomorphic subtrees.
     ``expand(key)`` returns a leaf's tag, an int, or the state's children
     as ``(key, sign, apow, dpow, dtag, drop)``: the branch weight sign *
-    A^apow * delta^dpow, a change of the tags below and the amount, above
-    0, by which the state's rank exceeds the child's.  A ``dtag`` is an
-    int that shifts the tags, or a pair ``(repaint, dtag)`` that first
-    maps each tag by the function ``repaint`` and then shifts it: the
-    engine's AJ-state table repaints the colors of its loops on a delta
-    branch (`engine._states`).  A path's tag starts at ``tag``, the root's.
+    A^apow * delta^dpow, the int ``dtag`` added to the tags below and the
+    amount, above 0, by which the state's rank exceeds the child's.  A
+    path's tag starts at ``tag``, the root's, and adds each dtag on it.
     A leaf reached by a path counts once at its tag plus the path's tag,
     with the product of the path's weights.  The rank is an int that
     falls along every edge, as `_rank` does for the kernels' keys, where
@@ -320,9 +314,7 @@ def _memo_walk(root, expand, tag=0):
     to a state already taken, so any number of states may share it, and
     down a chain of single parents the shifts add and the signs multiply.
     Only a second push into a state builds it a dict of its own, to which
-    further pushes add.  A repainting edge is the one edge that is not a
-    shift: it copies the histogram, repainted, and its child shares the
-    copy as it would share its parent's.
+    further pushes add.
 
     A histogram's groups are ints, dtags << _TAG | (apow + 256) << _APOW |
     dpow, so an edge shifts them by one addition and the output is
@@ -351,33 +343,22 @@ def _memo_walk(root, expand, tag=0):
                     out[group] = out.get(group, 0) + sign * count
                 continue
             for child, c_sign, apow, dpow, dtag, drop in kids:
-                c_hist = hist
-                if type(dtag) is int:
-                    c_shift = shift + (dtag << _TAG) + (apow << _APOW) + dpow
-                else:
-                    repaint, dtag = dtag
-                    c_hist = {}
-                    for group, count in hist.items():
-                        if count:
-                            group += shift
-                            group = repaint(group >> _TAG) << _TAG | group & _LOW
-                            c_hist[group] = c_hist.get(group, 0) + count
-                    c_shift = (dtag << _TAG) + (apow << _APOW) + dpow
+                c_shift = shift + (dtag << _TAG) + (apow << _APOW) + dpow
                 c_sign *= sign
                 acc = paths.get(child)
                 if acc is None:
-                    paths[child] = (c_hist, c_shift, c_sign)
+                    paths[child] = (hist, c_shift, c_sign)
                     ranks.setdefault(rank - drop, []).append(child)
                     continue
                 if type(acc) is tuple:
                     first, f_shift, f_sign = acc
                     acc = paths[child] = {g + f_shift: f_sign * n for g, n in first.items() if n}
-                for group, count in c_hist.items():
+                for group, count in hist.items():
                     if count:
                         group += c_shift
                         acc[group] = acc.get(group, 0) + c_sign * count
     return {
-        (g >> _TAG, (g >> _APOW & 511) - 256, g & 511): count for g, count in out.items() if count
+        ((g >> _APOW & 511) - 256, g & 511, g >> _TAG): count for g, count in out.items() if count
     }
 
 
@@ -390,8 +371,8 @@ def _tree_walk(root, expand, tag=0):
     the parent's yield (None at the root), ``edge`` the weight (sign,
     apow, dpow) of the branch from the parent (None at the root),
     ``weight`` the product of the weights on the path from the root and
-    ``dtags`` the path's tag: ``tag`` changed by each dtag on the path,
-    and ``kids`` what ``expand(key)`` returned: a leaf's tag or the
+    ``dtags`` the path's tag: ``tag`` plus each dtag on the path, and
+    ``kids`` what ``expand(key)`` returned: a leaf's tag or the
     children.  Each distinct key is expanded once, when the walk first
     reaches it, and its children are kept until the walk ends.
     """
@@ -410,8 +391,7 @@ def _tree_walk(root, expand, tag=0):
             # Pushed in reverse so that children pop in the kernels' order.
             for child, c_sign, c_apow, c_dpow, dtag, _ in reversed(kids):
                 c_weight = (sign * c_sign, apow + c_apow, dpow + c_dpow)
-                c_tags = dtags + dtag if type(dtag) is int else dtag[0](dtags) + dtag[1]
-                stack.append((node, (c_sign, c_apow, c_dpow), c_weight, c_tags, child))
+                stack.append((node, (c_sign, c_apow, c_dpow), c_weight, dtags + dtag, child))
         node += 1
 
 
@@ -464,8 +444,7 @@ def resolve_sum(key, seed=-1):
     as the compiled kernel checks them (`_check`).
     """
     _check(key, seed)
-    groups = _memo_walk(key, _expander(seed))
-    return {(apow, dpow, k): count for (k, apow, dpow), count in groups.items()}
+    return _memo_walk(key, _expander(seed))
 
 
 def resolve_leaves(key, seed=-1):

@@ -160,6 +160,10 @@ class TiedDiagram(_Frozen):
         _set(self, "arc_color", {} if arc_color is None else arc_color)
         _set(self, "free_loops", free_loops)
 
+    def __hash__(self) -> int:
+        # arc_color is a dict, compared by its items
+        return hash((self.crossings, frozenset(self.arc_color.items()), self.free_loops))
+
     # -- construction ---------------------------------------------------
 
     @classmethod

@@ -233,15 +233,6 @@ def _prepare(d: TiedDiagram, strategy: Strategy):
     return key, seed
 
 
-@cache
-def _repaint(width: int, i: int, j: int):
-    """The tags of `_states` with the loops of color j repainted as i:
-    the count in j's field of ``width`` bits moves to i's."""
-    low, mask = width * j, (1 << width) - 1
-    step = (1 << width * i) - (1 << low)
-    return lambda tag: tag + (tag >> low & mask) * step
-
-
 def _states(d: TiedDiagram, strategy: Strategy, walk: str):
     """The states of the diagram walks, the AJ-state table's and the tree's:
     the kernels' keys, with the colors of each path's loops in its tag.
@@ -250,21 +241,29 @@ def _states(d: TiedDiagram, strategy: Strategy, walk: str):
     encoded once (`_encode`), so it may have at most MAX_CROSSINGS
     crossings, and the walks start at its key.  Returns the root's key
     and tag and ``expand``, as `_kernel_py._memo_walk` and
-    `_kernel_py._tree_walk` take them, and ``diagram``, which decodes a
-    leaf's tag into a `TiedDiagram` whose arcs are numbered by first
-    appearance in the slots.
+    `_kernel_py._tree_walk` take them; ``settle``, which resolves a
+    leaf's tag; and ``diagram``, which decodes a resolved tag into a
+    `TiedDiagram` whose arcs are numbered by first appearance in the
+    slots.  Both are cached, so each distinct leaf is resolved and
+    decoded once.
 
     A tag holds one count of loops for each color of the key, in fields
     of ``width`` bits, wide enough for every loop that a path can hold:
     the free loops of arc colors, in the root's tag, and at most two
     circles closed by each smoothing.  ``expand`` picks and smooths as
     `_kernel_py._expander` does; each child adds the circles it closed,
-    all of the over strand's color i, to i's count, and a delta branch
-    also repaints the under strand's color j as i, in the tags as in the
-    key (`_repaint`).  A leaf's tag numbers its key among the distinct leaf
-    keys met, above the loop fields.  A loop of a color that no arc
-    carries stays out of the tags, and ``diagram`` adds it back: a repaint
-    merges the colors of two arcs, so it never reaches that loop.
+    all of the over strand's color i, to i's count.  On a delta branch
+    the under strand's color j merges into i, in the key and so for the
+    loops: the child adds i + 1 to j's merge field, one of ``step``
+    bits for each color above the loop fields.  A color merges at most
+    once on a path, since it then leaves the key, and always into a lower
+    color.  So ``settle`` moves each color's loops along its merge, from
+    the highest color down, which carries a chain of merges to its end,
+    and clears the merge fields.  A leaf's tag numbers its key among the
+    distinct leaf keys met, above the merge fields.  A loop of a color
+    that no arc carries stays out of the tags, and ``diagram`` adds it
+    back: a merge joins the colors of two arcs, so it never reaches that
+    loop.
     """
     seed = _seed(strategy)
     key, number = _encode(d, walk)
@@ -272,7 +271,9 @@ def _states(d: TiedDiagram, strategy: Strategy, walk: str):
     inert = tuple(c for c in d.free_loops if c not in number)
     loops = [number[c] for c in d.free_loops if c in number]
     width = (len(loops) + 2 * len(d.crossings)).bit_length()
-    fields, mask = width * len(palette), (1 << width) - 1
+    step = len(palette).bit_length()
+    merges, mask = width * len(palette), (1 << width) - 1
+    fields = merges + step * len(palette)
     leaves: list[bytes] = []
 
     def expand(key):
@@ -282,13 +283,22 @@ def _states(d: TiedDiagram, strategy: Strategy, walk: str):
             return len(leaves) - 1 << fields
         under, over = _strands(key)
         i = over[x]
-        circle = 1 << width * i
-        repaint = _repaint(width, i, under[x]) if x_type2 else None
+        circle, merge = 1 << width * i, i + 1 << merges + step * under[x]
+        # dpow is 1 on the delta branches and 0 on the others
         return [
-            (child, sign, apow, dpow, (repaint, closed * circle) if dpow else closed * circle, drop)
+            (child, sign, apow, dpow, closed * circle + dpow * merge, drop)
             for child, sign, apow, dpow, closed, drop in _children(key, x, x_type2)
         ]
 
+    @cache
+    def settle(tag):
+        for j in reversed(range(len(palette))):
+            into = tag >> merges + step * j & (1 << step) - 1
+            if into:
+                tag += (tag >> width * j & mask) * ((1 << width * (into - 1)) - (1 << width * j))
+        return tag >> fields << fields | tag & (1 << merges) - 1
+
+    @cache
     def diagram(tag):
         slots, colors = _arcs(leaves[tag >> fields])
         return TiedDiagram(
@@ -297,7 +307,7 @@ def _states(d: TiedDiagram, strategy: Strategy, walk: str):
             tuple(p for c, p in enumerate(palette) for _ in range(tag >> width * c & mask)) + inert,
         )
 
-    return key, sum(1 << width * c for c in loops), expand, diagram
+    return key, sum(1 << width * c for c in loops), expand, settle, diagram
 
 
 @cache
@@ -344,10 +354,13 @@ def resolve(
     tags, so they split no state.  Each state is expanded once, in
     falling rank, once all its parents have pushed it the weights of
     their paths from the root, and pushes them on, giving the histogram
-    of (leaf, apow, dpow), where leaf tags a leaf key with the colors of
-    its loops.  Each count folds into one term dict per distinct leaf,
-    through the cached terms of delta^dpow, as `double_bracket` folds;
-    each distinct leaf is rebuilt as one diagram and summarized once.  The
+    of (apow, dpow, leaf), where leaf tags a leaf key with the colors of
+    its loops and the color merges of the delta branches on its path.
+    Each leaf tag is settled once (`_states`): a loop closed in a color
+    that later merged counts in the color it merged into.  Each count
+    folds into one term dict per settled leaf, through the cached terms
+    of delta^dpow, as `double_bracket` folds; each settled leaf is
+    rebuilt as one diagram and summarized once.  The
     entries of one state merge (`StateSum.grouped`): by canonical code
     with ``codes=True``, else by the (k, gamma, crossings_left) summary.
     ``group`` takes only True: `resolution_tree` yields every leaf of the
@@ -358,10 +371,10 @@ def resolve(
             f"resolve gives only the grouped AJ-state table, not group={group!r}; "
             "resolution_tree yields every leaf"
         )
-    root, tag, expand, diagram = _states(d, strategy, "the AJ-state table")
+    root, tag, expand, settle, diagram = _states(d, strategy, "the AJ-state table")
     weights: dict[int, dict[tuple[int, int], int]] = {}
-    for (leaf, apow, dpow), count in _memo_walk(root, expand, tag).items():
-        acc = weights.setdefault(leaf, {})
+    for (apow, dpow, leaf), count in _memo_walk(root, expand, tag).items():
+        acc = weights.setdefault(settle(leaf), {})
         for (a, c), coeff in _group_value(dpow, 0):
             kk = (a + apow, c)
             acc[kk] = acc.get(kk, 0) + coeff * count
@@ -394,11 +407,13 @@ def resolution_tree(d: TiedDiagram, strategy: Strategy = _DEFAULT):
     delta^dpow of the branch from the root.  ``leaf`` is the diagram of an
     AJ-state at a leaf and None elsewhere.  Leaves arrive in the order of
     `_kernel_py.resolve_leaves`.  The walk runs over the states of
-    `_states`, so it takes at most MAX_CROSSINGS crossings.
+    `_states`, so it takes at most MAX_CROSSINGS crossings, and decodes
+    each distinct leaf once: equal leaves of one walk are one diagram
+    object, which, being immutable, they may share.
     """
-    root, tag, expand, diagram = _states(d, strategy, "the resolution tree")
+    root, tag, expand, settle, diagram = _states(d, strategy, "the resolution tree")
     for node, (parent, edge, weight, dtags, key, leaf) in enumerate(_tree_walk(root, expand, tag)):
-        leaf = diagram(dtags + leaf) if type(leaf) is int else None
+        leaf = diagram(settle(dtags + leaf)) if type(leaf) is int else None
         yield node, parent, _LABELS.get(edge, ""), Complexity(*divmod(_rank(key), 128)), weight, leaf
 
 

@@ -97,9 +97,12 @@ def assert_state_table_matches_tree(d, strategy=OrderedStrategy()):
 
 @given(st.integers(0, 10_000), st.integers(1, 7), st.integers(1, 5), st.integers(0, 3))
 @settings(max_examples=60, deadline=None)
-# a free loop of an arc color that a delta branch repaints: the loops
-# must start in the root's tag, not join the leaves after the walk
+# a free loop of an arc color that a delta branch merges into another:
+# the loops must start in the root's tag, not join the leaves after the walk
 @example(seed=0, n=4, n_colors=2, n_loops=2)
+# loops of a color that merges into a color that merges again: the merges
+# settle from the highest color down, so the loops follow the whole chain
+@example(seed=13, n=4, n_colors=3, n_loops=3)
 def test_state_table_matches_tree_walk(seed, n, n_colors, n_loops):
     d = random_diagram(seed, n, n_colors, n_loops)
     assert_state_table_matches_tree(reordered(d, reversed(range(n))))
@@ -129,7 +132,7 @@ def test_state_table_takes_colors_past_the_code_points():
         (HOPF, [1, 2], [1] * 260),
         # loops of colors no arc carries stay out of the states
         (HOPF, [301, 302], range(1, 301)),
-        # the delta branches repaint the loops of color 2 as 1
+        # the delta branches merge color 2 into 1, and its loops follow
         (HOPF, [1, 2], [1, 2, 2]),
     ],
 )
@@ -195,12 +198,12 @@ def with_drops(dag):
 
 def dag_tree_sum(dag, node, weight=(1, 0, 0, 0), out=None):
     """The leaves of the tree that ``dag`` unfolds to, expanded path by
-    path, summed per (tag, apow, dpow) without zero counts."""
+    path, summed per (apow, dpow, tag) without zero counts."""
     out = {} if out is None else out
     sign, apow, dpow, tags = weight
     kids = dag[node]
     if type(kids) is int:
-        group = (tags + kids, apow, dpow)
+        group = (apow, dpow, tags + kids)
         out[group] = out.get(group, 0) + sign
     else:
         for child, s, a, d, t in kids:
@@ -223,10 +226,10 @@ def test_memo_walk_matches_the_unfolded_tree(root):
     if root == "r":
         # each state expanded once
         assert sorted(expanded) == sorted(DAG)
-        assert got[(13, 0, 1)] == -1 and got[(24, -2, 1)] == -1
-        assert (10, 3, 0) not in got and all(t != 30 for t, _, _ in got)
+        assert got[(0, 1, 13)] == -1 and got[(-2, 1, 24)] == -1
+        assert (3, 0, 10) not in got and all(t != 30 for _, _, t in got)
     else:
-        assert expanded == ["a"] and got == {(10, 0, 0): 1}
+        assert expanded == ["a"] and got == {(0, 0, 10): 1}
 
 
 def test_memo_walk_composes_a_chain_and_merges_it():
@@ -239,7 +242,7 @@ def test_memo_walk_composes_a_chain_and_merges_it():
 
     got = _kernel_py._memo_walk("r", expand)
     # r-p-q-m-t and r-p-q-o-m-t, each of sign (-1)(-1)
-    assert got == dag_tree_sum(CHAIN, "r") == {(8, 2, 1): 1, (9, -1, 1): 1}
+    assert got == dag_tree_sum(CHAIN, "r") == {(2, 1, 8): 1, (-1, 1, 9): 1}
     assert expanded == ["r", "p", "q", "o", "m", "t"]
 
 
@@ -268,10 +271,10 @@ def test_memo_walk_packs_groups_up_to_their_bounds():
     dag = bounds_dag()
     got = _kernel_py._memo_walk("r", with_drops(dag).__getitem__)
     assert got == dag_tree_sum(dag, "r") == {
-        ((1 << 18) + 5, 127, 0): 1,
-        ((3 << 18) + (1 << 19), -127, 127): -1,
-        (1 << 19, -127, 127): 1,
-        ((1 << 30) + 8 + 7, -8, 0): 1,
+        (127, 0, (1 << 18) + 5): 1,
+        (-127, 127, (3 << 18) + (1 << 19)): -1,
+        (-127, 127, 1 << 19): 1,
+        (-8, 0, (1 << 30) + 8 + 7): 1,
     }
 
 
@@ -313,7 +316,7 @@ def test_tree_walk_unfolds_the_dag(root):
     leaves = {}
     for _, _, (sign, apow, dpow), dtags, _, tag in nodes:
         if type(tag) is int:
-            group = (dtags + tag, apow, dpow)
+            group = (apow, dpow, dtags + tag)
             leaves[group] = leaves.get(group, 0) + sign
     assert {group: count for group, count in leaves.items() if count} == dag_tree_sum(DAG, root)
     # each state expanded once, however many paths reach it
@@ -548,12 +551,12 @@ def test_rank_falls_along_every_edge(order):
         d, strategy = ORDERS[order](d)
         expand = checked(_kernel_py._expander(engine._seed(strategy)))
         _kernel_py._memo_walk(_prepare(d, strategy)[0], expand)
-        root, tag, expand_state, _ = engine._states(d, strategy, "the AJ-state table")
+        root, tag, expand_state, *_ = engine._states(d, strategy, "the AJ-state table")
         _kernel_py._memo_walk(root, checked(expand_state), tag)
     # the children of the root of 127 crossings, the most a key holds
     d, strategy = ORDERS[order](torus_2(127))
     checked(_kernel_py._expander(engine._seed(strategy)))(_prepare(d, strategy)[0])
-    # flips, type-1 smoothings, and delta branches whose repaint makes
+    # flips, type-1 smoothings, and delta branches whose color merge makes
     # other crossings illegal
     assert {1, 127, 128, 129} <= drops
 
@@ -576,8 +579,8 @@ def test_seeds_draw_distinct_trees():
     state, trees = 0, set()
     for _ in range(30):
         state, z = _kernel_py._mix(state)
-        # each node without its leaf diagram, which is not hashable
-        trees.add(tuple(node[:5] for node in resolution_tree(d, RandomStrategy(z >> 1))))
+        # whole nodes, leaf diagrams included
+        trees.add(tuple(resolution_tree(d, RandomStrategy(z >> 1))))
     assert len(trees) == 30
 
 

@@ -1,8 +1,8 @@
 """The package's seven record classes behave as value types: built
-positionally or by keyword, compared within their class, hashed when
-frozen, shown as ``Name(field=value, ...)``, and carried intact through
-pickle, ``copy.copy`` and ``copy.deepcopy``, so that diagrams and results
-can be sent to worker processes."""
+positionally or by keyword, compared within their class, hashed by value
+when frozen, as every frozen one is, shown as ``Name(field=value, ...)``,
+and carried intact through pickle, ``copy.copy`` and ``copy.deepcopy``,
+so that diagrams and results can be sent to worker processes."""
 
 import copy
 import pickle
@@ -10,14 +10,13 @@ import pickle
 import pytest
 
 from tiedbracket.catalog import FixtureEntry, parse_diagram
-from tiedbracket.diagram import Complexity, TiedDiagram
+from tiedbracket.diagram import Complexity, TiedDiagram, _Frozen
 from tiedbracket.engine import AJStateSummary, OrderedStrategy, RandomStrategy, StateSum
 from tiedbracket.laurent import LOOP
 
 TIED_HOPF = parse_diagram("pd: X[1,3,2,4] X[3,1,4,2]\ncolors: 1 2\nloops: 2")
 
-# class, field names, field values, frozen (and then hashable unless a
-# field is a dict)
+# class, field names, field values, frozen (and then hashable)
 RECORDS = [
     (Complexity, ("total", "illegal"), (2, 1), True),
     (TiedDiagram, ("crossings", "arc_color", "free_loops"),
@@ -78,12 +77,33 @@ def test_records_compare_within_their_class(cls, fields, values, frozen):
 @pytest.mark.parametrize("cls, fields, values, frozen", RECORDS, ids=IDS)
 def test_record_hashes(cls, fields, values, frozen):
     r = build(cls, values)
-    if frozen and not any(isinstance(v, dict) for v in values):
+    if frozen:
         assert hash(r) == hash(build(cls, values))
         assert len({r, build(cls, values)}) == 1
     else:
         with pytest.raises(TypeError):
             hash(r)
+
+
+def frozen_classes(cls=_Frozen):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from frozen_classes(sub)
+
+
+def test_every_frozen_record_hashes():
+    # each public frozen record class is one of RECORDS, which hash by value;
+    # a diagram's arc colors hash as a set, as they compare
+    public = {
+        c for c in frozen_classes()
+        if c.__module__.startswith("tiedbracket.") and not c.__name__.startswith("_")
+    }
+    assert public == {cls for cls, *_, frozen in RECORDS if frozen}
+    d = TIED_HOPF
+    turned = TiedDiagram(d.crossings, dict(reversed(d.arc_color.items())), d.free_loops)
+    assert list(turned.arc_color) != list(d.arc_color)
+    assert turned == d and hash(turned) == hash(d) and len({d, turned}) == 1
+    assert hash(TiedDiagram(d.crossings, {**d.arc_color, 1: 2}, d.free_loops)) != hash(d)
 
 
 @pytest.mark.parametrize("cls, fields, values, frozen", RECORDS, ids=IDS)
