@@ -32,10 +32,9 @@ from .engine import (
     resolution_tree,
     resolve,
     state_value,
-    tied_jones,
     writhe,
 )
-from .laurent import MalformedPolynomialError, render_poly
+from .laurent import BivariateLaurent, MalformedPolynomialError, render_poly
 
 
 class InputError(Exception):
@@ -54,8 +53,12 @@ def _load_diagram(text: str | None, name: str | None) -> TiedDiagram:
     if "pd:" in text or "loops:" in text:
         return parse_diagram(text)
     if os.path.exists(text):
-        with open(text) as fh:
-            return parse_diagram(fh.read())
+        try:
+            with open(text, encoding="utf-8") as fh:
+                source = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise InputError(f"cannot read {text!r}: {exc}") from None
+        return parse_diagram(source)
     raise InputError(f"{text!r} is neither an existing file nor inline diagram text")
 
 
@@ -97,11 +100,13 @@ def cmd_kauffman(args) -> int:
 def cmd_jones(args) -> int:
     d = _load_diagram(args.input, args.fixture)
     orientation = _parse_orientation(args.orientation, len(d.components()))
-    value = tied_jones(d, orientation)
+    w = writhe(d, orientation)
+    # tied_jones's (-A)^(-3w) <<D>>, with the writhe computed once
+    value = BivariateLaurent.monomial(-3 * w, 0, -1 if w % 2 else 1) * double_bracket(d)
     if args.json:
-        print(json.dumps({"writhe": writhe(d, orientation), "jones": value.to_json()}))
+        print(json.dumps({"writhe": w, "jones": value.to_json()}))
     else:
-        print(f"writhe: {writhe(d, orientation)}")
+        print(f"writhe: {w}")
         print(render_poly(value))
     return 0
 
@@ -113,40 +118,22 @@ def cmd_states(args) -> int:
     except ValueError as exc:
         raise InputError(f"--seed: {exc}") from None
     sum_ = resolve(d, strategy, codes=True)
-    rows = []
-    for summary, weight in sum_.entries:
-        rows.append(
-            {
-                "code": summary.code,
-                "k": summary.k,
-                "gamma": summary.gamma,
-                "crossings_left": summary.crossings_left,
-                "weight": weight,
-                "value": state_value(summary),
-            }
-        )
-    total = sum_.total()
     if args.json:
-        print(
-            json.dumps(
-                {
-                    "states": [
-                        {**r, "weight": r["weight"].to_json(), "value": r["value"].to_json()}
-                        for r in rows
-                    ],
-                    "total": total.to_json(),
-                }
-            )
-        )
+        states = [
+            {"code": s.code, "k": s.k, "gamma": s.gamma, "crossings_left": s.crossings_left,
+             "weight": weight.to_json(), "value": state_value(s).to_json()}
+            for s, weight in sum_.entries
+        ]
+        print(json.dumps({"states": states, "total": sum_.total().to_json()}))
         return 0
     print(f"{'k':>3} {'colors':>6} {'crossings':>9}  {'f(s)':<28} {'value':<20} code")
-    for r in rows:
-        code = r["code"] if len(r["code"]) <= 32 else r["code"][:29] + "..."
+    for s, weight in sum_.entries:
+        code = s.code if len(s.code) <= 32 else s.code[:29] + "..."
         print(
-            f"{r['k']:>3} {r['gamma']:>6} {r['crossings_left']:>9}  "
-            f"{render_poly(r['weight']):<28} {render_poly(r['value']):<20} {code}"
+            f"{s.k:>3} {s.gamma:>6} {s.crossings_left:>9}  "
+            f"{render_poly(weight):<28} {render_poly(state_value(s)):<20} {code}"
         )
-    print(f"total: {render_poly(total)}")
+    print(f"total: {render_poly(sum_.total())}")
     return 0
 
 
@@ -220,6 +207,8 @@ def cmd_selftest(args) -> int:
 
     if args.trials < 1:
         raise InputError(f"--trials must be at least 1, got {args.trials}")
+    if args.filter is not None and not any(args.filter in name for name, _ in selftest.CRITERIA):
+        raise InputError(f"--filter {args.filter!r} matches no criterion")
     ok = selftest.run_all(pattern=args.filter, trials=args.trials, seed=args.seed)
     return 0 if ok else 2
 

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -46,6 +47,16 @@ def test_bracket_json_round_trip(capsys):
 def test_bracket_parse_failure_exit_1(capsys):
     code, _, err = run(capsys, "bracket", "pd: X[1,2,3]")
     assert code == 1 and "error" in err
+
+
+def test_bracket_unreadable_path_exit_1(tmp_path, capsys):
+    # a directory, and a file that is not UTF-8 text
+    binary = tmp_path / "diagram.bin"
+    binary.write_bytes(b"loops: 1\n\xff\xfe\n")
+    for path in (tmp_path, binary):
+        code, out, err = run(capsys, "bracket", str(path))
+        assert code == 1 and out == "" and err.startswith("error:") and str(path) in err
+        assert "Traceback" not in err
 
 
 def test_bracket_needs_exactly_one_input(capsys):
@@ -202,6 +213,11 @@ def test_selftest_fast_subset(capsys):
     assert code == 0 and "jones-calibration" in out
 
 
+def test_selftest_filter_matching_nothing(capsys):
+    code, out, err = run(capsys, "selftest", "--filter", "nosuch")
+    assert code == 1 and out == "" and err.startswith("error:") and "nosuch" in err
+
+
 def test_selftest_trials_below_one(capsys):
     for n in ("0", "-1"):
         code, out, err = run(capsys, "selftest", "--filter", "tree", "--trials", n)
@@ -212,11 +228,32 @@ def test_selftest_failure_exits_2(capsys, monkeypatch):
     from tiedbracket import selftest
 
     def broken():
-        return selftest.CriterionResult("hand-derived-hopf", False, "forced failure")
+        return False, "forced failure"
 
     monkeypatch.setattr(selftest, "CRITERIA", [("hand-derived-hopf", broken)])
     code, out, _ = run(capsys, "selftest")
     assert code == 2 and out.startswith("FAIL")
+
+
+def test_run_all_runs_every_criterion_in_order(capsys, monkeypatch):
+    from tiedbracket import selftest
+
+    criteria = [
+        ("first", lambda: (True, "fine")),
+        ("second", lambda: (False, "forced failure")),
+        ("third", lambda: (True, "ran after a failure")),
+    ]
+    monkeypatch.setattr(selftest, "CRITERIA", criteria)
+    assert selftest.run_all() is False
+    lines = capsys.readouterr().out.splitlines()
+    expected = [
+        r"PASS  first              fine  \[\d+\.\d\ds\]",
+        r"FAIL  second             forced failure  \[\d+\.\d\ds\]",
+        r"PASS  third              ran after a failure  \[\d+\.\d\ds\]",
+    ]
+    assert len(lines) == len(expected)
+    for line, pattern in zip(lines, expected):
+        assert re.fullmatch(pattern, line), line
 
 
 def test_states_seeded_table_matches_bracket(capsys):
