@@ -284,11 +284,16 @@ CRITERIA: list[tuple[str, Callable[..., tuple[bool, str]]]] = [
 
 
 def run_all(pattern: str | None = None, trials: int = 100, seed: int = 0) -> bool:
-    """Run (a filtered subset of) the acceptance criteria; print one line each."""
+    """Run the acceptance criteria whose names contain ``pattern`` (all of
+    them without one); print one line each.
+
+    Raises ValueError, before running any, if ``pattern`` selects none.
+    """
+    selected = [(name, fn) for name, fn in CRITERIA if not pattern or pattern in name]
+    if not selected:
+        raise ValueError(f"{pattern!r} matches no criterion")
     ok = True
-    for name, fn in CRITERIA:
-        if pattern and pattern not in name:
-            continue
+    for name, fn in selected:
         t0 = time.perf_counter()
         passed, detail = fn(trials=trials, seed=seed) if fn is check_tree_independence else fn()
         seconds = time.perf_counter() - t0

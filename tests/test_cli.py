@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from tiedbracket.cli import main
 
 TIED_HOPF = "pd: X[1,3,2,4] X[3,1,4,2]\ncolors: 1 2"
@@ -254,6 +256,18 @@ def test_run_all_runs_every_criterion_in_order(capsys, monkeypatch):
     assert len(lines) == len(expected)
     for line, pattern in zip(lines, expected):
         assert re.fullmatch(pattern, line), line
+
+
+def test_run_all_rejects_a_pattern_that_selects_nothing(capsys, monkeypatch):
+    from tiedbracket import selftest
+
+    def never_run():
+        raise AssertionError("ran a criterion the pattern does not select")
+
+    monkeypatch.setattr(selftest, "CRITERIA", [("first", never_run)])
+    with pytest.raises(ValueError, match="nosuch"):
+        selftest.run_all(pattern="nosuch")
+    assert capsys.readouterr().out == ""
 
 
 def test_states_seeded_table_matches_bracket(capsys):
