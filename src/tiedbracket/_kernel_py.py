@@ -24,9 +24,12 @@ order, and `seed = -1` the default one.  The helpers below serve
 `resolve_sum` and the engine's diagram walks (`engine._states`) alike:
 `_pick` chooses the crossing to smooth from the strand colors
 (`_strands`), `_children` smooths it, repainting the colors for the delta
-branches, and returns each child's key with the number of circles the
-smoothing closed and the fall of its rank (`_rank`), `_components` counts
-a leaf's components and `_arcs` names a leaf's arcs again.
+branches, and returns each child's key with its tag change, made from the
+circles the smoothing closed and the branch's color merge by two ints the
+caller gives, and the fall of its rank (`_rank`).  `_components` counts a
+leaf's components, for `resolve_sum`'s k and for the summaries of the
+AJ-state table, which the engine builds from the leaf keys, and `_arcs`
+names a leaf's arcs again, for the leaf diagrams of `resolution_tree`.
 
 Leaf weights are products of the branch labels A, 1/A, -1 and
 delta = A + 1/A, so they compress to a triple (sign, apow, dpow).  The
@@ -188,14 +191,19 @@ def _pick(key, seed):
     return x, over[x] < under[x]
 
 
-def _children(key, x, x_type2):
+def _children(key, x, x_type2, circle, merge):
     """The children of smoothing crossing x, in the kernels' order: two
     (the flipped crossing), zero, one; or A, 1/A.
 
-    Each child is (key, sign, apow, dpow, closed, drop), as `_memo_walk`'s
+    Each child is (key, sign, apow, dpow, dtag, drop), as `_memo_walk`'s
     ``expand`` returns it: its key, the branch weight sign * A^apow *
-    delta^dpow, the number of circles the smoothing closed, all of the
-    over strand's color, and the amount by which the rank (`_rank`) falls.
+    delta^dpow, the tag change ``closed * circle + dpow * merge`` and the
+    amount by which the rank (`_rank`) falls.  ``closed`` counts the
+    circles the smoothing closed, all of the over strand's color, and
+    dpow is 1 on the delta branches, which merge the under strand's color
+    into the over strand's, and 0 on the others.  `_expander` passes
+    ``(1, 0)``, so its tags count circles; `engine._states` passes a loop
+    field and a merge record of its tags.
     The A-smoothing glues {s0-s1, s2-s3} of crossing x, the others
     {s0-s3, s1-s2}.  Gluing two slots joins their partners, or closes a
     circle when they are each other's partners; then x's four slots go
@@ -249,7 +257,8 @@ def _children(key, x, x_type2):
             q[tb] = q[a]
         del c[s : s + 4]
         del q[s : s + 4]
-        out.append((b"".join((c.translate(shift), q, colors)), sign, apow, dpow, closed, drop))
+        dtag = closed * circle + dpow * merge
+        out.append((b"".join((c.translate(shift), q, colors)), sign, apow, dpow, dtag, drop))
     return out
 
 
@@ -404,7 +413,7 @@ def _expander(seed):
         x, x_type2 = _pick(key, seed)
         if x < 0:
             return _components(key)
-        return _children(key, x, x_type2)
+        return _children(key, x, x_type2, 1, 0)
 
     return expand
 

@@ -221,10 +221,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_input(p):
+    def add_input(p, with_json=True):
         p.add_argument("input", nargs="?", help="diagram file or inline diagram text")
         p.add_argument("--fixture", help="use a named catalog fixture")
-        p.add_argument("--json", action="store_true", help="emit JSON")
+        if with_json:
+            p.add_argument("--json", action="store_true", help="emit JSON")
 
     p = sub.add_parser("bracket", help="compute the double bracket <<D>>")
     add_input(p)
@@ -245,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_states)
 
     p = sub.add_parser("tree", help="print the resolution tree")
-    add_input(p)
+    add_input(p, with_json=False)  # its machine-readable form is --dot
     p.add_argument("--dot", action="store_true", help="emit DOT graph format")
     p.add_argument("--max-nodes", type=int, default=5000,
                    help="how many nodes to show, in depth-first preorder")

@@ -397,8 +397,16 @@ class TiedDiagram(_Frozen):
         lower relative slot.  The code is the least run of such walks over
         the orders of the pieces and their start darts, followed by the
         free loops by color with multiplicities.
+
+        The search is `_canonical_code`, on the strand map (`_darts`) and
+        the color of each slot's arc; the engine's AJ-state table runs it
+        on its leaf keys, with no diagram, and gets the same strings.
         """
-        return _canonical_code(self)
+        _, succ = _darts(self.crossings)
+        color = self.arc_color
+        return _canonical_code(
+            len(self.crossings), succ, [color[a] for rec in self.crossings for a in rec], self.free_loops
+        )
 
     def __str__(self) -> str:
         """Diagram text for the diagram (see `catalog`); `catalog.parse_diagram`
@@ -551,16 +559,20 @@ def disjoint_union(
 # -- canonical code internals ---------------------------------------------
 
 
-def _canonical_code(d: TiedDiagram) -> str:
-    crossings, arc_color = d.crossings, d.arc_color
-    if not crossings:
+def _canonical_code(n: int, succ: Sequence[int], dart_color: Sequence[int], loops: Iterable[int]) -> str:
+    """The code of `TiedDiagram.canonical_code` for ``n`` crossings: dart
+    4 * ci + si enters crossing ci at slot si, ``succ[dart]`` is the dart
+    its strand enters next (`_darts`), ``dart_color[dart]`` the color of
+    the dart's arc and ``loops`` the colors of the free loops.  Only the
+    equality of colors counts, so any one-to-one renaming of them gives
+    the same code."""
+    if not n:
         # Only the loops tail, its colors named by falling multiplicity.
-        counts = sorted(Counter(d.free_loops).values(), reverse=True)
-        return ";".join(f"-2,{name},{n}" for name, n in enumerate(counts, 1))
-    _, succ = _darts(crossings)
+        counts = sorted(Counter(loops).values(), reverse=True)
+        return ";".join(f"-2,{name},{k}" for name, k in enumerate(counts, 1))
     pieces: list[list[int]] = []  # the crossings joined through arcs
     placed: set[int] = set()
-    for first in (ci for ci in range(len(crossings)) if ci not in placed):
+    for first in (ci for ci in range(n) if ci not in placed):
         piece = [first]
         placed.add(first)
         for ci in piece:
@@ -568,13 +580,13 @@ def _canonical_code(d: TiedDiagram) -> str:
             placed |= fresh
             piece += fresh
         pieces.append(piece)
-    piece_colors = [{arc_color[a] for ci in piece for a in crossings[ci]} for piece in pieces]
-    loop_counts = Counter(d.free_loops)
+    piece_colors = [{c for ci in piece for c in dart_color[4 * ci : 4 * ci + 4]} for piece in pieces]
+    loop_counts = Counter(loops)
 
     def loops_tail(names: dict[int, int]) -> list[tuple[int, ...]]:
-        unnamed = sorted((n for c, n in loop_counts.items() if c not in names), reverse=True)
-        tail = sorted((-2, names[c], n) for c, n in loop_counts.items() if c in names)
-        return tail + [(-2, name, n) for name, n in enumerate(unnamed, len(names) + 1)]
+        unnamed = sorted((k for c, k in loop_counts.items() if c not in names), reverse=True)
+        tail = sorted((-2, names[c], k) for c, k in loop_counts.items() if c in names)
+        return tail + [(-2, name, k) for name, k in enumerate(unnamed, len(names) + 1)]
 
     def walk(dart: int, base: int, colors: dict[int, int]):
         """The tokens of the piece that ``dart`` enters, its crossings named
@@ -582,7 +594,7 @@ def _canonical_code(d: TiedDiagram) -> str:
         names: dict[int, tuple[int, int]] = {}  # crossing -> (name, frame)
         strands: set[int] = set()  # 2 * ci + parity of each strand passed
         while True:
-            yield (-1, colors.setdefault(arc_color[crossings[dart >> 2][dart & 3]], len(colors) + 1), 0)
+            yield (-1, colors.setdefault(dart_color[dart], len(colors) + 1), 0)
             first = dart
             while True:
                 ci, si = dart >> 2, dart & 3

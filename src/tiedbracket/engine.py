@@ -29,6 +29,7 @@ from ._kernel_py import (
     MAX_CROSSINGS,
     _arcs,
     _children,
+    _components,
     _memo_walk,
     _mix,
     _pick,
@@ -44,6 +45,7 @@ from .diagram import (
     TiedDiagram,
     _Frozen,
     _Record,
+    _canonical_code,
     _set,
     _trace_components,
 )
@@ -242,33 +244,46 @@ def _states(d: TiedDiagram, strategy: Strategy, walk: str):
     crossings, and the walks start at its key.  Returns the root's key
     and tag and ``expand``, as `_kernel_py._memo_walk` and
     `_kernel_py._tree_walk` take them; ``settle``, which resolves a
-    leaf's tag; and ``diagram``, which decodes a resolved tag into a
-    `TiedDiagram` whose arcs are numbered by first appearance in the
-    slots.  Both are cached, so each distinct leaf is resolved and
-    decoded once.
+    leaf's tag; ``summary``, which summarizes the AJ-state of a resolved
+    tag for `resolve`; and ``diagram``, which decodes a resolved tag into
+    a `TiedDiagram` for `resolution_tree`, its arcs numbered by first
+    appearance in the slots.  ``settle`` and ``diagram`` are cached, so
+    each distinct leaf is resolved and decoded once; ``summary`` needs no
+    cache, as `resolve` keys its weights by the resolved tag and so
+    summarizes each once.
 
     A tag holds one count of loops for each color of the key, in fields
     of ``width`` bits, wide enough for every loop that a path can hold:
     the free loops of arc colors, in the root's tag, and at most two
-    circles closed by each smoothing.  ``expand`` picks and smooths as
-    `_kernel_py._expander` does; each child adds the circles it closed,
-    all of the over strand's color i, to i's count.  On a delta branch
-    the under strand's color j merges into i, in the key and so for the
-    loops: the child adds i + 1 to j's merge field, one of ``step``
-    bits for each color above the loop fields.  A color merges at most
-    once on a path, since it then leaves the key, and always into a lower
-    color.  So ``settle`` moves each color's loops along its merge, from
-    the highest color down, which carries a chain of merges to its end,
-    and clears the merge fields.  A leaf's tag numbers its key among the
+    circles closed by each smoothing.  ``expand`` picks as
+    `_kernel_py._expander` does and smooths with `_kernel_py._children`,
+    whose tag change it sets: each child adds the circles it closed, all
+    of the over strand's color i, to i's count.  On a delta branch the
+    under strand's color j merges into i, in the key and so for the
+    loops: the child adds i + 1 to j's merge field, one of ``step`` bits
+    for each color above the loop fields.  A color merges at most once on
+    a path, since it then leaves the key, and always into a lower color.
+    So ``settle`` moves each color's loops along its merge, from the
+    highest color down, which carries a chain of merges to its end, and
+    clears the merge fields.  A leaf's tag numbers its key among the
     distinct leaf keys met, above the merge fields.  A loop of a color
-    that no arc carries stays out of the tags, and ``diagram`` adds it
-    back: a merge joins the colors of two arcs, so it never reaches that
-    loop.
+    that no arc carries stays out of the tags, and ``summary`` and
+    ``diagram`` add it back: a merge joins the colors of two arcs, so it
+    never reaches that loop.
+
+    ``summary`` reads the leaf key and the loop fields, and builds no
+    diagram: k is the key's components (`_kernel_py._components`) and
+    the loops; gamma counts the colors of the key's strands together with
+    those of the loops; the crossings left are the key's.  Its code is
+    `diagram._canonical_code` on the key's strand map, slot colors and
+    loop colors, the search that `TiedDiagram.canonical_code` runs on the
+    diagram that ``diagram`` decodes, so the strings are the same.
     """
     seed = _seed(strategy)
     key, number = _encode(d, walk)
     palette = list(number)
     inert = tuple(c for c in d.free_loops if c not in number)
+    lone = [-c for c in inert]  # their colors for ``summary``: numbers no strand takes
     loops = [number[c] for c in d.free_loops if c in number]
     width = (len(loops) + 2 * len(d.crossings)).bit_length()
     step = len(palette).bit_length()
@@ -283,12 +298,7 @@ def _states(d: TiedDiagram, strategy: Strategy, walk: str):
             return len(leaves) - 1 << fields
         under, over = _strands(key)
         i = over[x]
-        circle, merge = 1 << width * i, i + 1 << merges + step * under[x]
-        # dpow is 1 on the delta branches and 0 on the others
-        return [
-            (child, sign, apow, dpow, closed * circle + dpow * merge, drop)
-            for child, sign, apow, dpow, closed, drop in _children(key, x, x_type2)
-        ]
+        return _children(key, x, x_type2, 1 << width * i, i + 1 << merges + step * under[x])
 
     @cache
     def settle(tag):
@@ -297,6 +307,20 @@ def _states(d: TiedDiagram, strategy: Strategy, walk: str):
             if into:
                 tag += (tag >> width * j & mask) * ((1 << width * (into - 1)) - (1 << width * j))
         return tag >> fields << fields | tag & (1 << merges) - 1
+
+    def summary(tag, codes):
+        key = leaves[tag >> fields]
+        n = len(key) // 10
+        m = 4 * n
+        loops = [c for c in range(len(palette)) for _ in range(tag >> width * c & mask)] + lone
+        code = None
+        if codes:
+            slot_color = bytearray(m)  # the color of each slot's strand
+            slot_color[0::4] = slot_color[2::4] = key[8 * n : 9 * n]
+            slot_color[1::4] = slot_color[3::4] = key[9 * n :]
+            succ = [4 * key[s ^ 2] + key[m + (s ^ 2)] for s in range(m)]
+            code = _canonical_code(n, succ, slot_color, loops)
+        return AJStateSummary(_components(key) + len(loops), len(set(loops).union(key[8 * n :])), n, code)
 
     @cache
     def diagram(tag):
@@ -307,7 +331,7 @@ def _states(d: TiedDiagram, strategy: Strategy, walk: str):
             tuple(p for c, p in enumerate(palette) for _ in range(tag >> width * c & mask)) + inert,
         )
 
-    return key, sum(1 << width * c for c in loops), expand, settle, diagram
+    return key, sum(1 << width * c for c in loops), expand, settle, summary, diagram
 
 
 @cache
@@ -360,7 +384,8 @@ def resolve(
     that later merged counts in the color it merged into.  Each count
     folds into one term dict per settled leaf, through the cached terms
     of delta^dpow, as `double_bracket` folds; each settled leaf is
-    rebuilt as one diagram and summarized once.  The
+    summarized once, from its key and its loops, with no diagram
+    (`_states`), and canonically encoded only if ``codes``.  The
     entries of one state merge (`StateSum.grouped`): by canonical code
     with ``codes=True``, else by the (k, gamma, crossings_left) summary.
     ``group`` takes only True: `resolution_tree` yields every leaf of the
@@ -371,7 +396,7 @@ def resolve(
             f"resolve gives only the grouped AJ-state table, not group={group!r}; "
             "resolution_tree yields every leaf"
         )
-    root, tag, expand, settle, diagram = _states(d, strategy, "the AJ-state table")
+    root, tag, expand, settle, summary, _ = _states(d, strategy, "the AJ-state table")
     weights: dict[int, dict[tuple[int, int], int]] = {}
     for (apow, dpow, leaf), count in _memo_walk(root, expand, tag).items():
         acc = weights.setdefault(settle(leaf), {})
@@ -379,18 +404,8 @@ def resolve(
             kk = (a + apow, c)
             acc[kk] = acc.get(kk, 0) + coeff * count
     return StateSum(
-        [(_summary(diagram(leaf), codes), BivariateLaurent(w)) for leaf, w in weights.items()]
+        [(summary(leaf, codes), BivariateLaurent(w)) for leaf, w in weights.items()]
     ).grouped()
-
-
-def _summary(leaf: TiedDiagram, codes: bool) -> AJStateSummary:
-    """The summary of an AJ-state, with its canonical code if ``codes``."""
-    return AJStateSummary(
-        leaf.component_count(),
-        leaf.n_colors,
-        len(leaf.crossings),
-        leaf.canonical_code() if codes else None,
-    )
 
 
 # The label of each branch weight of a smoothing.
@@ -411,7 +426,7 @@ def resolution_tree(d: TiedDiagram, strategy: Strategy = _DEFAULT):
     each distinct leaf once: equal leaves of one walk are one diagram
     object, which, being immutable, they may share.
     """
-    root, tag, expand, settle, diagram = _states(d, strategy, "the resolution tree")
+    root, tag, expand, settle, _, diagram = _states(d, strategy, "the resolution tree")
     for node, (parent, edge, weight, dtags, key, leaf) in enumerate(_tree_walk(root, expand, tag)):
         leaf = diagram(settle(dtags + leaf)) if type(leaf) is int else None
         yield node, parent, _LABELS.get(edge, ""), Complexity(*divmod(_rank(key), 128)), weight, leaf

@@ -129,6 +129,15 @@ def test_tree_max_nodes_below_one(capsys):
         assert code == 1 and out == "" and err.startswith("error:") and "--max-nodes" in err
 
 
+def test_tree_offers_no_json(capsys):
+    # its machine-readable form is --dot: --json is refused, not ignored
+    with pytest.raises(SystemExit) as exc:
+        main(["tree", "--fixture", "tiedHopf12", "--json"])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "--json" in out.err
+
+
 def test_tree_text_mode(capsys):
     code, out, _ = run(capsys, "tree", "pd: X[1,1,2,2]")
     assert code == 0

@@ -1,18 +1,23 @@
-"""The benchmark's ``cli-oneshot`` workload runs end to end: a short run of
-`perfbench/run.py`, which starts one ``tiedbracket`` child per op, exits 0
-with every op's output checked correct.  A change to the command line or
-to the API it uses that breaks the benchmark fails here."""
+"""Two of the benchmark's workloads run end to end: a short run of
+`perfbench/run.py` exits 0 with every op's output checked correct.
+``cli-oneshot`` starts one ``tiedbracket`` child per op; ``states-table``
+checks the total of each ``resolve(d, codes=True, group=True)`` against
+`double_bracket`.  A change to the command line, or to the API the
+benchmark uses, that breaks a workload fails here."""
 
 import json
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_cli_oneshot_workload_runs():
-    argv = ["--workload", "cli-oneshot", "--seed", "1", "--seconds", "0.3"]
+@pytest.mark.parametrize("workload", ["cli-oneshot", "states-table"])
+def test_workload_runs(workload):
+    argv = ["--workload", workload, "--seed", "1", "--seconds", "0.3"]
     done = subprocess.run(
         [sys.executable, str(ROOT / "perfbench" / "run.py"), *argv],
         cwd=ROOT,

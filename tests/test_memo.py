@@ -1,10 +1,12 @@
 """The memoized walk of `_kernel_py.resolve_sum` against the tree of
 `resolution_tree`, in the default order and under seeds; the memoized
 AJ-state table against the reference tree walk on diagrams
-(`tree_reference`), also on many loops and colors, and that it walks no
-tree; `_memo_walk` and `_tree_walk` on a hand-made DAG, `_memo_walk` on
-a chain of shared histograms that ends in a merge, and its packed groups
-at their bounds;
+(`tree_reference`), and the summaries it builds from its leaf keys
+against those of the leaf diagrams, also on many loops and colors; that
+it walks no tree, builds no diagram and runs the code search once a
+distinct leaf; `_memo_walk` and `_tree_walk` on a hand-made DAG,
+`_memo_walk` on a chain of shared histograms that ends in a merge, and
+its packed groups at their bounds;
 how many states each memo expands; that each edge's drop is the fall of
 the rank of the memo walks and that a walk frees the states it has
 expanded; the seeded pick rule;
@@ -26,7 +28,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 import kernel_reference
 from torus import torus_2, torus_2_closed_form
-from tree_reference import leaf_sum, reference_sum, reordered
+from tree_reference import leaf_sum, reference_sum, reordered, summary
 
 from tiedbracket import _backend, _kernel_py, engine
 from tiedbracket.catalog import load_catalog
@@ -93,6 +95,13 @@ def assert_state_table_matches_tree(d, strategy=OrderedStrategy()):
     for codes, tree in ((True, coded), (False, uncoded)):
         memo = resolve(d, strategy, codes=codes)
         assert memo.entries == tree.grouped().entries
+    # each settled leaf: its summary from the leaf key is the one of the
+    # diagram that `resolution_tree` decodes for it
+    root, tag, expand, settle, key_summary, diagram = engine._states(d, strategy, "the AJ-state table")
+    for *_, leaf in _kernel_py._memo_walk(root, expand, tag):
+        leaf = settle(leaf)
+        for codes in (True, False):
+            assert key_summary(leaf, codes) == summary(diagram(leaf), codes)
 
 
 @given(st.integers(0, 10_000), st.integers(1, 7), st.integers(1, 5), st.integers(0, 3))
@@ -387,18 +396,39 @@ def test_code_and_state_table_leave_no_garbage_cycles():
 
 def test_state_table_encodes_each_distinct_leaf_once(monkeypatch):
     # of the 16,522 leaves of L11n418's tree, 43 distinct ones carry
-    # weight: the table encodes each once and merges them into 32 entries
+    # weight: the table runs the code search once on each leaf key and
+    # merges them into 32 entries
     calls = []
-    code = TiedDiagram.canonical_code
+    code = engine._canonical_code
 
-    def counted(self):
+    def counted(*args):
         calls.append(1)
-        return code(self)
+        return code(*args)
 
-    monkeypatch.setattr(TiedDiagram, "canonical_code", counted)
+    monkeypatch.setattr(engine, "_canonical_code", counted)
     d = next(e for e in CATALOG if e.name == "L11n418").diagram()
     assert len(resolve(d, codes=True).entries) == 32
     assert len(calls) == 43
+
+
+def test_state_table_builds_no_diagram(monkeypatch):
+    # the table summarizes its leaves from their keys: no leaf, and no
+    # loop of a color that no arc carries, is rebuilt as a diagram
+    diagrams = [e.diagram() for e in CATALOG]
+    diagrams += [random_diagram(s, s % 8 + 1, s % 4 + 1, s % 3) for s in range(20)]
+    diagrams.append(TiedDiagram.from_pd(HOPF, [2, 3], [1, 2, 3, 3]))
+    built = []
+    init = TiedDiagram.__init__
+
+    def counted(self, *args):
+        built.append(1)
+        init(self, *args)
+
+    monkeypatch.setattr(TiedDiagram, "__init__", counted)
+    for d in diagrams:
+        for codes in (True, False):
+            resolve(d, codes=codes)
+    assert built == []
 
 
 def test_resolve_walks_no_tree(monkeypatch):
@@ -450,7 +480,11 @@ def assert_smoothing_matches_reference(key, seed):
     pick = _kernel_py._pick(key, seed)
     assert pick == kernel_reference.pick(key, seed)
     if pick[0] >= 0:
-        assert _kernel_py._children(key, *pick) == kernel_reference.children(key, *pick)
+        kids = kernel_reference.children(key, *pick)
+        assert _kernel_py._children(key, *pick, 1, 0) == kids
+        # the tag change: closed * circle + dpow * merge
+        tagged = [(k, sign, apow, dpow, 3 * closed + 5 * dpow, drop) for k, sign, apow, dpow, closed, drop in kids]
+        assert _kernel_py._children(key, *pick, 3, 5) == tagged
 
 
 def walked_diagrams():

@@ -7,16 +7,17 @@ smoothing code with it: it smooths a `TiedDiagram` at every node
 diagrams.  It borrows only the pick rule (`_kernel_py._pick`), which it
 must follow for the two trees to be the same tree.  Both walk the stored
 order of the crossings, or a seeded draw; `reordered` gives a diagram
-another stored order.
+another stored order.  Its leaves are summarized on their diagrams
+(`summary`), which the AJ-state table does on its leaf keys.
 """
 
 from tiedbracket._kernel_py import _pick
 from tiedbracket.diagram import TiedDiagram
 from tiedbracket.engine import (
+    AJStateSummary,
     OrderedStrategy,
     StateSum,
     _prepare,
-    _summary,
     resolution_tree,
 )
 from tiedbracket.laurent import DELTA, BivariateLaurent
@@ -58,6 +59,17 @@ def _smoothings(cur, x, x_type2):
     return [(label, child, *weight) for child, (label, *weight) in zip(terms, branches)]
 
 
+def summary(leaf, codes):
+    """The summary of the AJ-state ``leaf``, a diagram, with its canonical
+    code if ``codes``: what `engine.resolve` gives it from its leaf key."""
+    return AJStateSummary(
+        leaf.component_count(),
+        leaf.n_colors,
+        len(leaf.crossings),
+        leaf.canonical_code() if codes else None,
+    )
+
+
 def reordered(d, perm):
     """``d`` with its crossings reordered: crossing ``perm[i]`` becomes
     crossing i.  The engine walks the stored order; this is how a test
@@ -95,7 +107,7 @@ def reference_sum(d, strategy=OrderedStrategy(), codes=False):
     grouped, the AJ-state table that `engine.resolve` returns."""
     return StateSum(
         [
-            (_summary(cur, codes), _weight(*weight))
+            (summary(cur, codes), _weight(*weight))
             for _, _, _, cur, weight, leaf in reference_tree(d, strategy)
             if leaf
         ]
@@ -107,7 +119,7 @@ def leaf_sum(d, strategy=OrderedStrategy(), codes=False):
     `reference_sum` lists them."""
     return StateSum(
         [
-            (_summary(leaf, codes), _weight(*weight))
+            (summary(leaf, codes), _weight(*weight))
             for *_, weight, leaf in resolution_tree(d, strategy)
             if leaf is not None
         ]
