@@ -18,6 +18,7 @@ import enum
 from collections import Counter
 from collections.abc import Iterable, Mapping, Sequence
 from functools import total_ordering
+from types import MappingProxyType
 
 __all__ = [
     "DiagramError",
@@ -92,7 +93,7 @@ class _Record:
         return NotImplemented
 
     def __repr__(self) -> str:
-        shown = ", ".join([f"{f}={getattr(self, f)!r}" for f in self.__slots__])
+        shown = ", ".join([f"{f}={v!r}" for f, v in zip(self.__slots__, self._fields())])
         return f"{type(self).__qualname__}({shown})"
 
     def __reduce__(self):
@@ -133,19 +134,29 @@ class Complexity(_Frozen):
         return self._fields() < other._fields()
 
 
-class TiedDiagram(_Frozen):
+class _Validated(_Frozen):
+    """A frozen record with one private slot outside its fields: the strand
+    map that `TiedDiagram.validate` found valid, or None."""
+
+    __slots__ = ("_strands",)
+
+
+class TiedDiagram(_Validated):
     """An immutable tied link diagram.
 
     Fields:
         crossings: one 4-tuple of arc ids per crossing, in a stable stored
             order: the arc ends counterclockwise, the under-strand in
             slots 0 and 2.
-        arc_color: mapping from arc id to color index (1-based); a fresh
-            empty dict when omitted.
+        arc_color: read-only mapping from arc id to color index (1-based):
+            a `types.MappingProxyType` over a private copy of the mapping
+            given, empty when omitted.  It compares, hashes, shows, pickles
+            and copies as a dict.
         free_loops: colors of the crossingless circles, one entry per circle.
 
     Every smoothing returns a fresh diagram, so values can be fanned out
-    across workers freely.
+    across workers freely.  Nothing about a diagram changes after it is
+    built, so `validate` checks it once and keeps its strand map.
     """
 
     __slots__ = ("crossings", "arc_color", "free_loops")
@@ -157,11 +168,15 @@ class TiedDiagram(_Frozen):
         free_loops: tuple[int, ...] = (),
     ):
         _set(self, "crossings", crossings)
-        _set(self, "arc_color", {} if arc_color is None else arc_color)
+        _set(self, "arc_color", MappingProxyType({} if arc_color is None else dict(arc_color)))
         _set(self, "free_loops", free_loops)
+        _set(self, "_strands", None)
+
+    def _fields(self) -> tuple:
+        return self.crossings, dict(self.arc_color), self.free_loops
 
     def __hash__(self) -> int:
-        # arc_color is a dict, compared by its items
+        # arc_color is a mapping, compared by its items
         return hash((self.crossings, frozenset(self.arc_color.items()), self.free_loops))
 
     # -- construction ---------------------------------------------------
@@ -186,11 +201,14 @@ class TiedDiagram(_Frozen):
         ends, before any component is traced, so that malformed slots raise
         the errors they raise there.  The result then holds every invariant
         of `validate` by construction: each arc lies on one component, and
-        each component has one color.
+        each component has one color.  So it keeps the strand map on which
+        its components were traced, and `validate` and `components` build
+        none.
         """
         crossings = tuple(tuple(t) for t in slot_tuples)
         _check_slots(crossings)
-        comps = _trace_components(crossings)
+        strands = _darts(crossings)
+        comps = _trace_components(crossings, strands[1])
         if component_colors is None:
             component_colors = [1] * len(comps)
         if len(component_colors) != len(comps):
@@ -202,19 +220,26 @@ class TiedDiagram(_Frozen):
             if type(col) is not int or col <= 0:
                 raise DiagramError(f"colors must be positive integers, got {col!r}")
         arc_color = {arc: col for comp, col in zip(comps, component_colors) for arc in comp}
-        return cls(crossings, arc_color, loops).normalized_colors()
+        d = cls(crossings, arc_color, loops)
+        _set(d, "_strands", strands)
+        return d.normalized_colors()
 
     def normalized_colors(self) -> "TiedDiagram":
-        """Rename colors monotonically so those in use are exactly 1..m."""
+        """Rename colors monotonically so those in use are exactly 1..m.
+
+        A renamed diagram has the same crossings, and is valid if this one
+        is, so it keeps the strand map that `validate` kept here."""
         used = sorted(set(self.arc_color.values()) | set(self.free_loops))
         if used == list(range(1, len(used) + 1)):
             return self
         rename = {old: new for new, old in enumerate(used, start=1)}
-        return TiedDiagram(
+        out = TiedDiagram(
             self.crossings,
             {arc: rename[c] for arc, c in self.arc_color.items()},
             tuple(rename[c] for c in self.free_loops),
         )
+        _set(out, "_strands", self._strands)
+        return out
 
     def relabel_arcs(self, mapping: Mapping[int, int]) -> "TiedDiagram":
         """Apply a bijective arc relabeling (used mainly by tests)."""
@@ -246,9 +271,14 @@ class TiedDiagram(_Frozen):
         must be colored, and all arcs of one component must share a color.
 
         Returns the strand map (`_darts`) on which it traced the
-        components, so that a caller need not build it again.  Nothing is
-        kept on the diagram, whose ``arc_color`` may change.
+        components, so that a caller need not build it again; the caller
+        must not change it.  The first success keeps it on the diagram,
+        outside its fields, and later calls return it with no check: the
+        diagram cannot change.  A diagram that fails keeps nothing, so it
+        raises again on each call.
         """
+        if self._strands is not None:
+            return self._strands
         for name in ("crossings", "free_loops"):
             value = getattr(self, name)
             if not isinstance(value, tuple):
@@ -268,15 +298,17 @@ class TiedDiagram(_Frozen):
                 raise ColorMismatchError(
                     f"component {sorted(comp)} carries colors {sorted(colors)}"
                 )
+        _set(self, "_strands", strands)
         return strands
 
     def components(self) -> list[frozenset[int]]:
         """Arc components in deterministic order (sorted by smallest arc id).
 
         Free loops are not listed here; they follow in ``free_loops`` order
-        and count as one component each.
+        and count as one component each.  Traced on the strand map that
+        `validate` kept, if it kept one.
         """
-        return _trace_components(self.crossings)
+        return _trace_components(self.crossings, None if self._strands is None else self._strands[1])
 
     def component_count(self) -> int:
         return len(self.components()) + len(self.free_loops)
@@ -581,26 +613,48 @@ def _canonical_code(n: int, succ: Sequence[int], dart_color: Sequence[int], loop
             piece += fresh
         pieces.append(piece)
     piece_colors = [{c for ci in piece for c in dart_color[4 * ci : 4 * ci + 4]} for piece in pieces]
+    piece_darts = [[4 * ci + si for ci in piece for si in range(4)] for piece in pieces]
     loop_counts = Counter(loops)
+    # A token (a, b, c) is searched as the int a + 2 << a_shift | b <<
+    # b_shift | c, which orders as the tuple does: c is a parity or a count
+    # of loops, b a relative slot or the name of a color, and a is -2 (the
+    # loops tail), -1 (a component's color) or a crossing's name.
+    b_shift = max(loop_counts.values(), default=1).bit_length()
+    a_shift = b_shift + max(3, len(set(dart_color)) + len(loop_counts)).bit_length()
+    color_token = 1 << a_shift
 
-    def loops_tail(names: dict[int, int]) -> list[tuple[int, ...]]:
+    def loops_tail(names: dict[int, int]) -> list[int]:
         unnamed = sorted((k for c, k in loop_counts.items() if c not in names), reverse=True)
-        tail = sorted((-2, names[c], k) for c, k in loop_counts.items() if c in names)
-        return tail + [(-2, name, k) for name, k in enumerate(unnamed, len(names) + 1)]
+        tail = sorted(names[c] << b_shift | k for c, k in loop_counts.items() if c in names)
+        return tail + [name << b_shift | k for name, k in enumerate(unnamed, len(names) + 1)]
 
-    def walk(dart: int, base: int, colors: dict[int, int]):
+    def walk(dart: int, base: int, colors: dict[int, int], bound: list[int] | None) -> list[int] | None:
         """The tokens of the piece that ``dart`` enters, its crossings named
-        from ``base + 1`` on, and its new colors named in ``colors``."""
-        names: dict[int, tuple[int, int]] = {}  # crossing -> (name, frame)
-        strands: set[int] = set()  # 2 * ci + parity of each strand passed
+        from ``base + 1`` on, and its new colors named in ``colors``; None
+        as soon as they exceed ``bound``, if given, or outrun it."""
+        names: dict[int, tuple[int, int]] = {}  # crossing -> (name as a token's a, frame)
+        strands: set[int] = set()  # the dart & ~2 of each strand passed: 4 * ci + parity
+        tokens: list[int] = []
+        tie = bound is not None  # the tokens so far are bound's
         while True:
-            yield (-1, colors.setdefault(dart_color[dart], len(colors) + 1), 0)
+            tok = color_token | colors.setdefault(dart_color[dart], len(colors) + 1) << b_shift
+            if tie:
+                i = len(tokens)
+                if i == len(bound) or tok > bound[i]:
+                    return None
+                tie = tok == bound[i]
+            tokens.append(tok)
             first = dart
             while True:
-                ci, si = dart >> 2, dart & 3
-                strands.add(2 * ci + (si & 1))
-                name, frame = names.setdefault(ci, (base + len(names) + 1, si))
-                yield (name, (si - frame) & 3, si & 1)
+                strands.add(dart & -3)
+                name, frame = names.setdefault(dart >> 2, (base + len(names) + 3 << a_shift, dart & 3))
+                tok = name | (dart - frame & 3) << b_shift | dart & 1
+                if tie:
+                    i = len(tokens)
+                    if i == len(bound) or tok > bound[i]:
+                        return None
+                    tie = tok == bound[i]
+                tokens.append(tok)
                 dart = succ[dart]
                 if dart == first:
                     break
@@ -608,20 +662,23 @@ def _canonical_code(n: int, succ: Sequence[int], dart_color: Sequence[int], loop
             # strand not passed yet, at slot 1 of that crossing's frame (the
             # strand's slots are 1 and 3).  None left: the piece is done.
             for ci, (_, frame) in names.items():
-                if 2 * ci + (frame & 1 ^ 1) not in strands:
-                    dart = 4 * ci + (frame + 1 & 3)
+                dart = 4 * ci + (frame + 1 & 3)
+                if dart & -3 not in strands:
                     break
             else:
-                return
+                return tokens
 
     # A depth-first search over the order of the pieces and their start
     # darts, on a stack, as a nested function that recursed would leave each
-    # call's state to the cyclic collector.  Only a piece's least tokens can
-    # lead to the minimum: tokens that are a proper prefix of others go on
-    # with a (-1, ...) or (-2, ...) token, the longer ones with a passage,
-    # as every crossing named so far has both strands passed.  Where the
-    # prefix is the best code's, tokens above its rest lose too.
-    best: list[tuple[int, ...]] | None = None
+    # call's state to the cyclic collector.  Only the least tokens of the
+    # pieces left can lead to the minimum: tokens that are a proper prefix
+    # of others go on with a (-1, ...) or (-2, ...) token, the longer ones
+    # with a passage, as every crossing named so far has both strands
+    # passed.  Where the prefix is the best code's, tokens above its rest
+    # lose too.  A walk's first two tokens are its start's color, named as
+    # in ``colors``, and (base + 1, 0, parity of the start's slot): only the
+    # starts with the least of these are walked.
+    best: list[int] | None = None
     stack = [([], tuple(range(len(pieces))), {}, 0)]
     while stack:
         prefix, left, colors, base = stack.pop()
@@ -634,26 +691,26 @@ def _canonical_code(n: int, succ: Sequence[int], dart_color: Sequence[int], loop
         low, options = None, []
         if best is not None and prefix == best[: len(prefix)]:
             low = best[len(prefix) :]
+        new = len(colors) + 1  # each start's first two tokens, as one int:
+        head = {d: colors.get(dart_color[d], new) << 1 | d & 1 for p in left for d in piece_darts[p]}
+        least = min(head.values())
         for p in left:
+            starts = [d for d in piece_darts[p] if head[d] == least]
             # Walks with equal tokens that name alike the colors met outside
             # their own pieces leave searches alike, so one of them will do.
             own = piece_colors[p].difference(loop_counts, *(piece_colors[q] for q in left if q != p))
-            for dart in (4 * ci + si for ci in pieces[p] for si in range(4)):
-                cl, tokens, tie = dict(colors), [], low is not None
-                for tok in walk(dart, base, cl):
-                    if tie:
-                        i = len(tokens)
-                        if i == len(low) or tok > low[i]:
-                            break
-                        tie = tok == low[i]
-                    tokens.append(tok)
-                else:
-                    if tokens != low:
-                        low, options = tokens, []
-                    shared = {c: name for c, name in cl.items() if c not in own}
-                    if all(shared != s for _, _, s in options):
-                        options.append((p, cl, shared))
+            for dart in starts:
+                cl = dict(colors)
+                tokens = walk(dart, base, cl, low)
+                if tokens is None:
+                    continue
+                if tokens != low:
+                    low, options = tokens, []
+                shared = {c: name for c, name in cl.items() if c not in own}
+                if all(shared != s for _, _, s in options):
+                    options.append((p, cl, shared))
         # Pushed in reverse so that the options are searched in order.
         for p, cl, _ in reversed(options):
             stack.append((prefix + low, tuple(q for q in left if q != p), cl, base + len(pieces[p])))
-    return ";".join(",".join(str(x) for x in tok) for tok in best)
+    b_mask, c_mask = (1 << a_shift - b_shift) - 1, (1 << b_shift) - 1
+    return ";".join(f"{(t >> a_shift) - 2},{t >> b_shift & b_mask},{t & c_mask}" for t in best)

@@ -58,6 +58,38 @@ def test_validate_color_mismatch():
         TiedDiagram(crossings, colors).validate()
 
 
+# One diagram for each check of validate, with the error it raises.
+INVALID = [
+    (((1, 2, 3, 4),), {1: 1, 2: 1, 3: 1, 4: 1}, (), DanglingArcError, "arc 1 occurs 1 times"),
+    ((), {7: 2}, (1,), DanglingArcError, "arc 7 occurs 0 times"),
+    (tuple(TREFOIL), {1: 1, 2: 1, 3: 1, 5: 1, 6: 1}, (), MissingColorError, "arc 4 has no color"),
+    (tuple(TREFOIL), {1: 1, 2: 2, 3: 1, 4: 1, 5: 1, 6: 1}, (), ColorMismatchError, "carries colors"),
+    (HOPF, {1: 1, 2: 1, 3: 2, 4: 2}, (), DiagramError, "crossings must be a tuple"),
+    ((), {}, [1, 1], DiagramError, "free_loops must be a tuple"),
+    (tuple(HOPF), {1: True, 2: True, 3: 2, 4: 2}, (), DiagramError, "positive integers"),
+]
+
+
+@pytest.mark.parametrize("crossings, colors, loops, error, message", INVALID)
+def test_validate_raises_on_each_call(crossings, colors, loops, error, message):
+    # a diagram that fails keeps nothing, so a second call checks again
+    d = TiedDiagram(crossings, colors, loops)
+    for _ in range(2):
+        with pytest.raises(error, match=message):
+            d.validate()
+
+
+def test_validate_checks_once():
+    # the first success keeps the strand map, which later calls return and
+    # components() traces; a diagram from from_pd keeps the map it traced
+    d = TiedDiagram(tuple(TREFOIL), dict.fromkeys(range(1, 7), 1))
+    strands = d.validate()
+    assert d.validate() is strands
+    for parsed in (TiedDiagram.from_pd(TREFOIL), TiedDiagram.from_pd(HOPF, [3, 5], [5, 9])):
+        assert parsed.validate() is parsed.validate()
+        assert parsed.components() == TiedDiagram(parsed.crossings, parsed.arc_color).components()
+
+
 def test_components():
     assert len(tied_hopf().components()) == 2
     assert len(TiedDiagram.from_pd(TREFOIL).components()) == 1

@@ -8,6 +8,7 @@ from tree_reference import leaf_sum, reference_sum, reference_tree, reordered
 
 from tiedbracket import _backend, _kernel_py, diagram
 from tiedbracket.catalog import load_catalog, parse_diagram
+from tiedbracket.cli import main
 from tiedbracket.diagram import TiedDiagram, random_diagram, unknot
 from tiedbracket.engine import (
     AJStateSummary,
@@ -359,10 +360,11 @@ def test_statesum_grouped_merges_by_summary():
     assert grouped.total() == StateSum(entries).total()
 
 
-def test_an_op_builds_the_strand_map_at_most_twice(monkeypatch):
-    # parse_diagram traces the components on one strand map, and
-    # double_bracket validates on another, which the key is built from,
-    # on the text of the diagram and of its reorderings, and under a seed
+def test_an_op_builds_the_strand_map_once(monkeypatch, capsys):
+    # parse_diagram traces the components on one strand map, and hands it
+    # to the diagram it returns, which double_bracket validates and builds
+    # the key from, on the text of the diagram and of its reorderings, and
+    # under a seed; a second double_bracket of the diagram builds none
     calls = []
     darts = diagram._darts
 
@@ -383,5 +385,16 @@ def test_an_op_builds_the_strand_map_at_most_twice(monkeypatch):
         runs = [(text, OrderedStrategy()), (text, RandomStrategy(1))] + [(t, OrderedStrategy()) for t in reorders]
         for t, strategy in runs:
             calls.clear()
-            double_bracket(parse_diagram(t), strategy)
-            assert len(calls) <= 2, (t, strategy)
+            d = parse_diagram(t)
+            double_bracket(d, strategy)
+            assert len(calls) == 1, (t, strategy)
+            double_bracket(d, strategy)
+            assert len(calls) == 1, (t, strategy)
+    # the CLI builds one strand map for each diagram it reads
+    hopf = "pd: X[1,3,2,4] X[3,1,4,2]\ncolors: 1 2"
+    for argv, maps in ((["jones", hopf], 1), (["jones", "--fixture", "L11n418"], 1),
+                       (["distinguish", hopf, "--fixture-b", "L11n304"], 2)):
+        calls.clear()
+        assert main(argv) == 0, argv
+        assert len(calls) == maps, argv
+    capsys.readouterr()

@@ -4,7 +4,8 @@ AJ-state table against the reference tree walk on diagrams
 (`tree_reference`), and the summaries it builds from its leaf keys
 against those of the leaf diagrams, also on many loops and colors; that
 it walks no tree, builds no diagram and runs the code search once a
-distinct leaf; `_memo_walk` and `_tree_walk` on a hand-made DAG,
+distinct leaf, with the strings of the reference search
+(`code_reference`); `_memo_walk` and `_tree_walk` on a hand-made DAG,
 `_memo_walk` on a chain of shared histograms that ends in a merge, and
 its packed groups at their bounds;
 how many states each memo expands; that each edge's drop is the fall of
@@ -26,11 +27,12 @@ from functools import cache
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+import code_reference
 import kernel_reference
 from torus import torus_2, torus_2_closed_form
 from tree_reference import leaf_sum, reference_sum, reordered, summary
 
-from tiedbracket import _backend, _kernel_py, engine
+from tiedbracket import _backend, _kernel_py, diagram, engine
 from tiedbracket.catalog import load_catalog
 from tiedbracket.cli import main
 from tiedbracket.diagram import DiagramError, TiedDiagram, random_diagram
@@ -409,6 +411,35 @@ def test_state_table_encodes_each_distinct_leaf_once(monkeypatch):
     d = next(e for e in CATALOG if e.name == "L11n418").diagram()
     assert len(resolve(d, codes=True).entries) == 32
     assert len(calls) == 43
+
+
+def test_code_search_matches_the_reference(monkeypatch):
+    # every search that canonical_code and the AJ-state table run gives
+    # the reference search's string: on the fixtures, and on random
+    # diagrams with loops of an arc color and of a new color, ordered and
+    # seeded
+    calls = []
+    search = diagram._canonical_code
+
+    def checked(*args):
+        code = search(*args)
+        assert code == code_reference.canonical_code(*args), args
+        calls.append(args[0])
+        return code
+
+    monkeypatch.setattr(diagram, "_canonical_code", checked)
+    monkeypatch.setattr(engine, "_canonical_code", checked)
+    diagrams = [e.diagram() for e in CATALOG]
+    for s in range(60):
+        d = random_diagram(s, s % 9 + 1, s % 3 + 1, s % 2)
+        colors = sorted(set(d.arc_color.values()))
+        new = len(colors) + 1
+        diagrams.append(TiedDiagram(d.crossings, d.arc_color, d.free_loops + (colors[s % len(colors)], new, new)))
+    for d in diagrams:
+        d.canonical_code()
+        for strategy in (OrderedStrategy(), *SEEDED):
+            resolve(d, strategy, codes=True)
+    assert sum(n > 0 for n in calls) > 1200 and max(calls) >= 10
 
 
 def test_state_table_builds_no_diagram(monkeypatch):

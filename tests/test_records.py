@@ -20,7 +20,7 @@ TIED_HOPF = parse_diagram("pd: X[1,3,2,4] X[3,1,4,2]\ncolors: 1 2\nloops: 2")
 RECORDS = [
     (Complexity, ("total", "illegal"), (2, 1), True),
     (TiedDiagram, ("crossings", "arc_color", "free_loops"),
-     (TIED_HOPF.crossings, TIED_HOPF.arc_color, TIED_HOPF.free_loops), True),
+     (TIED_HOPF.crossings, dict(TIED_HOPF.arc_color), TIED_HOPF.free_loops), True),
     (AJStateSummary, ("k", "gamma", "crossings_left", "code"), (3, 2, 1, "-1,1,0"), True),
     (StateSum, ("entries",), ([(AJStateSummary(2, 1), LOOP)],), False),
     (OrderedStrategy, (), (), True),
@@ -106,6 +106,39 @@ def test_every_frozen_record_hashes():
     assert hash(TiedDiagram(d.crossings, {**d.arc_color, 1: 2}, d.free_loops)) != hash(d)
 
 
+def test_diagram_colors_are_read_only():
+    # a diagram holds a read-only copy of the colors it is given, so that
+    # neither it nor its caller can change them once it is hashed or
+    # validated
+    colors = dict(TIED_HOPF.arc_color)
+    d = TiedDiagram(TIED_HOPF.crossings, colors, TIED_HOPF.free_loops)
+    table = {d: "tied Hopf"}
+    h, strands = hash(d), d.validate()
+    with pytest.raises(TypeError):
+        d.arc_color[1] = 2
+    with pytest.raises(TypeError):
+        del d.arc_color[1]
+    with pytest.raises(TypeError):
+        dict.update(d.arc_color, {1: 2})
+    with pytest.raises(AttributeError):
+        d.arc_color.update({1: 2})
+    colors[1] = 2
+    del colors[3]
+    assert d.arc_color == TIED_HOPF.arc_color
+    assert hash(d) == h and table[d] == "tied Hopf" and d in table
+    assert d.validate() is strands
+
+
+def test_a_validated_diagram_keeps_no_field():
+    # the strand map that validate keeps is no field: equality, hashing,
+    # repr and pickling ignore it
+    d = TiedDiagram(TIED_HOPF.crossings, dict(TIED_HOPF.arc_color), TIED_HOPF.free_loops)
+    fresh = TiedDiagram(TIED_HOPF.crossings, dict(TIED_HOPF.arc_color), TIED_HOPF.free_loops)
+    d.validate()
+    assert d == fresh and hash(d) == hash(fresh) and repr(d) == repr(fresh)
+    assert pickle.dumps(d) == pickle.dumps(fresh)
+
+
 @pytest.mark.parametrize("cls, fields, values, frozen", RECORDS, ids=IDS)
 def test_record_assignment(cls, fields, values, frozen):
     r = build(cls, values)
@@ -153,6 +186,7 @@ def test_records_round_trip(how, trip, record):
         back = trip(record, protocol)
         assert type(back) is type(record) and back == record
         assert repr(back) == repr(record)
+        if isinstance(record, TiedDiagram):
+            assert back.validate() == record.validate()
     if how == "deepcopy" and isinstance(record, TiedDiagram):
         assert back.arc_color is not record.arc_color
-        assert back.validate() == record.validate()
