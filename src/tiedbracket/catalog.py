@@ -12,8 +12,10 @@ traced component in deterministic component order (sorted by smallest arc
 id) and defaults to all 1, i.e. a classical link.  ``loops`` lists colors
 of crossingless circles.
 
-The fixture catalog is a line-oriented text file shipped with the package;
-every expected value carries a provenance note.
+The fixture catalog is a text file shipped with the package: records
+separated by blank lines, each read by the same ``key: value`` grammar
+(keys in any case, each once per record).  Every expected value carries
+a provenance note.
 """
 
 from __future__ import annotations
@@ -36,10 +38,11 @@ class DiagramSyntaxError(DiagramError):
     """Malformed diagram text; carries the offending line."""
 
 
-_X_RE = re.compile(r"X\[\s*(-?\d+)\s*,\s*(-?\d+)\s*,\s*(-?\d+)\s*,\s*(-?\d+)\s*\]")
+# One crossing and the separators after it
+_X_RE = re.compile(r"X\[\s*(-?\d+)\s*,\s*(-?\d+)\s*,\s*(-?\d+)\s*,\s*(-?\d+)\s*\][ \t\r\n,]*")
 
 
-def _parse_pd_line(body: str, lineno: int) -> list[tuple[int, int, int, int]]:
+def _parse_pd_line(lineno: int, body: str) -> list[tuple[int, int, int, int]]:
     quads: list[tuple[int, int, int, int]] = []
     pos = 0
     body = body.strip()
@@ -51,12 +54,10 @@ def _parse_pd_line(body: str, lineno: int) -> list[tuple[int, int, int, int]]:
             )
         quads.append(tuple(int(g) for g in m.groups()))
         pos = m.end()
-        while pos < len(body) and body[pos] in " \t\r\n,":
-            pos += 1
     return quads
 
 
-def _parse_ints(body: str, lineno: int, what: str) -> list[int]:
+def _parse_ints(lineno: int, body: str, what: str) -> list[int]:
     out = []
     for tok in body.replace(",", " ").split():
         try:
@@ -66,38 +67,42 @@ def _parse_ints(body: str, lineno: int, what: str) -> list[int]:
     return out
 
 
+def _fields(lines, keys=None) -> dict[str, tuple[int, str]]:
+    """Read ``key: value`` lines, given as (line number, text) pairs, into
+    ``{key: (line number, value)}``, keys lowercased and both sides
+    stripped.  Blank lines and lines starting with ``#`` are skipped; a
+    line without a colon, a repeated key, or a key outside ``keys`` (when
+    given) raises `DiagramSyntaxError`."""
+    fields: dict[str, tuple[int, str]] = {}
+    for lineno, raw in lines:
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, sep, value = line.partition(":")
+        if not sep:
+            raise DiagramSyntaxError(f"line {lineno}: expected 'key: value', got {raw!r}")
+        key = key.strip().lower()
+        if key in fields:
+            raise DiagramSyntaxError(f"line {lineno}: duplicate {key} line")
+        if keys is not None and key not in keys:
+            raise DiagramSyntaxError(f"line {lineno}: unknown key {key!r}")
+        fields[key] = (lineno, value.strip())
+    return fields
+
+
 def parse_diagram(text: str) -> TiedDiagram:
     """Parse diagram text into a validated TiedDiagram.
 
     Colors default to all 1 when the ``colors`` line is omitted.  Each
     key may occur on one line only.
     """
-    quads: list[tuple[int, int, int, int]] | None = None
-    colors: list[int] | None = None
-    loops: list[int] = []
-    seen: set[str] = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, sep, body = line.partition(":")
-        if not sep:
-            raise DiagramSyntaxError(f"line {lineno}: expected 'key: value', got {raw!r}")
-        key = key.strip().lower()
-        if key in seen:
-            raise DiagramSyntaxError(f"line {lineno}: duplicate {key} line")
-        seen.add(key)
-        if key == "pd":
-            quads = _parse_pd_line(body, lineno)
-        elif key == "colors":
-            colors = _parse_ints(body, lineno, "color")
-        elif key == "loops":
-            loops = _parse_ints(body, lineno, "loop color")
-        else:
-            raise DiagramSyntaxError(f"line {lineno}: unknown key {key!r}")
-    if quads is None and not loops:
+    fields = _fields(enumerate(text.splitlines(), start=1), ("pd", "colors", "loops"))
+    colors = _parse_ints(*fields["colors"], "color") if "colors" in fields else None
+    loops = _parse_ints(*fields.get("loops", (0, "")), "loop color")
+    if "pd" not in fields and not loops:
         raise DiagramSyntaxError("diagram text declares no crossings and no loops")
-    return TiedDiagram.from_pd(quads or [], colors, loops)
+    quads = _parse_pd_line(*fields["pd"]) if "pd" in fields else []
+    return TiedDiagram.from_pd(quads, colors, loops)
 
 
 def ingest_linkinfo_pd(text: str) -> str:
@@ -112,7 +117,7 @@ def ingest_linkinfo_pd(text: str) -> str:
     if m is None:
         raise DiagramSyntaxError(f"expected PD[...], got {s[:32]!r}")
     inner = m.group(1).strip()
-    quads = _parse_pd_line(inner, 1)
+    quads = _parse_pd_line(1, inner)
     if not quads:
         raise DiagramSyntaxError("PD[...] contains no crossings")
     return "pd: " + " ".join("X[%d,%d,%d,%d]" % q for q in quads)
@@ -162,49 +167,38 @@ class FixtureEntry(_Record):
 
 
 def _parse_catalog(text: str) -> list[FixtureEntry]:
+    blocks: list[list[tuple[int, str]]] = [[]]
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if line.strip():
+            blocks[-1].append((lineno, line))
+        elif blocks[-1]:
+            blocks.append([])
     entries: list[FixtureEntry] = []
-    block: dict[str, str] = {}
-
-    def flush():
-        if not block:
-            return
-        if "name" not in block:
-            raise DiagramError(f"catalog record without name: {block}")
-        diff_partner = None
-        expected_difference = None
-        if "expect_diff_with" in block:
-            partner, _, poly = block["expect_diff_with"].partition(" ")
-            diff_partner = partner.strip()
+    for block in blocks:
+        fields = {key: value for key, (_, value) in _fields(block).items()}
+        if not fields:
+            continue
+        if "name" not in fields:
+            raise DiagramError(f"line {block[0][0]}: catalog record without name")
+        expected_bracket = diff_partner = expected_difference = None
+        if "expect_bracket" in fields:
+            expected_bracket = parse_poly(fields["expect_bracket"])
+        if "expect_diff_with" in fields:
+            diff_partner, _, poly = fields["expect_diff_with"].partition(" ")
             expected_difference = parse_poly(poly)
         entries.append(
             FixtureEntry(
-                name=block["name"],
-                pd=block.get("pd", "").strip(),
-                colors=[int(t) for t in block.get("colors", "").split()],
-                loops=[int(t) for t in block.get("loops", "").split()],
-                expected_bracket=(
-                    parse_poly(block["expect_bracket"]) if "expect_bracket" in block else None
-                ),
+                name=fields["name"],
+                pd=fields.get("pd", ""),
+                colors=[int(t) for t in fields.get("colors", "").split()],
+                loops=[int(t) for t in fields.get("loops", "").split()],
+                expected_bracket=expected_bracket,
                 diff_partner=diff_partner,
                 expected_difference=expected_difference,
-                source=block.get("source", ""),
-                meta=block.get("meta", ""),
+                source=fields.get("source", ""),
+                meta=fields.get("meta", ""),
             )
         )
-        block.clear()
-
-    for raw in text.splitlines():
-        line = raw.rstrip()
-        if not line.strip():
-            flush()
-            continue
-        if line.lstrip().startswith("#"):
-            continue
-        key, sep, body = line.partition(":")
-        if not sep:
-            raise DiagramError(f"bad catalog line: {raw!r}")
-        block[key.strip()] = body.strip()
-    flush()
     names = [e.name for e in entries]
     if len(set(names)) != len(names):
         raise DiagramError("duplicate fixture names in catalog")

@@ -11,8 +11,8 @@
     tiedbracket selftest --filter table1
 
 Inputs are a file path, inline diagram text (recognized by a `pd:` or
-`loops:` line), or a named catalog fixture.  Exit codes: 0 success,
-1 input error, 2 selftest failure.
+`loops:` line, keys in any case), or a named catalog fixture.  Exit
+codes: 0 success, 1 input error, 2 selftest failure.
 """
 
 from __future__ import annotations
@@ -51,7 +51,9 @@ def _load_diagram(text: str | None, name: str | None) -> TiedDiagram:
             return fixture(name).diagram()
         except KeyError as exc:
             raise InputError(str(exc)) from None
-    if "pd:" in text or "loops:" in text:
+    # read as parse_diagram reads each line's key
+    keys = {line.partition(":")[0].strip().lower() for line in text.splitlines() if ":" in line}
+    if "pd" in keys or "loops" in keys:
         return parse_diagram(text)
     if os.path.exists(text):
         try:

@@ -134,14 +134,7 @@ class Complexity(_Frozen):
         return self._fields() < other._fields()
 
 
-class _Validated(_Frozen):
-    """A frozen record with one private slot outside its fields: the strand
-    map that `TiedDiagram.validate` found valid, or None."""
-
-    __slots__ = ("_strands",)
-
-
-class TiedDiagram(_Validated):
+class TiedDiagram(_Frozen):
     """An immutable tied link diagram.
 
     Fields:
@@ -159,7 +152,9 @@ class TiedDiagram(_Validated):
     built, so `validate` checks it once and keeps its strand map.
     """
 
-    __slots__ = ("crossings", "arc_color", "free_loops")
+    # The slot after the three fields is private and outside them: the
+    # strand map that `validate` found valid, or None.
+    __slots__ = ("crossings", "arc_color", "free_loops", "_strands")
 
     def __init__(
         self,

@@ -129,23 +129,19 @@ class StateSum(_Record):
         return BivariateLaurent(acc)
 
     def grouped(self) -> "StateSum":
-        """Merge entries describing the same state.
-
-        States are identified by canonical code when every entry carries
-        one, otherwise by the (k, gamma, crossings_left) summary.
+        """Merge entries describing the same state, identified by
+        (k, gamma, crossings_left, code), and sort them by that key.  A
+        code fixes the other three, so entries with codes merge by code.
         """
-        by_code = all(s.code is not None for s, _ in self.entries)
-        merged: dict[object, tuple[AJStateSummary, BivariateLaurent]] = {}
+        merged: dict[tuple, tuple[AJStateSummary, BivariateLaurent]] = {}
         for summary, weight in self.entries:
-            key = summary.code if by_code else (summary.k, summary.gamma, summary.crossings_left)
+            key = (summary.k, summary.gamma, summary.crossings_left, summary.code or "")
             if key in merged:
                 s0, w0 = merged[key]
                 merged[key] = (s0, w0 + weight)
             else:
                 merged[key] = (summary, weight)
-        entries = [(s, w) for s, w in merged.values() if not w.is_zero()]
-        entries.sort(key=lambda e: (e[0].k, e[0].gamma, e[0].crossings_left, e[0].code or ""))
-        return StateSum(entries)
+        return StateSum([merged[key] for key in sorted(merged) if merged[key][1]])
 
 
 class OrderedStrategy(_Frozen):

@@ -203,14 +203,16 @@ def _raw(terms: dict[tuple[int, int], int]) -> BivariateLaurent:
     return p
 
 
-# One term of polynomial text:
-#   [integer] [A[^exp]] [*] [c[^exp]] [/A[^exp]]
+# One signed term of polynomial text and the blanks after it:
+#   (+|-) [integer] [A[^exp]] [*] [c[^exp]] [/A[^exp]]
+# The lookahead refuses a term with no integer, A or c.
 _TERM_RE = re.compile(
+    r"(?P<sign>[+-])\s*(?=[\dAc])"
     r"(?P<coeff>\d+)?\s*"
     r"(?:(?P<a>A)(?:\^(?P<aexp>[+-]?\d+))?)?\s*"
     r"\*?\s*"
     r"(?:(?P<c>c)(?:\^(?P<cexp>[+-]?\d+))?)?\s*"
-    r"(?:/\s*(?P<da>A)(?:\^(?P<daexp>[+-]?\d+))?)?"
+    r"(?:/\s*(?P<da>A)(?:\^(?P<daexp>[+-]?\d+))?)?\s*"
 )
 
 
@@ -223,55 +225,24 @@ def parse_poly(text: str) -> BivariateLaurent:
     for multiplying by ``A^-n``.  The ``*`` between factors is optional.
     """
     s = text.strip()
-    if not s:
-        raise MalformedPolynomialError("empty polynomial text")
+    if not s.startswith(("+", "-")):
+        s = "+" + s
     acc: dict[tuple[int, int], int] = {}
     pos = 0
-    first = True
     while pos < len(s):
-        while pos < len(s) and s[pos].isspace():
-            pos += 1
-        if pos == len(s):
-            break
-        sign = 1
-        if s[pos] == "+":
-            pos += 1
-        elif s[pos] == "-":
-            sign = -1
-            pos += 1
-        elif not first:
-            raise MalformedPolynomialError(f"expected '+' or '-' at position {pos} in {text!r}")
-        first = False
-        while pos < len(s) and s[pos].isspace():
-            pos += 1
-        if pos == len(s) or s[pos] == "*":
-            raise MalformedPolynomialError(f"malformed term at position {pos} in {text!r}")
         m = _TERM_RE.match(s, pos)
-        if m is None or m.end() == pos:
-            raise MalformedPolynomialError(f"malformed term at position {pos} in {text!r}")
-        if m.group("coeff") is None and m.group("a") is None and m.group("c") is None:
-            raise MalformedPolynomialError(f"malformed term at position {pos} in {text!r}")
-        coeff = sign * int(m.group("coeff") or 1)
-        a_exp = 0
-        if m.group("a"):
-            a_exp = int(m.group("aexp")) if m.group("aexp") is not None else 1
-        c_exp = 0
-        if m.group("c"):
-            c_exp = int(m.group("cexp")) if m.group("cexp") is not None else 1
-            if c_exp < 0:
-                raise MalformedPolynomialError(f"negative c exponent in {text!r}")
-        if m.group("da"):
-            d_exp = int(m.group("daexp")) if m.group("daexp") is not None else 1
-            a_exp -= d_exp
+        if m is None:
+            raise MalformedPolynomialError(f"malformed term at {s[pos:pos + 24]!r} in {text!r}")
+        a_exp = int(m["aexp"] or 1) if m["a"] else 0
+        if m["da"]:
+            a_exp -= int(m["daexp"] or 1)
+        c_exp = int(m["cexp"] or 1) if m["c"] else 0
+        if c_exp < 0:
+            raise MalformedPolynomialError(f"negative c exponent in {text!r}")
+        key = (a_exp, c_exp)
+        acc[key] = acc.get(key, 0) + int(m["sign"] + (m["coeff"] or "1"))
         pos = m.end()
-        if coeff:
-            key = (a_exp, c_exp)
-            s_new = acc.get(key, 0) + coeff
-            if s_new:
-                acc[key] = s_new
-            else:
-                del acc[key]
-    return _raw(acc)
+    return _raw({key: coeff for key, coeff in acc.items() if coeff})
 
 
 def _render_term(a: int, c: int, coeff: int) -> str:
@@ -292,14 +263,11 @@ def render_poly(p: BivariateLaurent) -> str:
     triples = p.sorted_terms()
     if not triples:
         return "0"
-    parts = []
-    for i, (a, c, coeff) in enumerate(triples):
-        term = _render_term(a, c, coeff)
-        if i == 0:
-            parts.append(f"-{term}" if coeff < 0 else term)
-        else:
-            parts.append(f"- {term}" if coeff < 0 else f"+ {term}")
-    return " ".join(parts)
+    text = " ".join(
+        ("- " if coeff < 0 else "+ ") + _render_term(a, c, coeff) for a, c, coeff in triples
+    )
+    # The first term keeps a minus sign, with no blank after it.
+    return text[2:] if text[0] == "+" else "-" + text[2:]
 
 
 ZERO = BivariateLaurent()

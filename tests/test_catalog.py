@@ -2,6 +2,7 @@ import pytest
 
 from tiedbracket.catalog import (
     DiagramSyntaxError,
+    _parse_catalog,
     fixture,
     ingest_linkinfo_pd,
     load_catalog,
@@ -94,6 +95,20 @@ def test_catalog_expected_values_verify():
             )
             assert diff == e.expected_difference, e.name
             assert not diff.is_zero()
+
+
+def test_catalog_keys_in_any_case():
+    lower = "name: tied\npd: X[1,3,2,4] X[3,1,4,2]\ncolors: 1 2\nexpect_bracket: c\nsource: hand"
+    upper = "NAME: tied\nPd: X[1,3,2,4] X[3,1,4,2]\nColors: 1 2\nEXPECT_BRACKET: c\nsource: hand"
+    assert _parse_catalog(upper) == _parse_catalog(lower)
+    assert _parse_catalog(upper)[0].colors == [1, 2]
+
+
+def test_catalog_repeated_key_names_its_line():
+    # the repeated key is on line 8 of the text, the third of its record
+    text = "# header\n\nname: a\nloops: 1\n\nname: b\nloops: 1\nLoops: 1 1\n"
+    with pytest.raises(DiagramSyntaxError, match=r"line 8: duplicate loops"):
+        _parse_catalog(text)
 
 
 def test_fixture_lookup():

@@ -31,6 +31,16 @@ def test_bracket_inline_tied_hopf(capsys):
     assert out.strip() == "-A^4 - A^2 - c - A^-2 - A^-4"
 
 
+def test_bracket_inline_keys_in_any_case(capsys):
+    # the reader lowercases keys, so inline text is recognized as it reads it
+    for text in ("PD: X[1,3,2,4] X[3,1,4,2]\ncolors: 1 2",
+                 "colors: 1 2\n  Pd : X[1,3,2,4] X[3,1,4,2]"):
+        code, out, _ = run(capsys, "bracket", text)
+        assert code == 0 and out.strip() == "-A^4 - A^2 - c - A^-2 - A^-4"
+    code, out, _ = run(capsys, "bracket", "LOOPS: 1 2")
+    assert code == 0 and out.strip() == "c"
+
+
 def test_bracket_fixture_golden(capsys):
     code, out, _ = run(capsys, "bracket", "--fixture", "L11n304")
     assert code == 0

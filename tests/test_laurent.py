@@ -52,7 +52,10 @@ def test_parse_published_forms():
 
 
 def test_parse_errors():
-    for bad in ("", "A^", "c^-1", "A +* c", "x", "1 + + 2", "2 3"):
+    for bad in (
+        "", "A^", "c^-1", "A +* c", "x", "1 + + 2", "2 3",
+        "+", "-", "A^2 A^3", "/A", "c/", "*A", "A**c", "A^2-", "--A",
+    ):
         with pytest.raises(MalformedPolynomialError):
             parse_poly(bad)
 

@@ -1,11 +1,12 @@
 """The README's library example runs as written, and its comment gives
-the value that `double_bracket` returns there; each of its command lines
-runs and exits 0."""
+the value that `double_bracket` returns there; its diagram text example
+parses; each of its command lines runs and exits 0."""
 
 import re
 import shlex
 from pathlib import Path
 
+from tiedbracket.catalog import parse_diagram
 from tiedbracket.cli import main
 from tiedbracket.laurent import parse_poly
 
@@ -21,6 +22,14 @@ def test_readme_example_runs():
     scope = {}
     exec(compile(block, str(README), "exec"), scope)
     assert scope["double_bracket"](scope["d"]) == parse_poly(value.group(1))
+
+
+def test_readme_diagram_text_parses():
+    section = README.read_text().split("\n### Diagram text format\n", 1)[1]
+    block = re.search(r"^```\n(.*?)^```", section, re.M | re.S).group(1)
+    d = parse_diagram(block)
+    assert len(d.crossings) == 3 and len(d.components()) == 1
+    assert sorted(d.free_loops) == [1, 1, 2]
 
 
 def test_readme_commands_run(capsys):
