@@ -14,9 +14,10 @@
    A state is its key in both kernels.  The twins of the functions below:
    the check in resolve_sum <-> `_kernel_py._check`; rank <-> `_rank`,
    which ranks the root and the delta children only, as the other children
-   take their rank from the branch, as `_children`'s drop; pick <-> `_pick`;
-   expand, which builds each child (flip, glue), interns its key with its
-   rank and pushes the state's paths into it, <-> `_children`; components
+   take their rank from the branch, as the drop of `_expander`'s children;
+   pick <-> the pick of `_expander`; expand, which builds each child (flip,
+   glue), interns its key with its rank and pushes the state's paths into
+   it, <-> the smoothing of `_expander`; components
    <-> `_components`; memo_walk and push <-> `_memo_walk`, histograms
    shared by a child's first push included.  A Hist counts its owners, the
    states that hold it, and is freed with the last; a state adds to it only
@@ -186,7 +187,7 @@ static int rank(const u8 *s, int n)
     return 128 * n + illegal;
 }
 
-/* The crossing of a key to smooth, -1 at a leaf, as `_kernel_py._pick`; *type2
+/* The crossing of a key to smooth, -1 at a leaf, as `_kernel_py._expander` picks; *type2
    tells whether it has two colors.  A seed draws among the illegal crossings. */
 static int pick(const Walk *w, const u8 *s, int n, int *type2)
 {
@@ -201,7 +202,7 @@ static int pick(const Walk *w, const u8 *s, int n, int *type2)
                 break;
         }
     }
-    if (n_illegal) { /* the draw of `_kernel_py._draw`: the partner bytes as a big-endian
+    if (n_illegal) { /* the draw of `_kernel_py._expander`: the partner bytes as a big-endian
                         integer mod DRAW_MOD, XORed into the seed, then one splitmix64 step */
         u64 z = 0;
         for (int i = 0; i < 8 * n; i++) { /* z * 256 + s[i] mod 2**56 - 5, where 2**56 = 5 */
@@ -357,7 +358,7 @@ static int push(Walk *w, int id, int to, int sign, int apow, int dpow, int close
 /* Pick the crossing of state id, of rank r, and push its paths into its children, each
    interned as it is built, in the kernels' order: two (the flipped crossing), zero, one;
    or A, 1/A; or, at a leaf, into the output, closing its k components.  The delta branches
-   repaint color j as i.  A child's rank is r less the drop of `_kernel_py._children`: 1
+   repaint color j as i.  A child's rank is r less the drop of `_kernel_py._expander`: 1
    for the flip, 129 for a type-1 smoothing; only a delta child, whose repaint may change
    which crossings are illegal, is ranked anew. */
 static int expand(Walk *w, int id, int r)

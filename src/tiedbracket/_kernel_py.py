@@ -14,22 +14,20 @@ crossings lies on one arc with another slot, its partner 4c' + k'; the key
 holds c' for each slot, then k' for each slot, then the color of each
 crossing's under strand (slots 0 and 2), then of its over strand (slots 1
 and 3).  That is one state per slot structure and coloring, and a
-smoothing need not relabel: `_children` joins the partners of the slots it
-glues, deletes the crossing and lowers the crossing indices above it with
-one `bytes.translate` (`_SHIFT`).  Both kernels refuse, with the same
+smoothing need not relabel: it joins the partners of the slots it glues,
+deletes the crossing and lowers the crossing indices above it with one
+`bytes.translate` (`_SHIFT`).  Both kernels refuse, with the same
 TypeError or ValueError, arguments that are no such key (`_check`): byte
 crossing indices and the bit fields of `_memo_walk` bound every walk at
 MAX_CROSSINGS = 127 crossings.  A non-negative `seed` requests a seeded
-order, and `seed = -1` the default one.  The helpers below serve
-`resolve_sum` and the engine's diagram walks (`engine._states`) alike:
-`_pick` chooses the crossing to smooth from the strand colors
-(`_strands`), `_children` smooths it, repainting the colors for the delta
-branches, and returns each child's key with its tag change, made from the
-circles the smoothing closed and the branch's color merge by two ints the
-caller gives, and the fall of its rank (`_rank`).  `_components` counts a
-leaf's components, for `resolve_sum`'s k and for the summaries of the
-AJ-state table, which the engine builds from the leaf keys, and `_arcs`
-names a leaf's arcs again, for the leaf diagrams of `resolution_tree`.
+order, and `seed = -1` the default one.  One expander, `_expander`,
+defines the states of every walk, `resolve_sum`'s and the engine's
+diagram walks (`engine._states`) alike: it picks the crossing to smooth,
+smooths it and returns the children, or a leaf's tag.  `_components`
+counts a leaf's components, for `resolve_sum`'s k and for the summaries
+of the AJ-state table, which the engine builds from the leaf keys, and
+`_arcs` names a leaf's arcs again, for the leaf diagrams of
+`resolution_tree`.
 
 Leaf weights are products of the branch labels A, 1/A, -1 and
 delta = A + 1/A, so they compress to a triple (sign, apow, dpow).  The
@@ -48,44 +46,55 @@ colors thus has gamma = m - dpow, which the engine applies.
 A node's pick depends only on its state: the key.  The default order
 (`seed = -1`) takes the first mixed-color illegal crossing in stored
 order, else the first same-color one.  A seed takes the illegal crossing,
-in stored order, at `_draw(seed, partners)` modulo their number, where
-partners is the key's first 8n bytes.  Colors stay out of the draw, so a
-walker of `TiedDiagram`s, which renumbers colors after each merge, draws
-the same values (the tests keep one as the reference of the engine's tree
-walk).  Every resolution tree gives the same value, so a seeded tree need
-only be some valid tree, not one drawn from a sequential random stream.
+in stored order, at the state's draw modulo their number: the key's
+first 8n bytes, its partners, read as a big-endian integer modulo
+_DRAW_MOD and XORed into the seed, then one splitmix64 step (which takes
+the seed modulo 2^64).  Colors stay out of the draw, so a walker of
+`TiedDiagram`s, which renumbers colors after each merge, draws the same
+values (the tests keep one as the reference of the engine's tree walk).
+Every resolution tree gives the same value, so a seeded tree need only
+be some valid tree, not one drawn from a sequential random stream.
 
 A walk's states are defined once, by ``expand(key)``: a leaf's tag, an
-int, or the state's children as ``(key, sign, apow, dpow, dtag, drop)``.
-For `resolve_sum` that is `_expander(seed)`, and two drivers walk it.
-The memo loop `_memo_walk` walks the tree as a DAG under every seed, in
-one pass in falling complexity (`_rank`): the paper's (crossings, illegal
-crossings), which every smoothing lowers, by the ``drop`` that the branch
-already knows, so the walk ranks no key itself.  It takes each key
-once, when all its parents have passed it the histogram of its paths
-from the root, (circles closed, apow, dpow) with counts; it expands the
-key and passes that histogram on to the children, shifted by the branch
-weight and by the circles the smoothing closed, and forgets the key.  A
-child with one parent shares that parent's histogram with a pending
-shift and sign instead of a copy.  A leaf adds its own components to
-give k.  A histogram's groups are packed into one int each, in bit fields
-that hold any walk within MAX_CROSSINGS, where |apow| and dpow stay at
-most MAX_CROSSINGS.  It returns the leaves' histogram as a dict keyed
-(apow, dpow, tag), which for `resolve_sum` is the compiled kernel's
-(apow, dpow, k).  The tree loop `_tree_walk` yields every node of the
-tree in preorder, expanding each key once too, but visiting it again on
-every path.  `resolve_leaves` is `resolve_sum`'s tree without the memo:
+int, or the state's children as ``(key, shift, sign, drop)``, where
+``shift`` packs the branch weight sign * A^apow * delta^dpow and the
+change ``dtag`` of the tags below into one int, ``(dtag << _TAG) + (apow
+<< _APOW) + dpow``, in the bit fields of `_memo_walk`'s groups, so that a
+walk adds it as it is.  `_expander(seed, leaf, layout)` builds it, with a
+``leaf`` that gives a leaf key's tag and a ``layout`` of the tags that
+sets each child's dtag: `resolve_sum` counts circles in its tags and
+records no merges (`_COUNT`); the AJ-state table keeps a loop field for
+each color and the color merges of the delta branches (`engine._states`).
+Two drivers walk it.  The memo loop `_memo_walk` walks the tree as a DAG
+under every seed, in one pass in falling complexity (`_rank`): the
+paper's (crossings, illegal crossings), which every smoothing lowers, by
+the ``drop`` that the branch already knows, so the walk ranks no key
+itself.  It takes each key once, when all its parents have passed it the
+histogram of its paths from the root, (tag, apow, dpow) with counts; it
+expands the key and passes that histogram on to the children, shifted by
+each child's shift, and forgets the key.  A child with one parent shares
+that parent's histogram with a pending shift and sign instead of a copy.
+A leaf adds its own tag: for `resolve_sum` its components, which give k.
+A histogram's groups are packed into one int each, in bit fields that
+hold any walk within MAX_CROSSINGS, where |apow| and dpow stay at most
+MAX_CROSSINGS.  It returns the leaves' histogram as a dict keyed (apow,
+dpow, tag), which for `resolve_sum` is the compiled kernel's (apow, dpow,
+k).  The tree loop `_tree_walk` yields every node of the tree in
+preorder, expanding each key once too, but visiting it again on every
+path; it decodes the packed shifts as `_memo_walk` decodes its output
+(`_unpack`).  `resolve_leaves` is `resolve_sum`'s tree without the memo:
 it lists every leaf in depth-first order.  The engine's AJ-state table
 (`resolve`, on `_memo_walk`) and its `resolution_tree` (behind
 ``tiedbracket tree``, on `_tree_walk`) run the same two drivers over the
-same keys (`engine._states`), whose tags also carry the colors of the
-paths' loops.  In every walk a ``dtag`` is an int that the drivers add
-to the tags below: what a color merge does to the loops is the engine's
-to resolve, once per leaf.  Neither the engine nor the compiled kernel
-needs a leaf list: the benchmark replays `resolve_leaves` to count
-leaves, until a counter of `resolve_sum` does that.
+same keys, whose tags also carry the colors of the paths' loops.  In
+every walk a ``dtag`` is an int that the drivers add to the tags below:
+what a color merge does to the loops is the engine's to resolve, once
+per leaf.  Neither the engine nor the compiled kernel needs a leaf list:
+the benchmark replays `resolve_leaves` to count leaves, until a counter
+of `resolve_sum` does that.
 """
 
+from itertools import compress
 from operator import eq, itemgetter, le
 
 # Crossing indices are bytes in the keys, and `_rank` counts illegal
@@ -103,48 +112,37 @@ _BAD_ARGUMENTS = (
     f"kernel takes a key of 10 bytes a crossing, at most {MAX_CROSSINGS} crossings, "
     "each slot paired with another slot of its color"
 )
-# The bit fields of `_memo_walk`'s histogram groups: dpow, apow, tag.
+# The bit fields of `_memo_walk`'s histogram groups and of a child's
+# shift: dpow, apow, tag.  A group holds apow + 256, so that it is never
+# negative (`_ORIGIN`).
 _APOW = 9
 _TAG = 18
+_ORIGIN = 256 << _APOW
+# The slot pairs that the two smoothings of each crossing x glue: the
+# A-smoothing {s0-s1, s2-s3}, the other {s0-s3, s1-s2}.
+_GLUES = [(((s, s + 1), (s + 2, s + 3)), ((s, s + 3), (s + 1, s + 2))) for s in range(0, 4 * MAX_CROSSINGS, 4)]
+# The shifts of a type-1 crossing's branches, A and 1/A.
+_TYPE1 = (1 << _APOW, -1 << _APOW)
+# The layout of `resolve_sum`'s tags (`_expander`): a circle of any color
+# adds 1, and a color merge adds nothing.
+_COUNT = ((1,) * 256, (0,) * 256)
 
 
-def _smoothings(a_weight, weight):
-    """The two smoothings of each crossing x, as (the two slot pairs they
-    glue, sign, apow, dpow): the A-smoothing glues {s0-s1, s2-s3}, the
-    other {s0-s3, s1-s2}, with branch weights sign * A^apow * delta^dpow."""
-    return [
-        ((((s, s + 1), (s + 2, s + 3)), *a_weight), (((s, s + 3), (s + 1, s + 2)), *weight))
-        for s in range(0, 4 * MAX_CROSSINGS, 4)
-    ]
-
-
-# Those of a type-1 crossing, A and 1/A; the delta branches of a type-2 one.
-_TYPE1 = _smoothings((1, 1, 0), (1, -1, 0))
-_TYPE2 = _smoothings((1, 0, 1), (1, 0, 1))
+def _unpack(group):
+    """A packed group of `_memo_walk`, or a shift plus _ORIGIN, as (apow,
+    dpow, tag)."""
+    return (group >> _APOW & 511) - 256, group & 511, group >> _TAG
 
 
 def _mix(state):
-    """One splitmix64 step; returns (new_state, output)."""
+    """One splitmix64 step; returns (new_state, output).  `_expander`'s
+    seeded draw runs the same step inline."""
     state = (state + 0x9E3779B97F4A7C15) & _MASK64
     z = state
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     z = z ^ (z >> 31)
     return state, z
-
-
-def _draw(seed, partners):
-    """The seeded draw of a state: its key's partner bytes read as a
-    big-endian integer mod _DRAW_MOD and XORed into the seed, then one
-    splitmix64 step (which takes the seed mod 2^64)."""
-    return _mix(seed ^ int.from_bytes(partners, "big") % _DRAW_MOD)[1]
-
-
-def _strands(key):
-    """The colors of the under strands and of the over strands of a key's
-    crossings, as two `bytes`, one byte a crossing."""
-    n = len(key) // 10
-    return key[8 * n : 9 * n], key[9 * n :]
 
 
 def _arcs(key):
@@ -162,104 +160,117 @@ def _arcs(key):
     return slots, colors
 
 
-def _pick(key, seed):
-    """The pick of a state; returns (x, is_type2), x = -1 for a leaf.
+def _expander(seed, leaf, layout):
+    """The states of a walk, as the ``expand`` of `_memo_walk` and
+    `_tree_walk`: ``leaf(key)``, an int, at a leaf, else the children of
+    the pick, in the kernels' order: two (the flipped crossing), zero,
+    one; or A, 1/A.
 
-    seed < 0 is the default order: the first mixed-color illegal crossing,
-    else the first same-color one.  Otherwise the pick is the illegal
-    crossing, in stored order, at the state's draw modulo their number.
+    The pick: seed < 0 is the default order, the first mixed-color
+    illegal crossing, else the first same-color one.  Otherwise it is the
+    illegal crossing, in stored order, at the state's draw modulo their
+    number.
+
+    Each child is (key, shift, sign, drop), as `_memo_walk` takes it: its
+    key; the branch weight sign * A^apow * delta^dpow and the tag change
+    ``dtag`` packed into ``shift``; and the amount by which the rank
+    (`_rank`) falls.  ``layout`` is ``(circles, merges)``, two sequences
+    indexed by color: a circle of color i closed by the smoothing adds
+    ``circles[i]`` to dtag, and a delta branch, which merges the under
+    strand's color j into the over strand's i, adds ``(i + 1) *
+    merges[j]``.  Every circle a smoothing closes takes the over strand's
+    color.  The A-smoothing glues {s0-s1, s2-s3} of crossing x, the
+    others {s0-s3, s1-s2}.  Gluing two slots joins their partners, or
+    closes a circle when they are each other's partners; then x's four
+    slots go and the crossings above x move down by one.  The flipped
+    crossing is x turned by one slot, with its two colors swapped: x
+    turns legal, a drop of 1.  A type-1 smoothing removes the illegal x
+    and changes no color, a drop of 129.  The delta branches repaint the
+    under strand's color j as the over strand's i, and the repaint may
+    change which other crossings are illegal: they drop by 128 plus the
+    illegal crossings before, less those after.
     """
-    under, over = _strands(key)
-    n = len(under)
-    if under == over:  # one color: every crossing is illegal, of type 1
-        if not n:
-            return -1, False
-        return (0 if seed < 0 else _draw(seed, key[: 8 * n]) % n), False
-    if seed < 0:
-        first1 = -1
-        for i, (cu, co) in enumerate(zip(under, over)):
-            if co == cu:
-                if first1 < 0:
-                    first1 = i
-            elif co < cu:
-                return i, True
-        return first1, False
-    illegal = [i for i, (cu, co) in enumerate(zip(under, over)) if co <= cu]
-    if not illegal:
-        return -1, False
-    x = illegal[_draw(seed, key[: 8 * n]) % len(illegal)]
-    return x, over[x] < under[x]
+    circles, merges = layout
+    ordered = seed < 0
 
-
-def _children(key, x, x_type2, circle, merge):
-    """The children of smoothing crossing x, in the kernels' order: two
-    (the flipped crossing), zero, one; or A, 1/A.
-
-    Each child is (key, sign, apow, dpow, dtag, drop), as `_memo_walk`'s
-    ``expand`` returns it: its key, the branch weight sign * A^apow *
-    delta^dpow, the tag change ``closed * circle + dpow * merge`` and the
-    amount by which the rank (`_rank`) falls.  ``closed`` counts the
-    circles the smoothing closed, all of the over strand's color, and
-    dpow is 1 on the delta branches, which merge the under strand's color
-    into the over strand's, and 0 on the others.  `_expander` passes
-    ``(1, 0)``, so its tags count circles; `engine._states` passes a loop
-    field and a merge record of its tags.
-    The A-smoothing glues {s0-s1, s2-s3} of crossing x, the others
-    {s0-s3, s1-s2}.  Gluing two slots joins their partners, or closes a
-    circle when they are each other's partners; then x's four slots go
-    and the crossings above x move down by one.  The flipped crossing is
-    x turned by one slot, with its two colors swapped: x turns legal, a
-    drop of 1.  A type-1 smoothing removes the illegal x and changes no
-    color, a drop of 129.  The delta branches repaint the under strand's
-    color j as the over strand's i, so a circle closes in color i either
-    way, and the repaint may change which other crossings are illegal:
-    they drop by 128 plus the illegal crossings before, less those after.
-    """
-    n = len(key) // 10
-    m = 4 * n
-    s = 4 * x
-    # each slot's partner: its crossing, its slot number; each crossing's strand colors
-    crossings, slots, colors = key[:m], key[m : 2 * m], key[2 * m :]
-    out = []
-    smoothings = _TYPE1
-    if x_type2:
-        c, q = bytearray(crossings), bytearray(slots)
-        for k in range(4):  # new slot k is old slot k + 1; old slot j of x, new j - 1
-            o = s + (k + 1) % 4
-            t = 4 * crossings[o] + slots[o]
-            if t >> 2 == x:
-                t = s + (t - 1 & 3)
+    def expand(key):
+        n = len(key) // 10
+        m = 4 * n
+        # each slot's partner: its crossing, its slot number; each crossing's strand colors
+        crossings, slots, colors = key[:m], key[m : 2 * m], key[2 * m :]
+        under, over = colors[:n], colors[n:]
+        x_type2 = False
+        if ordered:
+            if under == over:  # every crossing is illegal, of type 1
+                x = 0 if n else -1
             else:
-                q[t] = k
-            c[s + k] = t >> 2
-            q[s + k] = t & 3
-        j, i = colors[x : x + 1], colors[n + x : n + x + 1]
-        flipped = colors[:x] + i + colors[x + 1 : n + x] + j + colors[n + x + 1 :]
-        out.append((b"".join((c, q, flipped)), -1, 0, 0, 0, 1))
-        illegal = sum(map(le, colors[n:], colors[:n]))
-        colors = colors.replace(j, i)
-        smoothings = _TYPE2
-    colors = colors[:x] + colors[x + 1 : n + x] + colors[n + x + 1 :]
-    drop = 128 + illegal - sum(map(le, colors[n - 1 :], colors[: n - 1])) if x_type2 else 129
-    shift = _SHIFT[x]
-    for pairs, sign, apow, dpow in smoothings[x]:
-        c, q = bytearray(crossings), bytearray(slots)
-        closed = 0
-        for a, b in pairs:
-            ta = 4 * c[a] + q[a]
-            if ta == b:
-                closed += 1
-                continue
-            tb = 4 * c[b] + q[b]
-            c[ta] = c[b]
-            q[ta] = q[b]
-            c[tb] = c[a]
-            q[tb] = q[a]
-        del c[s : s + 4]
-        del q[s : s + 4]
-        dtag = closed * circle + dpow * merge
-        out.append((b"".join((c.translate(shift), q, colors)), sign, apow, dpow, dtag, drop))
-    return out
+                x = -1
+                for y, (cu, co) in enumerate(zip(under, over)):
+                    if co < cu:
+                        x, x_type2 = y, True
+                        break
+                    if co == cu and x < 0:
+                        x = y
+            if x < 0:
+                return leaf(key)
+        else:
+            illegal = range(n) if under == over else list(compress(range(n), map(le, over, under)))
+            if not illegal:
+                return leaf(key)
+            # the draw: one splitmix64 step, `_mix` inline
+            z = (seed ^ int.from_bytes(key[: 2 * m], "big") % _DRAW_MOD) + 0x9E3779B97F4A7C15 & _MASK64
+            z = (z ^ z >> 30) * 0xBF58476D1CE4E5B9 & _MASK64
+            z = (z ^ z >> 27) * 0x94D049BB133111EB & _MASK64
+            x = illegal[(z ^ z >> 31) % len(illegal)]
+            x_type2 = over[x] < under[x]
+        s = 4 * x
+        circle = circles[over[x]] << _TAG
+        out = []
+        if x_type2:
+            c, q = bytearray(crossings), bytearray(slots)
+            for k in range(4):  # new slot k is old slot k + 1; old slot j of x, new j - 1
+                o = s + (k + 1) % 4
+                t = 4 * crossings[o] + slots[o]
+                if t >> 2 == x:
+                    t = s + (t - 1 & 3)
+                else:
+                    q[t] = k
+                c[s + k] = t >> 2
+                q[s + k] = t & 3
+            j, i = colors[x : x + 1], colors[n + x : n + x + 1]
+            flipped = colors[:x] + i + colors[x + 1 : n + x] + j + colors[n + x + 1 :]
+            out.append((b"".join((c, q, flipped)), 0, -1, 1))
+            n_illegal = sum(map(le, over, under))
+            colors = colors.replace(j, i)
+            delta = 1 + ((i[0] + 1) * merges[j[0]] << _TAG)
+            weights = (delta, delta)
+        else:
+            weights = _TYPE1
+        colors = colors[:x] + colors[x + 1 : n + x] + colors[n + x + 1 :]
+        drop = 128 + n_illegal - sum(map(le, colors[n - 1 :], colors[: n - 1])) if x_type2 else 129
+        shift = _SHIFT[x]
+        for pairs, weight in zip(_GLUES[x], weights):
+            c, q = bytearray(crossings), bytearray(slots)
+            for a, b in pairs:
+                ca = c[a]
+                qa = q[a]
+                ta = 4 * ca + qa
+                if ta == b:  # a circle closes
+                    weight += circle
+                    continue
+                cb = c[b]
+                qb = q[b]
+                c[ta] = cb
+                q[ta] = qb
+                tb = 4 * cb + qb
+                c[tb] = ca
+                q[tb] = qa
+            del c[s : s + 4]
+            del q[s : s + 4]
+            out.append((b"".join((c.translate(shift), q, colors)), weight, 1, drop))
+        return out
+
+    return expand
 
 
 def _components(key):
@@ -281,9 +292,9 @@ def _components(key):
 def _rank(key):
     """The complexity of a state, (crossings, illegal crossings), as one
     int, n * 128 + illegal: each smoothing lowers it, by the drop that
-    `_children` gives."""
-    under, over = _strands(key)
-    return len(under) * 128 + sum(map(le, over, under))
+    `_expander` gives."""
+    n = len(key) // 10
+    return n * 128 + sum(map(le, key[9 * n :], key[8 * n : 9 * n]))
 
 
 def _memo_walk(root, expand, tag=0):
@@ -293,14 +304,15 @@ def _memo_walk(root, expand, tag=0):
 
     A state is its key, and equal keys must stand for isomorphic subtrees.
     ``expand(key)`` returns a leaf's tag, an int, or the state's children
-    as ``(key, sign, apow, dpow, dtag, drop)``: the branch weight sign *
-    A^apow * delta^dpow, the int ``dtag`` added to the tags below and the
-    amount, above 0, by which the state's rank exceeds the child's.  A
-    path's tag starts at ``tag``, the root's, and adds each dtag on it.
-    A leaf reached by a path counts once at its tag plus the path's tag,
-    with the product of the path's weights.  The rank is an int that
-    falls along every edge, as `_rank` does for the kernels' keys, where
-    a smoothing removes a crossing or, flipping one, makes it legal; the
+    as ``(key, shift, sign, drop)``: the branch weight sign * A^apow *
+    delta^dpow and the int ``dtag`` added to the tags below, packed as
+    ``shift = (dtag << _TAG) + (apow << _APOW) + dpow``, and the amount,
+    above 0, by which the state's rank exceeds the child's.  A path's tag
+    starts at ``tag``, the root's, and adds each dtag on it.  A leaf
+    reached by a path counts once at its tag plus the path's tag, with
+    the product of the path's weights.  The rank is an int that falls
+    along every edge, as `_rank` does for the kernels' keys, where a
+    smoothing removes a crossing or, flipping one, makes it legal; the
     walk places the root at 0 and each child at its parent's rank less
     the drop, so every path to a state must give it the same rank.
 
@@ -327,13 +339,13 @@ def _memo_walk(root, expand, tag=0):
 
     A histogram's groups are ints, dtags << _TAG | (apow + 256) << _APOW |
     dpow, so an edge shifts them by one addition and the output is
-    decoded once.  This is exact while every path keeps 0 <= dpow < 512
-    and -256 <= apow < 256; a walk's tags may take any int.  A smoothing
-    of the kernels removes a crossing or adds nothing to apow and dpow,
-    so their walks, of at most MAX_CROSSINGS = 127 crossings, keep
-    |apow| + dpow <= 127.
+    decoded once (`_unpack`).  This is exact while every path keeps 0 <=
+    dpow < 512 and -256 <= apow < 256; a walk's tags may take any int.  A
+    smoothing of the kernels removes a crossing or adds nothing to apow
+    and dpow, so their walks, of at most MAX_CROSSINGS = 127 crossings,
+    keep |apow| + dpow <= 127.
     """
-    paths = {root: ({tag << _TAG | 256 << _APOW: 1}, 0, 1)}
+    paths = {root: ({(tag << _TAG) + _ORIGIN: 1}, 0, 1)}
     ranks = {0: [root]}
     out = {}
     while ranks:
@@ -351,8 +363,8 @@ def _memo_walk(root, expand, tag=0):
                     group += shift
                     out[group] = out.get(group, 0) + sign * count
                 continue
-            for child, c_sign, apow, dpow, dtag, drop in kids:
-                c_shift = shift + (dtag << _TAG) + (apow << _APOW) + dpow
+            for child, c_shift, c_sign, drop in kids:
+                c_shift += shift
                 c_sign *= sign
                 acc = paths.get(child)
                 if acc is None:
@@ -366,9 +378,7 @@ def _memo_walk(root, expand, tag=0):
                     if count:
                         group += c_shift
                         acc[group] = acc.get(group, 0) + c_sign * count
-    return {
-        ((g >> _APOW & 511) - 256, g & 511, g >> _TAG): count for g, count in out.items() if count
-    }
+    return {_unpack(g): count for g, count in out.items() if count}
 
 
 def _tree_walk(root, expand, tag=0):
@@ -382,40 +392,28 @@ def _tree_walk(root, expand, tag=0):
     ``weight`` the product of the weights on the path from the root and
     ``dtags`` the path's tag: ``tag`` plus each dtag on the path, and
     ``kids`` what ``expand(key)`` returned: a leaf's tag or the
-    children.  Each distinct key is expanded once, when the walk first
-    reaches it, and its children are kept until the walk ends.
+    children.  A path's weight and tag are packed as `_memo_walk`'s
+    groups and decoded at each node (`_unpack`).  Each distinct key is
+    expanded once, when the walk first reaches it, and its children are
+    kept until the walk ends.
     """
     expanded = {}
-    # Stack entries: (parent, edge, weight, dtags, key).
-    stack = [(None, None, (1, 0, 0), tag, root)]
+    # Stack entries: (parent, edge, sign, packed path, key).
+    stack = [(None, None, 1, (tag << _TAG) + _ORIGIN, root)]
     node = 0
     while stack:
-        parent, edge, weight, dtags, key = stack.pop()
+        parent, edge, sign, path, key = stack.pop()
         kids = expanded.get(key)
         if kids is None:
             kids = expanded[key] = expand(key)
-        yield parent, edge, weight, dtags, key, kids
+        apow, dpow, dtags = _unpack(path)
+        yield parent, edge, (sign, apow, dpow), dtags, key, kids
         if type(kids) is not int:
-            sign, apow, dpow = weight
             # Pushed in reverse so that children pop in the kernels' order.
-            for child, c_sign, c_apow, c_dpow, dtag, _ in reversed(kids):
-                c_weight = (sign * c_sign, apow + c_apow, dpow + c_dpow)
-                stack.append((node, (c_sign, c_apow, c_dpow), c_weight, dtags + dtag, child))
+            for child, shift, c_sign, _ in reversed(kids):
+                edge = (c_sign, *_unpack(shift + _ORIGIN)[:2])
+                stack.append((node, edge, sign * c_sign, path + shift, child))
         node += 1
-
-
-def _expander(seed):
-    """The states of `resolve_sum`, as the ``expand`` of `_memo_walk` and
-    `_tree_walk`: a key's children, tagged with the circles each smoothing
-    closed, or a leaf's components."""
-
-    def expand(key):
-        x, x_type2 = _pick(key, seed)
-        if x < 0:
-            return _components(key)
-        return _children(key, x, x_type2, 1, 0)
-
-    return expand
 
 
 def _check(key, seed):
@@ -453,14 +451,14 @@ def resolve_sum(key, seed=-1):
     as the compiled kernel checks them (`_check`).
     """
     _check(key, seed)
-    return _memo_walk(key, _expander(seed))
+    return _memo_walk(key, _expander(seed, _components, _COUNT))
 
 
 def resolve_leaves(key, seed=-1):
     """Resolve completely; return [(k, crossings_left, sign, apow, dpow)]
     in depth-first leaf order: `resolve_sum`'s tree without the memo."""
     _check(key, seed)
-    walk = _tree_walk(key, _expander(seed))
+    walk = _tree_walk(key, _expander(seed, _components, _COUNT))
     return [
         (dtags + tag, len(key) // 10, *weight)
         for _, _, weight, dtags, key, tag in walk

@@ -215,8 +215,10 @@ def load_catalog() -> list[FixtureEntry]:
     return _parse_catalog(text)
 
 
-def fixture(name: str) -> FixtureEntry:
-    for entry in load_catalog():
+def fixture(name: str, entries: list[FixtureEntry] | None = None) -> FixtureEntry:
+    """The fixture ``name``, from ``entries`` if given (a catalog already
+    loaded), else from `load_catalog`."""
+    for entry in load_catalog() if entries is None else entries:
         if entry.name == name:
             return entry
     raise KeyError(f"no fixture named {name!r}")

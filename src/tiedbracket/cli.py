@@ -22,7 +22,7 @@ import json
 import os
 import sys
 
-from .catalog import fixture, parse_diagram
+from .catalog import fixture, load_catalog, parse_diagram
 from .diagram import DiagramError, TiedDiagram
 from .engine import (
     OrderedStrategy,
@@ -42,13 +42,14 @@ class InputError(Exception):
     pass
 
 
-def _load_diagram(text: str | None, name: str | None) -> TiedDiagram:
-    """The diagram given as input text or a path (``text``) or as a fixture ``name``."""
+def _load_diagram(text: str | None, name: str | None, entries=None) -> TiedDiagram:
+    """The diagram given as input text or a path (``text``) or as a fixture
+    ``name``, looked up in ``entries`` if given (see `catalog.fixture`)."""
     if (name is None) == (text is None):
         raise InputError("give exactly one diagram: an input argument or --fixture NAME")
     if name is not None:
         try:
-            return fixture(name).diagram()
+            return fixture(name, entries).diagram()
         except KeyError as exc:
             raise InputError(str(exc)) from None
     # read as parse_diagram reads each line's key
@@ -175,7 +176,9 @@ def cmd_distinguish(args) -> int:
     if len(texts) != names.count(None):
         raise InputError("give exactly one diagram per side: an input argument or --fixture-a/-b NAME")
     texts = iter(texts)
-    da, db = [_load_diagram(next(texts) if name is None else None, name) for name in names]
+    # the catalog is read once for both sides
+    entries = None if names == (None, None) else load_catalog()
+    da, db = [_load_diagram(next(texts) if name is None else None, name, entries) for name in names]
     pa, pb = double_bracket(da), double_bracket(db)
     diff = pa - pb
     distinguished = not diff.is_zero()

@@ -25,19 +25,8 @@ from collections.abc import Sequence
 from functools import cache
 
 from . import _backend
-from ._kernel_py import (
-    MAX_CROSSINGS,
-    _arcs,
-    _children,
-    _components,
-    _memo_walk,
-    _mix,
-    _pick,
-    _rank,
-    _strands,
-    _tree_walk,
-)
-from .laurent import A, A_INV, C, DELTA, LOOP, ZERO, BivariateLaurent
+from ._kernel_py import MAX_CROSSINGS, _arcs, _components, _expander, _memo_walk, _mix, _rank, _tree_walk
+from .laurent import A, A_INV, C, DELTA, LOOP, ZERO, BivariateLaurent, sum_of_products
 from .diagram import (
     Complexity,
     CrossingClass,
@@ -122,11 +111,8 @@ class StateSum(_Record):
         self.entries = entries
 
     def total(self) -> BivariateLaurent:
-        acc: dict[tuple[int, int], int] = {}
-        for summary, weight in self.entries:
-            for kk, coeff in (weight * state_value(summary)).terms().items():
-                acc[kk] = acc.get(kk, 0) + coeff
-        return BivariateLaurent(acc)
+        """The sum of weight * state_value(summary) over the entries."""
+        return sum_of_products((weight, state_value(summary)) for summary, weight in self.entries)
 
     def grouped(self) -> "StateSum":
         """Merge entries describing the same state, identified by
@@ -251,17 +237,18 @@ def _states(d: TiedDiagram, strategy: Strategy, walk: str):
     A tag holds one count of loops for each color of the key, in fields
     of ``width`` bits, wide enough for every loop that a path can hold:
     the free loops of arc colors, in the root's tag, and at most two
-    circles closed by each smoothing.  ``expand`` picks as
-    `_kernel_py._expander` does and smooths with `_kernel_py._children`,
-    whose tag change it sets: each child adds the circles it closed, all
-    of the over strand's color i, to i's count.  On a delta branch the
-    under strand's color j merges into i, in the key and so for the
-    loops: the child adds i + 1 to j's merge field, one of ``step`` bits
-    for each color above the loop fields.  A color merges at most once on
-    a path, since it then leaves the key, and always into a lower color.
-    So ``settle`` moves each color's loops along its merge, from the
-    highest color down, which carries a chain of merges to its end, and
-    clears the merge fields.  A leaf's tag numbers its key among the
+    circles closed by each smoothing.  ``expand`` is the expander of
+    `_kernel_py.resolve_sum` (`_kernel_py._expander`), with the same pick
+    and smoothing, given the table's layout of the tags and a ``leaf``
+    that numbers the leaf keys: each child adds the circles it closed,
+    all of the over strand's color i, to i's count (``circles``).  On a
+    delta branch the under strand's color j merges into i, in the key and
+    so for the loops: the child adds i + 1 to j's merge field, one of
+    ``step`` bits for each color above the loop fields.  A color merges
+    at most once on a path, since it then leaves the key, and always into
+    a lower color.  So ``settle`` moves each color's loops along its
+    merge, from the highest color down, which carries a chain of merges
+    to its end, and clears the merge fields.  A leaf's tag numbers its key among the
     distinct leaf keys met, above the merge fields.  A loop of a color
     that no arc carries stays out of the tags, and ``summary`` and
     ``diagram`` add it back: a merge joins the colors of two arcs, so it
@@ -287,14 +274,12 @@ def _states(d: TiedDiagram, strategy: Strategy, walk: str):
     fields = merges + step * len(palette)
     leaves: list[bytes] = []
 
-    def expand(key):
-        x, x_type2 = _pick(key, seed)
-        if x < 0:
-            leaves.append(key)
-            return len(leaves) - 1 << fields
-        under, over = _strands(key)
-        i = over[x]
-        return _children(key, x, x_type2, 1 << width * i, i + 1 << merges + step * under[x])
+    def leaf(key):
+        leaves.append(key)
+        return len(leaves) - 1 << fields
+
+    circles = [1 << width * c for c in range(len(palette))]
+    expand = _expander(seed, leaf, (circles, [1 << merges + step * c for c in range(len(palette))]))
 
     @cache
     def settle(tag):
@@ -369,9 +354,10 @@ def resolve(
     """The AJ-state table of ``d``: what each AJ-state contributes to <<D>>.
 
     `_memo_walk` over the states of `_states`, which are the keys of
-    `_kernel_py.resolve_sum` under the same strategy: the picks read only
-    the slots' partners and their colors, and the loops ride in the path
-    tags, so they split no state.  Each state is expanded once, in
+    `_kernel_py.resolve_sum` under the same strategy, expanded by the
+    same expander (`_kernel_py._expander`) in the table's layout of the
+    tags: the picks read only the slots' partners and their colors, and
+    the loops ride in the path tags, so they split no state.  Each state is expanded once, in
     falling rank, once all its parents have pushed it the weights of
     their paths from the root, and pushes them on, giving the histogram
     of (apow, dpow, leaf), where leaf tags a leaf key with the colors of

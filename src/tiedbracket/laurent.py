@@ -112,16 +112,7 @@ class BivariateLaurent:
             return _raw({key: coeff * other for key, coeff in self._terms.items()})
         if not isinstance(other, BivariateLaurent):
             return NotImplemented
-        acc: dict[tuple[int, int], int] = {}
-        for (a1, c1), k1 in self._terms.items():
-            for (a2, c2), k2 in other._terms.items():
-                key = (a1 + a2, c1 + c2)
-                s = acc.get(key, 0) + k1 * k2
-                if s:
-                    acc[key] = s
-                else:
-                    del acc[key]
-        return _raw(acc)
+        return sum_of_products(((self, other),))
 
     __rmul__ = __mul__
 
@@ -201,6 +192,18 @@ def _raw(terms: dict[tuple[int, int], int]) -> BivariateLaurent:
     p._terms = terms
     p._hash = None
     return p
+
+
+def sum_of_products(pairs: Iterable[tuple[BivariateLaurent, BivariateLaurent]]) -> BivariateLaurent:
+    """The sum of p * q over the pairs (p, q): each product of two terms
+    is added straight into one dict, with no polynomial per pair."""
+    acc: dict[tuple[int, int], int] = {}
+    for p, q in pairs:
+        for (a1, c1), k1 in p._terms.items():
+            for (a2, c2), k2 in q._terms.items():
+                key = (a1 + a2, c1 + c2)
+                acc[key] = acc.get(key, 0) + k1 * k2
+    return BivariateLaurent(acc)
 
 
 # One signed term of polynomial text and the blanks after it:

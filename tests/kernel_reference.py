@@ -13,7 +13,17 @@ relabelled slots and the colors of their arcs: the reference of which
 states one key merges.
 """
 
-from tiedbracket._kernel_py import _draw
+from tiedbracket._kernel_py import _mix
+
+# The modulus of the draw's partner integer.
+DRAW_MOD = (1 << 56) - 5
+
+
+def draw(seed, partners):
+    """The seeded draw of a state: its key's partner bytes read as a
+    big-endian integer mod DRAW_MOD and XORed into the seed, then one
+    splitmix64 step (`_kernel_py._mix`, which takes the seed mod 2^64)."""
+    return _mix(seed ^ int.from_bytes(partners, "big") % DRAW_MOD)[1]
 
 
 def decode(key):
@@ -70,7 +80,7 @@ def pick(key, seed):
     if not illegal:
         return -1, False
     if seed >= 0:
-        return illegal[_draw(seed, key[: 8 * n]) % len(illegal)]
+        return illegal[draw(seed, key[: 8 * n]) % len(illegal)]
     return next((c for c in illegal if c[1]), illegal[0])
 
 
@@ -82,8 +92,8 @@ def rank(slots, colors):
 
 
 def children(key, x, x_type2):
-    """The children of smoothing crossing x as `_kernel_py._children`
-    gives them: (key, sign, apow, dpow, closed, drop), with the number of
+    """The children of smoothing crossing x, in the order of
+    `_kernel_py._expander`: (key, sign, apow, dpow, closed, drop), with the number of
     circles closed, which all take the over strand's color, and the fall
     of the rank from the parent."""
     slots, colors = decode(key)

@@ -322,3 +322,27 @@ def test_cli_imports_only_what_it_runs():
     done = subprocess.run([sys.executable, "-S", "-c", probe], env=env,
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
+
+
+def test_fixtures_read_the_catalog_once(monkeypatch, capsys):
+    # one parse of the catalog for each command, whether it names one
+    # fixture or one on each side
+    from tiedbracket import catalog
+
+    calls = []
+    parse = catalog._parse_catalog
+
+    def counted(text):
+        calls.append(1)
+        return parse(text)
+
+    monkeypatch.setattr(catalog, "_parse_catalog", counted)
+    for argv, parses in (
+        (["bracket", "--fixture", "trefoil"], 1),
+        (["distinguish", "--fixture-a", "L11n304", "--fixture-b", "L11n412"], 1),
+        (["distinguish", "--fixture-a", "hopf", TIED_HOPF], 1),
+        (["distinguish", TIED_HOPF, TIED_HOPF], 0),
+    ):
+        calls.clear()
+        code, _, _ = run(capsys, *argv)
+        assert code == 0 and len(calls) == parses, argv

@@ -398,3 +398,17 @@ def test_an_op_builds_the_strand_map_once(monkeypatch, capsys):
         assert main(argv) == 0, argv
         assert len(calls) == maps, argv
     capsys.readouterr()
+
+
+def test_total_is_the_sum_of_the_entry_products():
+    # `StateSum.total` adds the products of the terms into one dict; the
+    # definition is the sum of weight * state_value(summary)
+    diagrams = [e.diagram() for e in load_catalog()]
+    diagrams += [random_diagram(s, s % 8 + 1, s % 4 + 1, s % 3) for s in range(40)]
+    for d in diagrams:
+        for strategy in (OrderedStrategy(), RandomStrategy(5)):
+            table = resolve(d, strategy)
+            expected = BivariateLaurent()
+            for summary, weight in table.entries:
+                expected = expected + weight * state_value(summary)
+            assert table.total() == expected == double_bracket(d)

@@ -51,6 +51,7 @@ from tiedbracket.laurent import LOOP
 
 
 HOPF = [(1, 3, 2, 4), (3, 1, 4, 2)]
+FOUR_HOPFS = [tuple(a + 4 * h for a in rec) for h in range(4) for rec in HOPF]
 # Two seeds, one past 2^64, which the draw takes mod 2^64.
 SEEDED = (RandomStrategy(3), RandomStrategy(2**64 + 11))
 CATALOG = load_catalog()
@@ -145,6 +146,9 @@ def test_state_table_takes_colors_past_the_code_points():
         (HOPF, [301, 302], range(1, 301)),
         # the delta branches merge color 2 into 1, and its loops follow
         (HOPF, [1, 2], [1, 2, 2]),
+        # four Hopf links of eight colors with twenty loops of those colors:
+        # the widest loop and merge fields of the table's layout
+        (FOUR_HOPFS, list(range(1, 9)), [c % 8 + 1 for c in range(20)]),
     ],
 )
 def test_state_table_takes_many_loops_and_colors(pd, colors, loops):
@@ -155,7 +159,8 @@ def test_state_table_takes_many_loops_and_colors(pd, colors, loops):
 
 
 # A hand-made DAG for `_memo_walk`: a state's children as (child, sign,
-# apow, dpow, dtag), or a leaf's tag; `with_drops` adds each edge's drop.
+# apow, dpow, dtag), or a leaf's tag; `with_drops` packs each edge into the
+# shape that `_memo_walk` takes, with its drop.
 # "s" is reached by paths of different weights, one of them twice from
 # "y"; the two paths to "z" cancel, so the leaf "c" below it must not
 # appear, and "w" cancels the path r-x-s-a at the leaf "a"; "y" and its
@@ -199,10 +204,17 @@ def height(dag):
 
 
 def with_drops(dag):
-    """``dag`` with each edge's drop for `_memo_walk`, the fall of `height`."""
+    """``dag`` with each edge as `_memo_walk` takes it: (child, shift,
+    sign, drop), the weight and dtag packed into the shift and the drop
+    the fall of `height`."""
     h = height(dag)
+
+    def packed(node, child, sign, apow, dpow, dtag):
+        shift = (dtag << _kernel_py._TAG) + (apow << _kernel_py._APOW) + dpow
+        return child, shift, sign, h(node) - h(child)
+
     return {
-        node: kids if type(kids) is int else [(*edge, h(node) - h(edge[0])) for edge in kids]
+        node: kids if type(kids) is int else [packed(node, *edge) for edge in kids]
         for node, kids in dag.items()
     }
 
@@ -503,19 +515,35 @@ def test_seeded_leaves_ignore_arc_names():
 )
 def test_seeds_pick_differently_at_the_root(entry):
     key = _prepare(entry.diagram(), OrderedStrategy())[0]
-    picks = {_kernel_py._pick(key, seed) for seed in range(10)}
+    picks = {assert_smoothing_matches_reference(key, seed) for seed in range(10)}
     assert len(picks) >= 2
 
 
+# A layout of the AJ-state table's shape (`engine._states`): a loop field
+# of 8 bits for each color, and merge fields of 8 bits above them.
+TABLE_LAYOUT = ([1 << 8 * c for c in range(256)], [1 << 8 * 256 + 8 * c for c in range(256)])
+
+
 def assert_smoothing_matches_reference(key, seed):
-    pick = _kernel_py._pick(key, seed)
-    assert pick == kernel_reference.pick(key, seed)
-    if pick[0] >= 0:
-        kids = kernel_reference.children(key, *pick)
-        assert _kernel_py._children(key, *pick, 1, 0) == kids
-        # the tag change: closed * circle + dpow * merge
-        tagged = [(k, sign, apow, dpow, 3 * closed + 5 * dpow, drop) for k, sign, apow, dpow, closed, drop in kids]
-        assert _kernel_py._children(key, *pick, 3, 5) == tagged
+    """The expander's leaf or children on ``key``, under the layout of
+    `resolve_sum` and the table's, against the reference pick and
+    smoothing; returns the pick."""
+    pick = kernel_reference.pick(key, seed)
+    n = len(key) // 10
+    for circles, merges in (_kernel_py._COUNT, TABLE_LAYOUT):
+        got = _kernel_py._expander(seed, _kernel_py._components, (circles, merges))(key)
+        if pick[0] < 0:
+            assert got == _kernel_py._components(key)
+            continue
+        # the tag change: the circles closed, of the over strand's color i,
+        # and on a delta branch the merge of the under strand's color j into i
+        i, j = key[9 * n + pick[0]], key[8 * n + pick[0]]
+        want = []
+        for child, sign, apow, dpow, closed, drop in kernel_reference.children(key, *pick):
+            dtag = closed * circles[i] + dpow * (i + 1) * merges[j]
+            want.append((child, (dtag << _kernel_py._TAG) + (apow << _kernel_py._APOW) + dpow, sign, drop))
+        assert got == want
+    return pick
 
 
 def walked_diagrams():
@@ -526,9 +554,10 @@ def walked_diagrams():
 
 def expanded_keys(strategy, visit):
     """Call ``visit(key)`` on every state the kernel's memo walk expands
-    on `walked_diagrams` under ``strategy``, on the crossingless key and
-    on the root of 508 slots of torus_2(127)."""
-    expand = _kernel_py._expander(engine._seed(strategy))
+    on `walked_diagrams` under ``strategy``, on the crossingless key, and
+    on the root of 508 slots of torus_2(127), the most a key holds, and
+    its children."""
+    expand = _kernel_py._expander(engine._seed(strategy), _kernel_py._components, _kernel_py._COUNT)
 
     def visited(key):
         visit(key)
@@ -536,7 +565,8 @@ def expanded_keys(strategy, visit):
 
     for d in walked_diagrams():
         _kernel_py._memo_walk(_prepare(d, strategy)[0], visited)
-    for key in (b"", _prepare(torus_2(127), strategy)[0]):
+    root = _prepare(torus_2(127), strategy)[0]
+    for key in (b"", root, *(child for child, *_ in expand(root))):
         visit(key)
 
 
@@ -614,13 +644,15 @@ def test_rank_falls_along_every_edge(order):
 
     for d in walked_diagrams():
         d, strategy = ORDERS[order](d)
-        expand = checked(_kernel_py._expander(engine._seed(strategy)))
+        expand = checked(_kernel_py._expander(engine._seed(strategy), _kernel_py._components, _kernel_py._COUNT))
         _kernel_py._memo_walk(_prepare(d, strategy)[0], expand)
         root, tag, expand_state, *_ = engine._states(d, strategy, "the AJ-state table")
         _kernel_py._memo_walk(root, checked(expand_state), tag)
     # the children of the root of 127 crossings, the most a key holds
     d, strategy = ORDERS[order](torus_2(127))
-    checked(_kernel_py._expander(engine._seed(strategy)))(_prepare(d, strategy)[0])
+    checked(_kernel_py._expander(engine._seed(strategy), _kernel_py._components, _kernel_py._COUNT))(
+        _prepare(d, strategy)[0]
+    )
     # flips, type-1 smoothings, and delta branches whose color merge makes
     # other crossings illegal
     assert {1, 127, 128, 129} <= drops

@@ -4,14 +4,14 @@
 (`_kernel_py._tree_walk` over `engine._states`).  This walk shares no
 smoothing code with it: it smooths a `TiedDiagram` at every node
 (`smooth_type1`, `smooth_type2`) and counts circles and colors on the
-diagrams.  It borrows only the pick rule (`_kernel_py._pick`), which it
-must follow for the two trees to be the same tree.  Both walk the stored
+diagrams.  It takes the pick rule from `kernel_reference.pick`, which
+the walks must follow for the two trees to be the same tree.  Both walk the stored
 order of the crossings, or a seeded draw; `reordered` gives a diagram
 another stored order.  Its leaves are summarized on their diagrams
 (`summary`), which the AJ-state table does on its leaf keys.
 """
 
-from tiedbracket._kernel_py import _pick
+from kernel_reference import pick
 from tiedbracket.diagram import TiedDiagram
 from tiedbracket.engine import (
     AJStateSummary,
@@ -26,7 +26,7 @@ from tiedbracket.laurent import DELTA, BivariateLaurent
 def _key(cur):
     """The partner key of ``cur``, as `engine._encode` spells it, with
     its colors numbered from 0 in order: what the picks
-    (`_kernel_py._pick`) read of a state."""
+    (`kernel_reference.pick`) read of a state."""
     slots = [a for rec in cur.crossings for a in rec]
     ends = {}
     for s, a in enumerate(slots):
@@ -89,7 +89,7 @@ def reference_tree(d, strategy=OrderedStrategy()):
     node = 0
     while stack:
         parent, label, cur, sign, apow, dpow = stack.pop()
-        x, x_type2 = _pick(_key(cur), seed)
+        x, x_type2 = pick(_key(cur), seed)
         yield node, parent, label, cur, (sign, apow, dpow), x < 0
         if x >= 0:
             # Pushed in reverse so that children pop in the kernels' order.
