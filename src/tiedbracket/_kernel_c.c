@@ -36,7 +36,20 @@ typedef uint64_t u64;
 typedef __int128 i128;
 
 #define MAX_CROSSINGS 127 /* crossing indices are bytes, and rank counts illegal ones below 128 */
-#define DRAW_MOD (((u64)1 << 56) - 5)
+
+/* CRC-32 (reflected, polynomial 0xEDB88320) of each byte value, as binascii.crc32 reads
+   a byte; filled by crc_init. */
+static uint32_t crc_table[256];
+
+static void crc_init(void)
+{
+    for (uint32_t b = 0; b < 256; b++) {
+        uint32_t c = b;
+        for (int i = 0; i < 8; i++)
+            c = c & 1 ? 0xEDB88320u ^ c >> 1 : c >> 1;
+        crc_table[b] = c;
+    }
+}
 
 typedef struct {
     int apow, dpow, k;
@@ -66,7 +79,7 @@ typedef struct {
 
 typedef struct {
     int random_pick;
-    u64 seed; /* mod 2**64, read when random_pick */
+    u64 mixed; /* the seed mod 2**64 after one splitmix64 step, read when random_pick */
     u8 *keys; /* the states' keys, back to back */
     State *states;
     int *table; /* of the states by key */
@@ -202,18 +215,13 @@ static int pick(const Walk *w, const u8 *s, int n, int *type2)
                 break;
         }
     }
-    if (n_illegal) { /* the draw of `_kernel_py._expander`: the partner bytes as a big-endian
-                        integer mod DRAW_MOD, XORed into the seed, then one splitmix64 step */
-        u64 z = 0;
-        for (int i = 0; i < 8 * n; i++) { /* z * 256 + s[i] mod 2**56 - 5, where 2**56 = 5 */
-            z = z << 8 | s[i];
-            z = (z & (((u64)1 << 56) - 1)) + 5 * (z >> 56);
-            z -= z >= DRAW_MOD ? DRAW_MOD : 0;
-        }
-        z = (w->seed ^ z) + 0x9E3779B97F4A7C15ULL;
-        z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-        z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
-        u64 d = (z ^ (z >> 31)) % (u64)n_illegal; /* the pick: the d-th illegal crossing */
+    if (n_illegal) { /* the draw of `_kernel_py._expander`: the CRC-32 of the partner bytes,
+                        XORed into the mixed seed and multiplied by 0x9E3779B97F4A7C15 */
+        uint32_t h = 0xFFFFFFFFu;
+        for (int i = 0; i < 8 * n; i++)
+            h = crc_table[(h ^ s[i]) & 0xff] ^ h >> 8;
+        u64 z = ((u64)~h ^ w->mixed) * 0x9E3779B97F4A7C15ULL;
+        u64 d = (z >> 32) * (u64)n_illegal >> 32; /* the pick: the d-th illegal crossing */
         for (x = 0; over[x] > under[x] || d--; x++)
             ;
     }
@@ -408,6 +416,23 @@ static int memo_walk(Walk *w, int root, int top)
     return 0;
 }
 
+/* Read the seed argument of resolve_sum, NULL for none: a non-negative int draws, from
+   its splitmix64 mix mod 2**64 (`_kernel_py._mix`), and a negative one or none asks for
+   the default order.  -1 with an exception for what is no int. */
+static int read_seed(Walk *w, PyObject *seed)
+{
+    int overflow = 0;
+    long long s = seed ? PyLong_AsLongLongAndOverflow(seed, &overflow) : -1;
+    if (s == -1 && PyErr_Occurred())
+        return -1;
+    w->random_pick = overflow > 0 || (overflow == 0 && s >= 0);
+    u64 z = (seed ? PyLong_AsUnsignedLongLongMask(seed) : 0) + 0x9E3779B97F4A7C15ULL;
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
+    w->mixed = z ^ (z >> 31);
+    return 0;
+}
+
 static PyObject *resolve_sum(PyObject *Py_UNUSED(self), PyObject *args, PyObject *kwargs)
 {
     static char *kwlist[] = {"key", "seed", NULL};
@@ -417,13 +442,8 @@ static PyObject *resolve_sum(PyObject *Py_UNUSED(self), PyObject *args, PyObject
     if (!PyArg_ParseTupleAndKeywords(args, kwargs, "O!|O!", kwlist, &PyBytes_Type, &key,
                                      &PyLong_Type, &seed))
         return NULL;
-    /* any non-negative seed, taken mod 2**64 as in _kernel_py */
-    int overflow = 0;
-    long long s = seed ? PyLong_AsLongLongAndOverflow(seed, &overflow) : -1;
-    if (s == -1 && PyErr_Occurred())
+    if (read_seed(&w, seed) < 0)
         return NULL;
-    w.random_pick = overflow > 0 || (overflow == 0 && s >= 0);
-    w.seed = seed ? PyLong_AsUnsignedLongLongMask(seed) : 0;
     Py_ssize_t size = PyBytes_GET_SIZE(key);
     /* as `_kernel_py._check`: each slot a's partner p is another slot, p's partner is a, and
        the strands at a and p have one color */
@@ -487,5 +507,6 @@ static struct PyModuleDef module = {
 
 PyMODINIT_FUNC PyInit__kernel_c(void)
 {
+    crc_init();
     return PyModule_Create(&module);
 }

@@ -45,11 +45,15 @@ colors thus has gamma = m - dpow, which the engine applies.
 
 A node's pick depends only on its state: the key.  The default order
 (`seed = -1`) takes the first mixed-color illegal crossing in stored
-order, else the first same-color one.  A seed takes the illegal crossing,
-in stored order, at the state's draw modulo their number: the key's
-first 8n bytes, its partners, read as a big-endian integer modulo
-_DRAW_MOD and XORed into the seed, then one splitmix64 step (which takes
-the seed modulo 2^64).  Colors stay out of the draw, so a walker of
+order, else the first same-color one.  A seed draws among the L illegal
+crossings, in stored order.  A walk mixes its seed once, by one
+splitmix64 step (`_mix`, which takes the seed modulo 2^64); each state
+XORs the CRC-32 of its key's first 8n bytes, its partners, into that
+and multiplies by 0x9E3779B97F4A7C15 modulo 2^64, and bits 32-63 of the
+product, times L and shifted right by 32, index the pick.  The multiply
+carries the CRC into the bits that pick: XOR alone would leave them the
+seed's, and under one seed every state of L illegal crossings would pick
+the same one.  Colors stay out of the draw, so a walker of
 `TiedDiagram`s, which renumbers colors after each merge, draws the same
 values (the tests keep one as the reference of the engine's tree walk).
 Every resolution tree gives the same value, so a seeded tree need only
@@ -94,6 +98,8 @@ the benchmark replays `resolve_leaves` to count leaves, until a counter
 of `resolve_sum` does that.
 """
 
+# binascii is always built; zlib, whose crc32 is the same, is optional.
+from binascii import crc32
 from itertools import compress
 from operator import eq, itemgetter, le
 
@@ -102,8 +108,6 @@ from operator import eq, itemgetter, le
 MAX_CROSSINGS = 127
 
 _MASK64 = (1 << 64) - 1
-# Below 2^56, so that a C twin can read the partners byte by byte in a u64.
-_DRAW_MOD = (1 << 56) - 5
 _RANGE = bytes(range(256))
 # _SHIFT[x] lowers the crossing indices above x by one (`bytes.translate`).
 _SHIFT = [_RANGE[: x + 1] + _RANGE[x:255] for x in range(MAX_CROSSINGS)]
@@ -136,7 +140,7 @@ def _unpack(group):
 
 def _mix(state):
     """One splitmix64 step; returns (new_state, output).  `_expander`'s
-    seeded draw runs the same step inline."""
+    seeded draw mixes its seed with it once a walk."""
     state = (state + 0x9E3779B97F4A7C15) & _MASK64
     z = state
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
@@ -168,8 +172,8 @@ def _expander(seed, leaf, layout):
 
     The pick: seed < 0 is the default order, the first mixed-color
     illegal crossing, else the first same-color one.  Otherwise it is the
-    illegal crossing, in stored order, at the state's draw modulo their
-    number.
+    illegal crossing, in stored order, that the state's draw indexes (see
+    the module's docstring).
 
     Each child is (key, shift, sign, drop), as `_memo_walk` takes it: its
     key; the branch weight sign * A^apow * delta^dpow and the tag change
@@ -192,6 +196,7 @@ def _expander(seed, leaf, layout):
     """
     circles, merges = layout
     ordered = seed < 0
+    mixed = _mix(seed)[1]
 
     def expand(key):
         n = len(key) // 10
@@ -217,11 +222,9 @@ def _expander(seed, leaf, layout):
             illegal = range(n) if under == over else list(compress(range(n), map(le, over, under)))
             if not illegal:
                 return leaf(key)
-            # the draw: one splitmix64 step, `_mix` inline
-            z = (seed ^ int.from_bytes(key[: 2 * m], "big") % _DRAW_MOD) + 0x9E3779B97F4A7C15 & _MASK64
-            z = (z ^ z >> 30) * 0xBF58476D1CE4E5B9 & _MASK64
-            z = (z ^ z >> 27) * 0x94D049BB133111EB & _MASK64
-            x = illegal[(z ^ z >> 31) % len(illegal)]
+            # the draw: bits 32-63 of the product, scaled to the number of illegal crossings
+            z = (crc32(key[: 2 * m]) ^ mixed) * 0x9E3779B97F4A7C15 >> 32 & 0xFFFFFFFF
+            x = illegal[z * len(illegal) >> 32]
             x_type2 = over[x] < under[x]
         s = 4 * x
         circle = circles[over[x]] << _TAG

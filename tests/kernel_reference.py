@@ -10,20 +10,36 @@ each child back into a partner key (`encode`).  `encode` of
 a diagram's slots (`slot_lists`) is the reference of the engine's keys.
 `canonical` is the state's key as the kernels once spelled it, the
 relabelled slots and the colors of their arcs: the reference of which
-states one key merges.
+states one key merges.  The draw's CRC-32 is computed here bit by bit
+(`crc32`), with no library.
 """
+
+from functools import cache
 
 from tiedbracket._kernel_py import _mix
 
-# The modulus of the draw's partner integer.
-DRAW_MOD = (1 << 56) - 5
+
+@cache
+def crc32(data):
+    """The CRC-32 of ``data``, bit by bit: reflected, polynomial
+    0xEDB88320, starting from and finally XORed with 0xFFFFFFFF.  Kept
+    per ``data``: the tests draw on one state under many seeds."""
+    crc = 0xFFFFFFFF
+    for byte in data:
+        crc ^= byte
+        for _ in range(8):
+            crc = crc >> 1 ^ (0xEDB88320 if crc & 1 else 0)
+    return crc ^ 0xFFFFFFFF
 
 
-def draw(seed, partners):
-    """The seeded draw of a state: its key's partner bytes read as a
-    big-endian integer mod DRAW_MOD and XORed into the seed, then one
-    splitmix64 step (`_kernel_py._mix`, which takes the seed mod 2^64)."""
-    return _mix(seed ^ int.from_bytes(partners, "big") % DRAW_MOD)[1]
+def draw(seed, partners, count):
+    """The seeded draw among ``count`` illegal crossings of a state, an
+    index: the CRC-32 of its key's partner bytes XORed into the seed's
+    splitmix64 output (`_kernel_py._mix`, which takes the seed mod 2^64),
+    times 0x9E3779B97F4A7C15 mod 2^64; bits 32-63 of that, times
+    ``count``, shifted right by 32."""
+    z = (crc32(partners) ^ _mix(seed)[1]) * 0x9E3779B97F4A7C15 % 2**64
+    return (z >> 32) * count >> 32
 
 
 def decode(key):
@@ -80,7 +96,7 @@ def pick(key, seed):
     if not illegal:
         return -1, False
     if seed >= 0:
-        return illegal[draw(seed, key[: 8 * n]) % len(illegal)]
+        return illegal[draw(seed, key[: 8 * n], len(illegal))]
     return next((c for c in illegal if c[1]), illegal[0])
 
 

@@ -3,9 +3,10 @@ exactly: the same sums under the same seeded choices, on every input both
 accept, up to the keys' 127 crossings and past 64-bit counts.  Both must
 match the naive expander.  Both must refuse a malformed key, one that is
 no bytes, or a seed that is no int, with the same error, and a third
-argument with a TypeError; the compiled one must also free all it
-allocates, compile without warnings and run clean under the address and
-undefined-behavior sanitizers, on diagrams and on random short keys."""
+argument with a TypeError; the compiled one must also pick as the
+Python one does, state by state, free all it allocates, compile without
+warnings and run clean under the address and undefined-behavior
+sanitizers, on diagrams and on random short keys."""
 
 import ctypes
 import importlib
@@ -256,6 +257,26 @@ int probe_regrow(Py_ssize_t n)
     Py_ssize_t size = 0;
     return regrow(&table, &size, n, NULL, 0);
 }
+
+/* The pick of the key of n crossings under the seed: -1 at a leaf, else 2x + type2, with
+   the keys of its children written back to back to out, in the kernels' order; -2 with
+   the error of a seed that is no int. */
+int probe_pick(PyObject *seed, const u8 *key, int n, u8 *out)
+{
+    Walk w = {0};
+    int type2;
+    if (read_seed(&w, seed) < 0)
+        return -2;
+    crc_init();
+    int x = pick(&w, key, n, &type2);
+    if (x >= 0 && type2) {
+        flip(key, n, x, out);
+        out += 10 * n;
+    }
+    for (int c = 1; x >= 0 && c < 3; c++, out += 10 * (n - 1))
+        glue(key, n, x, c == 1, type2 ? key[8 * n + x] : -1, key[9 * n + x], out);
+    return x < 0 ? -1 : 2 * x + type2;
+}
 """
 
 
@@ -268,10 +289,8 @@ def c_compiler():
     return cc, f"-I{sysconfig.get_paths()['include']}"
 
 
-def test_compiled_kernel_buffers_refuse_sizes_that_overflow(tmp_path):
-    # The kernel's buffer helpers, linked into a library of their own: a
-    # size whose bytes overflow, or a table past its int indices, raises
-    # MemoryError instead of allocating too little.
+def probe_library(tmp_path):
+    """The kernel's source with `PROBE`, linked into a library of its own."""
     cc, include = c_compiler()
     probe = tmp_path / "probe.c"
     probe.write_text(f'#include "{KERNEL_C}"\n{PROBE}')
@@ -280,7 +299,14 @@ def test_compiled_kernel_buffers_refuse_sizes_that_overflow(tmp_path):
         [*cc, include, "-shared", "-fPIC", str(probe), "-o", str(lib)], capture_output=True, text=True
     )
     assert proc.returncode == 0, proc.stderr
-    lib = ctypes.PyDLL(str(lib))  # holds the GIL and raises the error the call sets
+    return ctypes.PyDLL(str(lib))  # holds the GIL and raises the error the call sets
+
+
+def test_compiled_kernel_buffers_refuse_sizes_that_overflow(tmp_path):
+    # The kernel's buffer helpers: a size whose bytes overflow, or a table
+    # past its int indices, raises MemoryError instead of allocating too
+    # little.
+    lib = probe_library(tmp_path)
     lib.probe_reserve.argtypes = (ctypes.c_ssize_t, ctypes.c_size_t)
     lib.probe_regrow.argtypes = (ctypes.c_ssize_t,)
     assert lib.probe_reserve(16, 8) == 0
@@ -288,6 +314,48 @@ def test_compiled_kernel_buffers_refuse_sizes_that_overflow(tmp_path):
         lib.probe_reserve(2**61, 8)  # as a size_t, 8 times 2**61 bytes is 0
     with pytest.raises(MemoryError):
         lib.probe_regrow(2**31 - 1)
+
+
+def seeded_states(diagrams, seed):
+    """The distinct states that `_kernel_py`'s walks of ``diagrams`` expand
+    under ``seed``."""
+    expand = _kernel_py._expander(seed, _kernel_py._components, _kernel_py._COUNT)
+    states = {}
+
+    def visit(key):
+        states[key] = None
+        return expand(key)
+
+    for d in diagrams:
+        _kernel_py._memo_walk(_prepare(d, OrderedStrategy())[0], visit)
+    return list(states)
+
+
+def test_compiled_pick_is_the_python_pick(tmp_path):
+    # Sums alone do not show the picks: a seeded walk gives the ordered sums
+    # whatever it picks.  State by state, the C kernel's pick must smooth
+    # into the children of the Python kernel's, and pick under seed
+    # s + 2^64 as under s.  Two crossings whose children are the same keys
+    # are one pick to both walks.
+    lib = probe_library(tmp_path)
+    lib.probe_pick.argtypes = (ctypes.py_object, ctypes.c_char_p, ctypes.c_int, ctypes.c_char_p)
+    out = ctypes.create_string_buffer(30 * 127)
+    diagrams = [e.diagram() for e in load_catalog()]
+    diagrams += [random_diagram(s, s % 8 + 1, s % 3 + 1, s % 3) for s in range(60)]
+    for seed in (0, 1, 2**63, 2**64 + 5):
+        expand = _kernel_py._expander(seed, _kernel_py._components, _kernel_py._COUNT)
+        for key in seeded_states(diagrams, seed):
+            got = lib.probe_pick(seed, key, len(key) // 10, out)
+            kids = expand(key)
+            if got < 0:
+                assert type(kids) is int, (key, seed)
+                continue
+            want = b"".join(child for child, *_ in kids)
+            assert len(kids) == 2 + (got & 1) and out.raw[: len(want)] == want, (key, seed)
+            if seed >= 2**64:
+                assert lib.probe_pick(seed - 2**64, key, len(key) // 10, out) == got, (key, seed)
+    with pytest.raises(TypeError):
+        lib.probe_pick(1.0, b"", 0, out)
 
 
 @pytest.mark.parametrize("name", ["python", "compiled"])

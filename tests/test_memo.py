@@ -10,7 +10,8 @@ distinct leaf, with the strings of the reference search
 its packed groups at their bounds;
 how many states each memo expands; that each edge's drop is the fall of
 the rank of the memo walks and that a walk frees the states it has
-expanded; the seeded pick rule;
+expanded; the seeded pick rule, its spread over seeds and its seed
+modulo 2^64, and the reference's CRC-32 against binascii's;
 the pick and smoothing against a plain one (`kernel_reference`), the
 keys the engine builds and the partner keys against the reference's
 encoding and the relabelled keys they replaced;
@@ -18,10 +19,12 @@ closures whose tree only the memo can afford, on both kernels, up to the
 byte labels' bound; and that the memo, the code search and
 `double_bracket` leave no reference cycles."""
 
+import binascii
 import gc
 import random
 import signal
 import tracemalloc
+from collections import Counter
 from functools import cache
 
 import pytest
@@ -388,7 +391,7 @@ def test_memo_keys_merge_the_same_states(monkeypatch):
     assert table_and_walk(d, OrderedStrategy()) == (923, 923)
     # seeded walks of 2-strand closures, which share few states
     seeded = [table_and_walk(torus_2(n), RandomStrategy(1))[0] for n in (8, 16, 24)]
-    assert seeded == [32, 327, 3481]
+    assert seeded == [32, 261, 3210]
 
 
 def test_code_and_state_table_leave_no_garbage_cycles():
@@ -517,6 +520,75 @@ def test_seeds_pick_differently_at_the_root(entry):
     key = _prepare(entry.diagram(), OrderedStrategy())[0]
     picks = {assert_smoothing_matches_reference(key, seed) for seed in range(10)}
     assert len(picks) >= 2
+
+
+def illegal_crossings(key):
+    n = len(key) // 10
+    return [x for x in range(n) if key[9 * n + x] <= key[8 * n + x]]
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [e for e in CATALOG if len(illegal_crossings(_prepare(e.diagram(), OrderedStrategy())[0])) >= 2],
+    ids=lambda e: e.name,
+)
+def test_seeds_spread_the_pick_at_the_root(entry):
+    # seeds 0..999 pick each of the L illegal crossings 1000/L times, give
+    # or take half
+    key = _prepare(entry.diagram(), OrderedStrategy())[0]
+    illegal = illegal_crossings(key)
+    picks = Counter(kernel_reference.pick(key, seed)[0] for seed in range(1000))
+    assert set(picks) <= set(illegal)
+    assert all(500 <= picks[x] * len(illegal) <= 1500 for x in illegal), picks
+
+
+def test_seeds_pick_independently_in_two_states():
+    # A draw whose seed flipped the picks of all states alike, as XOR of
+    # the key's CRC into the seed would, gives two of the four pairs.
+    key = _prepare(next(e for e in CATALOG if e.name == "L11n304").diagram(), OrderedStrategy())[0]
+    expand = _kernel_py._expander(-1, _kernel_py._components, _kernel_py._COUNT)
+    states = []
+
+    def visit(key):
+        if len(illegal_crossings(key)) == 2:
+            states.append(key)
+        return expand(key)
+
+    _kernel_py._memo_walk(key, visit)
+    # the first two states of two illegal crossings that the ordered walk expands
+    a, b = states[:2]
+    pairs = Counter((kernel_reference.pick(a, seed), kernel_reference.pick(b, seed)) for seed in range(1000))
+    assert len(pairs) == 4 and min(pairs.values()) >= 150, pairs
+
+
+def test_seeds_count_mod_2_64():
+    # a seed and the seed plus 2^64 pick alike on every state of their
+    # walks, and give one tree; the trees of 10 and 11 crossings take
+    # seconds, so only the walks cover them
+    diagrams = [e.diagram() for e in CATALOG]
+    diagrams += [random_diagram(s, s % 7 + 1, s % 3 + 1, s % 3) for s in range(20)]
+    for seed in (0, 5, 2**63):
+        first = _kernel_py._expander(seed, _kernel_py._components, _kernel_py._COUNT)
+        second = _kernel_py._expander(seed + 2**64, _kernel_py._components, _kernel_py._COUNT)
+
+        def visit(key):
+            assert second(key) == first(key)
+            return first(key)
+
+        for d in diagrams:
+            _kernel_py._memo_walk(_prepare(d, OrderedStrategy())[0], visit)
+            if len(d.crossings) <= 8:
+                trees = [list(resolution_tree(d, RandomStrategy(s))) for s in (seed, seed + 2**64)]
+                assert trees[0] == trees[1]
+
+
+def test_reference_crc_is_binascii_crc():
+    # the reference's CRC-32, bit by bit, is the one of the kernels
+    rng = random.Random(0)
+    sizes = [0, 1, 8, 1016] + [rng.randrange(1017) for _ in range(60)]
+    for size in sizes:
+        data = rng.randbytes(size)
+        assert kernel_reference.crc32(data) == binascii.crc32(data), size
 
 
 # A layout of the AJ-state table's shape (`engine._states`): a loop field
@@ -659,7 +731,7 @@ def test_rank_falls_along_every_edge(order):
 
 
 def test_memo_walk_frees_what_it_has_taken():
-    # a seeded walk of 3,481 states, each freed once expanded
+    # a seeded walk of 3,210 states, each freed once expanded
     args = _prepare(torus_2(24), RandomStrategy(1))
     tracemalloc.start()
     try:
