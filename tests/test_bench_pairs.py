@@ -1,8 +1,6 @@
-"""The summary arithmetic of `tools/bench_pairs.py` on canned runs, and
-its choice of workloads."""
+"""The summary arithmetic of `tools/bench_pairs.py` on canned runs."""
 
 import importlib.util
-import json
 from pathlib import Path
 
 import pytest
@@ -58,43 +56,3 @@ def test_one_pair_has_no_spread():
     ops = bench_pairs.summarize(runs, {"ops_per_s": "higher"})["w seed 1"]["ops_per_s"]
     assert ops["parent_quartiles"] == [100, 100] and ops["parent_iqr"] == 0
     assert ops["change_better"] == "1/1"
-
-
-BENCHMARK = json.loads((_PATH.parents[1] / "BENCHMARK.json").read_text())
-
-
-def test_workloads_are_chosen_by_name(monkeypatch, tmp_path):
-    ran = []
-
-    def run_once(checkout, workload, seed, seconds):
-        ran.append((checkout, workload))
-        return {"metrics": {m["name"]: {"value": 1.0} for m in BENCHMARK["end_to_end"]}, "failed": 0, "attempted": 1}
-
-    monkeypatch.setattr(bench_pairs, "run_once", run_once)
-    monkeypatch.setattr(bench_pairs, "revision", lambda checkout: "0" * 40)
-    out = tmp_path / "bench.json"
-    argv = ["--parent", "p", "--change", "c", "--seed", "3", "--pairs", "2", "--out", str(out)]
-    assert bench_pairs.main([*argv, "--workload", "order-check"]) == 0
-    assert ran == [("p", "order-check"), ("c", "order-check"), ("c", "order-check"), ("p", "order-check")]
-    assert list(json.loads(out.read_text())["summary"]) == ["order-check seed 3"]
-    ran.clear()
-    bench_pairs.main([*argv, "--workload", "states-table", "--workload", "order-check"])
-    assert [w for _, w in ran] == ["states-table"] * 4 + ["order-check"] * 4
-    # by default, every workload of BENCHMARK.json in its order
-    ran.clear()
-    bench_pairs.main([*argv, "--pairs", "1"])
-    assert [w for _, w in ran[::2]] == [w["name"] for w in BENCHMARK["workloads"]]
-
-
-def test_an_unknown_workload_is_refused_before_any_run(monkeypatch, tmp_path, capsys):
-    def run_once(*args):
-        raise AssertionError("a run started")
-
-    monkeypatch.setattr(bench_pairs, "run_once", run_once)
-    monkeypatch.setattr(bench_pairs, "revision", run_once)
-    argv = ["--parent", "p", "--change", "c", "--seed", "3", "--out", str(tmp_path / "bench.json")]
-    with pytest.raises(SystemExit) as exc:
-        bench_pairs.main([*argv, "--workload", "order-check", "--workload", "ordercheck"])
-    assert exc.value.code == 2
-    assert "unknown workload ordercheck" in capsys.readouterr().err
-    assert not (tmp_path / "bench.json").exists()

@@ -2,12 +2,11 @@
 ``BENCH_<N>.json`` of the runs and their summary.
 
     python3 tools/bench_pairs.py --parent ../parent --change . \\
-        --seed 11 --pairs 10 --workload order-check --out BENCH_N.json
+        --seed 11 --pairs 10 --out BENCH_33.json
 
 Each pair runs ``perfbench/run.py --workload W --seed S --seconds T
---trace 0`` once in each checkout, one after the other, for each
-workload W named by ``--workload`` (repeatable; by default every
-workload of ``BENCHMARK.json``) and its ``run_seconds`` T; even pairs
+--trace 0`` once in each checkout, one after the other, for every
+workload W of ``BENCHMARK.json`` and its ``run_seconds`` T; even pairs
 start with the parent, odd ones with the change.  Each run reads the
 record that run.py writes under the checkout's ``.bench_out/``.  The
 summary gives, per workload and end-to-end metric of ``BENCHMARK.json``,
@@ -41,12 +40,6 @@ def run_once(checkout, workload, seed, seconds):
     record = json.loads(out.read_text())
     record.update(attempted=last["attempted"], failed=last["failed"])
     return record
-
-
-def revision(checkout):
-    """The commit checked out in ``checkout``."""
-    return subprocess.run(["git", "-C", checkout, "rev-parse", "HEAD"],
-                          capture_output=True, text=True, check=True).stdout.strip()
 
 
 def _round(x):
@@ -93,22 +86,17 @@ def main(argv=None):
     p.add_argument("--change", required=True, help="checkout of the change")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--pairs", type=int, default=10)
-    p.add_argument("--workload", action="append", dest="workloads", metavar="NAME",
-                   help="a workload of BENCHMARK.json to run, repeatable (default: all)")
     p.add_argument("--out", required=True, help="the BENCH_<N>.json to write")
     opts = p.parse_args(argv)
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
-    names = [w["name"] for w in bench["workloads"]]
-    unknown = [w for w in opts.workloads or () if w not in names]
-    if unknown:
-        p.error(f"unknown workload {', '.join(unknown)}; BENCHMARK.json has {', '.join(names)}")
     seconds = bench["run_seconds"]
     metrics = {m["name"]: m["better"] for m in bench["end_to_end"]}
     checkouts = {"parent": opts.parent, "change": opts.change}
-    parent_rev = revision(opts.parent)
+    parent_rev = subprocess.run(["git", "-C", opts.parent, "rev-parse", "HEAD"],
+                                capture_output=True, text=True, check=True).stdout.strip()
     runs = []
-    for workload in opts.workloads or names:
+    for workload in (w["name"] for w in bench["workloads"]):
         group = f"{workload} seed {opts.seed}"
         for pair in range(opts.pairs):
             order = SIDES if pair % 2 == 0 else SIDES[::-1]
