@@ -175,14 +175,14 @@ def _parse_catalog(text: str) -> list[FixtureEntry]:
             blocks.append([])
     entries: list[FixtureEntry] = []
     for block in blocks:
-        fields = {key: value for key, (_, value) in _fields(block).items()}
+        lines = _fields(block)
+        fields = {key: value for key, (_, value) in lines.items()}
         if not fields:
             continue
         if "name" not in fields:
             raise DiagramError(f"line {block[0][0]}: catalog record without name")
-        expected_bracket = diff_partner = expected_difference = None
-        if "expect_bracket" in fields:
-            expected_bracket = parse_poly(fields["expect_bracket"])
+        diff_partner = expected_difference = None
+        expected_bracket = parse_poly(fields["expect_bracket"]) if "expect_bracket" in fields else None
         if "expect_diff_with" in fields:
             diff_partner, _, poly = fields["expect_diff_with"].partition(" ")
             expected_difference = parse_poly(poly)
@@ -190,8 +190,8 @@ def _parse_catalog(text: str) -> list[FixtureEntry]:
             FixtureEntry(
                 name=fields["name"],
                 pd=fields.get("pd", ""),
-                colors=[int(t) for t in fields.get("colors", "").split()],
-                loops=[int(t) for t in fields.get("loops", "").split()],
+                colors=_parse_ints(*lines.get("colors", (0, "")), "color"),
+                loops=_parse_ints(*lines.get("loops", (0, "")), "loop color"),
                 expected_bracket=expected_bracket,
                 diff_partner=diff_partner,
                 expected_difference=expected_difference,

@@ -26,7 +26,7 @@ from functools import cache
 
 from . import _backend
 from ._kernel_py import MAX_CROSSINGS, _arcs, _components, _expander, _memo_walk, _mix, _rank, _tree_walk
-from .laurent import A, A_INV, C, DELTA, LOOP, ZERO, BivariateLaurent, sum_of_products
+from .laurent import A, A_INV, C, DELTA, LOOP, BivariateLaurent, _collect, sum_of_products
 from .diagram import (
     Complexity,
     CrossingClass,
@@ -325,24 +325,19 @@ def double_bracket(d: TiedDiagram, strategy: Strategy = _DEFAULT) -> BivariateLa
     """The double bracket <<D>> in Z[A^±1, c].
 
     Strategy choice only affects the resolution tree walked, never the
-    value.  Runs on the active kernel backend.
+    value.  Runs on the active kernel backend, whose groups fold into the
+    value in one `laurent._collect`: a group (apow, dpow, k) of count n
+    adds n * A^apow * c^(gamma-1) * delta^dpow * LOOP^(k + loops - gamma).
     """
     groups = _backend.kernel.resolve_sum(*_prepare(d, strategy))
     # The kernels leave the free loops and the color count gamma of a leaf
     # to this layer: a leaf reached through dpow delta branches has gamma
     # = m - dpow, where m counts the colors of d (see `_kernel_py`).
     m, loops = d.n_colors, len(d.free_loops)
-    acc: dict[tuple[int, int], int] = {}
-    for (apow, dpow, k), count in groups.items():
-        gamma = m - dpow
-        for (a, c), coeff in _group_value(dpow, k + loops - gamma):
-            kk = (a + apow, c + gamma - 1)
-            s = acc.get(kk, 0) + coeff * count
-            if s:
-                acc[kk] = s
-            else:
-                del acc[kk]
-    return BivariateLaurent(acc)
+    return _collect(
+        (_group_value(dpow, k + loops - m + dpow), apow, m - dpow - 1, count)
+        for (apow, dpow, k), count in groups.items()
+    )
 
 
 def resolve(
@@ -364,10 +359,11 @@ def resolve(
     its loops and the color merges of the delta branches on its path.
     Each leaf tag is settled once (`_states`): a loop closed in a color
     that later merged counts in the color it merged into.  Each count
-    folds into one term dict per settled leaf, through the cached terms
-    of delta^dpow, as `double_bracket` folds; each settled leaf is
-    summarized once, from its key and its loops, with no diagram
-    (`_states`), and canonically encoded only if ``codes``.  The
+    becomes an item of its settled leaf: the cached terms of delta^dpow,
+    shifted by A^apow.  Each leaf's items are summed in one
+    `laurent._collect`, the loop that `double_bracket` folds with.  Each
+    settled leaf is summarized once, from its key and its loops, with no
+    diagram (`_states`), and canonically encoded only if ``codes``.  The
     entries of one state merge (`StateSum.grouped`): by canonical code
     with ``codes=True``, else by the (k, gamma, crossings_left) summary.
     ``group`` takes only True: `resolution_tree` yields every leaf of the
@@ -379,15 +375,10 @@ def resolve(
             "resolution_tree yields every leaf"
         )
     root, tag, expand, settle, summary, _ = _states(d, strategy, "the AJ-state table")
-    weights: dict[int, dict[tuple[int, int], int]] = {}
+    rows: dict[int, list] = {}
     for (apow, dpow, leaf), count in _memo_walk(root, expand, tag).items():
-        acc = weights.setdefault(settle(leaf), {})
-        for (a, c), coeff in _group_value(dpow, 0):
-            kk = (a + apow, c)
-            acc[kk] = acc.get(kk, 0) + coeff * count
-    return StateSum(
-        [(summary(leaf, codes), BivariateLaurent(w)) for leaf, w in weights.items()]
-    ).grouped()
+        rows.setdefault(settle(leaf), []).append((_group_value(dpow, 0), apow, 0, count))
+    return StateSum([(summary(leaf, codes), _collect(items)) for leaf, items in rows.items()]).grouped()
 
 
 # The label of each branch weight of a smoothing.
@@ -420,7 +411,9 @@ def kauffman_bracket(d: TiedDiagram) -> BivariateLaurent:
     Sums A^(n-2r) * (-A^2-A^-2)^(k-1) over all 2^n assignments of the two
     smoothings, where r counts bar1 choices and k circles.  Only defined
     for single-color diagrams; implemented independently of `resolve` so
-    it can serve as an oracle for it.
+    it can serve as an oracle for it.  It shares only the ring with the
+    fold it checks: its loop powers are the public ``LOOP ** (k - 1)``,
+    not the fold's cached terms, summed by `laurent._collect`.
     """
     d.validate()
     if d.n_colors > 1:
@@ -464,10 +457,7 @@ def kauffman_bracket(d: TiedDiagram) -> BivariateLaurent:
         key = (n - 2 * r, k)
         counts[key] = counts.get(key, 0) + 1
 
-    acc = ZERO
-    for (apow, k), cnt in counts.items():
-        acc = acc + BivariateLaurent.monomial(apow, 0, cnt) * LOOP ** (k - 1)
-    return acc
+    return _collect(((LOOP ** (k - 1)).terms().items(), apow, 0, cnt) for (apow, k), cnt in counts.items())
 
 
 def naive_double_bracket(d: TiedDiagram) -> BivariateLaurent:

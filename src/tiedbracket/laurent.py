@@ -7,6 +7,12 @@ integers as coefficients, so nothing ever overflows or rounds.
 
 The ring houses the handful of constants the skein calculus needs:
 ``A``, ``A_INV``, ``C``, ``DELTA = A + A^-1`` and ``LOOP = -A^2 - A^-2``.
+
+Every value the package returns is a sum of products of terms, and one
+loop sums them all: `_collect`, behind products and powers
+(`sum_of_products`), `substitute_c_loop` and `from_json` here, and in
+`engine` the bracket fold of `double_bracket`, the AJ-state rows of
+`resolve` and the tail of the Kauffman oracle.
 """
 
 from __future__ import annotations
@@ -151,13 +157,7 @@ class BivariateLaurent:
         used when comparing against the classical Kauffman bracket.  It
         is a ring homomorphism.
         """
-        out = ZERO
-        loop_pows: dict[int, BivariateLaurent] = {0: ONE}
-        for (a, c), coeff in self._terms.items():
-            if c not in loop_pows:
-                loop_pows[c] = LOOP ** c
-            out = out + loop_pows[c] * BivariateLaurent.monomial(a, 0, coeff)
-        return out
+        return _collect(((LOOP**c)._terms.items(), a, 0, coeff) for (a, c), coeff in self._terms.items())
 
     # -- text and JSON forms --------------------------------------------
 
@@ -177,7 +177,8 @@ class BivariateLaurent:
 
     @classmethod
     def from_json(cls, data: Iterable[Iterable[int]]) -> "BivariateLaurent":
-        return sum((cls({(a, c): coeff}) for a, c, coeff in data), cls())
+        # Each entry is checked as a polynomial of its own, then summed.
+        return _collect((cls({(a, c): coeff})._terms.items(), 0, 0, 1) for a, c, coeff in data)
 
     def __str__(self) -> str:
         return render_poly(self)
@@ -195,14 +196,22 @@ def _raw(terms: dict[tuple[int, int], int]) -> BivariateLaurent:
 
 
 def sum_of_products(pairs: Iterable[tuple[BivariateLaurent, BivariateLaurent]]) -> BivariateLaurent:
-    """The sum of p * q over the pairs (p, q): each product of two terms
-    is added straight into one dict, with no polynomial per pair."""
+    """The sum of p * q over the pairs (p, q), in one `_collect`."""
+    return _collect((p._terms.items(), a, c, k) for p, q in pairs for (a, c), k in q._terms.items())
+
+
+def _collect(items: Iterable[tuple[Iterable[tuple[tuple[int, int], int]], int, int, int]]) -> BivariateLaurent:
+    """The sum of count * A^da * c^dc * P over the items (terms, da, dc,
+    count), where ``terms`` are P's ``((a, c), coeff)`` pairs.
+
+    The one loop that multiplies and sums terms: every product of two
+    terms is added straight into one dict, with no polynomial per item.
+    """
     acc: dict[tuple[int, int], int] = {}
-    for p, q in pairs:
-        for (a1, c1), k1 in p._terms.items():
-            for (a2, c2), k2 in q._terms.items():
-                key = (a1 + a2, c1 + c2)
-                acc[key] = acc.get(key, 0) + k1 * k2
+    for terms, da, dc, count in items:
+        for (a, c), coeff in terms:
+            key = (a + da, c + dc)
+            acc[key] = acc.get(key, 0) + coeff * count
     return BivariateLaurent(acc)
 
 

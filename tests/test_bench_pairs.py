@@ -1,7 +1,10 @@
-"""The summary arithmetic of `tools/bench_pairs.py` on canned runs."""
+"""`tools/bench_pairs.py` on canned runs: the summary arithmetic, and
+`main` with `run_once` stubbed."""
 
 import importlib.util
+import json
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -56,3 +59,35 @@ def test_one_pair_has_no_spread():
     ops = bench_pairs.summarize(runs, {"ops_per_s": "higher"})["w seed 1"]["ops_per_s"]
     assert ops["parent_quartiles"] == [100, 100] and ops["parent_iqr"] == 0
     assert ops["change_better"] == "1/1"
+
+
+@pytest.mark.parametrize("pairs", [1, 2])
+@pytest.mark.parametrize("no_bytecode", [True, False])
+def test_main_alternates_and_writes_its_record(tmp_path, monkeypatch, pairs, no_bytecode):
+    bench = json.loads((bench_pairs.ROOT / "BENCHMARK.json").read_text())
+    workloads = [w["name"] for w in bench["workloads"]]
+    calls = []
+
+    def run_once(checkout, workload, seed, seconds):
+        calls.append((checkout, workload))
+        value = 100 if checkout == "P" else 110
+        return {"metrics": {m["name"]: {"value": value} for m in bench["end_to_end"]}, "failed": 0, "attempted": 9}
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    monkeypatch.setattr(bench_pairs.subprocess, "run", lambda *a, **k: SimpleNamespace(stdout="abc123\n"))
+    monkeypatch.setattr(bench_pairs.sys, "dont_write_bytecode", no_bytecode)
+    out = tmp_path / "BENCH.json"
+    argv = ["--parent", "P", "--change", "C", "--seed", "4", "--pairs", str(pairs), "--out", str(out)]
+    assert bench_pairs.main(argv) == 0
+
+    # even pairs start with the parent, odd ones with the change
+    order = [["P", "C"], ["C", "P"]][:pairs]
+    assert calls == [(side, w) for w in workloads for pair in order for side in pair]
+    written = json.loads(out.read_text())
+    assert written["parent"] == "abc123"
+    assert list(written["summary"]) == [f"{w} seed 4" for w in workloads]
+    assert [(r["pair"], r["side"], r["first"]) for r in written["runs"][: 2 * pairs]] == [
+        (0, "parent", "parent"), (0, "change", "parent"), (1, "change", "change"), (1, "parent", "change")
+    ][: 2 * pairs]
+    assert written["summary"][f"{workloads[0]} seed 4"]["ops_per_s"]["change_better"] == f"{pairs}/{pairs}"
+    assert written["host"].endswith("; bytecode writing off") is no_bytecode

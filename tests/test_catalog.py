@@ -111,6 +111,19 @@ def test_catalog_repeated_key_names_its_line():
         _parse_catalog(text)
 
 
+def test_catalog_colors_and_loops_follow_diagram_text():
+    # comma lists, as diagram text takes them, where int() refused "1,2"
+    text = "name: a\npd: X[1,3,2,4] X[3,1,4,2]\ncolors: 1, 2\nloops: 1,2\n"
+    (entry,) = _parse_catalog(text)
+    assert entry.colors == [1, 2] and entry.loops == [1, 2]
+    assert entry.diagram() == parse_diagram("pd: X[1,3,2,4] X[3,1,4,2]\ncolors: 1,2\nloops: 1,2")
+    # a bad entry names its line in the catalog file
+    with pytest.raises(DiagramSyntaxError, match=r"^line 4: bad color entry 'x'$"):
+        _parse_catalog("# header\n\nname: b\ncolors: 1 x\n")
+    with pytest.raises(DiagramSyntaxError, match=r"^line 3: bad loop color entry '1;2'$"):
+        _parse_catalog("\nname: c\nloops: 1;2\n")
+
+
 def test_fixture_lookup():
     assert fixture("unknot").expected_bracket == parse_poly("1")
     with pytest.raises(KeyError):

@@ -76,6 +76,16 @@ def test_json_round_trip():
     assert BivariateLaurent.from_json(data) == p
 
 
+def test_from_json_sums_repeated_entries():
+    assert BivariateLaurent.from_json([[1, 0, 2], [1, 0, -2]]) == ZERO
+    data = [[1, 0, 2], [-1, 1, 3], [1, 0, 1]]
+    assert BivariateLaurent.from_json(data) == BivariateLaurent({(1, 0): 3, (-1, 1): 3})
+    # each entry is checked on its own, even where a later one cancels it
+    for bad in ([[1, 0, True], [1, 0, -1]], [[1, 0, 2.0], [1, 0, -2]], [[2, -1, 1], [2, -1, -1]]):
+        with pytest.raises(ValueError, match="ints|negative c"):
+            BivariateLaurent.from_json(bad)
+
+
 def test_equality_and_hash():
     assert parse_poly("A + c") == parse_poly("c + A")
     assert hash(parse_poly("A + c")) == hash(parse_poly("c + A"))

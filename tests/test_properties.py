@@ -13,7 +13,7 @@ from tiedbracket.diagram import (
     TiedDiagram,
     random_diagram,
 )
-from tiedbracket.laurent import BivariateLaurent, parse_poly, render_poly
+from tiedbracket.laurent import _EXPONENTS, BivariateLaurent, _collect, parse_poly, render_poly
 
 coeffs = st.integers(min_value=-9, max_value=9)
 exponents = st.tuples(st.integers(-8, 8), st.integers(0, 4))
@@ -43,6 +43,20 @@ def test_substitution_is_homomorphism(p, q):
 @given(polys)
 def test_json_round_trip(p):
     assert BivariateLaurent.from_json(p.to_json()) == p
+
+
+items = st.lists(st.tuples(polys, st.integers(-8, 8), st.integers(0, 4), st.integers(-3, 3)), max_size=6)
+
+
+@given(items)
+def test_collect_sums_count_times_shifted_terms(items):
+    expected = Counter()
+    for p, da, dc, count in items:
+        for a, c, coeff in p.to_json():
+            expected[a + da, c + dc] += count * coeff
+    got = _collect((p.terms().items(), da, dc, count) for p, da, dc, count in items)
+    assert got.terms() == {key: coeff for key, coeff in expected.items() if coeff}
+    assert all(_EXPONENTS[key] is key for key in got._terms)
 
 
 diagram_seeds = st.integers(min_value=0, max_value=10_000)

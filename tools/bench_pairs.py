@@ -13,7 +13,8 @@ summary gives, per workload and end-to-end metric of ``BENCHMARK.json``,
 the medians and quartiles of both sides, the parent's interquartile
 range, the change of the medians in percent and in how many pairs the
 change was better than the parent in the same pair.  The parent's
-commit is read from its checkout.
+commit is read from its checkout.  The ``host`` line says when bytecode
+writing was off (``sys.dont_write_bytecode``).
 """
 
 import argparse
@@ -95,6 +96,13 @@ def main(argv=None):
     checkouts = {"parent": opts.parent, "change": opts.change}
     parent_rev = subprocess.run(["git", "-C", opts.parent, "rev-parse", "HEAD"],
                                 capture_output=True, text=True, check=True).stdout.strip()
+    host = (f"{platform.system()} {platform.machine()}, {os.cpu_count()} CPUs, "
+            f"Python {platform.python_version()}; pairs alternate which side runs first; "
+            "each side runs from its own checkout")
+    if sys.dont_write_bytecode:
+        # as under PYTHONDONTWRITEBYTECODE, which every run and its CLI
+        # children inherit: each child then compiles what it imports
+        host += "; bytecode writing off"
     runs = []
     for workload in (w["name"] for w in bench["workloads"]):
         group = f"{workload} seed {opts.seed}"
@@ -109,9 +117,7 @@ def main(argv=None):
             Path(opts.out).write_text(json.dumps({
                 "command": f"python3 perfbench/run.py --workload <workload> --seed {opts.seed} "
                            f"--seconds {seconds:g} --trace 0",
-                "host": f"{platform.system()} {platform.machine()}, {os.cpu_count()} CPUs, "
-                        f"Python {platform.python_version()}; pairs alternate which side runs first; "
-                        "each side runs from its own checkout",
+                "host": host,
                 "parent": parent_rev,
                 "summary": summarize(runs, metrics),
                 "runs": runs,
